@@ -141,10 +141,6 @@ class Bimodule:
         return f"Bimodule({self.name or '?'}, shift={self.shift}, ranks={ranks})"
 
 
-def zero_bimodule(algebra: WeightedAlgebra, shift: int, name: str = "0") -> Bimodule:
-    return Bimodule(algebra, shift, {}, name=name)
-
-
 def regular_bimodule(algebra: WeightedAlgebra, name: str = "A") -> Bimodule:
     """The algebra as a bimodule over itself (rank one per weight)."""
     comps = {}
@@ -310,9 +306,6 @@ def zero_map(dom: Bimodule, cod: Bimodule) -> BimoduleMap:
 
 def compose(g: BimoduleMap, f: BimoduleMap) -> BimoduleMap:
     """g after f."""
-    if g.dom is not f.cod and g.dom.total_rank() != f.cod.total_rank():
-        # ranks must agree weightwise; exact object identity is not required
-        pass
     mats = {}
     for lam in f.mats:
         mats[lam] = g.matrix(lam) @ f.matrix(lam)

@@ -12,18 +12,17 @@ import time
 
 from . import __version__
 from .polyring import Poly, QQ, divided_difference, h_complete, make_field
-from .nilhecke import NilHeckeElt, normalize
+from .nilhecke import NilHeckeElt, divided_power_idempotents, normalize
 from .bimodcat import certify_iso
-from .tworep import (check_hecke, check_hypotheses, make_L1, rep_from_json,
-                     rho, HypothesesFailedError)
+from .tworep import (check_hecke, check_hypotheses, make_L1, record,
+                     rep_from_json, HypothesesFailedError)
 from .product import (build_product, check_eta22_identity,
                       check_omega3_linearity, check_product_hecke,
                       eps_xi_F_closed, eps_xi_F_oracle, F_xi_eta_closed,
                       F_xi_eta_oracle, tilde_rho, tilde_sigma_closed,
                       tilde_sigma_oracle, triangular_certificate,
                       NotTriangularError, DiagonalNotIsoError)
-
-CORNERS = ("11", "21", "12", "22")
+from .product.core import CORNERS
 
 
 class ConfigError(ValueError):
@@ -32,13 +31,6 @@ class ConfigError(ValueError):
 
 class RepLoadError(ValueError):
     pass
-
-
-def _rec(name, ok, witness=None):
-    out = {"check": name, "status": "pass" if ok else "fail"}
-    if witness:
-        out["witness"] = str(witness)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -56,13 +48,13 @@ def suite_identities(field=QQ, i_max: int = 8):
     # divided-difference relations on sample polynomials
     samples = [x1, x2, x1 * x2, x1 ** 2, x1 ** 3 * x2,
                x1 ** 2 * x2 + x2 ** 2, (x1 + x2) ** 2]
-    out.append(_rec("dd: d1.d1 = 0",
-                    all(divided_difference(divided_difference(f, 1), 1)
-                        .is_zero() for f in samples)))
-    out.append(_rec("dd: d1(x1 f) - x2 d1(f) = f",
-                    all(divided_difference(x1 * f, 1)
-                        - x2 * divided_difference(f, 1) == f
-                        for f in samples)))
+    out.append(record("dd: d1.d1 = 0",
+                      all(divided_difference(divided_difference(f, 1), 1)
+                          .is_zero() for f in samples)))
+    out.append(record("dd: d1(x1 f) - x2 d1(f) = f",
+                      all(divided_difference(x1 * f, 1)
+                          - x2 * divided_difference(f, 1) == f
+                          for f in samples)))
 
     # Fact 1: x2^i d1(f) = d1(x1^i f) - h_{i-1}(x1, x2) f
     ok = True
@@ -79,14 +71,14 @@ def suite_identities(field=QQ, i_max: int = 8):
                 break
         if not ok:
             break
-    out.append(_rec("fact: x2^i tau vs tau x1^i minus h_(i-1)(x1,x2)", ok,
-                    witness))
+    out.append(record("fact: x2^i tau vs tau x1^i minus h_(i-1)(x1,x2)", ok,
+                      witness))
 
     # Fact 2: x2^i - y^i = (x2 - y) h_{i-1}(x2, y)
     ok = all(x2 ** i - y ** i
              == (x2 - y) * h_complete(i - 1, ["x2", "y"], field)
              for i in range(i_max + 1))
-    out.append(_rec("fact: x2^i - y^i = y_2 h_(i-1)(x2,y)", ok))
+    out.append(record("fact: x2^i - y^i = y_2 h_(i-1)(x2,y)", ok))
 
     # Fact 3: sum_{j+k=i-1} x1^j h_{k-1}(x2, y) = h_{i-2}(x1, x2, y)
     ok = True
@@ -98,15 +90,15 @@ def suite_identities(field=QQ, i_max: int = 8):
         if s != h_complete(i - 2, ["x1", "x2", "y"], field):
             ok = False
             break
-    out.append(_rec("fact: sum x1^j h_(k-1)(x2,y) = h_(i-2)(x1,x2,y)", ok))
+    out.append(record("fact: sum x1^j h_(k-1)(x2,y) = h_(i-2)(x1,x2,y)", ok))
 
     # Fact 4: (x2 - y) h_{i-2}(x1, x2, y) = h_{i-1}(x1, x2) - h_{i-1}(x1, y)
     ok = all((x2 - y) * h_complete(i - 2, ["x1", "x2", "y"], field)
              == h_complete(i - 1, ["x1", "x2"], field)
              - h_complete(i - 1, ["x1", "y"], field)
              for i in range(i_max + 1))
-    out.append(_rec("fact: y_2 h_(i-2)(x1,x2,y) = h_(i-1)(x1,x2) - h_(i-1)(x1,y)",
-                    ok))
+    out.append(record("fact: y_2 h_(i-2)(x1,x2,y) = h_(i-1)(x1,x2) - h_(i-1)(x1,y)",
+                      ok))
 
     # crossing chain: tau1 tau2 y_2 y_1 tau1 tau2 = y_3 tau2 tau1 tau2
     #                 + tau1 tau2
@@ -115,21 +107,17 @@ def suite_identities(field=QQ, i_max: int = 8):
     expected = (normalize(3, [("y_", 3), ("tau", 2), ("tau", 1), ("tau", 2)],
                           field)
                 + normalize(3, [("tau", 1), ("tau", 2)], field))
-    out.append(_rec("crossing chain normal form", chain == expected))
+    out.append(record("crossing chain normal form", chain == expected))
 
     # divided-power idempotents
-    t = NilHeckeElt.tau(2, 1, field)
-    y1 = NilHeckeElt.x(2, 1, field) - NilHeckeElt.y(2, field)
-    y2 = NilHeckeElt.x(2, 2, field) - NilHeckeElt.y(2, field)
-    ep = t * y1
-    em = -(y2 * t)
+    ep, em = divided_power_idempotents(2, field)
     one = NilHeckeElt.one(2, field)
     zero = NilHeckeElt.zero(2, field)
-    out.append(_rec("idempotents: e+ + e- = 1", ep + em == one))
-    out.append(_rec("idempotents: e+ e- = 0", ep * em == zero))
-    out.append(_rec("idempotents: e- e+ = 0", em * ep == zero))
-    out.append(_rec("idempotents: e+^2 = e+", ep * ep == ep))
-    out.append(_rec("idempotents: e-^2 = e-", em * em == em))
+    out.append(record("idempotents: e+ + e- = 1", ep + em == one))
+    out.append(record("idempotents: e+ e- = 0", ep * em == zero))
+    out.append(record("idempotents: e- e+ = 0", em * ep == zero))
+    out.append(record("idempotents: e+^2 = e+", ep * ep == ep))
+    out.append(record("idempotents: e-^2 = e-", em * em == em))
     return out
 
 
@@ -148,25 +136,25 @@ def suite_build_product(rep, i_max: int = 4, seed: int = 0):
     out = []
     try:
         P = build_product(rep, check=True)
-        out.append(_rec("construction checks (end algebra, actions)", True))
+        out.append(record("construction checks (end algebra, actions)", True))
     except HypothesesFailedError as e:
-        out.append(_rec("construction checks (end algebra, actions)", False, e))
+        out.append(record("construction checks (end algebra, actions)", False, e))
         return None, out
     out += [dict(r, check="product hecke: " + r["check"])
             for r in check_product_hecke(P)]
     for corner in CORNERS:
         ok = tilde_sigma_closed(P, corner) == tilde_sigma_oracle(P, corner)
-        out.append(_rec(f"crossing closed = oracle, corner {corner}", ok))
+        out.append(record(f"crossing closed = oracle, corner {corner}", ok))
     for corner in CORNERS:
         for i in range(i_max + 1):
             ok = (eps_xi_F_closed(P, i, corner)
                   == eps_xi_F_oracle(P, i, corner))
-            out.append(_rec(
+            out.append(record(
                 f"evaluation pairing closed = oracle, corner {corner}, i={i}",
                 ok))
             ok = (F_xi_eta_closed(P, i, corner)
                   == F_xi_eta_oracle(P, i, corner))
-            out.append(_rec(
+            out.append(record(
                 f"coevaluation pairing closed = oracle, corner {corner}, i={i}",
                 ok))
     out += [dict(r, check="unit composite: " + r["check"])
@@ -184,20 +172,20 @@ def suite_check_rho(P, window=(-4, 4)):
     for lam in range(lo, hi + 1):
         f = tilde_rho(P, lam)
         bad = f.is_welldefined()
-        out.append(_rec(f"commutator map well defined, weight {lam}",
-                        bad is None, bad))
+        out.append(record(f"commutator map well defined, weight {lam}",
+                          bad is None, bad))
         cert = certify_iso(f)
-        out.append(_rec(f"commutator map determinant certificate, weight {lam}",
-                        cert.ok, cert.witness))
+        out.append(record(f"commutator map determinant certificate, weight {lam}",
+                          cert.ok, cert.witness))
         try:
             triangular_certificate(P, lam)
             tri_ok, tri_witness = True, None
         except (NotTriangularError, DiagonalNotIsoError) as e:
             tri_ok, tri_witness = False, e
-        out.append(_rec(f"commutator map triangular certificate, weight {lam}",
-                        tri_ok, tri_witness))
-        out.append(_rec(f"certificates agree, weight {lam}",
-                        cert.ok == tri_ok))
+        out.append(record(f"commutator map triangular certificate, weight {lam}",
+                          tri_ok, tri_witness))
+        out.append(record(f"certificates agree, weight {lam}",
+                          cert.ok == tri_ok))
     # weight 0: the row and column assemblies coincide on every corner
     from .product.rho import _corner_rho
     f0 = tilde_rho(P, 0)
@@ -206,7 +194,7 @@ def suite_check_rho(P, window=(-4, 4)):
              == f0.corners[c].matrix(lam)
              for c in CORNERS
              for lam in f0.corners[c].mats)
-    out.append(_rec("weight 0: row and column assemblies coincide", ok))
+    out.append(record("weight 0: row and column assemblies coincide", ok))
     return out
 
 
@@ -267,8 +255,8 @@ def run(args):
             if "P" not in rep_holder:
                 rep_holder["P"] = build_product(get_rep(), check=False)
             if rep_holder["P"] is None:
-                return [_rec("commutator suite skipped", False,
-                             "product construction failed")]
+                return [record("commutator suite skipped", False,
+                               "product construction failed")]
             return suite_check_rho(rep_holder["P"], window)
         suites.append(("check-rho", _cr))
 
@@ -317,6 +305,18 @@ def render(report, fmt):
     return "\n".join(lines) + "\n"
 
 
+def _attach_window(argv):
+    """Join ``--weights`` and its value into one argument: argparse would
+    read a negative window such as ``-4..4`` as an unknown option."""
+    out, rest = [], iter(argv)
+    for arg in rest:
+        if arg == "--weights":
+            value = next(rest, None)
+            arg = arg if value is None else f"{arg}={value}"
+        out.append(arg)
+    return out
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="verifycli",
@@ -335,7 +335,8 @@ def main(argv=None):
     parser.add_argument("--timings", action="store_true",
                         help="include wall-clock millis (breaks byte-for-byte "
                              "report determinism)")
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _attach_window(sys.argv[1:] if argv is None else argv))
     try:
         report = run(args)
     except (ConfigError, RepLoadError) as e:

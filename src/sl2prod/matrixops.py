@@ -43,9 +43,6 @@ class Matrix:
         ncols = len(rows[0]) if nrows else 0
         return cls(field, nrows, ncols, [list(r) for r in rows])
 
-    def copy(self) -> "Matrix":
-        return Matrix(self.field, self.nrows, self.ncols, [list(r) for r in self.entries])
-
     def __getitem__(self, rc):
         return self.entries[rc[0]][rc[1]]
 
@@ -97,11 +94,6 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return all(a.is_zero() for r in self.entries for a in r)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.ncols, self.nrows,
-                      [[self.entries[i][j] for i in range(self.nrows)]
-                       for j in range(self.ncols)])
 
     def __str__(self) -> str:
         if self.nrows == 0 or self.ncols == 0:

@@ -18,7 +18,6 @@ faithfulness oracle.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations as _permutations
 
 from .polyring import Poly, QQ, divided_difference
 
@@ -35,9 +34,13 @@ class IndexOutOfRangeError(IndexError):
 def _perm_tables(n: int):
     """Canonical reduced words and right-multiplication tables for S_n.
 
-    Returns (words, index, right) where words maps a permutation (as an image
+    Returns (words, right) where words maps a permutation (as an image
     tuple) to its shortlex-minimal reduced word, and right[(perm, i)] is the
     pair (new perm, +1/-1 length change) for right multiplication by s_i.
+
+    A breadth-first search that visits each level in shortlex order and keeps
+    the first word reaching a permutation finds these words, because every
+    prefix of a shortlex-minimal reduced word is itself shortlex-minimal.
     """
     idperm = tuple(range(n))
     words = {idperm: ()}
@@ -50,28 +53,9 @@ def _perm_tables(n: int):
                 q[i - 1], q[i] = q[i], q[i - 1]
                 q = tuple(q)
                 if q not in words:
-                    cand = words[p] + (i,)
-                    words[q] = cand
+                    words[q] = words[p] + (i,)
                     new_frontier.append(q)
-                else:
-                    cand = words[p] + (i,)
-                    if len(cand) == len(words[q]) and cand < words[q]:
-                        words[q] = cand
-        # re-scan until stable shortlex-minimal words at this length
         frontier = new_frontier
-    # fix shortlex minimality properly with an exhaustive pass
-    changed = True
-    while changed:
-        changed = False
-        for p, w in list(words.items()):
-            for i in range(1, n):
-                q = list(p)
-                q[i - 1], q[i] = q[i], q[i - 1]
-                q = tuple(q)
-                cand = words[q] + (i,)
-                if len(cand) == len(w) and cand < w:
-                    words[p] = cand
-                    changed = True
     right = {}
     for p in words:
         for i in range(1, n):
@@ -129,10 +113,6 @@ class NilHeckeElt:
     @classmethod
     def scalar(cls, n: int, value, field=QQ) -> "NilHeckeElt":
         return cls(n, {(): Poly.const(field, value)}, field)
-
-    @classmethod
-    def poly(cls, n: int, p: Poly) -> "NilHeckeElt":
-        return cls(n, {(): p}, p.field)
 
     # -- ring structure
 

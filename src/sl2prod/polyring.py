@@ -198,11 +198,6 @@ class Poly:
         zero_exp = (0,) * len(self.names)
         return self.terms.get(zero_exp, self.field.zero)
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def with_vars(self, names: Iterable[str]) -> "Poly":
         """The same polynomial over the union variable set."""
         new_names = sort_vars(tuple(self.names) + tuple(names))
@@ -339,12 +334,6 @@ class Poly:
                 e = exps[:idx] + (0,) + exps[idx + 1:]
                 terms[e] = c
         return Poly(self.field, self.names, terms)
-
-    def degree_in(self, name: str) -> int:
-        if name not in self.names or not self.terms:
-            return -1 if not self.terms else 0
-        idx = self.names.index(name)
-        return max(e[idx] for e in self.terms)
 
     # -- leading term machinery (graded lex)
 

@@ -2,24 +2,23 @@
 
 Public surface: the product representation (:func:`build_product`), the model
 bimodule elements and their form round-trips, the structure maps (``x̃``,
-``τ̃``, ``σ̃`` and the pairings) with independent oracle recomputations, and
-the commutator maps with two certification routes.
+``τ̃``, ``σ̃``, the pairings and the mixed component ``omega3``) with
+independent oracle recomputations, and the commutator maps with two
+certification routes.
 """
 
 from .elements import (Elt, NotInModelError, apply_map, basis_elt, elem_tensor,
-                       join, solve_op, zero_elt, one_elt)
-from .models import (Calc, G1Elt, G2Elt, G3Elt, L2Elt, UElt,
-                     G1_from_data, G2_from_data, G3_from_data, L2_from_data,
-                     U_from_data, to_submodule_form, from_submodule_form,
-                     one_G1, one_at, zero_G1, zero_G2, zero_G3, zero_L2,
-                     zero_U, compose_G1, compose_U, compose_L2_after_G2,
+                       join, solve_op, zero_elt)
+from .models import (ModelElt, G1Elt, G2Elt, G3Elt, L2Elt, UElt,
+                     to_submodule_form, from_submodule_form, one_G1, one_at,
+                     compose_G1, compose_U, compose_L2_after_G2,
                      compose_G1_after_L2, compose_L2_after_U, act_G1_on_G2,
-                     act_G1_on_U, tau22, decompose_first, decompose_left)
+                     act_G1_on_U, tau22, decompose_first)
 from .core import (ProductRep, build_product, c_basis, c_mult,
                    tilde_x_pow, tilde_x_step_21, tilde_x_step_22, tau21,
                    tilde_tau, tilde_sigma_closed, eps_xi_F_closed,
                    F_xi_eta_closed)
-from .gammas import gamma_EE, gamma_FE, gamma_EF, omega3_map, omega3_apply
+from .gammas import omega3_map, omega3_apply
 from .oracles import (OracleClaimError, pair_basis, tilde_sigma_oracle,
                       eps_xi_F_oracle, F_xi_eta_oracle, check_product_hecke,
                       check_eta22_identity, check_omega3_linearity)
@@ -33,19 +32,17 @@ F_xi_eta = F_xi_eta_closed
 
 __all__ = [
     "Elt", "NotInModelError", "apply_map", "basis_elt", "elem_tensor",
-    "join", "solve_op", "zero_elt", "one_elt",
-    "Calc", "G1Elt", "G2Elt", "G3Elt", "L2Elt", "UElt",
-    "G1_from_data", "G2_from_data", "G3_from_data", "L2_from_data",
-    "U_from_data", "to_submodule_form", "from_submodule_form",
-    "one_G1", "one_at", "zero_G1", "zero_G2", "zero_G3", "zero_L2", "zero_U",
+    "join", "solve_op", "zero_elt",
+    "ModelElt", "G1Elt", "G2Elt", "G3Elt", "L2Elt", "UElt",
+    "to_submodule_form", "from_submodule_form", "one_G1", "one_at",
     "compose_G1", "compose_U", "compose_L2_after_G2", "compose_G1_after_L2",
     "compose_L2_after_U", "act_G1_on_G2", "act_G1_on_U", "tau22",
-    "decompose_first", "decompose_left",
+    "decompose_first",
     "ProductRep", "build_product", "c_basis", "c_mult",
     "tilde_x_pow", "tilde_x_step_21", "tilde_x_step_22", "tau21",
     "tilde_tau", "tilde_sigma_closed", "eps_xi_F_closed", "F_xi_eta_closed",
     "eps_xi_F", "F_xi_eta",
-    "gamma_EE", "gamma_FE", "gamma_EF", "omega3_map", "omega3_apply",
+    "omega3_map", "omega3_apply",
     "OracleClaimError", "pair_basis", "tilde_sigma_oracle",
     "eps_xi_F_oracle", "F_xi_eta_oracle", "check_product_hecke",
     "check_eta22_identity", "check_omega3_linearity",

@@ -16,10 +16,22 @@ from ..polyring import Poly
 from ..tworep import (HypothesesFailedError, check_hypotheses, self_pow,
                       sigma)
 from .elements import Elt, apply_map, basis_elt, elem_tensor, join, zero_elt
-from .models import (Calc, G1Elt, G2Elt, L2Elt, UElt, act_G1_on_G2,
-                     compose_G1, one_G1)
+from .models import (CORNER_MODELS, G1Elt, G2Elt, act_G1_on_G2,
+                     compose_G1, one_G1, tau22)
 
-CORNERS = ("11", "12", "21", "22")
+# Corner order of the commutator maps and of the reports.
+CORNERS = ("11", "21", "12", "22")
+# Summand words of the EF-ordered corner sums (the domains of the
+# commutator maps); the FE-ordered sums are the model layouts.
+T_WORDS = {"11": ("EF",), "21": ("F", "FEF"), "12": ("E", "EFE"),
+           "22": ("", "FE", "FE", "FEFE", "EF")}
+
+
+def word_sum(r, words, name):
+    """The direct sum of word modules; a single word is its own module."""
+    summands = [r.word(w) for w in words]
+    return summands[0] if len(summands) == 1 else SumBimodule(summands,
+                                                              name=name)
 
 
 class ProductRep:
@@ -27,36 +39,15 @@ class ProductRep:
 
     def __init__(self, V):
         self.V = V
-        self.Vy = V.adjoin_y()
-        self.calc = Calc(self.Vy)
-        r = self.Vy
-        # model corner sums (the right-hand sides of the corner bijections)
-        self.M_G1 = SumBimodule([r.word(""), r.word("FE")], name="G1")
-        self.M_G2 = SumBimodule([r.word("E"), r.word("E"), r.word("FEE")],
-                                name="G2")
-        self.M_L2 = SumBimodule([r.word("F"), r.word("F"), r.word("FFE")],
-                                name="L2")
-        self.M_U = SumBimodule([r.word("FE")] * 4 + [r.word("FFEE")], name="U")
+        self.Vy = r = V.adjoin_y()
         # domain sums for the EF-ordered corners
-        self.T = {
-            "11": r.word("EF"),
-            "21": SumBimodule([r.word("F"), r.word("FEF")], name="T21"),
-            "12": SumBimodule([r.word("E"), r.word("EFE")], name="T12"),
-            "22": SumBimodule([r.word(""), r.word("FE"), r.word("FE"),
-                               r.word("FEFE"), r.word("EF")], name="T22"),
-        }
-        # codomain sums for the FE-ordered corners
-        self.S = {"11": self.M_G1, "21": self.M_L2, "12": self.M_G2,
-                  "22": self.M_U}
-        # end-algebra corner modules
-        self.C = {"11": r.word(""), "12": r.word("E"), "21": r.word("F"),
-                  "22": self.M_G1}
+        self.T = {c: word_sum(r, words, f"T{c}")
+                  for c, words in T_WORDS.items()}
+        # codomain sums for the FE-ordered corners (the model corner sums)
+        self.S = {c: word_sum(r, m.words(), m.KIND)
+                  for c, m in CORNER_MODELS.items()}
 
     # -- small helpers ----------------------------------------------------
-    @property
-    def rep(self):
-        return self.Vy
-
     def weights(self):
         return sorted(self.Vy.A.weights())
 
@@ -65,46 +56,26 @@ class ProductRep:
         return sorted({w - 1 for w in supp} | {w + 1 for w in supp})
 
     def model_to_vec(self, m):
-        if isinstance(m, G1Elt):
-            return m.theta.vec + m.phi1.vec
-        if isinstance(m, G2Elt):
-            return m.a.vec + m.b.vec + m.c.vec
-        if isinstance(m, L2Elt):
-            return m.fp.vec + m.f.vec + m.rho1.vec
-        if isinstance(m, UElt):
-            return m.p11.vec + m.p21.vec + m.p12.vec + m.p22.vec + m.lam0.vec
-        raise ShapeMismatchError(f"unsupported model element {type(m)}")
+        if not isinstance(m, tuple(CORNER_MODELS.values())):
+            raise ShapeMismatchError(f"unsupported model element {type(m)}")
+        return m.to_vec()
 
     def vec_to_model(self, corner, w, vec):
-        r = self.Vy
-        vec = list(vec)
-
-        def take(word):
-            nonlocal vec
-            n = r.word(word).rank(w)
-            part, vec = vec[:n], vec[n:]
-            return Elt(r, word, w, list(part))
-        if corner in ("11", "G1"):
-            return G1Elt(self.calc, w, take(""), take("FE"))
-        if corner in ("12", "G2"):
-            return G2Elt(self.calc, w, take("E"), take("E"), take("FEE"))
-        if corner in ("21", "L2"):
-            return L2Elt(self.calc, w, take("F"), take("F"), take("FFE"))
-        if corner in ("22", "U"):
-            return UElt(self.calc, w, take("FE"), take("FE"), take("FE"),
-                        take("FE"), take("FFEE"))
-        raise ShapeMismatchError(f"unknown corner {corner}")
+        """The model element of a corner whose concatenated coordinates are
+        ``vec``."""
+        if corner not in CORNER_MODELS:
+            raise ShapeMismatchError(f"unknown corner {corner}")
+        return CORNER_MODELS[corner].from_vec(self.Vy, w, vec)
 
     def sum_basis(self, corner, w):
         """Model elements forming the standard basis of an S-corner at w."""
-        label = {"11": "G1", "12": "G2", "21": "L2", "22": "U"}[corner]
         n = self.S[corner].rank(w)
         field = self.Vy.A.field
         out = []
         for k in range(n):
             vec = [Poly.one(field) if i == k else Poly.zero(field)
                    for i in range(n)]
-            out.append(self.vec_to_model(label, w, vec))
+            out.append(self.vec_to_model(corner, w, vec))
         return out
 
 
@@ -133,14 +104,7 @@ def c_basis(P: ProductRep, corner: str, c: int):
     if w not in r.A:
         return []
     if corner == "22":
-        out = []
-        for k in range(r.word("").rank(w)):
-            out.append(G1Elt(P.calc, w, basis_elt(r, "", w, k),
-                             zero_elt(r, "FE", w)))
-        for k in range(r.word("FE").rank(w)):
-            out.append(G1Elt(P.calc, w, zero_elt(r, "", w),
-                             basis_elt(r, "FE", w, k)))
-        return out
+        return P.sum_basis("11", w)
     word = {"11": "", "12": "E", "21": "F"}[corner]
     return [basis_elt(r, word, w, k) for k in range(r.word(word).rank(w))]
 
@@ -151,7 +115,7 @@ def c_mult(P: ProductRep, ca: str, a, cb: str, b):
     The product is the composite with a applied first; returns the corner
     label of the result together with the result element.
     """
-    calc = P.calc
+    r = P.Vy
     if ca[1] != cb[0]:
         raise ShapeMismatchError(f"corners {ca} and {cb} do not compose")
     key = (ca, cb)
@@ -161,15 +125,15 @@ def c_mult(P: ProductRep, ca: str, a, cb: str, b):
     if key == ("11", "12"):
         return "12", elem_tensor(a, b)
     if key == ("12", "21"):
-        y1e = apply_map(calc.y_at("E", 1), a, "E")
+        y1e = apply_map(r.y_at("E", 1), a, "E")
         return "11", join(y1e, b, 1)
     if key == ("12", "22"):
-        y1e = apply_map(calc.y_at("E", 1), a, "E")
+        y1e = apply_map(r.y_at("E", 1), a, "E")
         return "12", a.scale(b.theta.vec[0]) + join(y1e, b.phi1, 1)
     if key == ("21", "11"):
         return "21", a.scale(b.vec[0])
     if key == ("21", "12"):
-        return "22", G1Elt(calc, b.weight, zero_elt(a.rep, "", b.weight),
+        return "22", G1Elt(r, b.weight, zero_elt(a.rep, "", b.weight),
                            elem_tensor(a, b))
     if key == ("22", "21"):
         return "21", join(a.phi(), b, 1)
@@ -203,13 +167,12 @@ def _check_c_algebra(P: ProductRep):
 
 def _check_actions(P: ProductRep):
     """Compatibility of the corner actions with the end multiplication."""
-    calc = P.calc
     for c in P.c_weights():
         g1s = c_basis(P, "22", c)
         w = c - 1
         if w not in P.Vy.A:
             continue
-        one = one_G1(calc, w)
+        one = one_G1(P.Vy, w)
         for g in P.sum_basis("12", w):
             if act_G1_on_G2(g, one) != g:
                 raise HypothesesFailedError(
@@ -230,71 +193,70 @@ def _check_actions(P: ProductRep):
 def tilde_x_pow(P: ProductRep, i: int, corner: str) -> BimoduleMap:
     """The i-th power of the dot map on a one-step corner, in closed form."""
     r = P.Vy
-    calc = P.calc
     if corner == "11":
         return r.lift(self_pow(r, i), "E", "E", "", "")
     if corner == "12":
         m = identity_map(r.word("EE"))
         for _ in range(i):
-            m = compose(calc.x_at("EE", 2), m)
+            m = compose(r.x_at("EE", 2), m)
         return m
     yi = Poly.var(r.A.field, "y") ** i if i else Poly.one(r.A.field)
     if corner == "21":
         xi_fe = identity_map(r.word("FE"))
         for _ in range(i):
-            xi_fe = compose(calc.x_at("FE", 1), xi_fe)
+            xi_fe = compose(r.x_at("FE", 1), xi_fe)
         entries = {
             (0, 0): r.scalar("", yi),
-            (1, 0): compose(r.h_xy("FE", i - 1, [1]), calc.eta()),
+            (1, 0): compose(r.h_xy("FE", i - 1, [1]), r.eta),
             (1, 1): xi_fe,
         }
-        return direct_sum_maps(P.M_G1, P.M_G1, entries)
+        return direct_sum_maps(P.S["11"], P.S["11"], entries)
     if corner == "22":
         x_pow = r.lift(self_pow(r, i), "E", "E", "", "")
         x2_pow = identity_map(r.word("FEE"))
         for _ in range(i):
-            x2_pow = compose(calc.x_at("FEE", 2), x2_pow)
+            x2_pow = compose(r.x_at("FEE", 2), x2_pow)
         entries = {
             (0, 0): x_pow,
             (0, 1): -r.h_xy("E", i - 1, [1]),
             (1, 1): r.scalar("E", yi),
             (2, 0): compose(r.h_xy("FEE", i - 1, [1, 2], extra_y=False),
-                            calc.eta_at("E", 0)),
+                            r.eta_at("E", 0)),
             (2, 1): -compose(r.h_xy("FEE", i - 2, [1, 2]),
-                             calc.eta_at("E", 0)),
+                             r.eta_at("E", 0)),
             (2, 2): x2_pow,
         }
-        return direct_sum_maps(P.M_G2, P.M_G2, entries)
+        return direct_sum_maps(P.S["12"], P.S["12"], entries)
     raise ShapeMismatchError(f"unknown corner {corner}")
 
 
 def tilde_x_step_21(P: ProductRep, g: G1Elt) -> G1Elt:
     """One dot application on the end-type one-step corner, elementwise."""
-    calc = P.calc
-    y = Poly.var(P.Vy.A.field, "y")
+    r = P.Vy
+    y = Poly.var(r.A.field, "y")
     theta = g.theta.scale(y)
-    phi1 = (apply_map(calc.eta(), g.theta, "FE")
-            + apply_map(calc.x_at("FE", 1), g.phi1, "FE"))
-    return G1Elt(calc, g.weight, theta, phi1)
+    phi1 = (apply_map(r.eta, g.theta, "FE")
+            + apply_map(r.x_at("FE", 1), g.phi1, "FE"))
+    return G1Elt(r, g.weight, theta, phi1)
 
 
 def tilde_x_step_22(P: ProductRep, g: G2Elt) -> G2Elt:
     """One dot application on the degree +1 corner, elementwise."""
-    calc = P.calc
-    y = Poly.var(P.Vy.A.field, "y")
-    a = apply_map(calc.x_at("E", 1), g.a, "E") - g.b
+    r = P.Vy
+    y = Poly.var(r.A.field, "y")
+    a = apply_map(r.x_at("E", 1), g.a, "E") - g.b
     b = g.b.scale(y)
-    c = (apply_map(calc.eta_at("E", 0), g.a, "FEE")
-         + apply_map(calc.x_at("FEE", 2), g.c, "FEE"))
-    return G2Elt(calc, g.weight, a, b, c)
+    c = (apply_map(r.eta_at("E", 0), g.a, "FEE")
+         + apply_map(r.x_at("FEE", 2), g.c, "FEE"))
+    return G2Elt(r, g.weight, a, b, c)
 
 
 def tau21(P: ProductRep, g: G2Elt) -> G2Elt:
     """The crossing on the degree +1 corner, elementwise."""
-    calc = P.calc
-    z = zero_elt(g.a.rep, "E", g.weight)
-    c = apply_map(calc.tau_at("FEE", 1), g.c, "FEE")
-    return G2Elt(calc, g.weight, z, g.a, c)
+    r = P.Vy
+    z = zero_elt(r, "E", g.weight)
+    c = apply_map(r.tau_at("FEE", 1), g.c, "FEE")
+    return G2Elt(r, g.weight, z, g.a, c)
 
 
 def tilde_tau(P: ProductRep, corner: str):
@@ -302,17 +264,16 @@ def tilde_tau(P: ProductRep, corner: str):
     corners, and the elementwise callable for the constrained corner."""
     r = P.Vy
     if corner == "11":
-        return P.calc.tau_at("EE", 1)
+        return r.tau_at("EE", 1)
     if corner == "12":
-        return P.calc.tau_at("EEE", 2)
+        return r.tau_at("EEE", 2)
     if corner == "21":
         entries = {
             (1, 0): identity_map(r.word("E")),
-            (2, 2): P.calc.tau_at("FEE", 1),
+            (2, 2): r.tau_at("FEE", 1),
         }
-        return direct_sum_maps(P.M_G2, P.M_G2, entries)
+        return direct_sum_maps(P.S["12"], P.S["12"], entries)
     if corner == "22":
-        from .models import tau22
         return tau22
     raise ShapeMismatchError(f"unknown corner {corner}")
 
@@ -324,12 +285,11 @@ def tilde_tau(P: ProductRep, corner: str):
 def tilde_sigma_closed(P: ProductRep, corner: str) -> BimoduleMap:
     """The commutator natural map on a corner, in closed matrix form."""
     r = P.Vy
-    calc = P.calc
     sig = sigma(r)
     if corner == "11":
         mats = {}
         dom, cod = P.T["11"], P.S["11"]
-        eps = calc.eps()
+        eps = r.eps
         for lam in dom.weights():
             mats[lam] = block_matrix(
                 r.A.field, [[eps.matrix(lam)], [sig.matrix(lam)]])
@@ -337,28 +297,28 @@ def tilde_sigma_closed(P: ProductRep, corner: str) -> BimoduleMap:
     if corner == "21":
         entries = {
             (0, 0): identity_map(r.word("F")),
-            (1, 1): r.lift(r.eps, "EF", "", "F", ""),
+            (1, 1): r.eps_at("FEF", 1),
             (2, 1): r.lift(sig, "EF", "FE", "F", ""),
         }
         return direct_sum_maps(P.T["21"], P.S["21"], entries)
     if corner == "12":
-        epsE = r.lift(r.eps, "EF", "", "", "E")
+        epsE = r.eps_at("EFE", 0)
         entries = {
             (0, 1): epsE,
             (1, 0): identity_map(r.word("E")),
-            (1, 1): compose(calc.y_at("E", 1), epsE),
+            (1, 1): compose(r.y_at("E", 1), epsE),
             (2, 1): r.lift(sig, "EF", "FE", "", "E"),
         }
         return direct_sum_maps(P.T["12"], P.S["12"], entries)
     if corner == "22":
-        FepsE = r.lift(r.eps, "EF", "", "F", "E")
+        FepsE = r.eps_at("FEFE", 1)
         entries = {
             (0, 2): identity_map(r.word("FE")),
-            (0, 3): compose(calc.y_at("FE", 1), FepsE),
+            (0, 3): compose(r.y_at("FE", 1), FepsE),
             (1, 3): FepsE,
-            (2, 0): calc.eta(),
-            (2, 1): calc.y_at("FE", 1),
-            (2, 4): r.rebase(sig, "EF", "FE"),
+            (2, 0): r.eta,
+            (2, 1): r.y_at("FE", 1),
+            (2, 4): sig,
             (3, 1): identity_map(r.word("FE")),
             (4, 3): r.lift(sig, "EF", "FE", "F", "E"),
         }
@@ -370,34 +330,33 @@ def _eps_xiy(P: ProductRep, i: int) -> BimoduleMap:
     """Evaluation against i dots and one framing dot: EF -> A."""
     r = P.Vy
     op = compose(r.lift(self_pow(r, i), "E", "E", "", "F"),
-                 P.calc.y_at("EF", 1))
-    return compose(P.calc.eps(), op)
+                 r.y_at("EF", 1))
+    return compose(r.eps, op)
 
 
 def _theta_entry(P: ProductRep, i: int) -> BimoduleMap:
     """The corner entry EF -> FE built from the double insertion."""
     r = P.Vy
-    m1 = P.calc.eta_at("EF", 0)                       # EF -> FEEF
-    mid = compose(P.calc.tau_at("FEEF", 1),
+    m1 = r.eta_at("EF", 0)                       # EF -> FEEF
+    mid = compose(r.tau_at("FEEF", 1),
                   r.h_xy("FEEF", i - 1, [1, 2], extra_y=False))
     mid = mid + r.h_xy("FEEF", i - 2, [1, 2])
-    m3 = P.calc.eps_at("FEEF", 2)                     # FEEF -> FE
+    m3 = r.eps_at("FEEF", 2)                     # FEEF -> FE
     return -compose_all(m3, mid, m1)
 
 
 def eps_xi_F_closed(P: ProductRep, i: int, corner: str) -> BimoduleMap:
     """Closed form of the i-th evaluation pairing on a corner."""
     r = P.Vy
-    calc = P.calc
     field = r.A.field
     yi = Poly.var(field, "y") ** i if i else Poly.one(field)
     base = _eps_xiy(P, i)          # EF -> A
     if corner == "11":
-        return r.rebase(base, "EF", "")
+        return base
     if corner == "21":
         cod = SumBimodule([r.word("F")], name="C21")
         entries = {
-            (0, 0): calc.xF_pow(i),
+            (0, 0): r.xF_pow(i, ""),
             (0, 1): r.lift(base, "EF", "", "F", ""),
         }
         return direct_sum_maps(P.T["21"], cod, entries)
@@ -411,24 +370,23 @@ def eps_xi_F_closed(P: ProductRep, i: int, corner: str) -> BimoduleMap:
     if corner == "22":
         entries = {
             (0, 0): r.scalar("", yi),
-            (0, 4): -compose(calc.eps(), r.h_xy("EF", i - 1, [1])),
-            (1, 0): compose(r.h_xy("FE", i - 1, [1]), calc.eta()),
-            (1, 1): calc.xF_pow(i, rw="E"),
+            (0, 4): -compose(r.eps, r.h_xy("EF", i - 1, [1])),
+            (1, 0): compose(r.h_xy("FE", i - 1, [1]), r.eta),
+            (1, 1): r.xF_pow(i, "E"),
             (1, 2): r.lift(self_pow(r, i), "E", "E", "F", ""),
             (1, 3): r.lift(base, "EF", "", "F", "E"),
             (1, 4): _theta_entry(P, i),
         }
-        return direct_sum_maps(P.T["22"], P.M_G1, entries)
+        return direct_sum_maps(P.T["22"], P.S["11"], entries)
     raise ShapeMismatchError(f"unknown corner {corner}")
 
 
 def F_xi_eta_closed(P: ProductRep, i: int, corner: str) -> BimoduleMap:
     """Closed form of the i-th coevaluation pairing on a corner."""
     r = P.Vy
-    calc = P.calc
     field = r.A.field
     yi = Poly.var(field, "y") ** i if i else Poly.one(field)
-    h_eta = compose(r.h_xy("FE", i - 1, [1]), calc.eta())
+    h_eta = compose(r.h_xy("FE", i - 1, [1]), r.eta)
     if corner == "11":
         dom = SumBimodule([r.word("")], name="C11")
         entries = {(0, 0): r.scalar("", yi), (1, 0): h_eta}
@@ -444,26 +402,26 @@ def F_xi_eta_closed(P: ProductRep, i: int, corner: str) -> BimoduleMap:
         dom = SumBimodule([r.word("E")], name="C12")
         entries = {
             (0, 0): r.scalar("E", yi),
-            (1, 0): compose(calc.y_at("E", 1), r.scalar("E", yi)),
+            (1, 0): compose(r.y_at("E", 1), r.scalar("E", yi)),
             (2, 0): r.lift(h_eta, "", "FE", "", "E"),
         }
         return direct_sum_maps(dom, P.S["12"], entries)
     if corner == "22":
         xi_eta = compose(r.lift(self_pow(r, i), "E", "E", "F", ""),
-                         calc.eta())
-        eta2 = compose(calc.eta_at("FE", 1), calc.eta())   # "" -> FFEE
+                         r.eta)
+        eta2 = compose(r.eta_at("FE", 1), r.eta)   # "" -> FFEE
         op = compose(r.h_xy("FFEE", i - 1, [1, 2], extra_y=False),
-                     calc.tau_at("FFEE", 1))
+                     r.tau_at("FFEE", 1))
         op = op - r.h_xy("FFEE", i - 2, [1, 2])
         entries = {
-            (0, 0): compose(r.scalar("FE", yi), calc.eta()),
-            (0, 1): compose(r.scalar("FE", yi), calc.y_at("FE", 1)),
+            (0, 0): compose(r.scalar("FE", yi), r.eta),
+            (0, 1): compose(r.scalar("FE", yi), r.y_at("FE", 1)),
             (1, 0): -h_eta,
             (1, 1): r.scalar("FE", yi),
             (3, 0): xi_eta,
             (4, 0): compose(op, eta2),
             (4, 1): compose(r.h_xy("FFEE", i - 1, [2]),
-                            calc.eta_at("FE", 1)),
+                            r.eta_at("FE", 1)),
         }
-        return direct_sum_maps(P.M_G1, P.S["22"], entries)
+        return direct_sum_maps(P.S["11"], P.S["22"], entries)
     raise ShapeMismatchError(f"unknown corner {corner}")

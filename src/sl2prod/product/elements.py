@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..polyring import Poly, exact_divide
+from ..polyring import NotDivisibleError, Poly, exact_divide
 from ..matrixops import Matrix, ShapeMismatchError, bareiss_determinant, adjugate
 
 
@@ -31,14 +31,6 @@ class Elt:
     word: str
     weight: int
     vec: list
-
-    @property
-    def module(self):
-        return self.rep.word(self.word)
-
-    @property
-    def rank(self) -> int:
-        return self.module.rank(self.weight)
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.vec)
@@ -79,10 +71,6 @@ def basis_elt(rep, word: str, weight: int, index: int) -> Elt:
     e = zero_elt(rep, word, weight)
     e.vec[index] = Poly.one(rep.A.field)
     return e
-
-
-def one_elt(rep, weight: int) -> Elt:
-    return basis_elt(rep, "", weight, 0)
 
 
 def apply_map(f, elt: Elt, out_word: str) -> Elt:
@@ -154,10 +142,11 @@ def exact_solve(m: Matrix, vec: list, field) -> list:
     for i in range(m.nrows):
         num = sum((adj.entries[i][j] * vec[j] for j in range(m.ncols)),
                   Poly.zero(field))
-        q = exact_divide(num, det)
-        if q is None:
-            raise NotInModelError("membership division leaves a remainder")
-        out.append(q)
+        try:
+            out.append(exact_divide(num, det))
+        except NotDivisibleError as e:
+            raise NotInModelError(
+                "membership division leaves a remainder") from e
     # verify (adjugate route is exact, but guard against det sign slips)
     for i in range(m.nrows):
         chk = sum((m.entries[i][j] * out[j] for j in range(m.ncols)),
@@ -173,14 +162,3 @@ def solve_op(op_map, elt: Elt) -> Elt:
     return Elt(elt.rep, elt.word, elt.weight,
                exact_solve(m, elt.vec, elt.rep.A.field))
 
-
-def rep_of_map(rep, f, dom_word: str, cod_word: str, weight: int) -> Elt:
-    """The dual-word representative of a morphism E -> W given as a map.
-
-    The representative lives in F + cod_word and satisfies
-    ``join(e, rep_of_map(...), 1) == f(e)`` for every element e of the
-    domain at the matching weight.
-    """
-    lifted = rep.lift(f, dom_word, cod_word, "F", "")
-    eta1 = apply_map(rep.rebase(rep.eta, "", "FE"), one_elt(rep, weight), "FE")
-    return apply_map(lifted, eta1, "F" + cod_word)

@@ -1,132 +1,29 @@
-"""Structure maps of the product squares.
+"""The lower-right mixed component of the E-F square.
 
-``gamma_EE`` / ``gamma_FE`` / ``gamma_EF`` pair corner elements of the two
-one-step functors into the corner models of their composites.  The maps
-``omega``, ``omega2``, ``omega3`` and ``kappa`` are the nontrivial
-components of ``gamma_EF`` on the mixed summands.
+On the constrained corner, the pairing of a degree +1 and a degree -1
+element has a component onto the (A, FE, FE, FEFE) summands that is linear
+over the off-diagonal end data.  ``omega3_map`` presents it as an explicit
+block matrix, ``pack_G2L2`` lays out a decomposable tensor in its domain,
+and ``omega3_apply`` applies it.
 """
 
 from __future__ import annotations
 
 from ..bimodcat import BimoduleMap, SumBimodule, compose, direct_sum_maps
-from ..matrixops import Matrix, ShapeMismatchError
+from ..matrixops import Matrix
 from ..polyring import Poly
 from ..tworep import sigma
-from .elements import Elt, apply_map, elem_tensor, join, zero_elt
-from .models import (EPhi, G1Elt, G2Elt, L2Elt, UElt, act_G1_on_G2,
-                     compose_G1, compose_G1_after_L2, compose_U,
-                     gamma11_EE_EE_G1, gamma12_EE_EE_G2, gamma21_EE_G1E,
-                     gamma22_EE_G1EE, gamma22_EE_G2G2, one_at, zero_G1)
+from .elements import Elt, elem_tensor
+from .models import G2Elt, L2Elt
 from .core import ProductRep
-
-
-def gamma_EE(P: ProductRep, corner: str, pair):
-    """Pair one-step elements into the square corner (E-E direction)."""
-    a, b = pair
-    if corner == "11":
-        if isinstance(a, Elt) and a.word == "E":
-            return elem_tensor(a, b)
-        if isinstance(a, Elt) and a.word == "EE":
-            return gamma11_EE_EE_G1(a, b)
-    if corner == "12":
-        if isinstance(a, Elt) and a.word == "E":
-            return elem_tensor(a, b)
-        if isinstance(a, Elt) and a.word == "EE":
-            return gamma12_EE_EE_G2(a, b)
-    if corner == "21":
-        if isinstance(a, G1Elt):
-            return gamma21_EE_G1E(a, b)
-        if isinstance(a, G2Elt):
-            return act_G1_on_G2(a, b)
-    if corner == "22":
-        if isinstance(a, G1Elt):
-            return gamma22_EE_G1EE(a, b)
-        if isinstance(a, G2Elt):
-            return gamma22_EE_G2G2(a, b)
-    raise ShapeMismatchError(
-        f"no E-E pairing at corner {corner} for {type(a)}, {type(b)}")
-
-
-def gamma_FE(P: ProductRep, corner: str, pair):
-    """Pair one-step elements into the square corner (F-E direction)."""
-    a, b = pair
-    calc = P.calc
-    if corner == "11":
-        if isinstance(a, Elt) and a.word == "F":
-            return G1Elt(calc, b.weight, zero_elt(a.rep, "", b.weight),
-                         elem_tensor(a, b))
-        if isinstance(a, G1Elt):
-            return compose_G1(b, a)
-    if corner == "12":
-        if isinstance(a, Elt) and a.word == "F":
-            z = zero_elt(a.rep, "E", b.weight)
-            return G2Elt(calc, b.weight, z, z, elem_tensor(a, b))
-        if isinstance(a, G1Elt):
-            return act_G1_on_G2(b, a)
-    if corner == "21":
-        if isinstance(a, Elt) and a.word == "FF":
-            zf = zero_elt(a.rep, "F", b.weight)
-            return L2Elt(calc, b.weight, zf, zf, elem_tensor(a, b))
-        if isinstance(a, L2Elt):
-            return compose_G1_after_L2(b, a)
-    if corner == "22":
-        if isinstance(a, Elt) and a.word == "FF":
-            z = zero_elt(a.rep, "FE", b.weight)
-            return UElt(calc, b.weight, z, z, z, z, elem_tensor(a, b))
-        if isinstance(a, L2Elt):
-            return compose_U(b, a)
-    raise ShapeMismatchError(
-        f"no F-E pairing at corner {corner} for {type(a)}, {type(b)}")
-
-
-# ---------------------------------------------------------------------------
-# gamma_EF components
-# ---------------------------------------------------------------------------
-
-def omega(P: ProductRep, ee: Elt, ff: Elt) -> Elt:
-    """Mixed component of the E-F square, diagonal corner: EE x FF -> EF."""
-    y1ee = apply_map(P.calc.y_at("EE", 1), ee, "EE")
-    return join(y1ee, ff, 1)
-
-
-def omega1(P: ProductRep, g: G2Elt, ff: Elt):
-    """Mixed component on the lower-left corner: G2 x FF -> (F, FEF)."""
-    calc = P.calc
-    y1a = apply_map(calc.y_at("E", 1), g.a, "E")
-    f_part = join(g.b, ff, 1)
-    t_tau = apply_map(calc.tau_at("FEE", 1),
-                      apply_map(calc.eta_at("E", 0), g.b - y1a, "FEE"), "FEE")
-    y1c = apply_map(calc.y_at("FEE", 1), g.c, "FEE")
-    fef_part = join(t_tau, ff, 1) + join(y1c, ff, 1)
-    return f_part, fef_part
-
-
-def omega2(P: ProductRep, ee: Elt, l: L2Elt):
-    """Mixed component on the upper-right corner: EE x L2 -> (E, EFE)."""
-    calc = P.calc
-    y1ee = apply_map(calc.y_at("EE", 1), ee, "EE")
-    e_part = join(y1ee, l.f, 1) + join(ee, l.fp, 1)
-    w = l.weight
-    eta1 = apply_map(calc.eta(), one_at(calc, w - 2), "FE")
-    r0 = apply_map(calc.tau_at("FFEE", 1), EPhi(calc, eta1), "FFEE")
-    r_y = apply_map(calc.y_at("FE", 1), eta1, "FE")
-    r_total = join(r0, l.fp, 1) + join(r_y, l.rho1, 1)
-    efe_part = join(ee, r_total, 1)
-    return e_part, efe_part
-
-
-def kappa(P: ProductRep, g: G2Elt, l: L2Elt) -> Elt:
-    """Projection component of the lower-right corner onto the EF summand."""
-    return elem_tensor(g.b, l.fp)
 
 
 def omega3_map(P: ProductRep) -> BimoduleMap:
     """The lower-right mixed component as an explicit block matrix map."""
     r = P.Vy
-    calc = P.calc
-    sig = r.rebase(sigma(r), "EF", "FE")
-    eps = calc.eps()
-    y1 = calc.y_at("EF", 1)
+    sig = sigma(r)
+    eps = r.eps
+    y1 = r.y_at("EF", 1)
     sig_y = compose(sig, y1)
     eps_y = compose(eps, y1)
     dom = SumBimodule([r.word("EF")] * 4 + [r.word("EFFE")] * 2
@@ -186,54 +83,3 @@ def omega3_apply(P: ProductRep, g: G2Elt, l: L2Elt):
         res.append(Elt(r, word, w, flat[:n]))
         flat = flat[n:]
     return res
-
-
-def gamma_EF(P: ProductRep, corner: str, pair):
-    """Pair one-step elements into the square corner (E-F direction).
-
-    Returns the coordinates in the corner's summand decomposition: a single
-    element for the diagonal corner, a tuple of summand elements otherwise.
-    """
-    a, b = pair
-    calc = P.calc
-    if corner == "11":
-        if isinstance(a, Elt) and a.word == "E":
-            return elem_tensor(a, b)
-        if isinstance(a, Elt) and a.word == "EE":
-            return omega(P, a, b)
-    if corner == "21":
-        if isinstance(a, G1Elt):
-            theta = a.theta.vec[0] if a.theta.vec else None
-            f_part = b.scale(theta) if theta is not None \
-                else zero_elt(b.rep, "F", b.weight)
-            return f_part, elem_tensor(a.phi1, b)
-        if isinstance(a, G2Elt):
-            return omega1(P, a, b)
-    if corner == "12":
-        if isinstance(a, Elt) and a.word == "E" and isinstance(b, G1Elt):
-            theta = b.theta.vec[0] if b.theta.vec else None
-            e_part = a.scale(theta) if theta is not None \
-                else zero_elt(a.rep, "E", a.weight)
-            return e_part, elem_tensor(a, b.phi1)
-        if isinstance(a, Elt) and a.word == "EE":
-            return omega2(P, a, b)
-    if corner == "22":
-        if isinstance(a, G1Elt) and isinstance(b, G1Elt):
-            w = b.weight
-            th_a = a.theta.vec[0] if a.theta.vec else None
-            th_b = b.theta.vec[0] if b.theta.vec else None
-
-            def sc(e, t):
-                return e.scale(t) if t is not None else \
-                    zero_elt(e.rep, e.word, e.weight)
-            theta2 = Elt(a.theta.rep, "", w,
-                         [th_a * th_b] if th_a is not None
-                         and th_b is not None else [])
-            return (theta2, sc(b.phi1, th_a), sc(a.phi1, th_b),
-                    elem_tensor(a.phi1, b.phi1),
-                    zero_elt(P.Vy, "EF", w))
-        if isinstance(a, G2Elt) and isinstance(b, L2Elt):
-            parts = omega3_apply(P, a, b)
-            return (*parts, kappa(P, a, b))
-    raise ShapeMismatchError(
-        f"no E-F pairing at corner {corner} for {type(a)}, {type(b)}")

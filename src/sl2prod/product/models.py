@@ -1,16 +1,16 @@
 """Model summand data for the product construction.
 
 Each corner of the product 1-morphisms is presented by free word-module
-summands together with membership equations.  The classes here hold the
-free coordinates (the "model form"); ``to_submodule_form`` rebuilds the
-defining morphism data and ``from_submodule_form`` recovers the free
-coordinates by exact division, raising :class:`NotInModelError` when the
-membership equations fail.
+summands together with membership equations.  A model element holds the free
+coordinates on its corner's summand words (the "model form"); each class
+declares that layout once, in ``LAYOUT``, and the coordinate arithmetic, the
+zero element and the flat coordinate vector follow from it.
+``to_submodule_form`` rebuilds the defining morphism data and
+``from_submodule_form`` recovers the free coordinates by exact division,
+raising :class:`NotInModelError` when the membership equations fail.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .elements import (Elt, NotInModelError, apply_map, basis_elt, elem_tensor,
                        join, solve_op, word_shift, zero_elt)
@@ -18,408 +18,264 @@ from ..matrixops import ShapeMismatchError
 from ..polyring import Poly
 
 
-class Calc:
-    """Cached canonical word-module maps for a representation with y."""
-
-    def __init__(self, rep):
-        self.rep = rep
-        self._cache = {}
-
-    def _get(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
-
-    # -- elementary maps -------------------------------------------------
-    def eta(self):
-        return self._get(("eta",), lambda: self.rep.rebase(self.rep.eta, "", "FE"))
-
-    def eps(self):
-        return self._get(("eps",), lambda: self.rep.rebase(self.rep.eps, "EF", ""))
-
-    def y_at(self, word, i):
-        return self._get(("y", word, i), lambda: self.rep.y_at(word, i))
-
-    def x_at(self, word, i):
-        return self._get(("x", word, i), lambda: self.rep.x_at(word, i))
-
-    def tau_at(self, word, i):
-        return self._get(("tau", word, i), lambda: self.rep.tau_at(word, i))
-
-    def eta_at(self, word, pos):
-        return self._get(("etaat", word, pos), lambda: self.rep.eta_at(word, pos))
-
-    def eps_at(self, word, pos):
-        return self._get(("epsat", word, pos), lambda: self.rep.eps_at(word, pos))
-
-    # -- mates on leading F factors --------------------------------------
-    def mate_F(self, op, k, rw, key):
-        """Transport an operator on E^k to the leading F^k of F^k + rw.
-
-        The resulting map sends the dual-word representative of a morphism
-        h on E^k to the representative of h . op.
-        """
-        def build():
-            from ..bimodcat import compose_all
-            word = "F" * k + rw
-            steps = []
-            w = word
-            for j in range(k):
-                steps.append(self.rep.eta_at(w, j))
-                w = w[:j] + "FE" + w[j:]
-            steps.append(self.rep.lift(op, "E" * k, "E" * k,
-                                       w[:k], w[2 * k:]))
-            for s in range(k):
-                pos = 2 * k - s - 1
-                steps.append(self.rep.eps_at(w, pos))
-                w = w[:pos] + w[pos + 2:]
-            return compose_all(*reversed(steps))
-        return self._get(("mateF", k, rw, key), build)
-
-    def tau_mate(self, rw):
-        return self.mate_F(self.rep.tau, 2, rw, "tau")
-
-    def xF_pow(self, i, rw=""):
-        from ..tworep import self_pow
-        return self.mate_F(self_pow(self.rep, i), 1, rw, ("xpow", i))
-
-
 # ---------------------------------------------------------------------------
 # model element classes
 # ---------------------------------------------------------------------------
 
-@dataclass
-class G1Elt:
-    """End-type corner element: free coordinates (theta, phi1)."""
-    calc: Calc
-    weight: int
-    theta: Elt    # word ""
-    phi1: Elt     # word "FE"
+class ModelElt:
+    """Free coordinates of a corner element, one :class:`Elt` per summand.
 
-    def phi(self) -> Elt:
-        """The full endomorphism representative theta + y1.phi1."""
-        c = self.calc
-        return (apply_map(c.eta(), self.theta, "FE")
-                + apply_map(c.y_at("FE", 1), self.phi1, "FE"))
+    Subclasses declare ``KIND``, the tag of their submodule form, and
+    ``LAYOUT``, the (coordinate name, word) pairs of their summands.  They
+    add the defining morphism datum and its inverse, ``data`` and
+    ``from_data``.
+    """
+    KIND = ""
+    LAYOUT: tuple = ()
+
+    def __init__(self, rep, weight: int, *coords: Elt):
+        if len(coords) != len(self.LAYOUT):
+            raise ShapeMismatchError(
+                f"{type(self).__name__} takes {len(self.LAYOUT)} coordinates, "
+                f"got {len(coords)}")
+        self.rep = rep
+        self.weight = weight
+        for (name, _), c in zip(self.LAYOUT, coords):
+            setattr(self, name, c)
+
+    @classmethod
+    def words(cls):
+        return [word for _, word in cls.LAYOUT]
+
+    @property
+    def coords(self):
+        return [getattr(self, name) for name, _ in self.LAYOUT]
+
+    @classmethod
+    def zero(cls, rep, weight: int):
+        return cls(rep, weight, *(zero_elt(rep, word, weight)
+                                  for word in cls.words()))
+
+    @classmethod
+    def from_vec(cls, rep, weight: int, vec):
+        """The element whose concatenated coordinate columns are ``vec``."""
+        coords, k = [], 0
+        for word in cls.words():
+            n = rep.word(word).rank(weight)
+            coords.append(Elt(rep, word, weight, list(vec[k:k + n])))
+            k += n
+        return cls(rep, weight, *coords)
+
+    def to_vec(self) -> list:
+        return [p for c in self.coords for p in c.vec]
+
+    def _new(self, coords):
+        return type(self)(self.rep, self.weight, *coords)
 
     def __add__(self, other):
-        return G1Elt(self.calc, self.weight, self.theta + other.theta,
-                     self.phi1 + other.phi1)
+        return self._new([a + b for a, b in zip(self.coords, other.coords)])
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return G1Elt(self.calc, self.weight, -self.theta, -self.phi1)
+        return self._new([-c for c in self.coords])
 
     def scale(self, p):
-        return G1Elt(self.calc, self.weight, self.theta.scale(p),
-                     self.phi1.scale(p))
+        return self._new([c.scale(p) for c in self.coords])
 
     def is_zero(self):
-        return self.theta.is_zero() and self.phi1.is_zero()
+        return all(c.is_zero() for c in self.coords)
 
     def __eq__(self, other):
-        return (isinstance(other, G1Elt) and self.theta == other.theta
-                and self.phi1 == other.phi1)
+        return type(other) is type(self) and self.coords == other.coords
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.weight}: {self.coords})"
 
 
-@dataclass
-class G2Elt:
+class G1Elt(ModelElt):
+    """End-type corner element: free coordinates (theta, phi1)."""
+    KIND = "G1"
+    LAYOUT = (("theta", ""), ("phi1", "FE"))
+
+    def phi(self) -> Elt:
+        """The full endomorphism representative theta + y1.phi1."""
+        r = self.rep
+        return (apply_map(r.eta, self.theta, "FE")
+                + apply_map(r.y_at("FE", 1), self.phi1, "FE"))
+
+    def data(self):
+        return self.theta, self.phi()
+
+    @classmethod
+    def from_data(cls, rep, theta: Elt, phi: Elt):
+        resid = phi - apply_map(rep.eta, theta, "FE")
+        phi1 = solve_op(rep.y_at("FE", 1), resid)
+        return cls(rep, theta.weight, theta, phi1)
+
+
+class G2Elt(ModelElt):
     """Degree +1 corner element: free coordinates (a, b, c)."""
-    calc: Calc
-    weight: int
-    a: Elt        # word "E"
-    b: Elt        # word "E"
-    c: Elt        # word "FEE"
+    KIND = "G2"
+    LAYOUT = (("a", "E"), ("b", "E"), ("c", "FEE"))
 
     def e1(self) -> Elt:
         return self.b
 
     def e2(self) -> Elt:
-        return self.b - apply_map(self.calc.y_at("E", 1), self.a, "E")
+        return self.b - apply_map(self.rep.y_at("E", 1), self.a, "E")
+
+    @staticmethod
+    def _xi_head(rep, e1: Elt, e2: Elt) -> Elt:
+        """The part of the xi datum fixed by the components e1 and e2."""
+        t1 = apply_map(rep.eta_at("E", 0), e1, "FEE")
+        t2 = apply_map(rep.eta_at("E", 0), e2, "FEE")
+        t2 = apply_map(rep.tau_at("FEE", 1), t2, "FEE")
+        t2 = apply_map(rep.y_at("FEE", 2), t2, "FEE")
+        return t1 + t2
 
     def xi(self) -> Elt:
         """Full morphism representative of the defining xi datum."""
-        c = self.calc
-        t1 = apply_map(c.eta_at("E", 0), self.b, "FEE")
-        t2 = apply_map(c.eta_at("E", 0), self.e2(), "FEE")
-        t2 = apply_map(c.tau_at("FEE", 1), t2, "FEE")
-        t2 = apply_map(c.y_at("FEE", 2), t2, "FEE")
-        t3 = apply_map(c.y_at("FEE", 1), self.c, "FEE")
-        t3 = apply_map(c.y_at("FEE", 2), t3, "FEE")
-        return t1 + t2 + t3
+        r = self.rep
+        t3 = apply_map(r.y_at("FEE", 1), self.c, "FEE")
+        t3 = apply_map(r.y_at("FEE", 2), t3, "FEE")
+        return self._xi_head(r, self.b, self.e2()) + t3
 
-    def __add__(self, other):
-        return G2Elt(self.calc, self.weight, self.a + other.a,
-                     self.b + other.b, self.c + other.c)
+    def data(self):
+        return self.e1(), self.e2(), self.xi()
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return G2Elt(self.calc, self.weight, -self.a, -self.b, -self.c)
-
-    def scale(self, p):
-        return G2Elt(self.calc, self.weight, self.a.scale(p),
-                     self.b.scale(p), self.c.scale(p))
-
-    def is_zero(self):
-        return self.a.is_zero() and self.b.is_zero() and self.c.is_zero()
-
-    def __eq__(self, other):
-        return (isinstance(other, G2Elt) and self.a == other.a
-                and self.b == other.b and self.c == other.c)
+    @classmethod
+    def from_data(cls, rep, e1: Elt, e2: Elt, xi: Elt):
+        a = solve_op(rep.y_at("E", 1), e1 - e2)
+        resid = solve_op(rep.y_at("FEE", 1), xi - cls._xi_head(rep, e1, e2))
+        cfree = solve_op(rep.y_at("FEE", 2), resid)
+        return cls(rep, e1.weight, a, e1, cfree)
 
 
-@dataclass
-class G3Elt:
+class G3Elt(ModelElt):
     """Degree +1 square corner element (constrained tuple, not free)."""
-    calc: Calc
-    weight: int
-    ee1: Elt      # word "EE"
-    ee2: Elt      # word "EE"
-    ee3: Elt      # word "EE"
-    chi2: Elt     # word "FEEE"
+    KIND = "G3"
+    LAYOUT = (("ee1", "EE"), ("ee2", "EE"), ("ee3", "EE"), ("chi2", "FEEE"))
 
     def ee_prime(self) -> Elt:
         """The divided difference (ee1 - ee2) / y2, exact by membership."""
-        c = self.calc
-        return solve_op(c.y_at("EE", 2), self.ee1 - self.ee2)
+        return solve_op(self.rep.y_at("EE", 2), self.ee1 - self.ee2)
 
     def chi(self) -> Elt:
-        c = self.calc
+        r = self.rep
+
         def emb(v):
-            return apply_map(c.eta_at("EE", 0), v, "FEEE")
+            return apply_map(r.eta_at("EE", 0), v, "FEEE")
         t1 = emb(self.ee1)
-        t2 = apply_map(c.y_at("FEEE", 3),
-                       apply_map(c.tau_at("FEEE", 2), emb(self.ee2), "FEEE"),
+        t2 = apply_map(r.y_at("FEEE", 3),
+                       apply_map(r.tau_at("FEEE", 2), emb(self.ee2), "FEEE"),
                        "FEEE")
-        t3 = apply_map(c.tau_at("FEEE", 2), emb(self.ee3), "FEEE")
-        t3 = apply_map(c.tau_at("FEEE", 1), t3, "FEEE")
-        t3 = apply_map(c.y_at("FEEE", 2), t3, "FEEE")
-        t3 = apply_map(c.y_at("FEEE", 3), t3, "FEEE")
+        t3 = apply_map(r.tau_at("FEEE", 2), emb(self.ee3), "FEEE")
+        t3 = apply_map(r.tau_at("FEEE", 1), t3, "FEEE")
+        t3 = apply_map(r.y_at("FEEE", 2), t3, "FEEE")
+        t3 = apply_map(r.y_at("FEEE", 3), t3, "FEEE")
         t4 = self.chi2
         for i in (1, 2, 3):
-            t4 = apply_map(c.y_at("FEEE", i), t4, "FEEE")
+            t4 = apply_map(r.y_at("FEEE", i), t4, "FEEE")
         return t1 + t2 + t3 + t4
 
-    def __add__(self, other):
-        return G3Elt(self.calc, self.weight, self.ee1 + other.ee1,
-                     self.ee2 + other.ee2, self.ee3 + other.ee3,
-                     self.chi2 + other.chi2)
+    def data(self):
+        return self.ee1, self.ee2, self.ee3, self.chi()
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return G3Elt(self.calc, self.weight, -self.ee1, -self.ee2,
-                     -self.ee3, -self.chi2)
-
-    def is_zero(self):
-        return (self.ee1.is_zero() and self.ee2.is_zero()
-                and self.ee3.is_zero() and self.chi2.is_zero())
-
-    def __eq__(self, other):
-        return (isinstance(other, G3Elt) and self.ee1 == other.ee1
-                and self.ee2 == other.ee2 and self.ee3 == other.ee3
-                and self.chi2 == other.chi2)
+    @classmethod
+    def from_data(cls, rep, ee1, ee2, ee3, chi):
+        # membership: y2 | ee1 - ee2 and y1 | ee3 - ee2 are checked implicitly
+        solve_op(rep.y_at("EE", 2), ee1 - ee2)
+        solve_op(rep.y_at("EE", 1), ee3 - ee2)
+        probe = cls(rep, ee1.weight, ee1, ee2, ee3,
+                    zero_elt(rep, "FEEE", ee1.weight))
+        resid = chi - probe.chi()
+        for i in (1, 2, 3):
+            resid = solve_op(rep.y_at("FEEE", i), resid)
+        return cls(rep, ee1.weight, ee1, ee2, ee3, resid)
 
 
-@dataclass
-class L2Elt:
+class L2Elt(ModelElt):
     """Degree -1 corner element: free coordinates (fp, f, rho1)."""
-    calc: Calc
-    weight: int
-    fp: Elt       # word "F"
-    f: Elt        # word "F"
-    rho1: Elt     # word "FFE"
+    KIND = "L2"
+    LAYOUT = (("fp", "F"), ("f", "F"), ("rho1", "FFE"))
 
     def Ef(self, fcoord: Elt) -> Elt:
         """Representative of the induced one-step evaluation of an F datum."""
-        c = self.calc
-        eta1 = apply_map(c.eta(), one_at(c, fcoord.weight), "FE")
+        eta1 = apply_map(self.rep.eta, one_at(self.rep, fcoord.weight), "FE")
         return elem_tensor(fcoord, eta1)
 
     def rho(self) -> Elt:
-        c = self.calc
+        r = self.rep
         t1 = self.Ef(self.f)
-        t2 = apply_map(c.tau_mate("E"), self.Ef(self.fp), "FFE")
-        t3 = apply_map(c.y_at("FFE", 1), self.rho1, "FFE")
+        t2 = apply_map(r.tau_mate("E"), self.Ef(self.fp), "FFE")
+        t3 = apply_map(r.y_at("FFE", 1), self.rho1, "FFE")
         return t1 + t2 + t3
 
-    def __add__(self, other):
-        return L2Elt(self.calc, self.weight, self.fp + other.fp,
-                     self.f + other.f, self.rho1 + other.rho1)
+    def data(self):
+        return self.fp, self.f, self.rho()
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return L2Elt(self.calc, self.weight, -self.fp, -self.f, -self.rho1)
-
-    def scale(self, p):
-        return L2Elt(self.calc, self.weight, self.fp.scale(p),
-                     self.f.scale(p), self.rho1.scale(p))
-
-    def is_zero(self):
-        return self.fp.is_zero() and self.f.is_zero() and self.rho1.is_zero()
-
-    def __eq__(self, other):
-        return (isinstance(other, L2Elt) and self.fp == other.fp
-                and self.f == other.f and self.rho1 == other.rho1)
+    @classmethod
+    def from_data(cls, rep, fp: Elt, f: Elt, rho: Elt):
+        probe = cls(rep, f.weight, fp, f, zero_elt(rep, "FFE", f.weight))
+        rho1 = solve_op(rep.y_at("FFE", 1), rho - probe.rho())
+        return cls(rep, f.weight, fp, f, rho1)
 
 
-@dataclass
-class UElt:
+class UElt(ModelElt):
     """Degree 0 square corner element: free coordinates (p11,p21,p12,p22,lam0)."""
-    calc: Calc
-    weight: int
-    p11: Elt      # word "FE"
-    p21: Elt      # word "FE"
-    p12: Elt      # word "FE"
-    p22: Elt      # word "FE"
-    lam0: Elt     # word "FFEE"
-
-    def _EPhi(self, p: Elt) -> Elt:
-        return apply_map(self.calc.eta_at("FE", 1), p, "FFEE")
+    KIND = "U"
+    LAYOUT = (("p11", "FE"), ("p21", "FE"), ("p12", "FE"), ("p22", "FE"),
+              ("lam0", "FFEE"))
 
     def Lam(self) -> Elt:
-        c = self.calc
-        alpha = self._EPhi(self.p11) + apply_map(c.tau_mate("EE"),
-                                                 self._EPhi(self.p12), "FFEE")
-        beta = self._EPhi(self.p21) + apply_map(c.tau_mate("EE"),
-                                                self._EPhi(self.p22), "FFEE")
+        r = self.rep
+        alpha = EPhi(r, self.p11) + apply_map(r.tau_mate("EE"),
+                                              EPhi(r, self.p12), "FFEE")
+        beta = EPhi(r, self.p21) + apply_map(r.tau_mate("EE"),
+                                             EPhi(r, self.p22), "FFEE")
         # alpha, beta: representatives of the bracketed endomorphism sums
-        t1 = apply_map(c.tau_at("FFEE", 1),
-                       apply_map(c.y_at("FFEE", 1), alpha, "FFEE"), "FFEE")
-        t2 = apply_map(c.y_at("FFEE", 2),
-                       apply_map(c.tau_at("FFEE", 1),
-                                 apply_map(c.y_at("FFEE", 1), beta, "FFEE"),
+        t1 = apply_map(r.tau_at("FFEE", 1),
+                       apply_map(r.y_at("FFEE", 1), alpha, "FFEE"), "FFEE")
+        t2 = apply_map(r.y_at("FFEE", 2),
+                       apply_map(r.tau_at("FFEE", 1),
+                                 apply_map(r.y_at("FFEE", 1), beta, "FFEE"),
                                  "FFEE"), "FFEE")
-        t3 = apply_map(c.y_at("FFEE", 1),
-                       apply_map(c.y_at("FFEE", 2), self.lam0, "FFEE"), "FFEE")
+        t3 = apply_map(r.y_at("FFEE", 1),
+                       apply_map(r.y_at("FFEE", 2), self.lam0, "FFEE"), "FFEE")
         return t1 - t2 + t3
 
-    def __add__(self, other):
-        return UElt(self.calc, self.weight, self.p11 + other.p11,
-                    self.p21 + other.p21, self.p12 + other.p12,
-                    self.p22 + other.p22, self.lam0 + other.lam0)
+    def data(self):
+        return self.p11, self.p21, self.p12, self.p22, self.Lam()
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return UElt(self.calc, self.weight, -self.p11, -self.p21, -self.p12,
-                    -self.p22, -self.lam0)
-
-    def scale(self, p):
-        return UElt(self.calc, self.weight, self.p11.scale(p),
-                    self.p21.scale(p), self.p12.scale(p), self.p22.scale(p),
-                    self.lam0.scale(p))
-
-    def is_zero(self):
-        return (self.p11.is_zero() and self.p21.is_zero()
-                and self.p12.is_zero() and self.p22.is_zero()
-                and self.lam0.is_zero())
-
-    def __eq__(self, other):
-        return (isinstance(other, UElt) and self.p11 == other.p11
-                and self.p21 == other.p21 and self.p12 == other.p12
-                and self.p22 == other.p22 and self.lam0 == other.lam0)
+    @classmethod
+    def from_data(cls, rep, p11, p21, p12, p22, Lam):
+        probe = cls(rep, p11.weight, p11, p21, p12, p22,
+                    zero_elt(rep, "FFEE", p11.weight))
+        resid = solve_op(rep.y_at("FFEE", 1), Lam - probe.Lam())
+        lam0 = solve_op(rep.y_at("FFEE", 2), resid)
+        return cls(rep, p11.weight, p11, p21, p12, p22, lam0)
 
 
-def one_at(calc: Calc, weight: int) -> Elt:
-    return basis_elt(calc.rep, "", weight, 0)
+# The model of each FE-ordered corner, and every model by its tag.
+CORNER_MODELS = {"11": G1Elt, "12": G2Elt, "21": L2Elt, "22": UElt}
+MODELS = {cls.KIND: cls for cls in (G1Elt, G2Elt, G3Elt, L2Elt, UElt)}
 
 
-# ---------------------------------------------------------------------------
-# zero constructors
-# ---------------------------------------------------------------------------
-
-def zero_G1(calc, w):
-    r = calc.rep
-    return G1Elt(calc, w, zero_elt(r, "", w), zero_elt(r, "FE", w))
+def one_at(rep, weight: int) -> Elt:
+    return basis_elt(rep, "", weight, 0)
 
 
-def zero_G2(calc, w):
-    r = calc.rep
-    return G2Elt(calc, w, zero_elt(r, "E", w), zero_elt(r, "E", w),
-                 zero_elt(r, "FEE", w))
-
-
-def zero_G3(calc, w):
-    r = calc.rep
-    z = zero_elt(r, "EE", w)
-    return G3Elt(calc, w, z, z, z, zero_elt(r, "FEEE", w))
-
-
-def zero_L2(calc, w):
-    r = calc.rep
-    return L2Elt(calc, w, zero_elt(r, "F", w), zero_elt(r, "F", w),
-                 zero_elt(r, "FFE", w))
-
-
-def zero_U(calc, w):
-    r = calc.rep
-    z = zero_elt(r, "FE", w)
-    return UElt(calc, w, z, z, z, z, zero_elt(r, "FFEE", w))
-
-
-def one_G1(calc, w):
-    g = zero_G1(calc, w)
-    g.theta.vec[0] = Poly.one(calc.rep.A.field)
+def one_G1(rep, w):
+    g = G1Elt.zero(rep, w)
+    g.theta.vec[0] = Poly.one(rep.A.field)
     return g
 
 
-# ---------------------------------------------------------------------------
-# membership recovery (from_submodule_form)
-# ---------------------------------------------------------------------------
-
-def G1_from_data(calc, theta: Elt, phi: Elt) -> G1Elt:
-    resid = phi - apply_map(calc.eta(), theta, "FE")
-    phi1 = solve_op(calc.y_at("FE", 1), resid)
-    return G1Elt(calc, theta.weight, theta, phi1)
-
-
-def G2_from_data(calc, e1: Elt, e2: Elt, xi: Elt) -> G2Elt:
-    a = solve_op(calc.y_at("E", 1), e1 - e2)
-    t1 = apply_map(calc.eta_at("E", 0), e1, "FEE")
-    t2 = apply_map(calc.eta_at("E", 0), e2, "FEE")
-    t2 = apply_map(calc.tau_at("FEE", 1), t2, "FEE")
-    t2 = apply_map(calc.y_at("FEE", 2), t2, "FEE")
-    resid = xi - t1 - t2
-    resid = solve_op(calc.y_at("FEE", 1), resid)
-    cfree = solve_op(calc.y_at("FEE", 2), resid)
-    return G2Elt(calc, e1.weight, a, e1, cfree)
-
-
-def L2_from_data(calc, fp: Elt, f: Elt, rho: Elt) -> L2Elt:
-    probe = L2Elt(calc, f.weight, fp, f, zero_elt(calc.rep, "FFE", f.weight))
-    resid = rho - probe.rho()
-    rho1 = solve_op(calc.y_at("FFE", 1), resid)
-    return L2Elt(calc, f.weight, fp, f, rho1)
-
-
-def U_from_data(calc, p11, p21, p12, p22, Lam) -> UElt:
-    probe = UElt(calc, p11.weight, p11, p21, p12, p22,
-                 zero_elt(calc.rep, "FFEE", p11.weight))
-    resid = Lam - probe.Lam()
-    resid = solve_op(calc.y_at("FFEE", 1), resid)
-    lam0 = solve_op(calc.y_at("FFEE", 2), resid)
-    return UElt(calc, p11.weight, p11, p21, p12, p22, lam0)
-
-
-def G3_from_data(calc, ee1, ee2, ee3, chi) -> G3Elt:
-    # membership: y2 | ee1 - ee2 and y1 | ee3 - ee2 are checked implicitly
-    solve_op(calc.y_at("EE", 2), ee1 - ee2)
-    solve_op(calc.y_at("EE", 1), ee3 - ee2)
-    probe = G3Elt(calc, ee1.weight, ee1, ee2, ee3,
-                  zero_elt(calc.rep, "FEEE", ee1.weight))
-    resid = chi - probe.chi()
-    for i in (1, 2, 3):
-        resid = solve_op(calc.y_at("FEEE", i), resid)
-    return G3Elt(calc, ee1.weight, ee1, ee2, ee3, resid)
+def EPhi(rep, p: Elt) -> Elt:
+    """Representative of the induced endomorphism on the pair word."""
+    return apply_map(rep.eta_at("FE", 1), p, "FFEE")
 
 
 # ---------------------------------------------------------------------------
@@ -428,12 +284,11 @@ def G3_from_data(calc, ee1, ee2, ee3, chi) -> G3Elt:
 
 def compose_G1(after: G1Elt, first: G1Elt) -> G1Elt:
     """Composite of two end-type corner elements (first applied first)."""
-    calc = after.calc
     theta = Elt(first.theta.rep, "", first.theta.weight,
                 [first.theta.vec[0] * after.theta.vec[0]]
                 if first.theta.vec else [])
     phi = join(first.phi(), after.phi(), 1)
-    return G1_from_data(calc, theta, phi)
+    return G1Elt.from_data(after.rep, theta, phi)
 
 
 def compose_F_after_G1(f: Elt, g: G1Elt) -> Elt:
@@ -443,13 +298,13 @@ def compose_F_after_G1(f: Elt, g: G1Elt) -> Elt:
 def compose_L2_after_G2(l: L2Elt, g: G2Elt) -> G1Elt:
     theta = join(g.b, l.f, 1) + join(g.a, l.fp, 1)
     phi = join(g.xi(), l.rho(), 2)
-    return G1_from_data(l.calc, theta, phi)
+    return G1Elt.from_data(l.rep, theta, phi)
 
 
 def compose_G1_after_L2(g: G1Elt, l: L2Elt) -> L2Elt:
     theta = g.theta.vec[0]
     rho = join(l.rho(), g.phi(), 1)
-    return L2_from_data(l.calc, l.fp.scale(theta), l.f.scale(theta), rho)
+    return L2Elt.from_data(l.rep, l.fp.scale(theta), l.f.scale(theta), rho)
 
 
 def compose_U(g: G2Elt, l: L2Elt) -> UElt:
@@ -459,32 +314,32 @@ def compose_U(g: G2Elt, l: L2Elt) -> UElt:
     p12 = elem_tensor(l.fp, g.b)
     p22 = elem_tensor(l.fp, g.a)
     Lam = join(l.rho(), g.xi(), 1)
-    return U_from_data(g.calc, p11, p21, p12, p22, Lam)
+    return UElt.from_data(g.rep, p11, p21, p12, p22, Lam)
 
 
 def compose_L2_after_U(l: L2Elt, u: UElt) -> L2Elt:
     f = join(u.p11, l.f, 1) + join(u.p21, l.fp, 1)
     fp = join(u.p12, l.f, 1) + join(u.p22, l.fp, 1)
     rho = join(u.Lam(), l.rho(), 2)
-    return L2_from_data(l.calc, fp, f, rho)
+    return L2Elt.from_data(l.rep, fp, f, rho)
 
 
 def act_G1_on_G2(g: G2Elt, c1: G1Elt) -> G2Elt:
     """Right action of an end-type element on a degree +1 corner element."""
-    calc = g.calc
+    r = g.rep
     theta = c1.theta.vec[0] if c1.theta.vec else None
     phi = c1.phi()
-    y1a = apply_map(calc.y_at("E", 1), g.a, "E")
+    y1a = apply_map(r.y_at("E", 1), g.a, "E")
     b_new = join(g.b, phi, 1)
     a_new = join(g.b, c1.phi1, 1)
-    t_tau = apply_map(calc.tau_at("FEE", 1),
-                      apply_map(calc.eta_at("E", 0), g.b - y1a, "FEE"), "FEE")
+    t_tau = apply_map(r.tau_at("FEE", 1),
+                      apply_map(r.eta_at("E", 0), g.b - y1a, "FEE"), "FEE")
     c_new = join(t_tau, c1.phi1, 1) + join(
-        apply_map(calc.y_at("FEE", 1), g.c, "FEE"), c1.phi1, 1)
+        apply_map(r.y_at("FEE", 1), g.c, "FEE"), c1.phi1, 1)
     if theta is not None:
         a_new = a_new + g.a.scale(theta)
         c_new = c_new + g.c.scale(theta)
-    return G2Elt(calc, g.weight, a_new, b_new, c_new)
+    return G2Elt(r, g.weight, a_new, b_new, c_new)
 
 
 def act_G1_on_U(u: UElt, c1: G1Elt) -> UElt:
@@ -495,35 +350,26 @@ def act_G1_on_U(u: UElt, c1: G1Elt) -> UElt:
     p21 = join(u.p11, c1.phi1, 1) + u.p21.scale(theta)
     p22 = join(u.p12, c1.phi1, 1) + u.p22.scale(theta)
     Lam = join(u.Lam(), phi, 1)
-    return U_from_data(u.calc, p11, p21, p12, p22, Lam)
-
-
-def act_G1_on_EE(ee: Elt, c1: G1Elt) -> Elt:
-    return join(ee, c1.phi(), 1)
-
-
-def EPhi(calc: Calc, p: Elt) -> Elt:
-    """Representative of the induced endomorphism on the pair word."""
-    return apply_map(calc.eta_at("FE", 1), p, "FFEE")
+    return UElt.from_data(u.rep, p11, p21, p12, p22, Lam)
 
 
 def act_L2_on_L2_left(phi1: Elt, l: L2Elt) -> L2Elt:
     """Middle action of an off-diagonal end datum on a degree -1 element."""
-    calc = l.calc
-    y1phi1 = apply_map(calc.y_at("FE", 1), phi1, "FE")
+    r = l.rep
+    y1phi1 = apply_map(r.y_at("FE", 1), phi1, "FE")
     f_new = join(y1phi1, l.f, 1) + join(phi1, l.fp, 1)
-    t1 = join(apply_map(calc.tau_at("FFEE", 1), EPhi(calc, phi1), "FFEE"),
+    t1 = join(apply_map(r.tau_at("FFEE", 1), EPhi(r, phi1), "FFEE"),
               l.fp, 1)
     t2 = join(y1phi1, l.rho1, 1)
     rho1_like = t1 + t2
-    zf = zero_elt(calc.rep, "F", l.weight)
-    return L2Elt(calc, l.weight, zf, f_new, rho1_like)
+    zf = zero_elt(r, "F", l.weight)
+    return L2Elt(r, l.weight, zf, f_new, rho1_like)
 
 
 def act_phi1_on_G2(g: G2Elt, phi1: Elt) -> G2Elt:
     """Middle action of an off-diagonal end datum on a degree +1 element."""
-    return act_G1_on_G2(g, G1Elt(g.calc, phi1.weight,
-                                 zero_elt(g.calc.rep, "", phi1.weight), phi1))
+    return act_G1_on_G2(g, G1Elt(g.rep, phi1.weight,
+                                 zero_elt(g.rep, "", phi1.weight), phi1))
 
 
 # ---------------------------------------------------------------------------
@@ -532,73 +378,59 @@ def act_phi1_on_G2(g: G2Elt, phi1: Elt) -> G2Elt:
 
 def gamma21_EE_G1E(c1: G1Elt, e: Elt) -> G2Elt:
     """Pair of an end-type and a one-step element, degree +1 corner."""
-    calc = c1.calc
+    r = c1.rep
     theta = c1.theta
     a = elem_tensor(theta, e)
-    y1e = apply_map(calc.y_at("E", 1), e, "E")
+    y1e = apply_map(r.y_at("E", 1), e, "E")
     b = elem_tensor(theta, y1e)
     cfree = elem_tensor(c1.phi1, e)
-    return G2Elt(calc, e.weight, a, b, cfree)
-
-
-def gamma11_EE_EE_G1(ee: Elt, c1: G1Elt) -> Elt:
-    return join(ee, c1.phi(), 1)
-
-
-def gamma12_EE_EE_G2(ee: Elt, g: G2Elt) -> Elt:
-    calc = g.calc
-    v = apply_map(calc.y_at("EE", 1), ee, "EE")
-    v = apply_map(calc.y_at("EE", 2), v, "EE")
-    num = join(v, g.xi(), 1)
-    for i in (1, 2, 3):
-        num = solve_op(calc.y_at("EEE", i), num)
-    return num
+    return G2Elt(r, e.weight, a, b, cfree)
 
 
 def gamma22_EE_G1EE(c1: G1Elt, ee: Elt) -> G3Elt:
-    calc = c1.calc
-    v = apply_map(calc.y_at("EE", 1), ee, "EE")
-    v = apply_map(calc.y_at("EE", 2), v, "EE")
+    r = c1.rep
+    v = apply_map(r.y_at("EE", 1), ee, "EE")
+    v = apply_map(r.y_at("EE", 2), v, "EE")
     ee1 = elem_tensor(c1.theta, v)
-    z = zero_elt(calc.rep, "EE", ee.weight)
+    z = zero_elt(r, "EE", ee.weight)
     chi2 = elem_tensor(c1.phi1, ee)
-    return G3Elt(calc, ee.weight, ee1, z, z, chi2)
+    return G3Elt(r, ee.weight, ee1, z, z, chi2)
 
 
 def gamma22_EE_G2G2(p: G2Elt, q: G2Elt) -> G3Elt:
     """Pair of two degree +1 elements in the square corner."""
-    calc = p.calc
-    y1 = lambda v: apply_map(calc.y_at("E", 1), v, "E")
+    r = p.rep
+    y1 = lambda v: apply_map(r.y_at("E", 1), v, "E")
     pb, pa, qb, qa = p.b, p.a, q.b, q.a
     t_bb = elem_tensor(pb, qb)
     t_ba = elem_tensor(pb, qa)
     t_ab = elem_tensor(pa, qb)
-    inner = t_bb - apply_map(calc.y_at("EE", 1), t_ba, "EE")
+    inner = t_bb - apply_map(r.y_at("EE", 1), t_ba, "EE")
     ee1 = (t_bb
-           + apply_map(calc.y_at("EE", 2),
-                       apply_map(calc.tau_at("EE", 1), inner, "EE"), "EE")
-           + apply_map(calc.y_at("EE", 1),
-                       apply_map(calc.y_at("EE", 2), join(pb, q.c, 1), "EE"),
+           + apply_map(r.y_at("EE", 2),
+                       apply_map(r.tau_at("EE", 1), inner, "EE"), "EE")
+           + apply_map(r.y_at("EE", 1),
+                       apply_map(r.y_at("EE", 2), join(pb, q.c, 1), "EE"),
                        "EE"))
-    ee2 = t_bb - apply_map(calc.y_at("EE", 2), t_ab, "EE")
+    ee2 = t_bb - apply_map(r.y_at("EE", 2), t_ab, "EE")
     ee3 = elem_tensor(pb - y1(pa), qb - y1(qa))
-    t_tau = apply_map(calc.tau_at("FEE", 1),
-                      apply_map(calc.eta_at("E", 0), pb - y1(pa), "FEE"),
+    t_tau = apply_map(r.tau_at("FEE", 1),
+                      apply_map(r.eta_at("E", 0), pb - y1(pa), "FEE"),
                       "FEE")
     chi2 = (join(t_tau, q.c, 1)
-            + apply_map(calc.tau_at("FEEE", 1),
+            + apply_map(r.tau_at("FEEE", 1),
                         elem_tensor(p.c, qb - y1(qa)), "FEEE")
             + elem_tensor(p.c, qa))
-    return G3Elt(calc, q.weight, ee1, ee2, ee3, chi2)
+    return G3Elt(r, q.weight, ee1, ee2, ee3, chi2)
 
 
 def tau22(h: G3Elt) -> G3Elt:
     """The crossing map on the square corner, elementwise."""
-    calc = h.calc
+    r = h.rep
     eep = h.ee_prime()
-    ee3 = apply_map(calc.tau_at("EE", 1), h.ee3, "EE")
-    chi2 = apply_map(calc.tau_at("FEEE", 2), h.chi2, "FEEE")
-    return G3Elt(calc, h.weight, eep, eep, ee3, chi2)
+    ee3 = apply_map(r.tau_at("EE", 1), h.ee3, "EE")
+    chi2 = apply_map(r.tau_at("FEEE", 2), h.chi2, "FEEE")
+    return G3Elt(r, h.weight, eep, eep, ee3, chi2)
 
 
 def decompose_first(elt: Elt):
@@ -621,25 +453,6 @@ def decompose_first(elt: Elt):
     return out
 
 
-def decompose_left(ee: Elt):
-    """Write an element of the pair word as a sum over left basis factors.
-
-    Returns a list of (left_basis_elt, right_elt) with
-    sum over elem_tensor(left, right) reproducing the element.
-    """
-    rep = ee.rep
-    E = rep.word("E")
-    w = ee.weight
-    r_right = E.rank(w)
-    r_left = E.rank(w + 2)
-    out = []
-    for i in range(r_left):
-        right = Elt(rep, "E", w, ee.vec[i * r_right:(i + 1) * r_right])
-        if not right.is_zero():
-            out.append((basis_elt(rep, "E", w + 2, i), right))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # form round-trips
 # ---------------------------------------------------------------------------
@@ -652,20 +465,12 @@ def to_submodule_form(m):
     intertwiner-type element the tuple of components subject to the
     divisibility conditions that :func:`from_submodule_form` re-solves.
     """
-    if isinstance(m, G1Elt):
-        return ("G1", m.theta, m.phi())
-    if isinstance(m, G2Elt):
-        return ("G2", m.e1(), m.e2(), m.xi())
-    if isinstance(m, G3Elt):
-        return ("G3", m.ee1, m.ee2, m.ee3, m.chi())
-    if isinstance(m, L2Elt):
-        return ("L2", m.fp, m.f, m.rho())
-    if isinstance(m, UElt):
-        return ("U", m.p11, m.p21, m.p12, m.p22, m.Lam())
-    raise NotInModelError(f"not a model element: {m!r}")
+    if not isinstance(m, ModelElt):
+        raise NotInModelError(f"not a model element: {m!r}")
+    return (m.KIND, *m.data())
 
 
-def from_submodule_form(calc: Calc, data):
+def from_submodule_form(rep, data):
     """Recover the free coordinates from full morphism data.
 
     Inverse of :func:`to_submodule_form`; raises
@@ -673,8 +478,6 @@ def from_submodule_form(calc: Calc, data):
     (membership) condition fails.
     """
     kind, *parts = data
-    builders = {"G1": G1_from_data, "G2": G2_from_data, "G3": G3_from_data,
-                "L2": L2_from_data, "U": U_from_data}
-    if kind not in builders:
+    if kind not in MODELS:
         raise NotInModelError(f"unknown model kind {kind!r}")
-    return builders[kind](calc, *parts)
+    return MODELS[kind].from_data(rep, *parts)

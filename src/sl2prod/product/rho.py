@@ -15,13 +15,14 @@ provided:
   isomorphisms of the underlying representation.
 """
 
-from ..bimodcat import (Bimodule, BimoduleMap, SumBimodule, WeightedAlgebra,
+from ..bimodcat import (Bimodule, BimoduleMap, WeightedAlgebra,
                         certify_iso)
 from ..matrixops import Matrix, block_matrix, bareiss_determinant
 from ..polyring import Poly
 from ..tworep import rho
-from .core import (ProductRep, tilde_sigma_closed, eps_xi_F_closed,
-                   F_xi_eta_closed)
+from .core import (CORNERS, T_WORDS, ProductRep, tilde_sigma_closed,
+                   eps_xi_F_closed, F_xi_eta_closed, word_sum)
+from .models import CORNER_MODELS
 
 __all__ = [
     "NotTriangularError", "DiagonalNotIsoError", "RhoMap",
@@ -38,12 +39,7 @@ class DiagonalNotIsoError(ValueError):
     """A diagonal block of the permuted matrix is not an isomorphism."""
 
 
-_CORNERS = ("11", "21", "12", "22")
 _MU_SHIFT = {"11": +1, "21": +1, "12": -1, "22": -1}
-_T_WORDS = {"11": ["EF"], "21": ["F", "FEF"], "12": ["E", "EFE"],
-            "22": ["", "FE", "FE", "FEFE", "EF"]}
-_S_WORDS = {"11": ["", "FE"], "21": ["F", "F", "FFE"],
-            "12": ["E", "E", "FEE"], "22": ["FE"] * 4 + ["FFEE"]}
 _PAIR_WORD = {"11": "", "21": "F", "12": "E"}
 
 
@@ -61,7 +57,7 @@ class RhoMap:
 
     @property
     def mats(self):
-        return {(c, w): m for c in _CORNERS
+        return {(c, w): m for c in CORNERS
                 for w, m in self.corners[c].mats.items()}
 
     def matrix(self, key):
@@ -90,11 +86,6 @@ def _col_slice(field, m, c0, c1):
                   [row[c0:c1] for row in m.entries])
 
 
-def _make_sum(r, words, name):
-    summands = [r.word(w) for w in words]
-    return summands[0] if len(summands) == 1 else SumBimodule(summands, name=name)
-
-
 def _restrict_at(r, M, mu):
     """Restrict a bimodule to the single source weight ``mu``, keeping the
     target weight ``mu + shift`` in the base algebra so the left action
@@ -111,8 +102,8 @@ def _corner_rho(P: ProductRep, corner: str, lam: int) -> BimoduleMap:
     field = r.A.field
     mu = lam + _MU_SHIFT[corner]
     n = abs(lam)
-    dom_words = list(_T_WORDS[corner])
-    cod_words = list(_S_WORDS[corner])
+    dom_words = list(T_WORDS[corner])
+    cod_words = CORNER_MODELS[corner].words()
     if lam >= 0:
         if corner == "22":
             cod_words += [""] * n + ["FE"] * n
@@ -123,8 +114,8 @@ def _corner_rho(P: ProductRep, corner: str, lam: int) -> BimoduleMap:
             dom_words += [""] * n + ["FE"] * n
         else:
             dom_words += [_PAIR_WORD[corner]] * n
-    dom = _restrict_at(r, _make_sum(r, dom_words, f"T{corner}"), mu)
-    cod = _restrict_at(r, _make_sum(r, cod_words, f"S{corner}"), mu)
+    dom = _restrict_at(r, word_sum(r, dom_words, f"T{corner}"), mu)
+    cod = _restrict_at(r, word_sum(r, cod_words, f"S{corner}"), mu)
     if mu not in r.A:
         return BimoduleMap(dom, cod, {}, name=f"rho{corner}_{lam}")
 
@@ -161,7 +152,7 @@ def tilde_rho(P: ProductRep, lam: int) -> RhoMap:
     at ``lam - 1``.  At ``lam = 0`` the row and column assemblies coincide and
     every corner reduces to its closed commutator block.
     """
-    return RhoMap(lam, {c: _corner_rho(P, c, lam) for c in _CORNERS})
+    return RhoMap(lam, {c: _corner_rho(P, c, lam) for c in CORNERS})
 
 
 # --------------------------------------------------------------------------
@@ -379,7 +370,7 @@ def _cert_12(P, lam):
     if lam >= 0:
         row_sizes = [re_, re_, rfee] + [re_] * lam
         m = _rowop(field, m, row_sizes, 1, 0,
-                   P.calc.y_at("E", 1).matrix(mu))
+                   P.Vy.y_at("E", 1).matrix(mu))
         col_sizes = [re_, refe]
         groups = [([1], [0]),
                   ([0, 2] + list(range(3, 3 + lam)), [1])]
@@ -404,7 +395,7 @@ def _cert_22(P, lam):
     m = _corner_rho(P, "22", lam).matrix(mu)
     ra, rfe, rfefe, ref, rffee = (
         r.word(w).rank(mu) for w in ("", "FE", "FEFE", "EF", "FFEE"))
-    y1m = P.calc.y_at("FE", 1).matrix(mu)
+    y1m = P.Vy.y_at("FE", 1).matrix(mu)
     out = {"status": "pass"}
     if lam >= 0:
         n = lam

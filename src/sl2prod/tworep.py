@@ -5,11 +5,12 @@ always derived, never user-supplied, together with the adjunction unit eta and
 counit eps.  A word calculus over the alphabet {E, F} provides the tensor
 word modules and the positional maps (x or tau at a factor, eps/eta at a
 position) out of which every composite map of the construction is assembled.
+The word modules and positional maps are memoized on the representation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
+import functools
 
 from .polyring import Poly, QQ, parse_poly, h_complete
 from .matrixops import Matrix, block_matrix
@@ -29,30 +30,43 @@ class HypothesesFailedError(ValueError):
     """The input data violates a hypothesis of the construction."""
 
 
+def record(name, ok, witness=None) -> dict:
+    """One report record: the check name, its status and an optional
+    witness."""
+    out = {"check": name, "status": "pass" if ok else "fail"}
+    if witness:
+        out["witness"] = str(witness)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # restriction to a weight window
 
 
-def restrict_bimodule(M: Bimodule, weights, algebra=None) -> Bimodule:
-    if algebra is None:
-        support = {w: M.algebra.support[w] for w in weights if w in M.algebra}
-        algebra = WeightedAlgebra(M.algebra.field, support, M.algebra.has_y)
+def restrict_bimodule(M: Bimodule, weights) -> Bimodule:
+    support = {w: M.algebra.support[w] for w in weights if w in M.algebra}
+    algebra = WeightedAlgebra(M.algebra.field, support, M.algebra.has_y)
     comps = {lam: M.components[lam] for lam in M.components
              if lam in algebra and lam + M.shift in algebra}
     return Bimodule(algebra, M.shift, comps, name=M.name)
 
 
-def restrict_map(f: BimoduleMap, weights) -> BimoduleMap:
-    support = {w: f.dom.algebra.support[w] for w in weights if w in f.dom.algebra}
-    algebra = WeightedAlgebra(f.dom.algebra.field, support, f.dom.algebra.has_y)
-    dom = restrict_bimodule(f.dom, weights, algebra)
-    cod = restrict_bimodule(f.cod, weights, algebra)
-    return BimoduleMap(dom, cod, {lam: f.matrix(lam) for lam in dom.weights()},
-                       name=f.name)
-
-
 # ---------------------------------------------------------------------------
 # the 2-representation data
+
+
+def _memoized(method):
+    """Cache a word-calculus method per (method, arguments) on its TwoRep.
+
+    Cached modules and maps are shared between callers, which only read
+    them."""
+    @functools.wraps(method)
+    def cached(self, *args):
+        key = (method.__name__, *args)
+        if key not in self._cache:
+            self._cache[key] = method(self, *args)
+        return self._cache[key]
+    return cached
 
 
 class TwoRep:
@@ -65,40 +79,39 @@ class TwoRep:
         self.x = x
         self.tau = tau
         self.name = name
-        self._dual = None
-        self._words: dict = {}
+        self._cache: dict = {}
 
     # -- derived duality
 
+    @_memoized
     def _left_dual(self):
-        if self._dual is None:
-            self._dual = left_dual(self.E)
-        return self._dual
+        return left_dual(self.E)
 
     @property
     def F(self) -> Bimodule:
         return self._left_dual()[0]
 
     @property
+    @_memoized
     def eta(self) -> BimoduleMap:
-        return self._left_dual()[1]
+        """The unit A -> FE on the word modules."""
+        return self.rebase(self._left_dual()[1], "", "FE")
 
     @property
+    @_memoized
     def eps(self) -> BimoduleMap:
-        return self._left_dual()[2]
+        """The counit EF -> A on the word modules."""
+        return self.rebase(self._left_dual()[2], "EF", "")
 
     # -- word calculus
 
+    @_memoized
     def word(self, w: str) -> Bimodule:
         """The tensor word module for a word over {E, F} ('' is the algebra)."""
-        if w not in self._words:
-            if w == "":
-                mod = regular_bimodule(self.A, name="A")
-            else:
-                head = {"E": self.E, "F": self.F}[w[0]]
-                mod = tensor_over_A(head, self.word(w[1:]), name=w)
-            self._words[w] = mod
-        return self._words[w]
+        if w == "":
+            return regular_bimodule(self.A, name="A")
+        head = {"E": self.E, "F": self.F}[w[0]]
+        return tensor_over_A(head, self.word(w[1:]), name=w)
 
     def rebase(self, f: BimoduleMap, dom_word: str, cod_word: str) -> BimoduleMap:
         """Re-attach a map to the cached word modules (coordinates agree)."""
@@ -115,6 +128,7 @@ class TwoRep:
             g = tensor_id_left(self.word(lw), g)
         return self.rebase(g, lw + dom_mid + rw, lw + cod_mid + rw)
 
+    @_memoized
     def x_at(self, word: str, i: int) -> BimoduleMap:
         """x on the i-th E factor counted from the right (1-based)."""
         positions = [k for k in range(len(word)) if word[k] == "E"]
@@ -123,12 +137,14 @@ class TwoRep:
         pos = positions[-i]
         return self.lift(self.x, "E", "E", word[:pos], word[pos + 1:])
 
+    @_memoized
     def y_at(self, word: str, i: int) -> BimoduleMap:
         """The operator y_i = x_i - y on a word module."""
         W = self.word(word)
         y = Poly.var(self.A.field, "y")
         return self.x_at(word, i) - identity_map(W).scale(y)
 
+    @_memoized
     def tau_at(self, word: str, i: int) -> BimoduleMap:
         """tau on the (i, i+1) adjacent E factors counted from the right."""
         positions = [k for k in range(len(word)) if word[k] == "E"]
@@ -138,15 +154,45 @@ class TwoRep:
             raise IndexError(f"E factors {i},{i+1} not adjacent in {word!r}")
         return self.lift(self.tau, "EE", "EE", word[:pos_hi], word[pos_hi + 2:])
 
+    @_memoized
     def eps_at(self, word: str, pos: int) -> BimoduleMap:
         """Contract the adjacent pair word[pos:pos+2] == 'EF' via eps."""
         if word[pos:pos + 2] != "EF":
             raise IndexError(f"no EF pair at position {pos} of {word!r}")
         return self.lift(self.eps, "EF", "", word[:pos], word[pos + 2:])
 
+    @_memoized
     def eta_at(self, word: str, pos: int) -> BimoduleMap:
         """Insert an FE pair at position pos via eta."""
         return self.lift(self.eta, "", "FE", word[:pos], word[pos:])
+
+    def _mate_F(self, op: BimoduleMap, k: int, rw: str) -> BimoduleMap:
+        """Transport an operator on E^k to the leading F^k of F^k + rw.
+
+        The resulting map sends the dual-word representative of a morphism
+        h on E^k to the representative of h . op.
+        """
+        steps = []
+        w = "F" * k + rw
+        for j in range(k):
+            steps.append(self.eta_at(w, j))
+            w = w[:j] + "FE" + w[j:]
+        steps.append(self.lift(op, "E" * k, "E" * k, w[:k], w[2 * k:]))
+        for s in range(k):
+            pos = 2 * k - s - 1
+            steps.append(self.eps_at(w, pos))
+            w = w[:pos] + w[pos + 2:]
+        return compose_all(*reversed(steps))
+
+    @_memoized
+    def tau_mate(self, rw: str) -> BimoduleMap:
+        """The crossing transported to the leading FF of FF + rw."""
+        return self._mate_F(self.tau, 2, rw)
+
+    @_memoized
+    def xF_pow(self, i: int, rw: str) -> BimoduleMap:
+        """x^i transported to the leading F of F + rw."""
+        return self._mate_F(self_pow(self, i), 1, rw)
 
     def scalar(self, word: str, p) -> BimoduleMap:
         """Multiplication by a central scalar polynomial on a word module."""
@@ -294,35 +340,30 @@ def check_hecke(rep: TwoRep, n_max: int = 3):
     """Verify the divided-difference relations on E^2 (and E^3 for the braid
     relation) as exact matrix identities; returns a list of report entries."""
     results = []
-
-    def record(name, ok, witness=None):
-        results.append({"check": name, "status": "pass" if ok else "fail",
-                        **({"witness": str(witness)} if witness else {})})
-
     if n_max >= 2:
         tau = rep.tau_at("EE", 1)
         x_in = rep.x_at("EE", 1)   # x on the right factor
         x_out = rep.x_at("EE", 2)  # x on the left factor
         iden = identity_map(rep.word("EE"))
-        record("tau^2 = 0", compose(tau, tau).is_zero())
-        record("tau.(Ex) = (xE).tau + 1",
-               compose(tau, x_in) == compose(x_out, tau) + iden)
-        record("(Ex).tau = tau.(xE) + 1",
-               compose(x_in, tau) == compose(tau, x_out) + iden)
+        results += [
+            record("tau^2 = 0", compose(tau, tau).is_zero()),
+            record("tau.(Ex) = (xE).tau + 1",
+                   compose(tau, x_in) == compose(x_out, tau) + iden),
+            record("(Ex).tau = tau.(xE) + 1",
+                   compose(x_in, tau) == compose(tau, x_out) + iden)]
     if n_max >= 3:
         t1 = rep.tau_at("EEE", 1)
         t2 = rep.tau_at("EEE", 2)
-        record("braid relation",
-               compose_all(t1, t2, t1) == compose_all(t2, t1, t2))
+        results.append(record(
+            "braid relation",
+            compose_all(t1, t2, t1) == compose_all(t2, t1, t2)))
     return results
 
 
 def sigma(rep: TwoRep) -> BimoduleMap:
     """The commutator map EF -> FE: (FE eps) . (F tau F) . (eta EF)."""
-    step1 = rep.lift(rep.eta, "", "FE", "", "EF")     # EF -> FEEF
-    step2 = rep.lift(rep.tau, "EE", "EE", "F", "F")   # FEEF -> FEEF
-    step3 = rep.lift(rep.eps, "EF", "", "FE", "")     # FEEF -> FE
-    out = compose_all(step3, step2, step1)
+    out = compose_all(rep.eps_at("FEEF", 2), rep.tau_at("FEEF", 1),
+                      rep.eta_at("EF", 0))
     out.name = "sigma"
     return out
 
@@ -330,7 +371,7 @@ def sigma(rep: TwoRep) -> BimoduleMap:
 def eps_xi(rep: TwoRep, i: int) -> BimoduleMap:
     """The pairing eps . x^i F : EF -> A."""
     xi = rep.lift(self_pow(rep, i), "E", "E", "", "F")
-    return compose(rep.rebase(rep.eps, "EF", ""), xi)
+    return compose(rep.eps, xi)
 
 
 def self_pow(rep: TwoRep, i: int) -> BimoduleMap:
@@ -344,7 +385,7 @@ def self_pow(rep: TwoRep, i: int) -> BimoduleMap:
 def xi_eta(rep: TwoRep, i: int) -> BimoduleMap:
     """The pairing F x^i . eta : A -> FE."""
     xi = rep.lift(self_pow(rep, i), "E", "E", "F", "")
-    return compose(xi, rep.rebase(rep.eta, "", "FE"))
+    return compose(xi, rep.eta)
 
 
 def rho(rep: TwoRep, lam: int) -> BimoduleMap:
@@ -390,21 +431,16 @@ def check_hypotheses(rep: TwoRep, window=(-4, 4), n_max: int = 2):
     (d) rho is an isomorphism at every weight of the window.
     """
     lo, hi = window
-    results = []
-
-    def record(name, ok, witness=None):
-        results.append({"check": name, "status": "pass" if ok else "fail",
-                        **({"witness": str(witness)} if witness else {})})
-
     # (a) finite free components
-    record("components finite free", True)
+    results = [record("components finite free", True)]
 
     # (b) freeness of E^n over the polynomial action
     for n in range(1, n_max + 1):
         word = "E" * n
         W = rep.word(word)
         if W.total_rank() == 0:
-            record(f"E^{n} free over P_{n}", True, witness=f"E^{n} = 0")
+            results.append(record(f"E^{n} free over P_{n}", True,
+                                  witness=f"E^{n} = 0"))
             continue
         ok = True
         witness = None
@@ -421,7 +457,7 @@ def check_hypotheses(rep: TwoRep, window=(-4, 4), n_max: int = 2):
                 if not scalar_like:
                     ok = False
                     witness = f"x_{i} at weight {lam} not a scalar variable"
-        record(f"E^{n} free over P_{n}", ok, witness)
+        results.append(record(f"E^{n} free over P_{n}", ok, witness))
 
     # (c) local nilpotence
     span = hi - lo + 1
@@ -434,13 +470,14 @@ def check_hypotheses(rep: TwoRep, window=(-4, 4), n_max: int = 2):
                     nil = True
                     break
                 k += 1
-            record(f"{letter}^k e_{lam} = 0 for some k <= {span}", nil,
-                   None if nil else f"{letter}^{span} e_{lam} != 0")
+            results.append(record(
+                f"{letter}^k e_{lam} = 0 for some k <= {span}", nil,
+                None if nil else f"{letter}^{span} e_{lam} != 0"))
 
     # (d) rho is an isomorphism across the window
     for lam in range(lo, hi + 1):
         cert = certify_iso(rho(rep, lam))
-        record(f"rho_{lam} iso", cert.ok, cert.witness)
+        results.append(record(f"rho_{lam} iso", cert.ok, cert.witness))
     return results
 
 

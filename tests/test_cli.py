@@ -26,6 +26,12 @@ class TestExitCodes:
     def test_inverted_window_is_config_error(self, capsys):
         assert main(["check-rep", "--weights", "4..-4"]) == 2
 
+    def test_negative_window_after_space(self, capsys):
+        code, spaced = run_cli(["check-rep", "--weights", "-4..4"], capsys)
+        assert code == 0
+        _, joined = run_cli(["check-rep", "--weights=-4..4"], capsys)
+        assert spaced == joined
+
     def test_missing_rep_file(self, capsys, tmp_path):
         assert main(["check-rep", "--rep", str(tmp_path / "nope.json")]) == 2
 

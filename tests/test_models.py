@@ -7,7 +7,7 @@ import pytest
 from sl2prod.polyring import Poly
 from sl2prod.product import (Elt, G1Elt, G2Elt, G3Elt, L2Elt, UElt,
                              NotInModelError, act_G1_on_G2, basis_elt,
-                             compose_G1, decompose_first, decompose_left,
+                             compose_G1, decompose_first,
                              elem_tensor, from_submodule_form, one_G1, tau22,
                              to_submodule_form, zero_elt)
 from sl2prod.product.models import gamma22_EE_G1EE
@@ -32,7 +32,7 @@ def rand_model(P, rng, corner, w):
              "21": ("F", "F", "FFE"), "22": ("FE",) * 4 + ("FFEE",)}[corner]
     parts = [rand_elt(P, rng, word, w) for word in words]
     cls = {"11": G1Elt, "12": G2Elt, "21": L2Elt, "22": UElt}[corner]
-    return cls(P.calc, w, *parts)
+    return cls(P.Vy, w, *parts)
 
 
 class TestFormRoundTrip:
@@ -40,7 +40,7 @@ class TestFormRoundTrip:
     def test_basis_round_trip(self, P, corner):
         for w in P.weights():
             for m in P.sum_basis(corner, w):
-                back = from_submodule_form(P.calc, to_submodule_form(m))
+                back = from_submodule_form(P.Vy, to_submodule_form(m))
                 assert P.model_to_vec(back) == P.model_to_vec(m), (corner, w)
 
     def test_random_round_trip(self, P):
@@ -51,7 +51,7 @@ class TestFormRoundTrip:
             ws = P.weights()
             w = ws[rng.randrange(len(ws))]
             m = rand_model(P, rng, corner, w)
-            back = from_submodule_form(P.calc, to_submodule_form(m))
+            back = from_submodule_form(P.Vy, to_submodule_form(m))
             assert P.model_to_vec(back) == P.model_to_vec(m)
 
     def test_pair_end_round_trip(self, P):
@@ -66,7 +66,7 @@ class TestFormRoundTrip:
                 c1 = rand_model(P, rng, "11", w)
                 ee = rand_elt(P, rng, "EE", w)
                 h = gamma22_EE_G1EE(c1, ee)
-                back = from_submodule_form(P.calc, to_submodule_form(h))
+                back = from_submodule_form(P.Vy, to_submodule_form(h))
                 assert isinstance(back, G3Elt)
                 assert (back.ee1 - h.ee1).is_zero()
                 assert (back.ee2 - h.ee2).is_zero()
@@ -74,7 +74,14 @@ class TestFormRoundTrip:
 
     def test_unknown_kind_rejected(self, P):
         with pytest.raises(NotInModelError):
-            from_submodule_form(P.calc, ("Z9",))
+            from_submodule_form(P.Vy, ("Z9",))
+
+    def test_non_member_rejected(self, P):
+        # phi = y1.phi1 with theta = 0 needs (u - y) to divide phi's entry
+        r = P.Vy
+        data = ("G1", zero_elt(r, "", -1), basis_elt(r, "FE", -1, 0))
+        with pytest.raises(NotInModelError):
+            from_submodule_form(r, data)
 
 
 class TestDecomposition:
@@ -92,6 +99,7 @@ class TestDecomposition:
                 assert (total - e).is_zero(), (word, w)
 
     def test_decompose_left_reconstructs(self, P):
+        # the pair word EE split at its left letter
         rng = random.Random(32)
         r = P.Vy
         for w in P.weights():
@@ -99,7 +107,8 @@ class TestDecomposition:
                 continue
             ee = rand_elt(P, rng, "EE", w)
             total = zero_elt(r, "EE", w)
-            for left, rest in decompose_left(ee):
+            for left, rest in decompose_first(ee):
+                assert left.word == "E" and rest.word == "E"
                 total = total + elem_tensor(left, rest)
             assert (total - ee).is_zero()
 
@@ -120,7 +129,7 @@ class TestComposition:
     def test_one_is_identity_for_G1(self, P):
         rng = random.Random(41)
         for w in P.weights():
-            one = one_G1(P.calc, w)
+            one = one_G1(P.Vy, w)
             m = rand_model(P, rng, "11", w)
             assert P.model_to_vec(compose_G1(one, m)) == P.model_to_vec(m)
             assert P.model_to_vec(compose_G1(m, one)) == P.model_to_vec(m)
@@ -129,7 +138,7 @@ class TestComposition:
         rng = random.Random(42)
         for w in P.weights():
             g = rand_model(P, rng, "12", w)
-            one = one_G1(P.calc, w)
+            one = one_G1(P.Vy, w)
             acted = act_G1_on_G2(g, one)
             assert P.model_to_vec(acted) == P.model_to_vec(g)
 

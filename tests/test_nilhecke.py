@@ -1,10 +1,12 @@
 """Normal forms in the extended nil affine Hecke algebra."""
 
+import itertools
 import random
 
 import pytest
 
-from sl2prod.nilhecke import (IndexOutOfRangeError, NilHeckeElt, act_on_poly,
+from sl2prod.nilhecke import (IndexOutOfRangeError, NilHeckeElt, _perm_tables,
+                              _word_to_perm, act_on_poly,
                               divided_power_idempotents, normalize,
                               random_word)
 from sl2prod.polyring import Poly, QQ
@@ -53,6 +55,23 @@ class TestNormalize:
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRangeError):
             normalize(2, [("tau", 2)])
+
+
+class TestPermTables:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_words_match_brute_force(self, n):
+        # the first word of each length, in lexicographic order, that reaches
+        # a permutation is its shortlex-minimal reduced word
+        expected = {}
+        for length in range(n * (n - 1) // 2 + 1):
+            for word in itertools.product(range(1, n), repeat=length):
+                expected.setdefault(_word_to_perm(n, word), word)
+        words, right = _perm_tables(n)
+        assert words == expected
+        for (p, i), (q, change) in right.items():
+            assert q == _word_to_perm(n, words[p] + (i,))
+            assert change == (1 if len(words[q]) > len(words[p]) else -1)
+        assert len(right) == len(words) * (n - 1)
 
 
 class TestIdempotents:

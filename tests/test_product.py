@@ -67,11 +67,11 @@ class TestClosedForms:
 class TestExamples:
     def test_tau21_crossing_example(self, P):
         # (e, y_1 e, 0) crosses to (0, e, 0)
-        r, calc = P.Vy, P.calc
+        r = P.Vy
         w = -1
         e = basis_elt(r, "E", w, 0)
-        y1e = apply_map(calc.y_at("E", 1), e, "E")
-        g = G2Elt(calc, w, e, y1e, zero_elt(r, "FEE", w))
+        y1e = apply_map(r.y_at("E", 1), e, "E")
+        g = G2Elt(r, w, e, y1e, zero_elt(r, "FEE", w))
         t = tau21(P, g)
         assert t.a.is_zero()
         assert (t.b - e).is_zero()
@@ -79,10 +79,10 @@ class TestExamples:
 
     def test_gamma21_unit_example(self, P):
         # 1 (x) e maps to (e, y_1 e, 0)
-        r, calc = P.Vy, P.calc
+        r = P.Vy
         e = basis_elt(r, "E", -1, 0)
-        g = gamma21_EE_G1E(one_G1(calc, 1), e)
-        y1e = apply_map(calc.y_at("E", 1), e, "E")
+        g = gamma21_EE_G1E(one_G1(r, 1), e)
+        y1e = apply_map(r.y_at("E", 1), e, "E")
         assert (g.a - e).is_zero()
         assert (g.b - y1e).is_zero()
         assert g.c.is_zero()
