@@ -16,7 +16,8 @@ from typing import Iterable, Optional
 
 from .polyring import Poly, QQ, sort_vars
 from .matrixops import (
-    Matrix, ShapeMismatchError, block_matrix, bareiss_determinant, adjugate,
+    Matrix, ShapeMismatchError, block_diagonal, place_blocks,
+    kron_identity_left, bareiss_determinant, adjugate,
 )
 
 
@@ -118,18 +119,24 @@ class Bimodule:
 
     def left_poly(self, lam: int, p: Poly) -> Matrix:
         """The left action of an arbitrary element of the base ring at
-        lam + shift, as a matrix over the base ring at lam."""
+        lam + shift, as a matrix over the base ring at lam.
+
+        The central variable y acts by scalars, so each monomial in the other
+        generators is applied once, scaled by its coefficient in y."""
         field = self.algebra.field
         r = self.rank(lam)
-        out = Matrix.zero(field, r, r)
+        iy = p.names.index("y") if "y" in p.names else len(p.names)
+        names = p.names[:iy] + p.names[iy + 1:]
+        groups = {}  # exponents of the other generators -> terms in y
         for exps, c in p.terms.items():
-            term = Matrix.identity(field, r).scale(Poly.const(field, c))
-            for vname, e in zip(p.names, exps):
-                if e == 0:
-                    continue
-                mat = self.left_matrix(lam, vname)
+            key = exps[:iy] + exps[iy + 1:]
+            groups.setdefault(key, {})[exps[iy:iy + 1] or (0,)] = c
+        out = Matrix.zero(field, r, r)
+        for exps, y_terms in groups.items():
+            term = Matrix.identity(field, r).scale(Poly(field, ("y",), y_terms))
+            for vname, e in zip(names, exps):
                 for _ in range(e):
-                    term = mat @ term
+                    term = self.left_matrix(lam, vname) @ term
             out = out + term
         return out
 
@@ -158,30 +165,16 @@ def tensor_over_A(M: Bimodule, N: Bimodule, name: str = "") -> Bimodule:
     if M.algebra != N.algebra:
         raise AlgebraMismatchError("tensor factors over different algebras")
     A = M.algebra
-    field = A.field
     shift = M.shift + N.shift
     comps = {}
     for lam in A.weights():
-        if lam + shift not in A:
-            continue
         mid = lam + N.shift
-        if mid not in A:
-            comps[lam] = None  # rank zero placeholder
-            continue
-        r = M.rank(mid)
-        s = N.rank(lam)
+        if lam + shift not in A or mid not in A:
+            continue  # no component, or a rank-zero one
         basis = tuple((bm, bn) for bm in M.basis(mid) for bn in N.basis(lam))
-        left = {}
-        for v in A.support[lam + shift]:
-            S = M.left_matrix(mid, v)  # r x r over ring(mid)
-            blocks = [[N.left_poly(lam, S.entries[k][i]) for i in range(r)]
-                      for k in range(r)]
-            if r == 0:
-                left[v] = Matrix.zero(field, 0, 0)
-            else:
-                left[v] = block_matrix(field, blocks)
+        left = {v: tensor_id_right(M.left_matrix(mid, v), N, lam)
+                for v in A.support[lam + shift]}
         comps[lam] = Component(basis, left)
-    comps = {lam: c for lam, c in comps.items() if c is not None}
     out_name = name or (f"{M.name}{N.name}" if M.name and N.name else "")
     return Bimodule(A, shift, comps, name=out_name)
 
@@ -205,13 +198,9 @@ class SumBimodule(Bimodule):
                 continue
             basis = tuple((k, b) for k, s in enumerate(summands)
                           for b in s.basis(lam))
-            left = {}
-            for v in A.support[lam + shift]:
-                blocks = [[s.left_matrix(lam, v) if k == j else
-                           Matrix.zero(A.field, s.rank(lam), summands[j].rank(lam))
-                           for j in range(len(summands))]
-                          for k, s in enumerate(summands)]
-                left[v] = block_matrix(A.field, blocks)
+            left = {v: block_diagonal(A.field, [s.left_matrix(lam, v)
+                                                for s in summands])
+                    for v in A.support[lam + shift]}
             comps[lam] = Component(basis, left)
         super().__init__(A, shift, comps, name=name or "(+)".join(s.name for s in summands))
         self.summands = list(summands)
@@ -248,8 +237,11 @@ class BimoduleMap:
             self.mats[lam] = m
 
     def matrix(self, lam: int) -> Matrix:
-        field = self.dom.algebra.field
-        return self.mats.get(lam, Matrix.zero(field, self.cod.rank(lam), self.dom.rank(lam)))
+        m = self.mats.get(lam)
+        if m is None:
+            m = Matrix.zero(self.dom.algebra.field, self.cod.rank(lam),
+                            self.dom.rank(lam))
+        return m
 
     def __add__(self, other: "BimoduleMap") -> "BimoduleMap":
         return BimoduleMap(self.dom, self.cod,
@@ -320,43 +312,19 @@ def compose_all(*maps: BimoduleMap) -> BimoduleMap:
     return out
 
 
-def tensor_id_left(M: Bimodule, f: BimoduleMap) -> BimoduleMap:
-    """The map M (x) f."""
-    dom = tensor_over_A(M, f.dom)
-    cod = tensor_over_A(M, f.cod)
-    mats = {}
-    for lam in dom.weights():
-        mid = lam + f.dom.shift
-        r = M.rank(mid) if mid in M.algebra else 0
-        T = f.matrix(lam)
-        blocks = [[T if i == k else Matrix.zero(M.algebra.field, T.nrows, T.ncols)
-                   for i in range(r)] for k in range(r)]
-        if r == 0:
-            mats[lam] = Matrix.zero(M.algebra.field, 0, 0)
-        else:
-            mats[lam] = block_matrix(M.algebra.field, blocks)
-    return BimoduleMap(dom, cod, mats, name=f"{M.name}({f.name})")
+def tensor_id_left(M: Bimodule, T: Matrix, mid: int) -> Matrix:
+    """The matrix of M (x) f at a weight where f has matrix T and M has
+    source weight mid."""
+    return kron_identity_left(M.rank(mid), T)
 
 
-def tensor_id_right(f: BimoduleMap, N: Bimodule) -> BimoduleMap:
-    """The map f (x) N."""
-    dom = tensor_over_A(f.dom, N)
-    cod = tensor_over_A(f.cod, N)
-    field = N.algebra.field
-    mats = {}
-    for lam in dom.weights():
-        mid = lam + N.shift
-        if mid not in N.algebra:
-            mats[lam] = Matrix.zero(field, cod.rank(lam), dom.rank(lam))
-            continue
-        S = f.matrix(mid)  # over ring(mid)
-        blocks = [[N.left_poly(lam, S.entries[k][i]) for i in range(S.ncols)]
-                  for k in range(S.nrows)]
-        if S.nrows == 0 or S.ncols == 0:
-            mats[lam] = Matrix.zero(field, cod.rank(lam), dom.rank(lam))
-        else:
-            mats[lam] = block_matrix(field, blocks)
-    return BimoduleMap(dom, cod, mats, name=f"({f.name}){N.name}")
+def tensor_id_right(S: Matrix, N: Bimodule, lam: int) -> Matrix:
+    """The matrix of f (x) N at source weight lam, where S is the matrix of f
+    at lam + N.shift; each nonzero entry of S acts on N from the left."""
+    n = N.rank(lam)
+    return place_blocks(N.algebra.field, [n] * S.nrows, [n] * S.ncols, {
+        (k, i): N.left_poly(lam, e) for k, row in enumerate(S.entries)
+        for i, e in enumerate(row) if not e.is_zero()})
 
 
 def direct_sum_maps(dom: SumBimodule, cod: SumBimodule, entries: dict) -> BimoduleMap:
@@ -365,17 +333,10 @@ def direct_sum_maps(dom: SumBimodule, cod: SumBimodule, entries: dict) -> Bimodu
     field = dom.algebra.field
     mats = {}
     for lam in dom.weights():
-        blocks = []
-        for i, csum in enumerate(cod.summands):
-            row = []
-            for j, dsum in enumerate(dom.summands):
-                f = entries.get((i, j))
-                if f is None:
-                    row.append(Matrix.zero(field, csum.rank(lam), dsum.rank(lam)))
-                else:
-                    row.append(f.matrix(lam))
-            blocks.append(row)
-        mats[lam] = block_matrix(field, blocks)
+        mats[lam] = place_blocks(
+            field, [s.rank(lam) for s in cod.summands],
+            [s.rank(lam) for s in dom.summands],
+            {ij: f.matrix(lam) for ij, f in entries.items() if f is not None})
     return BimoduleMap(dom, cod, mats)
 
 

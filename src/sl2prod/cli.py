@@ -202,8 +202,15 @@ def suite_check_rho(P, window=(-4, 4)):
 # report plumbing
 # ---------------------------------------------------------------------------
 
+def _make_field(spec):
+    try:
+        return make_field(spec)
+    except ValueError as e:
+        raise ConfigError(f"bad field {spec!r}: expected QQ or a prime") from e
+
+
 def _load_rep(args):
-    field = make_field(args.field)
+    field = _make_field(args.field)
     if args.rep in (None, "L1", "builtin"):
         return make_L1(field)
     try:
@@ -231,7 +238,7 @@ def run(args):
     window = _parse_window(args.weights)
     if args.i_max < 0:
         raise ConfigError("i-max must be non-negative")
-    field = make_field(args.field)
+    field = _make_field(args.field)
     suites = []
     if args.command in ("identities", "verify-all"):
         suites.append(("identities", lambda: suite_identities(field)))

@@ -126,13 +126,39 @@ def block_matrix(field, blocks) -> "Matrix":
     return out
 
 
+def offsets(sizes) -> list:
+    """The running sums 0, s0, s0 + s1, ... of a list of block sizes."""
+    offs = [0]
+    for s in sizes:
+        offs.append(offs[-1] + s)
+    return offs
+
+
+def place_blocks(field, row_sizes, col_sizes, blocks: dict) -> "Matrix":
+    """The matrix tiled by ``row_sizes`` x ``col_sizes`` that holds
+    ``blocks[(i, j)]`` at tile (i, j) and zero on every other tile."""
+    roffs, coffs = offsets(row_sizes), offsets(col_sizes)
+    out = Matrix(field, roffs[-1], coffs[-1])
+    for (i, j), b in blocks.items():
+        if (b.nrows, b.ncols) != (row_sizes[i], col_sizes[j]):
+            raise ShapeMismatchError(
+                f"block ({i}, {j}) is {b.nrows}x{b.ncols}, expected "
+                f"{row_sizes[i]}x{col_sizes[j]}")
+        for r, row in enumerate(b.entries, roffs[i]):
+            out.entries[r][coffs[j]:coffs[j + 1]] = row
+    return out
+
+
+def block_diagonal(field, blocks) -> "Matrix":
+    """The block-diagonal matrix of a list of blocks."""
+    return place_blocks(field, [b.nrows for b in blocks],
+                        [b.ncols for b in blocks],
+                        {(k, k): b for k, b in enumerate(blocks)})
+
+
 def kron_identity_left(n: int, m: Matrix) -> Matrix:
     """The block-diagonal matrix I_n (x) m."""
-    blocks = [[m if i == j else Matrix.zero(m.field, m.nrows, m.ncols)
-               for j in range(n)] for i in range(n)]
-    if n == 0:
-        return Matrix.zero(m.field, 0, 0)
-    return block_matrix(m.field, blocks)
+    return block_diagonal(m.field, [m] * n)
 
 
 def bareiss_determinant(m: Matrix) -> Poly:

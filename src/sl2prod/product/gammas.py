@@ -12,15 +12,20 @@ from __future__ import annotations
 from ..bimodcat import BimoduleMap, SumBimodule, compose, direct_sum_maps
 from ..matrixops import Matrix
 from ..polyring import Poly
-from ..tworep import sigma
+from ..tworep import _memoized, sigma
 from .elements import Elt, elem_tensor
 from .models import G2Elt, L2Elt
 from .core import ProductRep
 
 
 def omega3_map(P: ProductRep) -> BimoduleMap:
-    """The lower-right mixed component as an explicit block matrix map."""
-    r = P.Vy
+    """The lower-right mixed component as an explicit block matrix map, built
+    once per representation."""
+    return _omega3_map(P.Vy)
+
+
+@_memoized
+def _omega3_map(r) -> BimoduleMap:
     sig = sigma(r)
     eps = r.eps
     y1 = r.y_at("EF", 1)

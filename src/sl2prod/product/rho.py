@@ -17,7 +17,8 @@ provided:
 
 from ..bimodcat import (Bimodule, BimoduleMap, WeightedAlgebra,
                         certify_iso)
-from ..matrixops import Matrix, block_matrix, bareiss_determinant
+from ..matrixops import (Matrix, bareiss_determinant, block_diagonal,
+                         block_matrix, offsets, place_blocks)
 from ..polyring import Poly
 from ..tworep import rho
 from .core import (CORNERS, T_WORDS, ProductRep, tilde_sigma_closed,
@@ -159,15 +160,8 @@ def tilde_rho(P: ProductRep, lam: int) -> RhoMap:
 # Triangular certificates
 # --------------------------------------------------------------------------
 
-def _offsets(sizes):
-    offs = [0]
-    for s in sizes:
-        offs.append(offs[-1] + s)
-    return offs
-
-
 def _indices(sizes, blocks):
-    offs = _offsets(sizes)
+    offs = offsets(sizes)
     idx = []
     for b in blocks:
         idx.extend(range(offs[b], offs[b + 1]))
@@ -181,21 +175,14 @@ def _pick(field, m, rows, cols):
                   [[m.entries[r][c] for c in cols] for r in rows])
 
 
-def _blkdiag(field, blocks):
-    grid = []
-    for i, b in enumerate(blocks):
-        grid.append([b if i == j else Matrix.zero(field, b.nrows, blocks[j].ncols)
-                     for j in range(len(blocks))])
-    return block_matrix(field, grid) if blocks else Matrix.zero(field, 0, 0)
-
-
 def _scalar_blocks(field, entries, n):
     """Matrix of scalar blocks: each polynomial entry times the identity of
     rank ``n``."""
-    if not entries:
-        return Matrix.zero(field, 0, 0)
     ident = Matrix.identity(field, n)
-    return block_matrix(field, [[ident.scale(e) for e in row] for row in entries])
+    sizes = [n] * len(entries)
+    return place_blocks(field, sizes, sizes, {
+        (i, j): ident.scale(e) for i, row in enumerate(entries)
+        for j, e in enumerate(row) if not e.is_zero()})
 
 
 def _poly_grid(field, k, fill):
@@ -242,7 +229,7 @@ def _m_y_alt(field, k):
 
 def _rowop(field, m, row_sizes, i, j, opmat):
     """Replace row block ``i`` by (row_i - opmat @ row_j); a unit operation."""
-    offs = _offsets(row_sizes)
+    offs = offsets(row_sizes)
     u = Matrix.identity(field, m.nrows)
     for a in range(opmat.nrows):
         for b in range(opmat.ncols):
@@ -303,7 +290,7 @@ def _cert_11(P, lam):
         row_sizes = [ra, rfe] + [ra] * lam
         perm_rows = _indices(row_sizes, [1, 0] + list(range(2, lam + 2)))
         pm = _pick(field, m, perm_rows, list(range(m.ncols)))
-        factor = _blkdiag(field, [
+        factor = block_diagonal(field, [
             Matrix.identity(field, rfe),
             _scalar_blocks(field, _m_neg(field, lam + 1), ra)])
         if pm != factor @ bmat:
@@ -313,7 +300,7 @@ def _cert_11(P, lam):
         return {"status": "pass", "diag": dets,
                 "witness": "unit bidiagonal factor"}
     col_sizes = [ref] + [ra] * (-lam)
-    offs = _offsets(col_sizes)
+    offs = offsets(col_sizes)
     a_rows = list(range(ra))
     fe_rows = list(range(ra, ra + rfe))
     col0 = list(range(offs[1], offs[2]))
@@ -323,7 +310,7 @@ def _cert_11(P, lam):
             f"corner 11, weight {lam}: below-diagonal block is nonzero")
     d0 = _unit_det(_pick(field, m, a_rows, col0), "11", lam, 0)
     big = _pick(field, m, fe_rows, rest)
-    factor = _blkdiag(field, [
+    factor = block_diagonal(field, [
         Matrix.identity(field, ref),
         _scalar_blocks(field, _m_h(field, -lam - 1), ra)])
     if big != bmat @ factor:
@@ -418,10 +405,10 @@ def _cert_22(P, lam):
             bmat, dets = _base_iso(r, mu, "22", lam)
             d1 = _pick(field, m, _indices(row_sizes, [2] + a_rows[1:]),
                        _indices(col_sizes, [4]))
-            factor = (_blkdiag(field, [
+            factor = (block_diagonal(field, [
                           Matrix.identity(field, rfe),
                           _scalar_blocks(field, _m_h_low(field, n - 1), ra)])
-                      @ _blkdiag(field, [
+                      @ block_diagonal(field, [
                           Matrix.identity(field, rfe),
                           -Matrix.identity(field, (n - 1) * ra)]))
             if d1 != factor @ bmat:
@@ -446,7 +433,7 @@ def _cert_22(P, lam):
         bmat, dets = _base_iso(r, mu, "22", lam)
         d0 = _pick(field, m, _indices(row_sizes, [2]),
                    _indices(col_sizes, [4, 0] + a_cols))
-        factor = _blkdiag(field, [
+        factor = block_diagonal(field, [
             Matrix.identity(field, ref),
             _scalar_blocks(field, _m_y_alt(field, n + 1), ra)])
         if d0 != bmat @ factor:

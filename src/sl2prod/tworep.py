@@ -58,8 +58,11 @@ def restrict_bimodule(M: Bimodule, weights) -> Bimodule:
 def _memoized(method):
     """Cache a word-calculus method per (method, arguments) on its TwoRep.
 
-    Cached modules and maps are shared between callers, which only read
-    them."""
+    The memoized entries are ``_left_dual``, ``eta``, ``eps``, ``word``,
+    ``x_at``, ``y_at``, ``tau_at``, ``eps_at``, ``eta_at``, ``tau_mate``,
+    ``xF_pow`` and ``_h_xy`` here, and ``_omega3_map`` in
+    ``sl2prod.product.gammas``.  Cached modules and maps are shared between
+    callers, which only read them."""
     @functools.wraps(method)
     def cached(self, *args):
         key = (method.__name__, *args)
@@ -120,13 +123,19 @@ class TwoRep:
 
     def lift(self, f: BimoduleMap, dom_mid: str, cod_mid: str, lw: str, rw: str,
              ) -> BimoduleMap:
-        """The induced map on word modules lw + dom_mid + rw -> lw + cod_mid + rw."""
-        g = self.rebase(f, dom_mid, cod_mid)
-        if rw:
-            g = tensor_id_right(g, self.word(rw))
-        if lw:
-            g = tensor_id_left(self.word(lw), g)
-        return self.rebase(g, lw + dom_mid + rw, lw + cod_mid + rw)
+        """The induced map on word modules lw + dom_mid + rw -> lw + cod_mid + rw,
+        computed weight by weight on the cached word modules."""
+        L, R = self.word(lw), self.word(rw)
+        dom = self.word(lw + dom_mid + rw)
+        mats = {}
+        for lam in dom.weights():
+            m = f.matrix(lam + R.shift)
+            if rw:
+                m = tensor_id_right(m, R, lam)
+            if lw:
+                m = tensor_id_left(L, m, lam + R.shift + f.dom.shift)
+            mats[lam] = m
+        return BimoduleMap(dom, self.word(lw + cod_mid + rw), mats, name=f.name)
 
     @_memoized
     def x_at(self, word: str, i: int) -> BimoduleMap:
@@ -205,23 +214,33 @@ class TwoRep:
         included when extra_y is True.  Realized by expanding h_i symbolically
         in placeholder variables and substituting the commuting operators.
         """
+        return self._h_xy(word, i, tuple(xs), extra_y)
+
+    @_memoized
+    def _h_xy(self, word: str, i: int, xs: tuple, extra_y: bool) -> BimoduleMap:
         W = self.word(word)
         if i < 0:
             return zero_map(W, W)
+        field = self.A.field
         names = [f"x{k + 1}" for k in range(len(xs))] + (["y"] if extra_y else [])
-        h = h_complete(i, names, self.A.field)
-        ops = {f"x{k + 1}": self.x_at(word, xi) for k, xi in enumerate(xs)}
-        out = zero_map(W, W)
+        h = h_complete(i, names, field)
         iden = identity_map(W)
+        powers = {}  # placeholder name -> [x^0, x^1, ..., x^i] at its factor
+        for k, xi in enumerate(xs):
+            pw = [iden]
+            for _ in range(i):
+                pw.append(compose(self.x_at(word, xi), pw[-1]))
+            powers[f"x{k + 1}"] = pw
+        y = Poly.var(field, "y")
+        out = zero_map(W, W)
         for exps, c in h.terms.items():
-            term = iden.scale(Poly.const(self.A.field, c))
+            term, scalar = iden, Poly.const(field, c)
             for name, e in zip(h.names, exps):
-                for _ in range(e):
-                    if name == "y":
-                        term = term.scale(Poly.var(self.A.field, "y"))
-                    else:
-                        term = compose(ops[name], term)
-            out = out + term
+                if name == "y":
+                    scalar = scalar * y ** e
+                elif e:
+                    term = compose(powers[name][e], term)
+            out = out + term.scale(scalar)
         return out
 
     # -- base change

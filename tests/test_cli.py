@@ -32,6 +32,16 @@ class TestExitCodes:
         _, joined = run_cli(["check-rep", "--weights=-4..4"], capsys)
         assert spaced == joined
 
+    def test_non_prime_field_is_config_error(self, capsys):
+        assert main(["identities", "--field", "4"]) == 2
+        assert capsys.readouterr().err == (
+            "error: bad field '4': expected QQ or a prime\n")
+
+    def test_non_numeric_field_is_config_error(self, capsys):
+        assert main(["identities", "--field", "abc"]) == 2
+        assert capsys.readouterr().err == (
+            "error: bad field 'abc': expected QQ or a prime\n")
+
     def test_missing_rep_file(self, capsys, tmp_path):
         assert main(["check-rep", "--rep", str(tmp_path / "nope.json")]) == 2
 
