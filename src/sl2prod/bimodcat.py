@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dfield
 from typing import Iterable, Optional
 
-from .polyring import Poly, QQ, sort_vars
+from .polyring import Poly, QQ, sort_vars, var_name
 from .matrixops import (
     Matrix, ShapeMismatchError, block_diagonal, place_blocks,
     kron_identity_left, bareiss_determinant, adjugate,
@@ -125,18 +125,17 @@ class Bimodule:
         generators is applied once, scaled by its coefficient in y."""
         field = self.algebra.field
         r = self.rank(lam)
-        iy = p.names.index("y") if "y" in p.names else len(p.names)
-        names = p.names[:iy] + p.names[iy + 1:]
-        groups = {}  # exponents of the other generators -> terms in y
+        groups = {}  # exponents with y set to 0 -> terms in y
         for exps, c in p.terms.items():
-            key = exps[:iy] + exps[iy + 1:]
-            groups.setdefault(key, {})[exps[iy:iy + 1] or (0,)] = c
+            ey = exps[1] if len(exps) > 1 else 0
+            key = (exps[0] if exps else 0, 0) + exps[2:]
+            groups.setdefault(key, {})[(0, ey) if ey else ()] = c
         out = Matrix.zero(field, r, r)
         for exps, y_terms in groups.items():
-            term = Matrix.identity(field, r).scale(Poly(field, ("y",), y_terms))
-            for vname, e in zip(names, exps):
+            term = Matrix.identity(field, r).scale(Poly(field, y_terms))
+            for k, e in enumerate(exps):
                 for _ in range(e):
-                    term = self.left_matrix(lam, vname) @ term
+                    term = self.left_matrix(lam, var_name(k)) @ term
             out = out + term
         return out
 

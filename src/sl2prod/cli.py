@@ -216,10 +216,13 @@ def _load_rep(args):
     try:
         with open(args.rep, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        return rep_from_json(data, field)
+        rep = rep_from_json(data, field)
+        rep.F  # memoized; a left action it cannot dualize is bad input
+        return rep
     except OSError as e:
         raise RepLoadError(f"cannot read {args.rep}: {e}") from e
-    except (KeyError, ValueError, TypeError, AttributeError) as e:
+    except (KeyError, ValueError, TypeError, AttributeError,
+            ArithmeticError) as e:
         raise RepLoadError(f"malformed representation data: {e}") from e
 
 

@@ -254,7 +254,7 @@ def act_on_poly(e: NilHeckeElt, f: Poly) -> Poly:
     """The polynomial representation: tau_i acts as the divided difference,
     x_i and y act by multiplication; the tau word acts first, rightmost
     letter innermost, then the left coefficient multiplies."""
-    out = Poly.zero(f.field, f.names)
+    out = Poly.zero(f.field)
     for w, p in e.terms.items():
         g = f
         for i in reversed(w):

@@ -4,14 +4,18 @@ Polynomials are the universal scalars of the library.  Coefficients live in
 an exact field (rationals by default, or a prime field), variables are drawn
 from the fixed alphabet ``{u, y, x1, x2, ...}`` with the global order
 ``u < y < x1 < x2 < ...``, and terms are stored as a sparse map from exponent
-tuples to nonzero coefficients.  All values are immutable; all operations are
-pure.
+tuples to nonzero coefficients.  Position k of an exponent tuple holds the
+exponent of the k-th variable of the global order (``var_index`` and
+``var_name`` translate), and no tuple ends in a zero.  So every polynomial has
+one layout and no operation realigns its operands.  All values are immutable;
+all operations are pure.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from operator import add, sub
 from typing import Iterable, Mapping
 
 
@@ -130,60 +134,74 @@ def make_field(spec: str):
 # variable order
 
 
-def var_key(name: str):
-    """Sort key realizing the global variable order u < y < x1 < x2 < ..."""
+def var_index(name: str) -> int:
+    """The position of a variable in the global order u < y < x1 < x2 < ...:
+    u -> 0, y -> 1, x_i -> i + 1."""
     if name == "u":
-        return (0, 0)
+        return 0
     if name == "y":
-        return (1, 0)
-    if name.startswith("x"):
-        return (2, int(name[1:]))
+        return 1
+    i = name[1:]
+    if name[:1] == "x" and i.isascii() and i.isdigit() and i[0] != "0":
+        return int(i) + 1
     raise ValueError(f"unknown variable {name!r}")
 
 
+def var_name(index: int) -> str:
+    """The variable at a position of the global order; inverse of
+    :func:`var_index`."""
+    return ("u", "y")[index] if index < 2 else f"x{index - 1}"
+
+
 def sort_vars(names: Iterable[str]) -> tuple[str, ...]:
-    return tuple(sorted(set(names), key=var_key))
+    return tuple(sorted(set(names), key=var_index))
 
 
-def _monomial_key(names: tuple[str, ...], exps: tuple[int, ...]):
-    """Graded lexicographic key; larger variables dominate within a degree."""
-    # names are sorted ascending, so reverse for lexicographic comparison
-    return (sum(exps), tuple(reversed(exps)))
+def _trim(exps) -> tuple:
+    """An exponent sequence as a tuple without trailing zeros."""
+    n = len(exps)
+    while n and not exps[n - 1]:
+        n -= 1
+    return tuple(exps[:n])
+
+
+def _monomial_key(exps: tuple):
+    """Graded lexicographic key; larger variables dominate within a degree
+    (a longer trimmed tuple involves a larger variable)."""
+    return (sum(exps), len(exps), exps[::-1])
 
 
 class Poly:
-    """An exact sparse multivariate polynomial over a coefficient field."""
+    """An exact sparse multivariate polynomial over a coefficient field.
 
-    __slots__ = ("field", "names", "terms", "_hash")
+    ``terms`` maps exponent tuples on the global variable order (position k
+    is ``var_name(k)``, no tuple ends in a zero) to nonzero coefficients."""
 
-    def __init__(self, field, names: Iterable[str], terms: Mapping[tuple, object]):
+    __slots__ = ("field", "terms", "_hash")
+
+    def __init__(self, field, terms: Mapping[tuple, object]):
         self.field = field
-        self.names = sort_vars(names)
-        # callers pass exponent tuples aligned with sorted names
+        # callers pass exponent tuples without trailing zeros
         self.terms = {e: c for e, c in terms.items() if c != field.zero}
         self._hash = None
 
     # -- constructors
 
     @classmethod
-    def zero(cls, field, names: Iterable[str] = ()) -> "Poly":
-        return cls(field, names, {})
+    def zero(cls, field) -> "Poly":
+        return cls(field, {})
 
     @classmethod
-    def const(cls, field, value, names: Iterable[str] = ()) -> "Poly":
-        c = field.coerce(value)
-        names = sort_vars(names)
-        if c == field.zero:
-            return cls(field, names, {})
-        return cls(field, names, {(0,) * len(names): c})
+    def const(cls, field, value) -> "Poly":
+        return cls(field, {(): field.coerce(value)})
 
     @classmethod
     def var(cls, field, name: str) -> "Poly":
-        return cls(field, (name,), {(1,): field.one})
+        return cls(field, {(0,) * var_index(name) + (1,): field.one})
 
     @classmethod
-    def one(cls, field, names: Iterable[str] = ()) -> "Poly":
-        return cls.const(field, 1, names)
+    def one(cls, field) -> "Poly":
+        return cls.const(field, 1)
 
     # -- structure
 
@@ -191,86 +209,70 @@ class Poly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exps) for exps in self.terms)
+        return all(not exps for exps in self.terms)
 
     def constant_value(self):
         """The coefficient of the constant term."""
-        zero_exp = (0,) * len(self.names)
-        return self.terms.get(zero_exp, self.field.zero)
+        return self.terms.get((), self.field.zero)
 
     def with_vars(self, names: Iterable[str]) -> "Poly":
-        """The same polynomial over the union variable set."""
-        new_names = sort_vars(tuple(self.names) + tuple(names))
-        if new_names == self.names:
-            return self
-        pos = [new_names.index(v) for v in self.names]
-        n = len(new_names)
-        terms = {}
-        for exps, c in self.terms.items():
-            new_exp = [0] * n
-            for p, e in zip(pos, exps):
-                new_exp[p] = e
-            terms[tuple(new_exp)] = c
-        return Poly(self.field, new_names, terms)
+        """The same polynomial over a larger variable set: itself, since
+        every polynomial lives on the global variable order."""
+        return self
 
-    def _aligned(self, other: "Poly"):
+    def _operand(self, other) -> "Poly":
+        """``other`` as a polynomial over this field."""
         if not isinstance(other, Poly):
-            other = Poly.const(self.field, other, self.names)
-        if self.field != other.field:
+            return Poly.const(self.field, other)
+        if other.field is not self.field and other.field != self.field:
             raise ValueError("field mismatch")
-        if self.names == other.names:
-            return self, other
-        union = sort_vars(self.names + other.names)
-        return self.with_vars(union), other.with_vars(union)
+        return other
 
     # -- arithmetic
 
     def __add__(self, other):
-        a, b = self._aligned(other)
-        terms = dict(a.terms)
-        f = a.field
-        for e, c in b.terms.items():
+        other = self._operand(other)
+        terms = dict(self.terms)
+        f = self.field
+        for e, c in other.terms.items():
             terms[e] = f.add(terms.get(e, f.zero), c)
-        return Poly(f, a.names, terms)
+        return Poly(f, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
         f = self.field
-        return Poly(f, self.names, {e: f.neg(c) for e, c in self.terms.items()})
+        return Poly(f, {e: f.neg(c) for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly.const(self.field, other, self.names)
-        return self + (-other)
+        return self + (-self._operand(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        f = self.field
         if isinstance(other, (int, Fraction)):
-            f = self.field
             c0 = f.coerce(other)
-            return Poly(f, self.names, {e: f.mul(c, c0) for e, c in self.terms.items()})
-        a, b = self._aligned(other)
-        f = a.field
+            return Poly(f, {e: f.mul(c, c0) for e, c in self.terms.items()})
+        other = self._operand(other)
         terms: dict = {}
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
-                e = tuple(i + j for i, j in zip(e1, e2))
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(map(add, e1, e2)) + (e1[len(e2):] or e2[len(e1):])
                 prod = f.mul(c1, c2)
                 if e in terms:
                     terms[e] = f.add(terms[e], prod)
                 else:
                     terms[e] = prod
-        return Poly(f, a.names, terms)
+        return Poly(f, terms)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly.one(self.field, self.names)
+        result = Poly.one(self.field)
         base = self
         while n:
             if n & 1:
@@ -281,21 +283,14 @@ class Poly:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.field, other, self.names)
+            other = Poly.const(self.field, other)
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self._aligned(other)
-        return a.terms == b.terms
+        return self.terms == self._operand(other).terms
 
     def __hash__(self):
         if self._hash is None:
-            # hash ignores inert variables so that equal polynomials collide
-            items = frozenset(
-                (tuple(v for v, e in zip(self.names, exps) if e),
-                 tuple(e for e in exps if e), c)
-                for exps, c in self.terms.items()
-            )
-            self._hash = hash((self.field, items))
+            self._hash = hash((self.field, frozenset(self.terms.items())))
         return self._hash
 
     # -- substitution and specialization
@@ -303,12 +298,13 @@ class Poly:
     def subs(self, mapping: Mapping[str, "Poly"]) -> "Poly":
         """Substitute polynomials for variables."""
         f = self.field
-        out = Poly.zero(f, ())
+        out = Poly.zero(f)
         for exps, c in self.terms.items():
             term = Poly.const(f, c)
-            for name, e in zip(self.names, exps):
+            for k, e in enumerate(exps):
                 if e == 0:
                     continue
+                name = var_name(k)
                 repl = mapping.get(name)
                 if repl is None:
                     repl = Poly.var(f, name)
@@ -318,22 +314,25 @@ class Poly:
 
     def swap_x(self, i: int) -> "Poly":
         """Apply the transposition of x_i and x_{i+1}."""
-        f = self.field
-        return self.subs({f"x{i}": Poly.var(f, f"x{i+1}"), f"x{i+1}": Poly.var(f, f"x{i}")})
+        k = var_index(f"x{i}")
+        terms = {}
+        for exps, c in self.terms.items():
+            e = list(exps) + [0] * (k + 2 - len(exps))
+            e[k], e[k + 1] = e[k + 1], e[k]
+            terms[_trim(e)] = c
+        return Poly(self.field, terms)
 
     def coeff_of(self, name: str, power: int) -> "Poly":
         """The coefficient polynomial of name**power."""
-        if name not in self.names:
-            if power == 0:
-                return self
-            return Poly.zero(self.field, self.names)
-        idx = self.names.index(name)
+        k = var_index(name)
         terms = {}
         for exps, c in self.terms.items():
-            if exps[idx] == power:
-                e = exps[:idx] + (0,) + exps[idx + 1:]
-                terms[e] = c
-        return Poly(self.field, self.names, terms)
+            if k < len(exps):
+                if exps[k] == power:
+                    terms[_trim(exps[:k] + (0,) + exps[k + 1:])] = c
+            elif power == 0:
+                terms[exps] = c
+        return Poly(self.field, terms)
 
     # -- leading term machinery (graded lex)
 
@@ -341,7 +340,7 @@ class Poly:
         """(exponent tuple, coefficient) of the leading monomial."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=lambda exps: _monomial_key(self.names, exps))
+        e = max(self.terms, key=_monomial_key)
         return e, self.terms[e]
 
     # -- rendering
@@ -350,16 +349,16 @@ class Poly:
         if not self.terms:
             return "0"
         f = self.field
-        order = sorted(self.terms, key=lambda e: _monomial_key(self.names, e), reverse=True)
+        order = sorted(self.terms, key=_monomial_key, reverse=True)
         parts = []
         for exps in order:
             c = self.terms[exps]
             factors = []
-            for name, e in zip(self.names, exps):
+            for k, e in enumerate(exps):
                 if e == 1:
-                    factors.append(name)
+                    factors.append(var_name(k))
                 elif e > 1:
-                    factors.append(f"{name}^{e}")
+                    factors.append(f"{var_name(k)}^{e}")
             cs = f.to_str(c)
             if factors:
                 mono = "*".join(factors)
@@ -388,23 +387,22 @@ def exact_divide(f: Poly, g: Poly) -> Poly:
     """The exact quotient f/g; raises NotDivisibleError if g does not divide f."""
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    if f.is_zero():
-        return Poly.zero(f.field, f.names)
-    a, b = f._aligned(g)
-    fld = a.field
-    names = a.names
-    ge, gc = b.lead()
+    g = f._operand(g)
+    fld = f.field
+    ge, gc = g.lead()
+    n = len(ge)
     quo: dict = {}
-    rem = a
+    rem = f
     while not rem.is_zero():
         re, rc = rem.lead()
-        qe = tuple(i - j for i, j in zip(re, ge))
-        if any(e < 0 for e in qe):
+        qe = tuple(map(sub, re, ge))
+        if len(re) < n or any(e < 0 for e in qe):
             raise NotDivisibleError(f"({f}) is not divisible by ({g})")
+        qe = _trim(qe + re[n:])
         qc = fld.div(rc, gc)
         quo[qe] = fld.add(quo.get(qe, fld.zero), qc)
-        rem = rem - Poly(fld, names, {qe: qc}) * b
-    return Poly(fld, names, quo)
+        rem = rem - Poly(fld, {qe: qc}) * g
+    return Poly(fld, quo)
 
 
 def h_complete(i: int, names: Iterable[str], field=QQ) -> Poly:
@@ -412,21 +410,20 @@ def h_complete(i: int, names: Iterable[str], field=QQ) -> Poly:
 
     h_i = 0 for i < 0 and h_0 = 1.
     """
-    names = sort_vars(names)
-    if not names:
+    idx = sorted({var_index(v) for v in names})
+    if not idx:
         raise ValueError("h_complete needs at least one variable")
     if i < 0:
-        return Poly.zero(field, names)
+        return Poly.zero(field)
     if i == 0:
-        return Poly.one(field, names)
-    n = len(names)
+        return Poly.one(field)
     terms: dict = {}
-    for combo in combinations_with_replacement(range(n), i):
-        exps = [0] * n
-        for idx in combo:
-            exps[idx] += 1
+    for combo in combinations_with_replacement(idx, i):
+        exps = [0] * (combo[-1] + 1)
+        for k in combo:
+            exps[k] += 1
         terms[tuple(exps)] = field.one
-    return Poly(field, names, terms)
+    return Poly(field, terms)
 
 
 def parse_poly(text: str, field=QQ) -> Poly:
@@ -505,6 +502,6 @@ def divided_difference(f: Poly, i: int) -> Poly:
     fld = f.field
     num = f - f.swap_x(i)
     if num.is_zero():
-        return Poly.zero(fld, f.names)
+        return Poly.zero(fld)
     denom = Poly.var(fld, f"x{i}") - Poly.var(fld, f"x{i+1}")
     return exact_divide(num, denom)

@@ -15,12 +15,11 @@ provided:
   isomorphisms of the underlying representation.
 """
 
-from ..bimodcat import (Bimodule, BimoduleMap, WeightedAlgebra,
-                        certify_iso)
+from ..bimodcat import BimoduleMap, certify_iso
 from ..matrixops import (Matrix, bareiss_determinant, block_diagonal,
                          block_matrix, offsets, place_blocks)
 from ..polyring import Poly
-from ..tworep import rho
+from ..tworep import restrict_at, rho
 from .core import (CORNERS, T_WORDS, ProductRep, tilde_sigma_closed,
                    eps_xi_F_closed, F_xi_eta_closed, word_sum)
 from .models import CORNER_MODELS
@@ -87,17 +86,6 @@ def _col_slice(field, m, c0, c1):
                   [row[c0:c1] for row in m.entries])
 
 
-def _restrict_at(r, M, mu):
-    """Restrict a bimodule to the single source weight ``mu``, keeping the
-    target weight ``mu + shift`` in the base algebra so the left action
-    survives the restriction."""
-    ws = {w for w in (mu, mu + M.shift) if w in r.A}
-    algebra = WeightedAlgebra(r.A.field, {w: r.A.support[w] for w in ws},
-                              r.A.has_y)
-    comps = {mu: M.components[mu]} if mu in M.components else {}
-    return Bimodule(algebra, M.shift, comps, name=M.name)
-
-
 def _corner_rho(P: ProductRep, corner: str, lam: int) -> BimoduleMap:
     r = P.Vy
     field = r.A.field
@@ -115,8 +103,8 @@ def _corner_rho(P: ProductRep, corner: str, lam: int) -> BimoduleMap:
             dom_words += [""] * n + ["FE"] * n
         else:
             dom_words += [_PAIR_WORD[corner]] * n
-    dom = _restrict_at(r, word_sum(r, dom_words, f"T{corner}"), mu)
-    cod = _restrict_at(r, word_sum(r, cod_words, f"S{corner}"), mu)
+    dom = restrict_at(word_sum(r, dom_words, f"T{corner}"), mu)
+    cod = restrict_at(word_sum(r, cod_words, f"S{corner}"), mu)
     if mu not in r.A:
         return BimoduleMap(dom, cod, {}, name=f"rho{corner}_{lam}")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 
-from .polyring import Poly, QQ, parse_poly, h_complete
+from .polyring import Poly, QQ, parse_poly, h_complete, var_name
 from .matrixops import Matrix, block_matrix
 from .bimodcat import (
     WeightedAlgebra, Bimodule, Component, BimoduleMap, SumBimodule,
@@ -40,14 +40,17 @@ def record(name, ok, witness=None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# restriction to a weight window
+# restriction to a single weight
 
 
-def restrict_bimodule(M: Bimodule, weights) -> Bimodule:
-    support = {w: M.algebra.support[w] for w in weights if w in M.algebra}
-    algebra = WeightedAlgebra(M.algebra.field, support, M.algebra.has_y)
-    comps = {lam: M.components[lam] for lam in M.components
-             if lam in algebra and lam + M.shift in algebra}
+def restrict_at(M: Bimodule, mu: int) -> Bimodule:
+    """Restrict a bimodule to the single source weight ``mu``, keeping the
+    target weight ``mu + shift`` in the base algebra so the left action
+    survives the restriction."""
+    A = M.algebra
+    ws = {w for w in (mu, mu + M.shift) if w in A}
+    algebra = WeightedAlgebra(A.field, {w: A.support[w] for w in ws}, A.has_y)
+    comps = {mu: M.components[mu]} if mu in M.components else {}
     return Bimodule(algebra, M.shift, comps, name=M.name)
 
 
@@ -235,7 +238,8 @@ class TwoRep:
         out = zero_map(W, W)
         for exps, c in h.terms.items():
             term, scalar = iden, Poly.const(field, c)
-            for name, e in zip(h.names, exps):
+            for k, e in enumerate(exps):
+                name = var_name(k)
                 if name == "y":
                     scalar = scalar * y ** e
                 elif e:
@@ -417,8 +421,8 @@ def rho(rep: TwoRep, lam: int) -> BimoduleMap:
     field = rep.A.field
     if lam not in rep.A:
         # everything is zero at this weight
-        z = restrict_bimodule(rep.word("EF"), {lam})
-        return BimoduleMap(z, restrict_bimodule(rep.word("FE"), {lam}), {},
+        z = restrict_at(rep.word("EF"), lam)
+        return BimoduleMap(z, restrict_at(rep.word("FE"), lam), {},
                            name=f"rho_{lam}")
     sig = sigma(rep)
     if lam >= 0:
@@ -426,16 +430,16 @@ def rho(rep: TwoRep, lam: int) -> BimoduleMap:
         mat = block_matrix(field, [[r] for r in rows])
         summands = [rep.word("FE")] + [rep.word("")] * lam
         cod = SumBimodule(summands) if len(summands) > 1 else summands[0]
-        f = BimoduleMap(restrict_bimodule(rep.word("EF"), {lam}),
-                        restrict_bimodule(cod, {lam}), {lam: mat},
+        f = BimoduleMap(restrict_at(rep.word("EF"), lam),
+                        restrict_at(cod, lam), {lam: mat},
                         name=f"rho_{lam}")
     else:
         cols = [sig.matrix(lam)] + [xi_eta(rep, i).matrix(lam) for i in range(-lam)]
         mat = block_matrix(field, [cols])
         summands = [rep.word("EF")] + [rep.word("")] * (-lam)
         dom = SumBimodule(summands)
-        f = BimoduleMap(restrict_bimodule(dom, {lam}),
-                        restrict_bimodule(rep.word("FE"), {lam}), {lam: mat},
+        f = BimoduleMap(restrict_at(dom, lam),
+                        restrict_at(rep.word("FE"), lam), {lam: mat},
                         name=f"rho_{lam}")
     return f
 

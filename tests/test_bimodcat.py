@@ -13,7 +13,7 @@ from sl2prod.bimodcat import (Bimodule, BimoduleMap, Component, SumBimodule,
 from sl2prod.matrixops import (Matrix, ShapeMismatchError, adjugate,
                                bareiss_determinant, block_matrix,
                                kron_identity_left)
-from sl2prod.polyring import Poly, QQ
+from sl2prod.polyring import Poly, QQ, var_name
 from sl2prod.tworep import TwoRep, make_L1, rho, sigma
 
 
@@ -176,9 +176,9 @@ def ref_left_poly(N, lam, p):
     out = Matrix.zero(QQ, r, r)
     for exps, c in p.terms.items():
         term = Matrix.identity(QQ, r).scale(Poly.const(QQ, c))
-        for vname, e in zip(p.names, exps):
+        for k, e in enumerate(exps):
             for _ in range(e):
-                term = N.left_matrix(lam, vname) @ term
+                term = N.left_matrix(lam, var_name(k)) @ term
         out = out + term
     return out
 
@@ -243,10 +243,18 @@ ALG = WeightedAlgebra(QQ, {-1: ("u",), 1: ("u",)}, has_y=True)
 
 
 def polys_in(*names):
+    def build(t):
+        p = Poly.zero(QQ)
+        for exps, c in t.items():
+            m = Poly.const(QQ, c)
+            for name, e in zip(names, exps):
+                m = m * Poly.var(QQ, name) ** e
+            p = p + m
+        return p
+
     return st.dictionaries(
         st.tuples(*[st.integers(0, 2)] * len(names)), st.integers(-2, 2),
-        max_size=3).map(lambda t: Poly(QQ, names, {
-            e: QQ.coerce(c) for e, c in t.items()}))
+        max_size=3).map(build)
 
 
 polys = polys_in("u", "y")

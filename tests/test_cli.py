@@ -50,6 +50,38 @@ class TestExitCodes:
         p.write_text('{"weights": "not a dict"}')
         assert main(["check-rep", "--rep", str(p)]) == 2
 
+    @staticmethod
+    def rep_with(tmp_path, x="u", left="u"):
+        """The L(1) rep JSON with the given dot and left action of u."""
+        data = {
+            "weights": {"-1": ["u"], "1": ["u"]},
+            "E": {"-1": {"basis": ["e"], "left": {"u": [[left]]}}},
+            "x": {"-1": [[x]]},
+            "tau": {},
+        }
+        p = tmp_path / "rep.json"
+        p.write_text(json.dumps(data))
+        return str(p)
+
+    def test_denominator_divisible_by_p_is_input_error(self, capsys,
+                                                       tmp_path):
+        rep = self.rep_with(tmp_path, x="1/7*u")
+        assert main(["check-rep", "--rep", rep, "--field", "7"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_non_scalar_left_action_is_input_error(self, capsys, tmp_path):
+        rep = self.rep_with(tmp_path, left="2*u")
+        assert main(["check-rep", "--rep", rep]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_unknown_variable_is_input_error(self, capsys, tmp_path):
+        rep = self.rep_with(tmp_path, x="q")
+        assert main(["check-rep", "--rep", rep]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'q'" in err
+
     def test_failing_rep_exits_one(self, capsys, tmp_path):
         from test_tworep import corrupted_rep  # noqa: F401
         data = {

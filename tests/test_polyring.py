@@ -164,3 +164,79 @@ class TestParsePrint:
         p = X2 + X1 + Y + Poly.var(QQ, "u")
         q = Poly.var(QQ, "u") + Y + X1 + X2
         assert str(p) == str(q)
+
+
+U = Poly.var(QQ, "u")
+
+
+class TestLayoutDependentMethods:
+    """Methods whose implementation walks the exponent layout."""
+
+    def test_coeff_of(self):
+        p = U * X1 ** 2 * Y + 3 * X1 ** 2 + X2
+        assert p.coeff_of("x1", 2) == U * Y + 3
+        assert p.coeff_of("x1", 0) == X2
+        assert p.coeff_of("x1", 1).is_zero()
+        assert p.coeff_of("x3", 0) == p
+        assert p.coeff_of("x3", 1).is_zero()
+        assert hash(p.coeff_of("x1", 0)) == hash(X2)
+
+    def test_subs(self):
+        p = X1 ** 2 * Y + U
+        assert p.subs({"x1": X2 + 1}) == (X2 + 1) ** 2 * Y + U
+        assert p.subs({"y": Poly.const(QQ, 2), "u": X3}) == 2 * X1 ** 2 + X3
+        assert p.subs({}) == p
+
+    def test_swap_x(self):
+        assert X2.swap_x(1) == X1
+        assert hash(X2.swap_x(1)) == hash(X1)
+        p = X1 ** 2 * X3 + Y
+        assert p.swap_x(2) == X1 ** 2 * X2 + Y
+        assert p.swap_x(2).swap_x(2) == p
+
+    def test_constant_value_and_is_constant(self):
+        assert (X1 + 5).constant_value() == 5
+        assert (X1 * Y).constant_value() == 0
+        assert Poly.zero(QQ).constant_value() == 0
+        assert Poly.const(QQ, 3).is_constant()
+        assert Poly.zero(QQ).is_constant()
+        assert (X1 - X1 + 2).is_constant()
+        assert (X1 - X1 + 2).constant_value() == 2
+        assert not (X1 + 2).is_constant()
+        F = PrimeField(7)
+        assert (Poly.var(F, "y") + 9).constant_value() == 2
+
+    def test_with_vars_is_the_same_polynomial(self):
+        p = X1 * Y + 2
+        q = p.with_vars(["u", "x3"])
+        assert q == p
+        assert hash(q) == hash(p)
+        assert str(q) == str(p)
+
+    def test_hash_independent_of_construction_order(self):
+        p = (X1 + Y) * U
+        q = U * Y + X1 * U
+        assert p == q and hash(p) == hash(q)
+        # the same value reached through a polynomial with more variables
+        r = (X1 + Y) - X1
+        assert r == Y and hash(r) == hash(Y)
+        assert len({p, q, r, Y}) == 2
+
+    def test_field_mismatch_raises(self):
+        F = PrimeField(7)
+        g = Poly.var(F, "x1")
+        with pytest.raises(ValueError):
+            X1 + g
+        with pytest.raises(ValueError):
+            X1 * g
+        with pytest.raises(ValueError):
+            X1 == g
+
+    def test_graded_order_with_larger_variables_dominating(self):
+        assert str(Y ** 2 + U * X1) == "u*x1 + y^2"
+        assert str(U ** 3 + X1 + Y * X2) == "u^3 + y*x2 + x1"
+
+    def test_exact_quotient_drops_divided_variable(self):
+        q = exact_divide(X1 * X2 + X2 ** 2, X2)
+        assert q == X1 + X2
+        assert hash(q) == hash(X1 + X2)
