@@ -1,8 +1,11 @@
 """Exact sparse multivariate polynomial arithmetic.
 
 Polynomials are the universal scalars of the library.  Coefficients live in
-an exact field (rationals by default, or a prime field), variables are drawn
-from the fixed alphabet ``{u, y, x1, x2, ...}`` with the global order
+an exact field (rationals by default, or a prime field).  A rational
+coefficient is an ``int`` while it is integral and a ``Fraction`` with
+denominator > 1 otherwise, so integral arithmetic never builds a
+``Fraction``; prime-field coefficients are ``int`` residues.  Variables are
+drawn from the fixed alphabet ``{u, y, x1, x2, ...}`` with the global order
 ``u < y < x1 < x2 < ...``, and terms are stored as a sparse map from exponent
 tuples to nonzero coefficients.  Position k of an exponent tuple holds the
 exponent of the k-th variable of the global order (``var_index`` and
@@ -27,29 +30,36 @@ class NotDivisibleError(ArithmeticError):
 # coefficient fields
 
 
+def _integral(q):
+    """A rational with an integral ``Fraction`` demoted to ``int``."""
+    if q.__class__ is int or q.denominator != 1:
+        return q
+    return q.numerator
+
+
 class Rationals:
-    """The field of exact rationals, with Fraction coefficients."""
+    """The field of exact rationals.  A coefficient is an ``int`` while it is
+    integral and a ``Fraction`` with denominator > 1 otherwise; every
+    operation returns this form, so an ``int`` result never becomes a
+    ``Fraction`` and no result is ever a ``float``."""
 
     name = "QQ"
+    zero = 0
+    one = 1
 
     def coerce(self, v):
-        if isinstance(v, Fraction):
-            return v
-        if isinstance(v, int):
-            return Fraction(v)
+        if isinstance(v, (int, Fraction)):
+            return _integral(v)
         raise TypeError(f"cannot coerce {v!r} into {self.name}")
 
-    zero = Fraction(0)
-    one = Fraction(1)
-
     def add(self, a, b):
-        return a + b
+        return _integral(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _integral(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _integral(a * b)
 
     def neg(self, a):
         return -a
@@ -57,7 +67,7 @@ class Rationals:
     def div(self, a, b):
         if b == 0:
             raise ZeroDivisionError("division by zero in QQ")
-        return a / b
+        return _integral(Fraction(a, b))
 
     def to_str(self, a) -> str:
         return str(a)
@@ -498,10 +508,28 @@ def parse_poly(text: str, field=QQ) -> Poly:
 
 
 def divided_difference(f: Poly, i: int) -> Poly:
-    """The operator (f - s_i f) / (x_i - x_{i+1}), always exact."""
+    """The divided difference (f - s_i f) / (x_i - x_{i+1}), term by term.
+
+    The other variables factor out, and on x_i^a x_{i+1}^b the operator is
+    the closed form
+
+        a > b:  sum_{j < a-b} x_i^(a-1-j) x_{i+1}^(b+j)
+        a < b:  minus the same sum with a and b exchanged
+        a = b:  0.
+    """
     fld = f.field
-    num = f - f.swap_x(i)
-    if num.is_zero():
-        return Poly.zero(fld)
-    denom = Poly.var(fld, f"x{i}") - Poly.var(fld, f"x{i+1}")
-    return exact_divide(num, denom)
+    k = var_index(f"x{i}")
+    terms: dict = {}
+    for exps, c in f.terms.items():
+        e = list(exps) + [0] * (k + 2 - len(exps))
+        a, b = e[k], e[k + 1]
+        if a == b:
+            continue
+        hi, lo = max(a, b), min(a, b)
+        if a < b:
+            c = fld.neg(c)
+        for j in range(hi - lo):
+            e[k], e[k + 1] = hi - 1 - j, lo + j
+            key = _trim(e)
+            terms[key] = fld.add(terms[key], c) if key in terms else c
+    return Poly(fld, terms)

@@ -73,37 +73,58 @@ def basis_elt(rep, word: str, weight: int, index: int) -> Elt:
     return e
 
 
+def _dot(pairs, field) -> Poly:
+    """The sum of p * q over the pairs, skipping zero factors."""
+    acc = None
+    for p, q in pairs:
+        if p.terms:
+            t = p * q
+            acc = t if acc is None else acc + t
+    return Poly.zero(field) if acc is None else acc
+
+
+def _in_ky(p: Poly) -> bool:
+    """Whether p lies in k[y]: every monomial is 1 or a power of y."""
+    return all(not e or (len(e) == 2 and not e[0]) for e in p.terms)
+
+
 def apply_map(f, elt: Elt, out_word: str) -> Elt:
     """Apply a BimoduleMap to an element (matrix at the element's weight)."""
     m = f.matrix(elt.weight)
     if m.ncols != len(elt.vec):
         raise ShapeMismatchError(
             f"map expects {m.ncols} coordinates, element has {len(elt.vec)}")
-    out = [sum((m.entries[i][j] * elt.vec[j] for j in range(m.ncols)),
-               Poly.zero(elt.rep.A.field)) for i in range(m.nrows)]
+    field = elt.rep.A.field
+    support = [(j, q) for j, q in enumerate(elt.vec) if q.terms]
+    out = [_dot(((row[j], q) for j, q in support), field)
+           for row in m.entries]
     return Elt(elt.rep, out_word, elt.weight, out)
 
 
 def elem_tensor(a: Elt, b: Elt) -> Elt:
-    """The simple tensor a (x) b in the concatenated word module."""
+    """The simple tensor a (x) b in the concatenated word module.
+
+    Each coordinate p of a contributes the block (left action of p) @ b.  The
+    central y acts by scalars, so for p in k[y] that block is p * b."""
     rep = a.rep
     if a.weight != b.weight + word_shift(b.word):
         raise ShapeMismatchError(
             f"tensor {a.word}@{a.weight} (x) {b.word}@{b.weight}: "
             f"left weight must be {b.weight + word_shift(b.word)}")
     N = rep.word(b.word)
-    out_word = a.word + b.word
-    out = zero_elt(rep, out_word, b.weight)
-    rb = N.rank(b.weight)
-    for i, p in enumerate(a.vec):
-        if p.is_zero():
-            continue
-        L = N.left_poly(b.weight, p)
-        col = [sum((L.entries[r][c] * b.vec[c] for c in range(rb)),
-                   Poly.zero(rep.A.field)) for r in range(rb)]
-        for r in range(rb):
-            out.vec[i * rb + r] = out.vec[i * rb + r] + col[r]
-    return out
+    field = rep.A.field
+    support = [(c, q) for c, q in enumerate(b.vec) if q.terms]
+    out = []
+    for p in a.vec:
+        if not (p.terms and support):
+            out += [Poly.zero(field)] * len(b.vec)
+        elif _in_ky(p):
+            out += [p * q if q.terms else q for q in b.vec]
+        else:
+            L = N.left_poly(b.weight, p)
+            out += [_dot(((row[c], q) for c, q in support), field)
+                    for row in L.entries]
+    return Elt(rep, a.word + b.word, b.weight, out)
 
 
 def join(a: Elt, b: Elt, n: int) -> Elt:

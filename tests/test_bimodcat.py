@@ -9,11 +9,13 @@ from hypothesis import given, settings, strategies as st
 from sl2prod.bimodcat import (Bimodule, BimoduleMap, Component, SumBimodule,
                               WeightedAlgebra, certify_iso, compose,
                               direct_sum_maps, identity_map, inverse_map,
-                              tensor_over_A, zero_map)
+                              regular_bimodule, tensor_over_A, zero_map)
 from sl2prod.matrixops import (Matrix, ShapeMismatchError, adjugate,
                                bareiss_determinant, block_matrix,
                                kron_identity_left)
 from sl2prod.polyring import Poly, QQ, var_name
+from sl2prod.product.elements import (Elt, apply_map, elem_tensor, join,
+                                      word_shift, zero_elt)
 from sl2prod.tworep import TwoRep, make_L1, rho, sigma
 
 
@@ -373,3 +375,140 @@ class TestZeroBlockFreeAssembly:
                     min_size=2, max_size=2))
     def test_lift_every_placement_rank_two(self, x_rows):
         check_every_placement(rank_two_rep(x_rows).adjoin_y(), 2)
+
+
+# ---------------------------------------------------------------------------
+# Reference element calculus: every output coordinate a dense sum from a
+# fresh zero over all matrix entries, and every nonzero left coefficient
+# pushed through left_poly.  The library skips zero coordinates and zero
+# entries and multiplies k[y] coefficients coordinatewise; these tests
+# require the two to agree coordinate for coordinate.
+
+
+def ref_apply_map(f, elt, out_word):
+    m = f.matrix(elt.weight)
+    out = [sum((m.entries[i][j] * elt.vec[j] for j in range(m.ncols)),
+               Poly.zero(QQ)) for i in range(m.nrows)]
+    return Elt(elt.rep, out_word, elt.weight, out)
+
+
+def ref_elem_tensor(a, b):
+    rep = a.rep
+    N = rep.word(b.word)
+    out = zero_elt(rep, a.word + b.word, b.weight)
+    rb = N.rank(b.weight)
+    for i, p in enumerate(a.vec):
+        if p.is_zero():
+            continue
+        L = N.left_poly(b.weight, p)
+        col = [sum((L.entries[r][c] * b.vec[c] for c in range(rb)),
+                   Poly.zero(QQ)) for r in range(rb)]
+        for r in range(rb):
+            out.vec[i * rb + r] = out.vec[i * rb + r] + col[r]
+    return out
+
+
+def ref_join(a, b, n):
+    out = ref_elem_tensor(a, b)
+    for step in range(n):
+        pos = len(a.word) - 1 - step
+        out = ref_apply_map(out.rep.eps_at(out.word, pos), out,
+                            out.word[:pos] + out.word[pos + 2:])
+    return out
+
+
+def assert_same_elt(got, want):
+    assert (got.word, got.weight) == (want.word, want.weight)
+    assert len(got.vec) == len(want.vec)
+    for g, w in zip(got.vec, want.vec):
+        assert g == w
+
+
+WORDS = ["", "E", "F", "EE", "EF", "FE", "FF"]
+
+# L(1), L(1)[y], and the rank-two E with a random dot, y adjoined
+element_reps = st.one_of(
+    st.builds(make_L1), st.builds(lambda: make_L1().adjoin_y()),
+    st.lists(st.lists(polys_in("u"), min_size=2, max_size=2),
+             min_size=2, max_size=2).map(
+        lambda rows: rank_two_rep(rows).adjoin_y()))
+
+
+class SkewRep:
+    """The algebra and the E-words of a rank-two E at weight -1 on which u
+    acts by the non-scalar matrix [[u, 1], [0, u]]: all that elem_tensor
+    reads of a representation.  A TwoRep would derive F, which needs a
+    scalar left action."""
+
+    def __init__(self, has_y):
+        self.A = WeightedAlgebra(QQ, {-1: ("u",), 1: ("u",)}, has_y=has_y)
+        u, one, z = Poly.var(QQ, "u"), Poly.one(QQ), Poly.zero(QQ)
+        self.E = Bimodule(self.A, 2, {-1: Component(("e1", "e2"), {
+            "u": Matrix(QQ, 2, 2, [[u, one], [z, u]])})}, name="E")
+        self.words = {"": regular_bimodule(self.A)}
+
+    def word(self, w):
+        if w not in self.words:
+            self.words[w] = tensor_over_A(self.E, self.word(w[1:]))
+        return self.words[w]
+
+
+def coordinates(has_y):
+    """Zero, k[y] (constants without y) and u-involving coordinates."""
+    ky = polys_in("y") if has_y else polys_in()
+    full = polys_in("u", "y") if has_y else polys_in("u")
+    return st.one_of(st.just(Poly.zero(QQ)), ky, full)
+
+
+def draw_elt(data, rep, word, weight):
+    n = rep.word(word).rank(weight)
+    return Elt(rep, word, weight, data.draw(st.lists(
+        coordinates(rep.A.has_y), min_size=n, max_size=n)))
+
+
+def draw_pair(data, rep, a_words, b_words):
+    """Elements a, b with a (x) b defined; half the time both have rank > 0."""
+    combos = [(aw, bw, lam) for aw in a_words for bw in b_words
+              for lam in rep.A.weights()]
+    live = [(aw, bw, lam) for aw, bw, lam in combos
+            if rep.word(aw).rank(lam + word_shift(bw))
+            and rep.word(bw).rank(lam)]
+    pick = st.sampled_from(combos)
+    aw, bw, lam = data.draw(st.sampled_from(live) | pick if live else pick)
+    return (draw_elt(data, rep, aw, lam + word_shift(bw)),
+            draw_elt(data, rep, bw, lam))
+
+
+class TestSparseElementCalculus:
+    @settings(max_examples=60, deadline=None)
+    @given(element_reps, st.data())
+    def test_elem_tensor(self, rep, data):
+        a, b = draw_pair(data, rep, WORDS, WORDS)
+        assert_same_elt(elem_tensor(a, b), ref_elem_tensor(a, b))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.builds(SkewRep, st.booleans()), st.data())
+    def test_elem_tensor_non_scalar_left_action(self, rep, data):
+        # A at weight 1 (x) E at weight -1, where u acts on E non-scalarly
+        a = draw_elt(data, rep, "", 1)
+        b = draw_elt(data, rep, "E", -1)
+        assert_same_elt(elem_tensor(a, b), ref_elem_tensor(a, b))
+
+    @settings(max_examples=40, deadline=None)
+    @given(element_reps, st.integers(1, 2), st.data())
+    def test_join(self, rep, n, data):
+        a, b = draw_pair(data, rep, [h + "E" * n for h in ("", "E", "F")],
+                         ["F" * n + t for t in ("", "E", "F")])
+        assert_same_elt(join(a, b, n), ref_join(a, b, n))
+
+    @settings(max_examples=40, deadline=None)
+    @given(element_reps, st.sampled_from(WORDS + ["EFE", "FEF", "EEF"]),
+           st.data())
+    def test_apply_map_every_placement(self, rep, word, data):
+        lam = data.draw(st.sampled_from(rep.A.weights()))
+        elt = draw_elt(data, rep, word, lam)
+        for (meth, k), (_, _, cod_mid, lw, rw) in placements(word):
+            f = getattr(rep, meth)(word, k)
+            out_word = lw + cod_mid + rw
+            assert_same_elt(apply_map(f, elt, out_word),
+                            ref_apply_map(f, elt, out_word))

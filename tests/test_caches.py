@@ -4,17 +4,19 @@ structure map is built once.
 The call counts are exact and deterministic; no timing is involved.
 """
 
-from sl2prod import bimodcat, tworep
-from sl2prod.bimodcat import SumBimodule
-from sl2prod.cli import suite_check_rho
+from sl2prod import bimodcat, matrixops, polyring, tworep
+from sl2prod.bimodcat import Bimodule, SumBimodule
+from sl2prod.cli import suite_check_rho, suite_identities
 from sl2prod.matrixops import Matrix
+from sl2prod.polyring import QQ, Poly
 from sl2prod.product import (build_product, check_omega3_linearity,
                              eps_xi_F_closed, eps_xi_F_oracle,
                              F_xi_eta_closed, F_xi_eta_oracle, omega3_map,
                              tilde_rho, tilde_sigma_closed,
                              tilde_sigma_oracle)
-from sl2prod.product import gammas
+from sl2prod.product import elements, gammas
 from sl2prod.product.core import CORNERS
+from sl2prod.product.elements import Elt, basis_elt, elem_tensor
 from sl2prod.tworep import make_L1, sigma
 
 
@@ -97,3 +99,25 @@ def test_tilde_rho_allocations_linear_in_summands(monkeypatch):
     assert summands[40] > summands[20] > 50
     assert allocs[40] <= summands[40]
     assert allocs[40] - allocs[20] <= summands[40] - summands[20]
+
+
+def test_ky_left_factor_makes_no_left_poly_call(monkeypatch):
+    # y acts by scalars, so a k[y] coefficient multiplies coordinatewise
+    r = make_L1().adjoin_y()
+    y, u = Poly.var(QQ, "y"), Poly.var(QQ, "u")
+    b = basis_elt(r, "E", -1, 0)
+    calls = counting(monkeypatch, Bimodule, "left_poly")
+    out = elem_tensor(Elt(r, "F", 1, [y ** 2 - 3]), b)
+    assert calls == []
+    assert out.vec == [y ** 2 - 3]
+    elem_tensor(Elt(r, "F", 1, [u * y]), b)
+    assert len(calls) == 1
+
+
+def test_identities_make_no_long_division(monkeypatch):
+    # the divided differences apply their closed form term by term
+    calls = [counting(monkeypatch, mod, "exact_divide")
+             for mod in (polyring, matrixops, elements)]
+    records = suite_identities(QQ)
+    assert all(r["status"] == "pass" for r in records)
+    assert calls == [[], [], []]

@@ -1,5 +1,7 @@
 """Polynomial arithmetic, symmetric functions, and divided differences."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -240,3 +242,118 @@ class TestLayoutDependentMethods:
         q = exact_divide(X1 * X2 + X2 ** 2, X2)
         assert q == X1 + X2
         assert hash(q) == hash(X1 + X2)
+
+
+# ---------------------------------------------------------------------------
+# The closed-form divided difference against its definition, and the
+# int-or-Fraction form of rational coefficients.
+
+FIELDS = [QQ, PrimeField(7)]
+NAMES = ("u", "y", "x1", "x2", "x3", "x4")
+
+
+def build(field, terms, names=NAMES):
+    p = Poly.zero(field)
+    for c, exps in terms:
+        m = Poly.const(field, c)
+        for name, e in zip(names, exps):
+            m = m * Poly.var(field, name) ** e
+        p = p + m
+    return p
+
+
+def term_lists(names=NAMES, max_terms=5, max_exp=3,
+               coeff=st.fractions(-3, 3, max_denominator=3)):
+    mono = st.tuples(*[st.integers(0, max_exp)] * len(names))
+    return st.lists(st.tuples(coeff, mono), max_size=max_terms)
+
+
+def field_polys(field):
+    # denominators 1..3 are units in GF(7) too
+    return term_lists().map(lambda t: build(field, t))
+
+
+def ref_divided_difference(f, i):
+    """The definition: f - s_i f divided by x_i - x_{i+1} by long division."""
+    fld = f.field
+    num = f - f.swap_x(i)
+    if num.is_zero():
+        return Poly.zero(fld)
+    return exact_divide(num, Poly.var(fld, f"x{i}") - Poly.var(fld, f"x{i+1}"))
+
+
+class TestClosedFormDividedDifference:
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), i=st.sampled_from([1, 2, 3]))
+    def test_matches_definition(self, field, data, i):
+        f = data.draw(field_polys(field))
+        got = divided_difference(f, i)
+        want = ref_divided_difference(f, i)
+        assert got == want
+        assert hash(got) == hash(want)
+
+
+def coefficient_forms_ok(p):
+    """Every QQ coefficient is an int or a Fraction with denominator > 1."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+               for c in p.terms.values())
+
+
+qq_polys = term_lists(NAMES[:4], max_terms=4, max_exp=2).map(
+    lambda t: build(QQ, t))
+
+
+class TestRationalCoefficientForm:
+    @settings(max_examples=80, deadline=None)
+    @given(qq_polys, qq_polys)
+    def test_operations_keep_the_form(self, f, g):
+        three = Poly.const(QQ, 3)
+        results = [f, g, f + g, f - g, f * g, -f, f * Fraction(2, 4),
+                   f * Fraction(4, 2), parse_poly(str(f)),
+                   exact_divide(f, three), exact_divide(f * 3, three)]
+        if not g.is_zero():
+            results.append(exact_divide(f * g, g))
+        for p in results:
+            assert coefficient_forms_ok(p), p.terms
+
+    def test_division(self):
+        assert QQ.div(1, 2) == Fraction(1, 2)
+        assert type(QQ.div(1, 2)) is Fraction
+        assert type(QQ.div(4, 2)) is int and QQ.div(4, 2) == 2
+        assert type(QQ.div(Fraction(1, 2), Fraction(1, 4))) is int
+        with pytest.raises(ZeroDivisionError):
+            QQ.div(1, 0)
+
+    def test_field_constants_and_coercion(self):
+        assert type(QQ.zero) is int and type(QQ.one) is int
+        assert type(QQ.coerce(Fraction(6, 3))) is int
+        assert type(QQ.coerce(Fraction(1, 3))) is Fraction
+        assert type(QQ.add(Fraction(1, 2), Fraction(1, 2))) is int
+        assert type(QQ.sub(Fraction(3, 2), Fraction(1, 2))) is int
+        assert type(QQ.mul(Fraction(2, 3), 3)) is int
+        with pytest.raises(TypeError):
+            QQ.coerce(0.5)
+
+    def test_parse_integral_quotient(self):
+        p = parse_poly("4/2*x1")
+        assert p.terms == {(0, 0, 1): 2}
+        assert [type(c) for c in p.terms.values()] == [int]
+
+    @settings(max_examples=60, deadline=None)
+    @given(term_lists(NAMES[:4], max_terms=4, max_exp=2,
+                      coeff=st.integers(-5, 5)))
+    def test_int_and_fraction_inputs_agree(self, terms):
+        p = build(QQ, terms)
+        q = build(QQ, [(Fraction(c), e) for c, e in terms])
+        r = build(QQ, [(Fraction(2 * c, 2), e) for c, e in terms])
+        assert p == q == r
+        assert hash(p) == hash(q) == hash(r)
+        assert all(type(c) is int for c in q.terms.values())
+
+    def test_rendering(self):
+        half = Fraction(1, 2)
+        assert str(-half * X1) == "-1/2*x1"
+        assert str(X1 * half - Y) == "1/2*x1 - y"
+        assert str(Poly.const(QQ, Fraction(-7, 3))) == "-7/3"
+        assert str(Poly.const(QQ, Fraction(6, 3)) * X1) == "2*x1"
