@@ -12,9 +12,9 @@ columns, composed as ``compose(g, f) = [g] @ [f]``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
-from typing import Iterable, Optional
+from typing import Optional
 
-from .polyring import Poly, QQ, sort_vars, var_name
+from .polyring import Poly, sort_vars, var_name
 from .matrixops import (
     Matrix, ShapeMismatchError, block_diagonal, place_blocks,
     kron_identity_left, bareiss_determinant, adjugate,
@@ -122,7 +122,8 @@ class Bimodule:
         lam + shift, as a matrix over the base ring at lam.
 
         The central variable y acts by scalars, so each monomial in the other
-        generators is applied once, scaled by its coefficient in y."""
+        generators is applied once, scaled by its coefficient in y; the powers
+        of each generator's matrix are built once per call, by squaring."""
         field = self.algebra.field
         r = self.rank(lam)
         groups = {}  # exponents with y set to 0 -> terms in y
@@ -130,12 +131,19 @@ class Bimodule:
             ey = exps[1] if len(exps) > 1 else 0
             key = (exps[0] if exps else 0, 0) + exps[2:]
             groups.setdefault(key, {})[(0, ey) if ey else ()] = c
+        powers = {}  # (generator index, e) -> L^e, by repeated squaring
+
+        def power(k, e):
+            if (k, e) not in powers:
+                powers[k, e] = (self.left_matrix(lam, var_name(k)) if e == 1
+                                else power(k, e // 2) @ power(k, e - e // 2))
+            return powers[k, e]
         out = Matrix.zero(field, r, r)
         for exps, y_terms in groups.items():
             term = Matrix.identity(field, r).scale(Poly(field, y_terms))
             for k, e in enumerate(exps):
-                for _ in range(e):
-                    term = self.left_matrix(lam, var_name(k)) @ term
+                if e:
+                    term = power(k, e) @ term
             out = out + term
         return out
 

@@ -244,7 +244,8 @@ def run(args):
     field = _make_field(args.field)
     suites = []
     if args.command in ("identities", "verify-all"):
-        suites.append(("identities", lambda: suite_identities(field)))
+        suites.append(("identities",
+                       lambda: suite_identities(field, args.i_max)))
     rep_holder = {}
 
     def get_rep():

@@ -191,31 +191,24 @@ def _check_actions(P: ProductRep):
 # ---------------------------------------------------------------------------
 
 def tilde_x_pow(P: ProductRep, i: int, corner: str) -> BimoduleMap:
-    """The i-th power of the dot map on a one-step corner, in closed form."""
+    """The i-th power of the dot map on a one-step corner, in closed form.
+
+    A power x_k^i at one factor is h_i of the single variable x_k."""
     r = P.Vy
     if corner == "11":
         return r.lift(self_pow(r, i), "E", "E", "", "")
     if corner == "12":
-        m = identity_map(r.word("EE"))
-        for _ in range(i):
-            m = compose(r.x_at("EE", 2), m)
-        return m
+        return r.h_xy("EE", i, [2], extra_y=False)
     yi = Poly.var(r.A.field, "y") ** i if i else Poly.one(r.A.field)
     if corner == "21":
-        xi_fe = identity_map(r.word("FE"))
-        for _ in range(i):
-            xi_fe = compose(r.x_at("FE", 1), xi_fe)
         entries = {
             (0, 0): r.scalar("", yi),
             (1, 0): compose(r.h_xy("FE", i - 1, [1]), r.eta),
-            (1, 1): xi_fe,
+            (1, 1): r.h_xy("FE", i, [1], extra_y=False),
         }
         return direct_sum_maps(P.S["11"], P.S["11"], entries)
     if corner == "22":
         x_pow = r.lift(self_pow(r, i), "E", "E", "", "")
-        x2_pow = identity_map(r.word("FEE"))
-        for _ in range(i):
-            x2_pow = compose(r.x_at("FEE", 2), x2_pow)
         entries = {
             (0, 0): x_pow,
             (0, 1): -r.h_xy("E", i - 1, [1]),
@@ -224,7 +217,7 @@ def tilde_x_pow(P: ProductRep, i: int, corner: str) -> BimoduleMap:
                             r.eta_at("E", 0)),
             (2, 1): -compose(r.h_xy("FEE", i - 2, [1, 2]),
                              r.eta_at("E", 0)),
-            (2, 2): x2_pow,
+            (2, 2): r.h_xy("FEE", i, [2], extra_y=False),
         }
         return direct_sum_maps(P.S["12"], P.S["12"], entries)
     raise ShapeMismatchError(f"unknown corner {corner}")

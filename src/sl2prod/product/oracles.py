@@ -2,7 +2,8 @@
 
 Every map that the closed forms present as an explicit matrix is rebuilt
 here column by column from the defining pairings and one-step operations,
-so the two constructions can be compared entry for entry.
+so the two constructions can be compared entry for entry.  The oracles
+never consult the closed forms, not even for their domains and codomains.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from ..bimodcat import BimoduleMap, compose, identity_map
 from ..matrixops import Matrix, ShapeMismatchError
 from ..polyring import Poly
 from ..tworep import record
-from .core import (ProductRep, eps_xi_F_closed, F_xi_eta_closed, tau21,
-                   tilde_tau, tilde_x_pow, tilde_x_step_21, tilde_x_step_22)
+from .core import (ProductRep, tau21, tilde_tau, tilde_x_pow, tilde_x_step_21,
+                   tilde_x_step_22)
 from .elements import Elt, apply_map, basis_elt, elem_tensor, join, zero_elt
 from .models import (G1Elt, G2Elt, L2Elt, UElt, act_G1_on_G2, act_G1_on_U,
                      act_L2_on_L2_left, act_phi1_on_G2, compose_F_after_G1,
@@ -234,72 +235,76 @@ def tilde_sigma_oracle(P: ProductRep, corner: str) -> BimoduleMap:
 # the pairing maps, built elementwise
 # ---------------------------------------------------------------------------
 
-def _iter_x_E(P, e: Elt, i: int) -> Elt:
-    for _ in range(i):
-        e = apply_map(P.Vy.x_at("E", 1), e, "E")
-    return e
+def _x_step_E(P, e: Elt) -> Elt:
+    return apply_map(P.Vy.x_at("E", 1), e, "E")
 
 
-def _iter_step21(P, g: G1Elt, i: int) -> G1Elt:
-    for _ in range(i):
-        g = tilde_x_step_21(P, g)
-    return g
+def _iterate(P: ProductRep, key: tuple, start, step, i: int):
+    """The i-th iterate of ``step`` from ``start``.  The iterates of a column
+    are kept in ``P.Vy._cache`` under ``key`` = (oracle, corner, weight,
+    column, ...), so a sweep over i = 0..n applies ``step`` n times each."""
+    its = P.Vy._cache.setdefault(("_iterates", *key), [start])
+    while len(its) <= i:
+        its.append(step(P, its[-1]))
+    return its[i]
 
 
-def _iter_step22(P, g: G2Elt, i: int) -> G2Elt:
-    for _ in range(i):
-        g = tilde_x_step_22(P, g)
-    return g
+def _pairing_unit_side(P: ProductRep, corner: str):
+    """The codomain of the evaluation pairings on a corner, which is also
+    the domain of the coevaluation pairings."""
+    r = P.Vy
+    return {"11": r.word(""), "21": r.word("F"), "12": r.word("E"),
+            "22": P.S["11"]}[corner]
 
 
 def eps_xi_F_oracle(P: ProductRep, i: int, corner: str) -> BimoduleMap:
     """The i-th evaluation pairing on a corner, built column by column."""
     r = P.Vy
-    closed = eps_xi_F_closed(P, i, corner)
     y1E = r.y_at("E", 1)
+    pairs = {w: pair_basis(P, corner, w) for w in P.T[corner].weights()}
 
     def col11(w, j):
-        e, f = pair_basis(P, "11", w)[j]
-        ei = apply_map(y1E, _iter_x_E(P, e, i), "E")
-        return join(ei, f, 1).vec
+        e, f = pairs[w][j]
+        ei = _iterate(P, ("eps", "11", w, j), e, _x_step_E, i)
+        return join(apply_map(y1E, ei, "E"), f, 1).vec
 
     def col21(w, j):
-        c1, f = pair_basis(P, "21", w)[j]
-        ci = _iter_step21(P, c1, i)
+        c1, f = pairs[w][j]
+        ci = _iterate(P, ("eps", "21", w, j), c1, tilde_x_step_21, i)
         return compose_F_after_G1(f, ci).vec
 
     def col12(w, j):
-        e, chat = pair_basis(P, "12", w)[j]
-        ei = _iter_x_E(P, e, i)
+        e, chat = pairs[w][j]
+        ei = _iterate(P, ("eps", "12", w, j), e, _x_step_E, i)
         res = join(apply_map(y1E, ei, "E"), chat.phi1, 1)
         if chat.theta.vec:
             res = res + ei.scale(chat.theta.vec[0])
         return res.vec
 
     def col22(w, j):
-        a, b = pair_basis(P, "22", w)[j]
+        a, b = pairs[w][j]
         if isinstance(a, G2Elt):
-            g2i = _iter_step22(P, a, i)
+            g2i = _iterate(P, ("eps", "22", w, j), a, tilde_x_step_22, i)
             return P.model_to_vec(compose_L2_after_G2(b, g2i))
-        gi = _iter_step21(P, a, i)
+        gi = _iterate(P, ("eps", "22", w, j), a, tilde_x_step_21, i)
         return P.model_to_vec(compose_G1(b, gi))
 
     colfn = {"11": col11, "12": col12, "21": col21, "22": col22}[corner]
-    return _columnwise(P, closed.dom, closed.cod, colfn,
+    return _columnwise(P, P.T[corner], _pairing_unit_side(P, corner), colfn,
                        f"eps_xi{i}_F_{corner}_oracle")
 
 
 def F_xi_eta_oracle(P: ProductRep, i: int, corner: str) -> BimoduleMap:
     """The i-th coevaluation pairing on a corner, built column by column."""
     r = P.Vy
-    closed = F_xi_eta_closed(P, i, corner)
 
     def col11(w, j):
-        return P.model_to_vec(_iter_step21(P, one_G1(r, w), i))
+        ci = _iterate(P, ("F", "11", w, j), one_G1(r, w), tilde_x_step_21, i)
+        return P.model_to_vec(ci)
 
     def col21(w, j):
         f = basis_elt(r, "F", w, j)
-        ci = _iter_step21(P, one_G1(r, w), i)
+        ci = _iterate(P, ("F", "21", w, j), one_G1(r, w), tilde_x_step_21, i)
         l = L2Elt(r, w, zero_elt(r, "F", w), f, zero_elt(r, "FFE", w))
         return P.model_to_vec(compose_G1_after_L2(ci, l))
 
@@ -307,19 +312,20 @@ def F_xi_eta_oracle(P: ProductRep, i: int, corner: str) -> BimoduleMap:
         e = basis_elt(r, "E", w, j)
         g0 = G2Elt(r, w, e, apply_map(r.y_at("E", 1), e, "E"),
                    zero_elt(r, "FEE", w))
-        return P.model_to_vec(_iter_step22(P, g0, i))
+        gi = _iterate(P, ("F", "12", w, j), g0, tilde_x_step_22, i)
+        return P.model_to_vec(gi)
 
     def col22(w, j):
         c = P.sum_basis("11", w)[j]
         total = UElt.zero(r, w)
-        for l_eta, g_eta, _ in _eta_pairs(P, w):
+        for k, (l_eta, g_eta, _) in enumerate(_eta_pairs(P, w)):
             g0 = act_G1_on_G2(g_eta, c)
-            gi = _iter_step22(P, g0, i)
+            gi = _iterate(P, ("F", "22", w, j, k), g0, tilde_x_step_22, i)
             total = total + compose_U(gi, l_eta)
         return P.model_to_vec(total)
 
     colfn = {"11": col11, "12": col12, "21": col21, "22": col22}[corner]
-    return _columnwise(P, closed.dom, closed.cod, colfn,
+    return _columnwise(P, _pairing_unit_side(P, corner), P.S[corner], colfn,
                        f"F_xi{i}_eta_{corner}_oracle")
 
 

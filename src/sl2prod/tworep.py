@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 
-from .polyring import Poly, QQ, parse_poly, h_complete, var_name
+from .polyring import Poly, QQ, parse_poly
 from .matrixops import Matrix, block_matrix
 from .bimodcat import (
     WeightedAlgebra, Bimodule, Component, BimoduleMap, SumBimodule,
@@ -64,8 +64,9 @@ def _memoized(method):
     The memoized entries are ``_left_dual``, ``eta``, ``eps``, ``word``,
     ``x_at``, ``y_at``, ``tau_at``, ``eps_at``, ``eta_at``, ``tau_mate``,
     ``xF_pow`` and ``_h_xy`` here, and ``_omega3_map`` in
-    ``sl2prod.product.gammas``.  Cached modules and maps are shared between
-    callers, which only read them."""
+    ``sl2prod.product.gammas``; ``self_pow`` and the oracles' ``_iterates``
+    keep lists of powers and dot iterates in the same dict.  Cached modules
+    and maps are shared between callers, which only read them."""
     @functools.wraps(method)
     def cached(self, *args):
         key = (method.__name__, *args)
@@ -116,7 +117,7 @@ class TwoRep:
         """The tensor word module for a word over {E, F} ('' is the algebra)."""
         if w == "":
             return regular_bimodule(self.A, name="A")
-        head = {"E": self.E, "F": self.F}[w[0]]
+        head = self.F if w[0] == "F" else self.E
         return tensor_over_A(head, self.word(w[1:]), name=w)
 
     def rebase(self, f: BimoduleMap, dom_word: str, cod_word: str) -> BimoduleMap:
@@ -214,38 +215,27 @@ class TwoRep:
         """The operator h_i evaluated at the listed x positions and y.
 
         xs is a list of E-factor indices (from the right); the variable y is
-        included when extra_y is True.  Realized by expanding h_i symbolically
-        in placeholder variables and substituting the commuting operators.
-        """
+        included when extra_y is True.  Built from i = 0 upward by the
+        memoized recurrence h_i(z_1..z_m) = h_i(z_1..z_(m-1)) + z_m
+        h_(i-1)(z_1..z_m), y last: one composite or y-scaling per entry."""
+        for k in range(i):
+            self._h_xy(word, k, tuple(xs), extra_y)
         return self._h_xy(word, i, tuple(xs), extra_y)
 
     @_memoized
     def _h_xy(self, word: str, i: int, xs: tuple, extra_y: bool) -> BimoduleMap:
         W = self.word(word)
-        if i < 0:
+        if i == 0:
+            return identity_map(W)
+        if i < 0 or not (xs or extra_y):
             return zero_map(W, W)
-        field = self.A.field
-        names = [f"x{k + 1}" for k in range(len(xs))] + (["y"] if extra_y else [])
-        h = h_complete(i, names, field)
-        iden = identity_map(W)
-        powers = {}  # placeholder name -> [x^0, x^1, ..., x^i] at its factor
-        for k, xi in enumerate(xs):
-            pw = [iden]
-            for _ in range(i):
-                pw.append(compose(self.x_at(word, xi), pw[-1]))
-            powers[f"x{k + 1}"] = pw
-        y = Poly.var(field, "y")
-        out = zero_map(W, W)
-        for exps, c in h.terms.items():
-            term, scalar = iden, Poly.const(field, c)
-            for k, e in enumerate(exps):
-                name = var_name(k)
-                if name == "y":
-                    scalar = scalar * y ** e
-                elif e:
-                    term = compose(powers[name][e], term)
-            out = out + term.scale(scalar)
-        return out
+        if extra_y:
+            y = Poly.var(self.A.field, "y")
+            return (self._h_xy(word, i, xs, False)
+                    + self._h_xy(word, i - 1, xs, True).scale(y))
+        return (self._h_xy(word, i, xs[:-1], False)
+                + compose(self.x_at(word, xs[-1]),
+                          self._h_xy(word, i - 1, xs, False)))
 
     # -- base change
 
@@ -398,11 +388,13 @@ def eps_xi(rep: TwoRep, i: int) -> BimoduleMap:
 
 
 def self_pow(rep: TwoRep, i: int) -> BimoduleMap:
-    """x^i as an endomorphism of E."""
-    out = identity_map(rep.E)
-    for _ in range(i):
-        out = compose(rep.x, out)
-    return rep.rebase(out, "E", "E")
+    """x^i as an endomorphism of E.  The powers are kept in ``rep._cache``
+    and each is built as x . x^(i-1)."""
+    pows = rep._cache.setdefault(("self_pow",), [])
+    while len(pows) <= i:
+        pows.append(compose(rep.x_at("E", 1), pows[-1]) if pows
+                    else identity_map(rep.word("E")))
+    return pows[i]
 
 
 def xi_eta(rep: TwoRep, i: int) -> BimoduleMap:

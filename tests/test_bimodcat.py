@@ -13,10 +13,11 @@ from sl2prod.bimodcat import (Bimodule, BimoduleMap, Component, SumBimodule,
 from sl2prod.matrixops import (Matrix, ShapeMismatchError, adjugate,
                                bareiss_determinant, block_matrix,
                                kron_identity_left)
-from sl2prod.polyring import Poly, QQ, var_name
+from sl2prod.polyring import Poly, QQ, h_complete, var_name
 from sl2prod.product.elements import (Elt, apply_map, elem_tensor, join,
                                       word_shift, zero_elt)
-from sl2prod.tworep import TwoRep, make_L1, rho, sigma
+from sl2prod.tworep import (LeftDualError, TwoRep, make_L1, rho, self_pow,
+                            sigma)
 
 
 def rand_matrix(rng, n, m):
@@ -244,7 +245,7 @@ def ref_lift(rep, f, dom_mid, cod_mid, lw, rw):
 ALG = WeightedAlgebra(QQ, {-1: ("u",), 1: ("u",)}, has_y=True)
 
 
-def polys_in(*names):
+def polys_in(*names, max_exp=2):
     def build(t):
         p = Poly.zero(QQ)
         for exps, c in t.items():
@@ -255,8 +256,8 @@ def polys_in(*names):
         return p
 
     return st.dictionaries(
-        st.tuples(*[st.integers(0, 2)] * len(names)), st.integers(-2, 2),
-        max_size=3).map(build)
+        st.tuples(*[st.integers(0, max_exp)] * len(names)),
+        st.integers(-2, 2), max_size=3).map(build)
 
 
 polys = polys_in("u", "y")
@@ -434,23 +435,28 @@ element_reps = st.one_of(
         lambda rows: rank_two_rep(rows).adjoin_y()))
 
 
-class SkewRep:
-    """The algebra and the E-words of a rank-two E at weight -1 on which u
-    acts by the non-scalar matrix [[u, 1], [0, u]]: all that elem_tensor
-    reads of a representation.  A TwoRep would derive F, which needs a
-    scalar left action."""
+def skew_rep(has_y):
+    """A rank-two E at weight -1 on which u acts by the non-scalar matrix
+    [[u, 1], [0, u]], with x = u.  It has no left dual F, but its E-only
+    words form."""
+    A = WeightedAlgebra(QQ, {-1: ("u",), 1: ("u",)})
+    u, one, z = Poly.var(QQ, "u"), Poly.one(QQ), Poly.zero(QQ)
+    E = Bimodule(A, 2, {-1: Component(("e1", "e2"), {
+        "u": Matrix(QQ, 2, 2, [[u, one], [z, u]])})}, name="E")
+    x = BimoduleMap(E, E, {-1: Matrix.identity(QQ, 2).scale(u)}, name="x")
+    EE = tensor_over_A(E, E)
+    rep = TwoRep(A, E, x, BimoduleMap(EE, EE, {}, name="tau"))
+    return rep.adjoin_y() if has_y else rep
 
-    def __init__(self, has_y):
-        self.A = WeightedAlgebra(QQ, {-1: ("u",), 1: ("u",)}, has_y=has_y)
-        u, one, z = Poly.var(QQ, "u"), Poly.one(QQ), Poly.zero(QQ)
-        self.E = Bimodule(self.A, 2, {-1: Component(("e1", "e2"), {
-            "u": Matrix(QQ, 2, 2, [[u, one], [z, u]])})}, name="E")
-        self.words = {"": regular_bimodule(self.A)}
 
-    def word(self, w):
-        if w not in self.words:
-            self.words[w] = tensor_over_A(self.E, self.word(w[1:]))
-        return self.words[w]
+@pytest.mark.parametrize("has_y", [False, True])
+def test_E_words_need_no_left_dual(has_y):
+    rep = skew_rep(has_y)
+    assert rep.word("E").rank(-1) == 2
+    assert rep.word("EE").total_rank() == 0
+    assert rep.word("E").left_matrix(-1, "u") == rep.E.left_matrix(-1, "u")
+    with pytest.raises(LeftDualError):
+        rep.F
 
 
 def coordinates(has_y):
@@ -487,7 +493,7 @@ class TestSparseElementCalculus:
         assert_same_elt(elem_tensor(a, b), ref_elem_tensor(a, b))
 
     @settings(max_examples=40, deadline=None)
-    @given(st.builds(SkewRep, st.booleans()), st.data())
+    @given(st.builds(skew_rep, st.booleans()), st.data())
     def test_elem_tensor_non_scalar_left_action(self, rep, data):
         # A at weight 1 (x) E at weight -1, where u acts on E non-scalarly
         a = draw_elt(data, rep, "", 1)
@@ -512,3 +518,90 @@ class TestSparseElementCalculus:
             out_word = lw + cod_mid + rw
             assert_same_elt(apply_map(f, elt, out_word),
                             ref_apply_map(f, elt, out_word))
+
+
+# ---------------------------------------------------------------------------
+# Reference pairing ingredients: h_i expanded symbolically and substituted
+# monomial by monomial, x^i as i composites from the identity, and the left
+# action term by term (ref_left_poly above).  The library builds h_i and x^i
+# from step i - 1 and each left-matrix power once per call; these tests
+# require the two to agree entry for entry.
+
+
+def ref_h_xy(rep, word, i, xs, extra_y):
+    W = rep.word(word)
+    names = [f"x{k + 1}" for k in range(len(xs))] + (["y"] if extra_y else [])
+    if i < 0 or not names:
+        return identity_map(W) if i == 0 else zero_map(W, W)
+    h = h_complete(i, names, QQ)
+    iden = identity_map(W)
+    powers = {}  # placeholder name -> [x^0, x^1, ..., x^i] at its factor
+    for k, xi in enumerate(xs):
+        pw = [iden]
+        for _ in range(i):
+            pw.append(compose(rep.x_at(word, xi), pw[-1]))
+        powers[f"x{k + 1}"] = pw
+    y = Poly.var(QQ, "y")
+    out = zero_map(W, W)
+    for exps, c in h.terms.items():
+        term, scalar = iden, Poly.const(QQ, c)
+        for k, e in enumerate(exps):
+            name = var_name(k)
+            if name == "y":
+                scalar = scalar * y ** e
+            elif e:
+                term = compose(powers[name][e], term)
+        out = out + term.scale(scalar)
+    return out
+
+
+def ref_self_pow(rep, i):
+    out = identity_map(rep.E)
+    for _ in range(i):
+        out = compose(rep.x, out)
+    return out
+
+
+def short_words(max_len):
+    return ["".join(w) for n in range(max_len + 1)
+            for w in itertools.product("EF", repeat=n)]
+
+
+def check_h_xy_and_self_pow(rep, max_len, i_max):
+    for word in short_words(max_len):
+        factors = range(1, word.count("E") + 1)
+        every_xs = [xs for n in range(len(factors) + 1)
+                    for xs in itertools.combinations(factors, n)]
+        for i, xs, extra_y in itertools.product(range(-1, i_max + 1),
+                                                every_xs, (False, True)):
+            assert_same_map(rep.h_xy(word, i, xs, extra_y),
+                            ref_h_xy(rep, word, i, xs, extra_y))
+    for i in range(i_max + 1):
+        assert_same_map(self_pow(rep, i), ref_self_pow(rep, i))
+
+
+class TestIncrementalPairingIngredients:
+    def test_h_xy_and_self_pow_L1(self):
+        check_h_xy_and_self_pow(make_L1().adjoin_y(), 4, 8)
+
+    @settings(max_examples=2, deadline=None)
+    @given(st.lists(st.lists(polys_in("u"), min_size=2, max_size=2),
+                    min_size=2, max_size=2))
+    def test_h_xy_and_self_pow_rank_two(self, x_rows):
+        # E^2 = 0 here, so words of length 4 add no new E-factor pattern to
+        # those of length 3, only 16 x 16 matrices for the slow reference
+        check_h_xy_and_self_pow(rank_two_rep(x_rows).adjoin_y(), 3, 8)
+
+    @settings(max_examples=20, deadline=None)
+    @given(element_reps, st.sampled_from(short_words(4)), st.data())
+    def test_left_poly_every_word(self, rep, word, data):
+        N = rep.word(word)
+        for lam in N.weights():
+            p = data.draw(polys_in("u", "y", max_exp=6))
+            assert N.left_poly(lam, p) == ref_left_poly(N, lam, p)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.builds(skew_rep, st.booleans()), polys_in("u", "y", max_exp=6))
+    def test_left_poly_non_scalar_left_action(self, rep, p):
+        N = rep.word("E")
+        assert N.left_poly(-1, p) == ref_left_poly(N, -1, p)

@@ -4,6 +4,8 @@ structure map is built once.
 The call counts are exact and deterministic; no timing is involved.
 """
 
+import sys
+
 from sl2prod import bimodcat, matrixops, polyring, tworep
 from sl2prod.bimodcat import Bimodule, SumBimodule
 from sl2prod.cli import suite_check_rho, suite_identities
@@ -14,7 +16,7 @@ from sl2prod.product import (build_product, check_omega3_linearity,
                              F_xi_eta_closed, F_xi_eta_oracle, omega3_map,
                              tilde_rho, tilde_sigma_closed,
                              tilde_sigma_oracle)
-from sl2prod.product import elements, gammas
+from sl2prod.product import core, elements, gammas, oracles
 from sl2prod.product.core import CORNERS
 from sl2prod.product.elements import Elt, basis_elt, elem_tensor
 from sl2prod.tworep import make_L1, sigma
@@ -30,6 +32,22 @@ def counting(monkeypatch, owner, attr):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(owner, attr, wrapper)
+    return calls
+
+
+def counting_everywhere(monkeypatch, module, attr):
+    """Count the calls of module.attr through every sl2prod module that
+    holds a binding to it."""
+    real = getattr(module, attr)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("sl2prod") and getattr(mod, attr, None) is real:
+            monkeypatch.setattr(mod, attr, wrapper)
     return calls
 
 
@@ -121,3 +139,77 @@ def test_identities_make_no_long_division(monkeypatch):
     records = suite_identities(QQ)
     assert all(r["status"] == "pass" for r in records)
     assert calls == [[], [], []]
+
+
+def gf7_product():
+    return build_product(make_L1(polyring.make_field("7")), check=False)
+
+
+def test_oracles_never_call_closed_forms(monkeypatch):
+    P = build_product(make_L1(), check=False)
+    calls = [counting_everywhere(monkeypatch, core, name)
+             for name in ("eps_xi_F_closed", "F_xi_eta_closed")]
+    for corner in CORNERS:
+        for i in range(3):
+            eps_xi_F_oracle(P, i, corner)
+            F_xi_eta_oracle(P, i, corner)
+    assert calls == [[], []]
+
+
+def test_pairing_sweep_steps_linear_in_i(monkeypatch):
+    n = 12
+    P = gf7_product()
+    steps = [counting(monkeypatch, oracles, name)
+             for name in ("tilde_x_step_21", "tilde_x_step_22")]
+    for corner in CORNERS:
+        for i in range(n + 1):
+            eps_xi_F_oracle(P, i, corner)
+            F_xi_eta_oracle(P, i, corner)
+    # each column of an oracle domain (on the constrained corner, each
+    # coevaluation split of it) steps its iterate at i - 1 once; rebuilding
+    # every i from scratch would take about columns * n^2 / 2 steps
+    splits = max(len(oracles._eta_pairs(P, w)) for w in P.weights())
+    columns = sum(P.T[c].total_rank() + oracles._pairing_unit_side(P, c)
+                  .total_rank() * (splits if c == "22" else 1)
+                  for c in CORNERS)
+    total = len(steps[0]) + len(steps[1])
+    assert 0 < total <= columns * n
+    iterates = [v for k, v in P.Vy._cache.items() if k[0] == "_iterates"]
+    assert iterates and all(len(its) == n + 1 for its in iterates)
+
+
+def test_h_xy_makes_no_h_complete_call(monkeypatch):
+    calls = counting_everywhere(monkeypatch, polyring, "h_complete")
+    r = make_L1().adjoin_y()
+    for i in range(-1, 9):
+        for word, xs in (("FE", [1]), ("FEEF", [1, 2]), ("FFEE", [2])):
+            r.h_xy(word, i, xs)
+            r.h_xy(word, i, xs, extra_y=False)
+    assert calls == []
+
+
+def test_oracles_on_fresh_and_swept_products_agree():
+    n = 10
+    swept = gf7_product()
+    for corner in CORNERS:
+        for i in range(n + 1):
+            eps_xi_F_oracle(swept, i, corner)
+            F_xi_eta_oracle(swept, i, corner)
+    assert any(key[0] == "_iterates" for key in swept.Vy._cache)
+    for corner in CORNERS:
+        for i in (0, 3, n):
+            fresh = gf7_product()
+            for oracle in (eps_xi_F_oracle, F_xi_eta_oracle):
+                got, want = oracle(swept, i, corner), oracle(fresh, i, corner)
+                assert set(got.mats) == set(want.mats)
+                assert got == want, (oracle.__name__, corner, i)
+
+
+def test_first_call_at_high_i_stays_shallow():
+    # both recurrences are built from i = 0 upward, so a first call far
+    # above the interpreter's recursion limit does not nest that deep
+    r = make_L1().adjoin_y()
+    n = sys.getrecursionlimit() + 100
+    u = Poly.var(QQ, "u")
+    assert tworep.self_pow(r, n).matrix(-1).entries == [[u ** n]]
+    assert r.h_xy("E", n, [1], extra_y=False).matrix(-1).entries == [[u ** n]]

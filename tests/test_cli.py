@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from sl2prod import cli
 from sl2prod.cli import main
+from sl2prod.polyring import QQ
 
 
 def run_cli(args, capsys):
@@ -123,6 +125,21 @@ class TestReports:
         capsys.readouterr()
         assert code == 0
         assert json.loads(p.read_text())["checks"]
+
+    def test_i_max_reaches_identities(self, capsys, monkeypatch):
+        seen = []
+        real = cli.suite_identities
+
+        def spy(field, *args, **kwargs):
+            seen.append(args or kwargs)
+            return real(field, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "suite_identities", spy)
+        code, _ = run_cli(["identities", "--i-max", "3"], capsys)
+        assert code == 0
+        assert seen == [(3,)]
+        # on L(1) the bound changes no record, so reports stay the same
+        assert cli.suite_identities(QQ, 4) == cli.suite_identities(QQ, 8)
 
     def test_suite_filtering(self, capsys):
         _, out = run_cli(["check-rep"], capsys)
