@@ -39,7 +39,11 @@ class RepLoadError(ValueError):
 
 def suite_identities(field=QQ, i_max: int = 8):
     """Symmetric-polynomial facts, the crossing-chain normal form, and the
-    divided-power idempotent relations."""
+    divided-power idempotent relations.
+
+    The h_i facts run for i = 0..max(i_max, 3): below i = 3 some of them
+    compare only zero or constant polynomials."""
+    i_max = max(i_max, 3)
     out = []
     x1 = Poly.var(field, "x1")
     x2 = Poly.var(field, "x2")

@@ -64,9 +64,9 @@ def _memoized(method):
     The memoized entries are ``_left_dual``, ``eta``, ``eps``, ``word``,
     ``x_at``, ``y_at``, ``tau_at``, ``eps_at``, ``eta_at``, ``tau_mate``,
     ``xF_pow`` and ``_h_xy`` here, and ``_omega3_map`` in
-    ``sl2prod.product.gammas``; ``self_pow`` and the oracles' ``_iterates``
-    keep lists of powers and dot iterates in the same dict.  Cached modules
-    and maps are shared between callers, which only read them."""
+    ``sl2prod.product.gammas``; the oracles' ``_iterates`` keep lists of dot
+    iterates in the same dict.  Cached modules and maps are shared between
+    callers, which only read them."""
     @functools.wraps(method)
     def cached(self, *args):
         key = (method.__name__, *args)
@@ -217,7 +217,8 @@ class TwoRep:
         xs is a list of E-factor indices (from the right); the variable y is
         included when extra_y is True.  Built from i = 0 upward by the
         memoized recurrence h_i(z_1..z_m) = h_i(z_1..z_(m-1)) + z_m
-        h_(i-1)(z_1..z_m), y last: one composite or y-scaling per entry."""
+        h_(i-1)(z_1..z_m), y last: one composite or y-scaling per entry, and
+        one addition unless z_1..z_(m-1) is empty (then that term is 0)."""
         for k in range(i):
             self._h_xy(word, k, tuple(xs), extra_y)
         return self._h_xy(word, i, tuple(xs), extra_y)
@@ -230,12 +231,12 @@ class TwoRep:
         if i < 0 or not (xs or extra_y):
             return zero_map(W, W)
         if extra_y:
-            y = Poly.var(self.A.field, "y")
-            return (self._h_xy(word, i, xs, False)
-                    + self._h_xy(word, i - 1, xs, True).scale(y))
-        return (self._h_xy(word, i, xs[:-1], False)
-                + compose(self.x_at(word, xs[-1]),
-                          self._h_xy(word, i - 1, xs, False)))
+            out = self._h_xy(word, i - 1, xs, True).scale(
+                Poly.var(self.A.field, "y"))
+            return self._h_xy(word, i, xs, False) + out if xs else out
+        out = compose(self.x_at(word, xs[-1]),
+                      self._h_xy(word, i - 1, xs, False))
+        return self._h_xy(word, i, xs[:-1], False) + out if xs[:-1] else out
 
     # -- base change
 
@@ -388,13 +389,8 @@ def eps_xi(rep: TwoRep, i: int) -> BimoduleMap:
 
 
 def self_pow(rep: TwoRep, i: int) -> BimoduleMap:
-    """x^i as an endomorphism of E.  The powers are kept in ``rep._cache``
-    and each is built as x . x^(i-1)."""
-    pows = rep._cache.setdefault(("self_pow",), [])
-    while len(pows) <= i:
-        pows.append(compose(rep.x_at("E", 1), pows[-1]) if pows
-                    else identity_map(rep.word("E")))
-    return pows[i]
+    """x^i as an endomorphism of E: h_i of the single variable x."""
+    return rep.h_xy("E", i, [1], extra_y=False)
 
 
 def xi_eta(rep: TwoRep, i: int) -> BimoduleMap:

@@ -6,7 +6,7 @@ import pytest
 
 from sl2prod import cli
 from sl2prod.cli import main
-from sl2prod.polyring import QQ
+from sl2prod.polyring import Poly, QQ
 
 
 def run_cli(args, capsys):
@@ -140,6 +140,24 @@ class TestReports:
         assert seen == [(3,)]
         # on L(1) the bound changes no record, so reports stay the same
         assert cli.suite_identities(QQ, 4) == cli.suite_identities(QQ, 8)
+
+    @pytest.mark.parametrize("i_max", ["0", "4"])
+    def test_mutated_h_fails_every_fact(self, capsys, monkeypatch, i_max):
+        # h_k + x^k for k >= 1 (x the first variable) still agrees with h_k
+        # below degree 1, so each fact catches it only at some i >= 3
+        real = cli.h_complete
+
+        def mutated(i, names, field):
+            h = real(i, names, field)
+            return h + Poly.var(field, sorted(names)[0]) ** i if i >= 1 else h
+
+        monkeypatch.setattr(cli, "h_complete", mutated)
+        code, out = run_cli(["identities", "--i-max", i_max], capsys)
+        facts = [c for c in json.loads(out)["checks"]
+                 if c["anchor"].startswith("fact:")]
+        assert code == 1
+        assert len(facts) == 4
+        assert all(c["status"] == "fail" for c in facts)
 
     def test_suite_filtering(self, capsys):
         _, out = run_cli(["check-rep"], capsys)
