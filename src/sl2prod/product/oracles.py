@@ -187,9 +187,10 @@ def tilde_sigma_oracle(P: ProductRep, corner: str) -> BimoduleMap:
     """The commutator corner map, built column by column from pairings."""
     r = P.Vy
     dom, cod = P.T[corner], P.S[corner]
+    pairs = {w: pair_basis(P, corner, w) for w in dom.weights()}
 
     def col11(w, j):
-        e, f = pair_basis(P, "11", w)[j]
+        e, f = pairs[w][j]
         g2 = gamma21_EE_G1E(one_G1(r, w), e)
         g2t = tau21(P, g2)
         fhat = compose_F_after_G1(f, one_G1(r, w - 2))
@@ -197,13 +198,13 @@ def tilde_sigma_oracle(P: ProductRep, corner: str) -> BimoduleMap:
         return P.model_to_vec(compose_L2_after_G2(l, g2t))
 
     def col12(w, j):
-        e, chat = pair_basis(P, "12", w)[j]
+        e, chat = pairs[w][j]
         g2 = gamma21_EE_G1E(one_G1(r, w + 2), e)
         g2t = tau21(P, g2)
         return P.model_to_vec(act_G1_on_G2(g2t, chat))
 
     def col21(w, j):
-        c1, f = pair_basis(P, "21", w)[j]
+        c1, f = pairs[w][j]
         total = L2Elt.zero(r, w)
         fhat = compose_F_after_G1(f, one_G1(r, w - 2))
         lout = L2Elt(r, w, zero_elt(r, "F", w), fhat,
@@ -216,7 +217,7 @@ def tilde_sigma_oracle(P: ProductRep, corner: str) -> BimoduleMap:
         return P.model_to_vec(total)
 
     def col22(w, j):
-        a, b = pair_basis(P, "22", w)[j]
+        a, b = pairs[w][j]
         if isinstance(a, G2Elt):
             return P.model_to_vec(_sigma22_EF_column(P, a, b))
         total = UElt.zero(r, w)
@@ -240,10 +241,13 @@ def _x_step_E(P, e: Elt) -> Elt:
 
 
 def _iterate(P: ProductRep, key: tuple, start, step, i: int):
-    """The i-th iterate of ``step`` from ``start``.  The iterates of a column
-    are kept in ``P.Vy._cache`` under ``key`` = (oracle, corner, weight,
-    column, ...), so a sweep over i = 0..n applies ``step`` n times each."""
-    its = P.Vy._cache.setdefault(("_iterates", *key), [start])
+    """The i-th iterate of ``step`` from ``start()``.  The iterates of a
+    column are kept in ``P.Vy._cache`` under ``key`` = (oracle, corner,
+    weight, column, ...), so a sweep over i = 0..n builds the start element
+    once and applies ``step`` n times each."""
+    its = P.Vy._cache.get(("_iterates", *key))
+    if its is None:
+        its = P.Vy._cache[("_iterates", *key)] = [start()]
     while len(its) <= i:
         its.append(step(P, its[-1]))
     return its[i]
@@ -265,17 +269,18 @@ def eps_xi_F_oracle(P: ProductRep, i: int, corner: str) -> BimoduleMap:
 
     def col11(w, j):
         e, f = pairs[w][j]
-        ei = _iterate(P, ("eps", "11", w, j), e, _x_step_E, i)
+        ei = _iterate(P, ("eps", "11", w, j), lambda: e, _x_step_E, i)
         return join(apply_map(y1E, ei, "E"), f, 1).vec
 
     def col21(w, j):
         c1, f = pairs[w][j]
-        ci = _iterate(P, ("eps", "21", w, j), c1, tilde_x_step_21, i)
+        ci = _iterate(P, ("eps", "21", w, j), lambda: c1, tilde_x_step_21,
+                      i)
         return compose_F_after_G1(f, ci).vec
 
     def col12(w, j):
         e, chat = pairs[w][j]
-        ei = _iterate(P, ("eps", "12", w, j), e, _x_step_E, i)
+        ei = _iterate(P, ("eps", "12", w, j), lambda: e, _x_step_E, i)
         res = join(apply_map(y1E, ei, "E"), chat.phi1, 1)
         if chat.theta.vec:
             res = res + ei.scale(chat.theta.vec[0])
@@ -284,9 +289,10 @@ def eps_xi_F_oracle(P: ProductRep, i: int, corner: str) -> BimoduleMap:
     def col22(w, j):
         a, b = pairs[w][j]
         if isinstance(a, G2Elt):
-            g2i = _iterate(P, ("eps", "22", w, j), a, tilde_x_step_22, i)
+            g2i = _iterate(P, ("eps", "22", w, j), lambda: a,
+                           tilde_x_step_22, i)
             return P.model_to_vec(compose_L2_after_G2(b, g2i))
-        gi = _iterate(P, ("eps", "22", w, j), a, tilde_x_step_21, i)
+        gi = _iterate(P, ("eps", "22", w, j), lambda: a, tilde_x_step_21, i)
         return P.model_to_vec(compose_G1(b, gi))
 
     colfn = {"11": col11, "12": col12, "21": col21, "22": col22}[corner]
@@ -299,28 +305,32 @@ def F_xi_eta_oracle(P: ProductRep, i: int, corner: str) -> BimoduleMap:
     r = P.Vy
 
     def col11(w, j):
-        ci = _iterate(P, ("F", "11", w, j), one_G1(r, w), tilde_x_step_21, i)
+        ci = _iterate(P, ("F", "11", w, j), lambda: one_G1(r, w),
+                      tilde_x_step_21, i)
         return P.model_to_vec(ci)
 
     def col21(w, j):
         f = basis_elt(r, "F", w, j)
-        ci = _iterate(P, ("F", "21", w, j), one_G1(r, w), tilde_x_step_21, i)
+        ci = _iterate(P, ("F", "21", w, j), lambda: one_G1(r, w),
+                      tilde_x_step_21, i)
         l = L2Elt(r, w, zero_elt(r, "F", w), f, zero_elt(r, "FFE", w))
         return P.model_to_vec(compose_G1_after_L2(ci, l))
 
     def col12(w, j):
-        e = basis_elt(r, "E", w, j)
-        g0 = G2Elt(r, w, e, apply_map(r.y_at("E", 1), e, "E"),
-                   zero_elt(r, "FEE", w))
-        gi = _iterate(P, ("F", "12", w, j), g0, tilde_x_step_22, i)
+        def start():
+            e = basis_elt(r, "E", w, j)
+            return G2Elt(r, w, e, apply_map(r.y_at("E", 1), e, "E"),
+                         zero_elt(r, "FEE", w))
+        gi = _iterate(P, ("F", "12", w, j), start, tilde_x_step_22, i)
         return P.model_to_vec(gi)
 
     def col22(w, j):
-        c = P.sum_basis("11", w)[j]
         total = UElt.zero(r, w)
         for k, (l_eta, g_eta, _) in enumerate(_eta_pairs(P, w)):
-            g0 = act_G1_on_G2(g_eta, c)
-            gi = _iterate(P, ("F", "22", w, j, k), g0, tilde_x_step_22, i)
+            gi = _iterate(P, ("F", "22", w, j, k),
+                          lambda: act_G1_on_G2(g_eta,
+                                               P.sum_basis("11", w)[j]),
+                          tilde_x_step_22, i)
             total = total + compose_U(gi, l_eta)
         return P.model_to_vec(total)
 

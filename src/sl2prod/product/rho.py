@@ -19,9 +19,9 @@ from ..bimodcat import BimoduleMap, certify_iso
 from ..matrixops import (Matrix, bareiss_determinant, block_diagonal,
                          block_matrix, offsets, place_blocks)
 from ..polyring import Poly
-from ..tworep import restrict_at, rho
+from ..tworep import map_at, rho
 from .core import (CORNERS, T_WORDS, ProductRep, tilde_sigma_closed,
-                   eps_xi_F_closed, F_xi_eta_closed, word_sum)
+                   eps_xi_F_closed, F_xi_eta_closed)
 from .models import CORNER_MODELS
 
 __all__ = [
@@ -75,63 +75,46 @@ class RhoMap:
         return f"RhoMap(lam={self.lam})"
 
 
-def _row_slice(field, m, r0, r1):
-    if r1 <= r0:
-        return Matrix.zero(field, 0, m.ncols)
-    return Matrix(field, r1 - r0, m.ncols, [list(r) for r in m.entries[r0:r1]])
-
-
-def _col_slice(field, m, c0, c1):
-    return Matrix(field, m.nrows, max(c1 - c0, 0),
-                  [row[c0:c1] for row in m.entries])
-
-
 def _corner_rho(P: ProductRep, corner: str, lam: int) -> BimoduleMap:
+    """One corner of the commutator map at ``lam``, built by
+    :func:`~sl2prod.tworep.map_at` at the corner's internal weight
+    ``mu = lam + _MU_SHIFT[corner]``.
+
+    The closed commutator block is stacked with the evaluation pairings
+    (``lam > 0``, extra rows) or the coevaluation pairings (``lam < 0``,
+    extra columns); on corner 22 each pairing is split into its A part and
+    its FE part.  When ``mu`` is outside the support the map has no matrix
+    and no matrix is computed."""
     r = P.Vy
     field = r.A.field
     mu = lam + _MU_SHIFT[corner]
     n = abs(lam)
-    dom_words = list(T_WORDS[corner])
-    cod_words = CORNER_MODELS[corner].words()
-    if lam >= 0:
-        if corner == "22":
-            cod_words += [""] * n + ["FE"] * n
-        elif n:
-            cod_words += [_PAIR_WORD[corner]] * n
-    else:
-        if corner == "22":
-            dom_words += [""] * n + ["FE"] * n
-        else:
-            dom_words += [_PAIR_WORD[corner]] * n
-    dom = restrict_at(word_sum(r, dom_words, f"T{corner}"), mu)
-    cod = restrict_at(word_sum(r, cod_words, f"S{corner}"), mu)
+    extra = ([""] * n + ["FE"] * n if corner == "22"
+             else [_PAIR_WORD[corner]] * n)
+    dom_words = list(T_WORDS[corner]) + (extra if lam < 0 else [])
+    cod_words = CORNER_MODELS[corner].words() + (extra if lam > 0 else [])
+    name = f"rho{corner}_{lam}"
     if mu not in r.A:
-        return BimoduleMap(dom, cod, {}, name=f"rho{corner}_{lam}")
+        return map_at(r, mu, dom_words, cod_words, name=name)
 
     smat = tilde_sigma_closed(P, corner).matrix(mu)
     if lam == 0:
-        mat = smat
-    elif lam > 0:
-        pair = [eps_xi_F_closed(P, i, corner).matrix(mu) for i in range(n)]
-        if corner == "22":
-            ra = r.word("").rank(mu)
-            rows = ([smat]
-                    + [_row_slice(field, pm, 0, ra) for pm in pair]
-                    + [_row_slice(field, pm, ra, pm.nrows) for pm in pair])
+        return map_at(r, mu, dom_words, cod_words, smat, name)
+    closed = eps_xi_F_closed if lam > 0 else F_xi_eta_closed
+    pair = [closed(P, i, corner).matrix(mu) for i in range(n)]
+    if corner == "22":
+        ra = r.word("").rank(mu)
+        if lam > 0:
+            pair = ([_pick(field, m, range(ra), range(m.ncols)) for m in pair]
+                    + [_pick(field, m, range(ra, m.nrows), range(m.ncols))
+                       for m in pair])
         else:
-            rows = [smat] + pair
-        mat = block_matrix(field, [[x] for x in rows])
-    else:
-        pair = [F_xi_eta_closed(P, i, corner).matrix(mu) for i in range(n)]
-        if corner == "22":
-            ra = r.word("").rank(mu)
-            cols = ([smat]
-                    + [_col_slice(field, pm, 0, ra) for pm in pair]
-                    + [_col_slice(field, pm, ra, pm.ncols) for pm in pair])
-        else:
-            cols = [smat] + pair
-        mat = block_matrix(field, [cols])
-    return BimoduleMap(dom, cod, {mu: mat}, name=f"rho{corner}_{lam}")
+            pair = ([_pick(field, m, range(m.nrows), range(ra)) for m in pair]
+                    + [_pick(field, m, range(m.nrows), range(ra, m.ncols))
+                       for m in pair])
+    blocks = [smat] + pair
+    mat = block_matrix(field, [[b] for b in blocks] if lam > 0 else [blocks])
+    return map_at(r, mu, dom_words, cod_words, mat, name)
 
 
 def tilde_rho(P: ProductRep, lam: int) -> RhoMap:
@@ -171,12 +154,6 @@ def _scalar_blocks(field, entries, n):
     return place_blocks(field, sizes, sizes, {
         (i, j): ident.scale(e) for i, row in enumerate(entries)
         for j, e in enumerate(row) if not e.is_zero()})
-
-
-def _poly_grid(field, k, fill):
-    z = Poly.zero(field)
-    return [[fill(i, j) if fill(i, j) is not None else z for j in range(k)]
-            for i in range(k)]
 
 
 def _m_neg(field, k):
@@ -265,13 +242,9 @@ def _base_iso(r, mu, corner, lam):
     return base.matrix(mu), dict(cert.dets)
 
 
-def _cert_11(P, lam):
+def _cert_11(P, lam, mu, m):
     r = P.Vy
     field = r.A.field
-    mu = lam + 1
-    if mu not in r.A:
-        return {"status": "pass", "witness": "empty at internal weight"}
-    m = _corner_rho(P, "11", lam).matrix(mu)
     ra, rfe, ref = (r.word(w).rank(mu) for w in ("", "FE", "EF"))
     bmat, dets = _base_iso(r, mu, "11", lam)
     if lam >= 0:
@@ -310,13 +283,9 @@ def _cert_11(P, lam):
             "witness": "unit triangular factor"}
 
 
-def _cert_21(P, lam):
+def _cert_21(P, lam, mu, m):
     r = P.Vy
     field = r.A.field
-    mu = lam + 1
-    if mu not in r.A:
-        return {"status": "pass", "witness": "empty at internal weight"}
-    m = _corner_rho(P, "21", lam).matrix(mu)
     rf, rfef, rffe = (r.word(w).rank(mu) for w in ("F", "FEF", "FFE"))
     if lam >= 0:
         row_sizes = [rf, rf, rffe] + [rf] * lam
@@ -334,13 +303,9 @@ def _cert_21(P, lam):
     return {"status": "pass", "diag": diags}
 
 
-def _cert_12(P, lam):
+def _cert_12(P, lam, mu, m):
     r = P.Vy
     field = r.A.field
-    mu = lam - 1
-    if mu not in r.A:
-        return {"status": "pass", "witness": "empty at internal weight"}
-    m = _corner_rho(P, "12", lam).matrix(mu)
     re_, refe, rfee = (r.word(w).rank(mu) for w in ("E", "EFE", "FEE"))
     if lam >= 0:
         row_sizes = [re_, re_, rfee] + [re_] * lam
@@ -361,13 +326,9 @@ def _cert_12(P, lam):
     return {"status": "pass", "diag": diags}
 
 
-def _cert_22(P, lam):
+def _cert_22(P, lam, mu, m):
     r = P.Vy
     field = r.A.field
-    mu = lam - 1
-    if mu not in r.A:
-        return {"status": "pass", "witness": "empty at internal weight"}
-    m = _corner_rho(P, "22", lam).matrix(mu)
     ra, rfe, rfefe, ref, rffee = (
         r.word(w).rank(mu) for w in ("", "FE", "FEFE", "EF", "FFEE"))
     y1m = P.Vy.y_at("FE", 1).matrix(mu)
@@ -432,24 +393,32 @@ def _cert_22(P, lam):
     return out
 
 
+_CERTS = {"11": _cert_11, "21": _cert_21, "12": _cert_12, "22": _cert_22}
+
+
 def triangular_certificate(P: ProductRep, lam: int) -> dict:
     """A proof-shaped invertibility certificate for the commutator map.
 
-    For each corner: apply the recorded unit row operations, regroup rows and
-    columns into the recorded block order, verify the result is
-    block-triangular with every off-side block exactly zero, and certify each
-    diagonal block by an exact determinant.  Where a diagonal block is a
-    disguised copy of the one-step commutator isomorphism of the underlying
-    representation, the disguise (a unit triangular or bidiagonal factor) is
-    verified as an exact matrix identity.
+    For each corner: take the corner's matrix at its internal weight ``mu``
+    (a corner with ``mu`` outside the support passes as empty), apply the
+    recorded unit row operations, regroup rows and columns into the recorded
+    block order, verify the result is block-triangular with every off-side
+    block exactly zero, and certify each diagonal block by an exact
+    determinant.  Where a diagonal block is a disguised copy of the one-step
+    commutator isomorphism of the underlying representation, the disguise (a
+    unit triangular or bidiagonal factor) is verified as an exact matrix
+    identity.
 
     Raises :class:`NotTriangularError` or :class:`DiagonalNotIsoError`;
     returns a dictionary of per-corner determinant witnesses on success.
     """
-    corners = {
-        "11": _cert_11(P, lam),
-        "21": _cert_21(P, lam),
-        "12": _cert_12(P, lam),
-        "22": _cert_22(P, lam),
-    }
+    corners = {}
+    for c in CORNERS:
+        mu = lam + _MU_SHIFT[c]
+        if mu not in P.Vy.A:
+            corners[c] = {"status": "pass",
+                          "witness": "empty at internal weight"}
+        else:
+            corners[c] = _CERTS[c](P, lam, mu,
+                                   _corner_rho(P, c, lam).matrix(mu))
     return {"lam": lam, "status": "pass", "corners": corners}

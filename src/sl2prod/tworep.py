@@ -399,37 +399,46 @@ def xi_eta(rep: TwoRep, i: int) -> BimoduleMap:
     return compose(xi, rep.eta)
 
 
+def map_at(rep: TwoRep, mu: int, dom_words, cod_words, mat=None,
+           name: str = "") -> BimoduleMap:
+    """A map between direct sums of word modules, restricted to the single
+    source weight ``mu``.
+
+    Each distinct word module is restricted to ``mu`` once and the restricted
+    summands are summed in the listed order; a single word is its own
+    module.  The map's only matrix is ``mat`` at ``mu``, or it has none when
+    ``mat`` is None (the zero map, or an empty one when ``mu`` is outside the
+    support)."""
+    restricted = {w: restrict_at(rep.word(w), mu)
+                  for w in {*dom_words, *cod_words}}
+
+    def summed(words):
+        parts = [restricted[w] for w in words]
+        return parts[0] if len(parts) == 1 else SumBimodule(parts)
+    return BimoduleMap(summed(dom_words), summed(cod_words),
+                       {} if mat is None else {mu: mat}, name=name)
+
+
 def rho(rep: TwoRep, lam: int) -> BimoduleMap:
-    """The commutator map at a single weight.
+    """The commutator map at a single weight, built by :func:`map_at`.
 
     For lam >= 0: sigma (+) eps.x^i F (0 <= i < lam) : EF -> FE (+) A^lam.
     For lam <= 0: (sigma, F x^i . eta (0 <= i < -lam)) : EF (+) A^(-lam) -> FE.
-    Returned restricted to the weight lam; summation terms are dropped at 0.
+    At lam = 0 there are no summation terms; outside the support the map
+    has no matrix.
     """
-    field = rep.A.field
+    name = f"rho_{lam}"
     if lam not in rep.A:
-        # everything is zero at this weight
-        z = restrict_at(rep.word("EF"), lam)
-        return BimoduleMap(z, restrict_at(rep.word("FE"), lam), {},
-                           name=f"rho_{lam}")
-    sig = sigma(rep)
+        return map_at(rep, lam, ["EF"], ["FE"], name=name)
+    field = rep.A.field
+    sig = sigma(rep).matrix(lam)
     if lam >= 0:
-        rows = [sig.matrix(lam)] + [eps_xi(rep, i).matrix(lam) for i in range(lam)]
-        mat = block_matrix(field, [[r] for r in rows])
-        summands = [rep.word("FE")] + [rep.word("")] * lam
-        cod = SumBimodule(summands) if len(summands) > 1 else summands[0]
-        f = BimoduleMap(restrict_at(rep.word("EF"), lam),
-                        restrict_at(cod, lam), {lam: mat},
-                        name=f"rho_{lam}")
-    else:
-        cols = [sig.matrix(lam)] + [xi_eta(rep, i).matrix(lam) for i in range(-lam)]
-        mat = block_matrix(field, [cols])
-        summands = [rep.word("EF")] + [rep.word("")] * (-lam)
-        dom = SumBimodule(summands)
-        f = BimoduleMap(restrict_at(dom, lam),
-                        restrict_at(rep.word("FE"), lam), {lam: mat},
-                        name=f"rho_{lam}")
-    return f
+        rows = [sig] + [eps_xi(rep, i).matrix(lam) for i in range(lam)]
+        return map_at(rep, lam, ["EF"], ["FE"] + [""] * lam,
+                      block_matrix(field, [[r] for r in rows]), name)
+    cols = [sig] + [xi_eta(rep, i).matrix(lam) for i in range(-lam)]
+    return map_at(rep, lam, ["EF"] + [""] * -lam, ["FE"],
+                  block_matrix(field, [cols]), name)
 
 
 def check_hypotheses(rep: TwoRep, window=(-4, 4), n_max: int = 2):

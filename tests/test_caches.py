@@ -119,6 +119,17 @@ def test_tilde_rho_allocations_linear_in_summands(monkeypatch):
     assert allocs[40] - allocs[20] <= summands[40] - summands[20]
 
 
+def test_tilde_rho_outside_support_allocates_no_matrix(monkeypatch):
+    # every corner is restricted to its internal weight before any sum is
+    # formed, so a weight outside the support needs no left action matrix
+    P = build_product(make_L1(), check=False)
+    tilde_rho(P, 40)  # builds the word modules
+    made = counting(monkeypatch, Matrix, "__init__")
+    f = tilde_rho(P, 40)
+    assert made == []
+    assert f.mats == {}
+
+
 def test_ky_left_factor_makes_no_left_poly_call(monkeypatch):
     # y acts by scalars, so a k[y] coefficient multiplies coordinatewise
     r = make_L1().adjoin_y()
@@ -213,3 +224,28 @@ def test_first_call_at_high_i_stays_shallow():
     u = Poly.var(QQ, "u")
     assert tworep.self_pow(r, n).matrix(-1).entries == [[u ** n]]
     assert r.h_xy("E", n, [1], extra_y=False).matrix(-1).entries == [[u ** n]]
+
+
+def test_oracle_start_elements_built_once_per_column(monkeypatch):
+    # a sweep over i builds each column's start element once, not once per i
+    n = 16
+    P = gf7_product()
+    S11 = oracles._pairing_unit_side(P, "22")
+    splits = sum(S11.rank(w) * len(oracles._eta_pairs(P, w))
+                 for w in S11.weights())
+    acts = counting(monkeypatch, oracles, "act_G1_on_G2")
+    applies = counting(monkeypatch, oracles, "apply_map")
+    for i in range(n + 1):
+        F_xi_eta_oracle(P, i, "12")
+    assert len(applies) == P.Vy.word("E").total_rank()
+    for i in range(n + 1):
+        F_xi_eta_oracle(P, i, "22")
+    assert len(acts) == splits == 4
+
+
+def test_tilde_sigma_oracle_pair_basis_once_per_weight(monkeypatch):
+    P = build_product(make_L1(), check=False)
+    calls = counting(monkeypatch, oracles, "pair_basis")
+    for corner in CORNERS:
+        tilde_sigma_oracle(P, corner)
+    assert len(calls) == sum(len(P.T[c].weights()) for c in CORNERS) == 6
