@@ -21,6 +21,10 @@ CASES = [
     # L(1) with the dot doubled (x = 2*u): a failing rep, read relative to
     # the golden directory so the report records a stable path
     ("verify_all_x2u.json", ["verify-all", "--rep", "l1_x2u.json"], 1),
+    # three weights with E^2 != 0 and tau = 0: 8 of the 53 records fail,
+    # with the witnesses of both certification routes
+    ("check_rho_e2_tau0.json",
+     ["check-rho", "--rep", "e2_tau0.json", "--weights=-6..6"], 1),
 ]
 
 

@@ -1,11 +1,16 @@
 """The assembled commutator maps and their two isomorphism certificates."""
 
+from collections import Counter
+
 import pytest
 
-from sl2prod.bimodcat import certify_iso
-from sl2prod.polyring import QQ, parse_poly
+from sl2prod.bimodcat import BimoduleMap, certify_iso
+from sl2prod.matrixops import Matrix
+from sl2prod.polyring import QQ, Poly, parse_poly
+from sl2prod.product import rho as rho_mod
 from sl2prod.product import tilde_sigma_closed
-from sl2prod.product.rho import (_corner_rho, tilde_rho,
+from sl2prod.product.rho import (DiagonalNotIsoError, NotTriangularError,
+                                 _corner_rho, tilde_rho,
                                  triangular_certificate)
 
 CORNERS = ("11", "21", "12", "22")
@@ -72,3 +77,48 @@ class TestAgreement:
             corner, w = key
             assert corner in CORNERS
             assert f.matrix(key) is f.mats[key]
+
+
+class TestCertificateFaults:
+    """Each mutant adds 1 or y to one entry of one corner matrix at its
+    internal weight; the triangular certificate must catch some mutant of
+    every non-empty corner, and the split of outcomes pins its check
+    order."""
+
+    def test_single_entry_mutants(self, P, monkeypatch):
+        real = rho_mod._corner_rho
+        y = Poly.var(P.Vy.A.field, "y")
+        mutants = []
+        for lam in WINDOW:
+            for c in CORNERS:
+                for mu, m in real(P, c, lam).mats.items():
+                    mutants += [(lam, c, mu, i, j, d)
+                                for i in range(m.nrows)
+                                for j in range(m.ncols)
+                                for d in (Poly.one(y.field), y)]
+        outcomes = Counter()
+        caught = set()
+        for lam, c, mu, i, j, d in mutants:
+            def mutated(P_, corner, lam_, c=c, lam=lam, mu=mu, i=i, j=j,
+                        d=d):
+                f = real(P_, corner, lam_)
+                if (corner, lam_) != (c, lam):
+                    return f
+                m = f.matrix(mu)
+                rows = [list(row) for row in m.entries]
+                rows[i][j] = rows[i][j] + d
+                return BimoduleMap(f.dom, f.cod,
+                                   {mu: Matrix(m.field, m.nrows, m.ncols,
+                                               rows)}, name=f.name)
+            monkeypatch.setattr(rho_mod, "_corner_rho", mutated)
+            try:
+                triangular_certificate(P, lam)
+                outcomes["pass"] += 1
+            except (NotTriangularError, DiagonalNotIsoError) as e:
+                outcomes[type(e).__name__] += 1
+                caught.add((c, lam))
+            monkeypatch.setattr(rho_mod, "_corner_rho", real)
+        assert len(mutants) == 66
+        assert caught == {(c, lam) for lam, c, *_ in mutants}
+        assert outcomes == {"NotTriangularError": 30,
+                            "DiagonalNotIsoError": 14, "pass": 22}
