@@ -134,6 +134,12 @@ def offsets(sizes) -> list:
     return offs
 
 
+def pick(m: Matrix, rows, cols) -> "Matrix":
+    """The submatrix of ``m`` on the listed rows and columns, in order."""
+    return Matrix(m.field, len(rows), len(cols),
+                  [[m.entries[r][c] for c in cols] for r in rows])
+
+
 def place_blocks(field, row_sizes, col_sizes, blocks: dict) -> "Matrix":
     """The matrix tiled by ``row_sizes`` x ``col_sizes`` that holds
     ``blocks[(i, j)]`` at tile (i, j) and zero on every other tile."""

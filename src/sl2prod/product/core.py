@@ -13,8 +13,8 @@ from ..bimodcat import (BimoduleMap, SumBimodule, compose, compose_all,
                         direct_sum_maps, identity_map)
 from ..matrixops import ShapeMismatchError, block_matrix
 from ..polyring import Poly
-from ..tworep import (HypothesesFailedError, check_hypotheses, self_pow,
-                      sigma)
+from ..tworep import (HypothesesFailedError, check_hypotheses, eps_xi,
+                      self_pow, sigma, xi_eta)
 from .elements import Elt, apply_map, basis_elt, elem_tensor, join, zero_elt
 from .models import (CORNER_MODELS, G1Elt, G2Elt, act_G1_on_G2,
                      compose_G1, one_G1, tau22)
@@ -25,6 +25,12 @@ CORNERS = ("11", "21", "12", "22")
 # commutator maps); the FE-ordered sums are the model layouts.
 T_WORDS = {"11": ("EF",), "21": ("F", "FEF"), "12": ("E", "EFE"),
            "22": ("", "FE", "FE", "FEFE", "EF")}
+# Summand words of the end-algebra corners C_c: the codomains of the
+# evaluation pairings and the domains of the coevaluation pairings.
+C_WORDS = {"11": ("",), "21": ("F",), "12": ("E",), "22": ("", "FE")}
+# A corner of the weight-lam commutator map lives at internal weight
+# lam + MU_SHIFT[corner].
+MU_SHIFT = {"11": +1, "21": +1, "12": -1, "22": -1}
 
 
 def word_sum(r, words, name):
@@ -46,6 +52,9 @@ class ProductRep:
         # codomain sums for the FE-ordered corners (the model corner sums)
         self.S = {c: word_sum(r, m.words(), m.KIND)
                   for c, m in CORNER_MODELS.items()}
+        # the end-algebra corners, as sums even for a single word
+        self.C = {c: SumBimodule([r.word(w) for w in words], name=f"C{c}")
+                  for c, words in C_WORDS.items()}
 
     # -- small helpers ----------------------------------------------------
     def weights(self):
@@ -100,12 +109,12 @@ def build_product(V, check: bool = True) -> ProductRep:
 def c_basis(P: ProductRep, corner: str, c: int):
     """Basis elements of an end-algebra corner at internal weight c."""
     r = P.Vy
-    w = c + 1 if corner in ("11", "21") else c - 1
+    w = c + MU_SHIFT[corner]
     if w not in r.A:
         return []
     if corner == "22":
         return P.sum_basis("11", w)
-    word = {"11": "", "12": "E", "21": "F"}[corner]
+    word, = C_WORDS[corner]
     return [basis_elt(r, word, w, k) for k in range(r.word(word).rank(w))]
 
 
@@ -196,7 +205,7 @@ def tilde_x_pow(P: ProductRep, i: int, corner: str) -> BimoduleMap:
     A power x_k^i at one factor is h_i of the single variable x_k."""
     r = P.Vy
     if corner == "11":
-        return r.lift(self_pow(r, i), "E", "E", "", "")
+        return self_pow(r, i)
     if corner == "12":
         return r.h_xy("EE", i, [2], extra_y=False)
     yi = Poly.var(r.A.field, "y") ** i if i else Poly.one(r.A.field)
@@ -208,9 +217,8 @@ def tilde_x_pow(P: ProductRep, i: int, corner: str) -> BimoduleMap:
         }
         return direct_sum_maps(P.S["11"], P.S["11"], entries)
     if corner == "22":
-        x_pow = r.lift(self_pow(r, i), "E", "E", "", "")
         entries = {
-            (0, 0): x_pow,
+            (0, 0): self_pow(r, i),
             (0, 1): -r.h_xy("E", i - 1, [1]),
             (1, 1): r.scalar("E", yi),
             (2, 0): compose(r.h_xy("FEE", i - 1, [1, 2], extra_y=False),
@@ -319,14 +327,6 @@ def tilde_sigma_closed(P: ProductRep, corner: str) -> BimoduleMap:
     raise ShapeMismatchError(f"unknown corner {corner}")
 
 
-def _eps_xiy(P: ProductRep, i: int) -> BimoduleMap:
-    """Evaluation against i dots and one framing dot: EF -> A."""
-    r = P.Vy
-    op = compose(r.lift(self_pow(r, i), "E", "E", "", "F"),
-                 r.y_at("EF", 1))
-    return compose(r.eps, op)
-
-
 def _theta_entry(P: ProductRep, i: int) -> BimoduleMap:
     """The corner entry EF -> FE built from the double insertion."""
     r = P.Vy
@@ -343,23 +343,22 @@ def eps_xi_F_closed(P: ProductRep, i: int, corner: str) -> BimoduleMap:
     r = P.Vy
     field = r.A.field
     yi = Poly.var(field, "y") ** i if i else Poly.one(field)
-    base = _eps_xiy(P, i)          # EF -> A
+    # evaluation against i dots and one framing dot: EF -> A
+    base = compose(eps_xi(r, i), r.y_at("EF", 1))
     if corner == "11":
         return base
     if corner == "21":
-        cod = SumBimodule([r.word("F")], name="C21")
         entries = {
             (0, 0): r.xF_pow(i, ""),
             (0, 1): r.lift(base, "EF", "", "F", ""),
         }
-        return direct_sum_maps(P.T["21"], cod, entries)
+        return direct_sum_maps(P.T["21"], P.C["21"], entries)
     if corner == "12":
-        cod = SumBimodule([r.word("E")], name="C12")
         entries = {
-            (0, 0): r.lift(self_pow(r, i), "E", "E", "", ""),
+            (0, 0): self_pow(r, i),
             (0, 1): r.lift(base, "EF", "", "", "E"),
         }
-        return direct_sum_maps(P.T["12"], cod, entries)
+        return direct_sum_maps(P.T["12"], P.C["12"], entries)
     if corner == "22":
         entries = {
             (0, 0): r.scalar("", yi),
@@ -370,7 +369,7 @@ def eps_xi_F_closed(P: ProductRep, i: int, corner: str) -> BimoduleMap:
             (1, 3): r.lift(base, "EF", "", "F", "E"),
             (1, 4): _theta_entry(P, i),
         }
-        return direct_sum_maps(P.T["22"], P.S["11"], entries)
+        return direct_sum_maps(P.T["22"], P.C["22"], entries)
     raise ShapeMismatchError(f"unknown corner {corner}")
 
 
@@ -381,27 +380,22 @@ def F_xi_eta_closed(P: ProductRep, i: int, corner: str) -> BimoduleMap:
     yi = Poly.var(field, "y") ** i if i else Poly.one(field)
     h_eta = compose(r.h_xy("FE", i - 1, [1]), r.eta)
     if corner == "11":
-        dom = SumBimodule([r.word("")], name="C11")
         entries = {(0, 0): r.scalar("", yi), (1, 0): h_eta}
-        return direct_sum_maps(dom, P.S["11"], entries)
+        return direct_sum_maps(P.C["11"], P.S["11"], entries)
     if corner == "21":
-        dom = SumBimodule([r.word("F")], name="C21")
         entries = {
             (1, 0): r.scalar("F", yi),
             (2, 0): r.lift(h_eta, "", "FE", "F", ""),
         }
-        return direct_sum_maps(dom, P.S["21"], entries)
+        return direct_sum_maps(P.C["21"], P.S["21"], entries)
     if corner == "12":
-        dom = SumBimodule([r.word("E")], name="C12")
         entries = {
             (0, 0): r.scalar("E", yi),
             (1, 0): compose(r.y_at("E", 1), r.scalar("E", yi)),
             (2, 0): r.lift(h_eta, "", "FE", "", "E"),
         }
-        return direct_sum_maps(dom, P.S["12"], entries)
+        return direct_sum_maps(P.C["12"], P.S["12"], entries)
     if corner == "22":
-        xi_eta = compose(r.lift(self_pow(r, i), "E", "E", "F", ""),
-                         r.eta)
         eta2 = compose(r.eta_at("FE", 1), r.eta)   # "" -> FFEE
         op = compose(r.h_xy("FFEE", i - 1, [1, 2], extra_y=False),
                      r.tau_at("FFEE", 1))
@@ -411,10 +405,10 @@ def F_xi_eta_closed(P: ProductRep, i: int, corner: str) -> BimoduleMap:
             (0, 1): compose(r.scalar("FE", yi), r.y_at("FE", 1)),
             (1, 0): -h_eta,
             (1, 1): r.scalar("FE", yi),
-            (3, 0): xi_eta,
+            (3, 0): xi_eta(r, i),
             (4, 0): compose(op, eta2),
             (4, 1): compose(r.h_xy("FFEE", i - 1, [2]),
                             r.eta_at("FE", 1)),
         }
-        return direct_sum_maps(P.S["11"], P.S["22"], entries)
+        return direct_sum_maps(P.C["22"], P.S["22"], entries)
     raise ShapeMismatchError(f"unknown corner {corner}")

@@ -89,9 +89,13 @@ def pair_basis(P: ProductRep, corner: str, w: int):
 def _eta_pairs(P: ProductRep, w: int):
     """Both coordinate flavors of the coevaluation split at weight w.
 
-    Yields (l_eta at w + 2, g_eta at w, flavor) with flavor "a" or "b".
+    Returns (l_eta at w + 2, g_eta at w, flavor) triples, flavor "a" or
+    "b", built once per weight and kept in ``P.Vy._cache``.
     """
     r = P.Vy
+    key = ("_eta_pairs", w)
+    if key in r._cache:
+        return r._cache[key]
     eta1 = apply_map(r.eta, one_at(r, w), "FE")
     zf = zero_elt(r, "F", w + 2)
     zffe = zero_elt(r, "FFE", w + 2)
@@ -103,6 +107,7 @@ def _eta_pairs(P: ProductRep, w: int):
                     G2Elt(r, w, v, ze, zfee), "a"))
         out.append((L2Elt(r, w + 2, zf, fL, zffe),
                     G2Elt(r, w, ze, v, zfee), "b"))
+    r._cache[key] = out
     return out
 
 
@@ -253,14 +258,6 @@ def _iterate(P: ProductRep, key: tuple, start, step, i: int):
     return its[i]
 
 
-def _pairing_unit_side(P: ProductRep, corner: str):
-    """The codomain of the evaluation pairings on a corner, which is also
-    the domain of the coevaluation pairings."""
-    r = P.Vy
-    return {"11": r.word(""), "21": r.word("F"), "12": r.word("E"),
-            "22": P.S["11"]}[corner]
-
-
 def eps_xi_F_oracle(P: ProductRep, i: int, corner: str) -> BimoduleMap:
     """The i-th evaluation pairing on a corner, built column by column."""
     r = P.Vy
@@ -296,7 +293,7 @@ def eps_xi_F_oracle(P: ProductRep, i: int, corner: str) -> BimoduleMap:
         return P.model_to_vec(compose_G1(b, gi))
 
     colfn = {"11": col11, "12": col12, "21": col21, "22": col22}[corner]
-    return _columnwise(P, P.T[corner], _pairing_unit_side(P, corner), colfn,
+    return _columnwise(P, P.T[corner], P.C[corner], colfn,
                        f"eps_xi{i}_F_{corner}_oracle")
 
 
@@ -335,7 +332,7 @@ def F_xi_eta_oracle(P: ProductRep, i: int, corner: str) -> BimoduleMap:
         return P.model_to_vec(total)
 
     colfn = {"11": col11, "12": col12, "21": col21, "22": col22}[corner]
-    return _columnwise(P, _pairing_unit_side(P, corner), P.S[corner], colfn,
+    return _columnwise(P, P.C[corner], P.S[corner], colfn,
                        f"F_xi{i}_eta_{corner}_oracle")
 
 

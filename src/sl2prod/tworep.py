@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 
 from .polyring import Poly, QQ, parse_poly
-from .matrixops import Matrix, block_matrix
+from .matrixops import Matrix, block_matrix, offsets, pick
 from .bimodcat import (
     WeightedAlgebra, Bimodule, Component, BimoduleMap, SumBimodule,
     regular_bimodule, tensor_over_A, identity_map, zero_map, compose,
@@ -64,9 +64,10 @@ def _memoized(method):
     The memoized entries are ``_left_dual``, ``eta``, ``eps``, ``word``,
     ``x_at``, ``y_at``, ``tau_at``, ``eps_at``, ``eta_at``, ``tau_mate``,
     ``xF_pow`` and ``_h_xy`` here, and ``_omega3_map`` in
-    ``sl2prod.product.gammas``; the oracles' ``_iterates`` keep lists of dot
-    iterates in the same dict.  Cached modules and maps are shared between
-    callers, which only read them."""
+    ``sl2prod.product.gammas``; the oracles keep lists of dot iterates
+    (``_iterates``) and the coevaluation splits (``_eta_pairs``) in the same
+    dict.  Cached modules and maps are shared between callers, which only
+    read them."""
     @functools.wraps(method)
     def cached(self, *args):
         key = (method.__name__, *args)
@@ -399,46 +400,61 @@ def xi_eta(rep: TwoRep, i: int) -> BimoduleMap:
     return compose(xi, rep.eta)
 
 
-def map_at(rep: TwoRep, mu: int, dom_words, cod_words, mat=None,
-           name: str = "") -> BimoduleMap:
-    """A map between direct sums of word modules, restricted to the single
-    source weight ``mu``.
+def commutator_at(rep: TwoRep, mu: int, lam: int, dom_words, cod_words,
+                  pair_words, blocks, name: str) -> BimoduleMap:
+    """A commutator map of weight ``lam``, restricted to the single source
+    weight ``mu``: a commutator block stacked with ``|lam|`` pairings.
 
-    Each distinct word module is restricted to ``mu`` once and the restricted
-    summands are summed in the listed order; a single word is its own
-    module.  The map's only matrix is ``mat`` at ``mu``, or it has none when
-    ``mat`` is None (the zero map, or an empty one when ``mu`` is outside the
-    support)."""
+    The block maps the sum of ``dom_words`` to the sum of ``cod_words``; the
+    pairings map it to the sum of ``pair_words`` (``lam > 0``, extra rows)
+    or map that sum to the sum of ``cod_words`` (``lam < 0``, extra columns).
+    Each pairing is split along ``pair_words`` and the pieces are grouped by
+    word: every pairing's piece on the first word, then on the next.
+
+    ``blocks()`` returns the block's matrix and the list of the pairings'
+    matrices at ``mu``; it is called only when ``mu`` is in the support
+    (outside it the map has no matrix), and at ``lam = 0`` the block's
+    matrix is the map's matrix, uncopied.  Each distinct word module is
+    restricted to ``mu`` once; a single word is its own module."""
+    extra = [w for w in pair_words for _ in range(abs(lam))]
+    dom_words = [*dom_words, *(extra if lam < 0 else [])]
+    cod_words = [*cod_words, *(extra if lam > 0 else [])]
     restricted = {w: restrict_at(rep.word(w), mu)
                   for w in {*dom_words, *cod_words}}
 
     def summed(words):
         parts = [restricted[w] for w in words]
         return parts[0] if len(parts) == 1 else SumBimodule(parts)
-    return BimoduleMap(summed(dom_words), summed(cod_words),
-                       {} if mat is None else {mu: mat}, name=name)
+    dom, cod = summed(dom_words), summed(cod_words)
+    if mu not in rep.A:
+        return BimoduleMap(dom, cod, {}, name=name)
+    mat, pairs = blocks()
+    cuts = offsets([rep.word(w).rank(mu) for w in pair_words])
+    spans = [range(a, b) for a, b in zip(cuts, cuts[1:])]
+    if lam > 0:
+        mat = block_matrix(rep.A.field, [[mat]] + [
+            [pick(p, span, range(p.ncols))] for span in spans for p in pairs])
+    elif lam < 0:
+        mat = block_matrix(rep.A.field, [[mat] + [
+            pick(p, range(p.nrows), span) for span in spans for p in pairs]])
+    return BimoduleMap(dom, cod, {mu: mat}, name=name)
 
 
 def rho(rep: TwoRep, lam: int) -> BimoduleMap:
-    """The commutator map at a single weight, built by :func:`map_at`.
+    """The commutator map at a single weight, built by
+    :func:`commutator_at`.
 
     For lam >= 0: sigma (+) eps.x^i F (0 <= i < lam) : EF -> FE (+) A^lam.
     For lam <= 0: (sigma, F x^i . eta (0 <= i < -lam)) : EF (+) A^(-lam) -> FE.
     At lam = 0 there are no summation terms; outside the support the map
     has no matrix.
     """
-    name = f"rho_{lam}"
-    if lam not in rep.A:
-        return map_at(rep, lam, ["EF"], ["FE"], name=name)
-    field = rep.A.field
-    sig = sigma(rep).matrix(lam)
-    if lam >= 0:
-        rows = [sig] + [eps_xi(rep, i).matrix(lam) for i in range(lam)]
-        return map_at(rep, lam, ["EF"], ["FE"] + [""] * lam,
-                      block_matrix(field, [[r] for r in rows]), name)
-    cols = [sig] + [xi_eta(rep, i).matrix(lam) for i in range(-lam)]
-    return map_at(rep, lam, ["EF"] + [""] * -lam, ["FE"],
-                  block_matrix(field, [cols]), name)
+    pairing = eps_xi if lam > 0 else xi_eta
+    return commutator_at(
+        rep, lam, lam, ["EF"], ["FE"], [""],
+        lambda: (sigma(rep).matrix(lam),
+                 [pairing(rep, i).matrix(lam) for i in range(abs(lam))]),
+        f"rho_{lam}")
 
 
 def check_hypotheses(rep: TwoRep, window=(-4, 4), n_max: int = 2):

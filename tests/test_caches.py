@@ -180,8 +180,8 @@ def test_pairing_sweep_steps_linear_in_i(monkeypatch):
     # coevaluation split of it) steps its iterate at i - 1 once; rebuilding
     # every i from scratch would take about columns * n^2 / 2 steps
     splits = max(len(oracles._eta_pairs(P, w)) for w in P.weights())
-    columns = sum(P.T[c].total_rank() + oracles._pairing_unit_side(P, c)
-                  .total_rank() * (splits if c == "22" else 1)
+    columns = sum(P.T[c].total_rank()
+                  + P.C[c].total_rank() * (splits if c == "22" else 1)
                   for c in CORNERS)
     total = len(steps[0]) + len(steps[1])
     assert 0 < total <= columns * n
@@ -230,9 +230,9 @@ def test_oracle_start_elements_built_once_per_column(monkeypatch):
     # a sweep over i builds each column's start element once, not once per i
     n = 16
     P = gf7_product()
-    S11 = oracles._pairing_unit_side(P, "22")
-    splits = sum(S11.rank(w) * len(oracles._eta_pairs(P, w))
-                 for w in S11.weights())
+    C22 = P.C["22"]
+    splits = sum(C22.rank(w) * len(oracles._eta_pairs(P, w))
+                 for w in C22.weights())
     acts = counting(monkeypatch, oracles, "act_G1_on_G2")
     applies = counting(monkeypatch, oracles, "apply_map")
     for i in range(n + 1):
@@ -249,3 +249,19 @@ def test_tilde_sigma_oracle_pair_basis_once_per_weight(monkeypatch):
     for corner in CORNERS:
         tilde_sigma_oracle(P, corner)
     assert len(calls) == sum(len(P.T[c].weights()) for c in CORNERS) == 6
+
+
+def test_eta_pairs_built_once_per_weight(monkeypatch):
+    # one_at starts each coevaluation split; the parent rebuilt the split
+    # per column and per i (51 times in this sweep, 8 times in the
+    # commutator oracles)
+    P = gf7_product()
+    builds = counting(monkeypatch, oracles, "one_at")
+    for i in range(17):
+        F_xi_eta_oracle(P, i, "22")
+    assert len(builds) == len({args[1] for args in builds}) == 2
+    P = build_product(make_L1(), check=False)
+    builds.clear()
+    for corner in CORNERS:
+        tilde_sigma_oracle(P, corner)
+    assert len(builds) == len({args[1] for args in builds}) == 2

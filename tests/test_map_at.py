@@ -1,7 +1,7 @@
 """Single-weight assembly of the commutator maps against sum-then-restrict.
 
-``map_at`` restricts each word module to the one weight a commutator map
-lives at and sums the restricted summands.  The references below are the
+``tworep.commutator_at`` restricts each word module to the one weight a
+commutator map lives at and sums the restricted summands.  The references below are the
 earlier assembly: sum the full word modules, then restrict the sum.  Both
 must give the same matrices and, at that weight, the same bases and left
 actions on the domain and the codomain.

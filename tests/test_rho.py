@@ -8,10 +8,9 @@ from sl2prod.bimodcat import BimoduleMap, certify_iso
 from sl2prod.matrixops import Matrix
 from sl2prod.polyring import QQ, Poly, parse_poly
 from sl2prod.product import rho as rho_mod
-from sl2prod.product import tilde_sigma_closed
+from sl2prod.product import tilde_sigma_oracle
 from sl2prod.product.rho import (DiagonalNotIsoError, NotTriangularError,
-                                 _corner_rho, tilde_rho,
-                                 triangular_certificate)
+                                 tilde_rho, triangular_certificate)
 
 CORNERS = ("11", "21", "12", "22")
 WINDOW = range(-4, 5)
@@ -62,14 +61,17 @@ class TestTriangularCertificate:
 
 
 class TestAgreement:
-    def test_weight_zero_row_and_column_forms_agree(self, P):
+    def test_weight_zero_corners_match_the_oracle(self, P):
+        # at weight 0 each corner is its commutator block alone; compare it
+        # with the block's independent, elementwise construction
         f0 = tilde_rho(P, 0)
+        compared = 0
         for c in CORNERS:
-            g = _corner_rho(P, c, 0)
-            s = tilde_sigma_closed(P, c)
-            for lam in f0.corners[c].mats:
-                assert g.matrix(lam) == f0.corners[c].matrix(lam), c
-                assert s.matrix(lam) == f0.corners[c].matrix(lam), c
+            oracle = tilde_sigma_oracle(P, c)
+            for mu, m in f0.corners[c].mats.items():
+                assert m == oracle.matrix(mu), (c, mu)
+                compared += m.nrows * m.ncols
+        assert compared
 
     def test_mats_keys_are_corner_weight_pairs(self, P):
         f = tilde_rho(P, 2)
