@@ -212,9 +212,6 @@ class SumBimodule(Bimodule):
         super().__init__(A, shift, comps, name=name or "(+)".join(s.name for s in summands))
         self.summands = list(summands)
 
-    def offset(self, lam: int, k: int) -> int:
-        return sum(s.rank(lam) for s in self.summands[:k])
-
 
 # ---------------------------------------------------------------------------
 # maps
@@ -356,9 +353,6 @@ class IsoCertificate:
     ok: bool
     dets: dict = dfield(default_factory=dict)  # weight -> determinant string
     witness: Optional[tuple] = None  # (weight, reason)
-
-    def __bool__(self):
-        return self.ok
 
 
 def certify_iso(f: BimoduleMap) -> IsoCertificate:

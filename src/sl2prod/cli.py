@@ -211,8 +211,7 @@ def _make_field(spec):
         raise ConfigError(f"bad field {spec!r}: expected QQ or a prime") from e
 
 
-def _load_rep(args):
-    field = _make_field(args.field)
+def _load_rep(args, field):
     if args.rep in (None, "L1", "builtin"):
         return make_L1(field)
     try:
@@ -244,38 +243,27 @@ def run(args):
     if args.i_max < 0:
         raise ConfigError("i-max must be non-negative")
     field = _make_field(args.field)
+    cmd = args.command
+    rep = None if cmd == "identities" else _load_rep(args, field)
     suites = []
-    if args.command in ("identities", "verify-all"):
-        suites.append(("identities",
-                       lambda: suite_identities(field, args.i_max)))
-    rep_holder = {}
-
-    def get_rep():
-        if "rep" not in rep_holder:
-            rep_holder["rep"] = _load_rep(args)
-        return rep_holder["rep"]
-
-    if args.command in ("check-rep", "verify-all"):
-        suites.append(("check-rep", lambda: suite_check_rep(get_rep(), window)))
-    if args.command in ("build-product", "verify-all"):
-        def _bp():
-            P, recs = suite_build_product(get_rep(), args.i_max, args.seed)
-            rep_holder["P"] = P
-            return recs
-        suites.append(("build-product", _bp))
-    if args.command in ("check-rho", "verify-all"):
-        def _cr():
-            if "P" not in rep_holder:
-                rep_holder["P"] = build_product(get_rep(), check=False)
-            if rep_holder["P"] is None:
-                return [record("commutator suite skipped", False,
-                               "product construction failed")]
-            return suite_check_rho(rep_holder["P"], window)
-        suites.append(("check-rho", _cr))
+    if cmd in ("identities", "verify-all"):
+        suites.append(("identities", suite_identities(field, args.i_max)))
+    if cmd in ("check-rep", "verify-all"):
+        suites.append(("check-rep", suite_check_rep(rep, window)))
+    if cmd in ("build-product", "verify-all"):
+        P, recs = suite_build_product(rep, args.i_max, args.seed)
+        suites.append(("build-product", recs))
+    if cmd == "check-rho":
+        P = build_product(rep, check=False)
+    if cmd in ("check-rho", "verify-all"):
+        recs = (suite_check_rho(P, window) if P is not None else
+                [record("commutator suite skipped", False,
+                        "product construction failed")])
+        suites.append(("check-rho", recs))
 
     checks = []
-    for suite_name, fn in suites:
-        for k, r in enumerate(fn()):
+    for suite_name, recs in suites:
+        for k, r in enumerate(recs):
             entry = {
                 "id": f"{suite_name}.{k:03d}",
                 "anchor": r["check"],

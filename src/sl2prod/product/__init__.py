@@ -25,11 +25,6 @@ from .oracles import (OracleClaimError, pair_basis, tilde_sigma_oracle,
 from .rho import (RhoMap, NotTriangularError, DiagonalNotIsoError,
                   tilde_rho, triangular_certificate)
 
-# Closed forms under their short names; the oracle variants recompute the
-# same maps along an independent composite.
-eps_xi_F = eps_xi_F_closed
-F_xi_eta = F_xi_eta_closed
-
 __all__ = [
     "Elt", "NotInModelError", "apply_map", "basis_elt", "elem_tensor",
     "join", "solve_op", "zero_elt",
@@ -41,7 +36,6 @@ __all__ = [
     "ProductRep", "build_product", "c_basis", "c_mult",
     "tilde_x_pow", "tilde_x_step_21", "tilde_x_step_22", "tau21",
     "tilde_tau", "tilde_sigma_closed", "eps_xi_F_closed", "F_xi_eta_closed",
-    "eps_xi_F", "F_xi_eta",
     "omega3_map", "omega3_apply",
     "OracleClaimError", "pair_basis", "tilde_sigma_oracle",
     "eps_xi_F_oracle", "F_xi_eta_oracle", "check_product_hecke",

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from ..bimodcat import (BimoduleMap, SumBimodule, compose, compose_all,
                         direct_sum_maps, identity_map)
-from ..matrixops import ShapeMismatchError, block_matrix
+from ..matrixops import ShapeMismatchError
 from ..polyring import Poly
-from ..tworep import (HypothesesFailedError, check_hypotheses, eps_xi,
-                      self_pow, sigma, xi_eta)
+from ..tworep import (HypothesesFailedError, _memoized, check_hypotheses,
+                      eps_xi, self_pow, sigma, xi_eta)
 from .elements import Elt, apply_map, basis_elt, elem_tensor, join, zero_elt
 from .models import (CORNER_MODELS, G1Elt, G2Elt, act_G1_on_G2,
                      compose_G1, one_G1, tau22)
@@ -34,10 +34,8 @@ MU_SHIFT = {"11": +1, "21": +1, "12": -1, "22": -1}
 
 
 def word_sum(r, words, name):
-    """The direct sum of word modules; a single word is its own module."""
-    summands = [r.word(w) for w in words]
-    return summands[0] if len(summands) == 1 else SumBimodule(summands,
-                                                              name=name)
+    """The direct sum of the word modules of ``words``."""
+    return SumBimodule([r.word(w) for w in words], name=name)
 
 
 class ProductRep:
@@ -46,14 +44,15 @@ class ProductRep:
     def __init__(self, V):
         self.V = V
         self.Vy = r = V.adjoin_y()
+        self._cache: dict = {}
         # domain sums for the EF-ordered corners
         self.T = {c: word_sum(r, words, f"T{c}")
                   for c, words in T_WORDS.items()}
         # codomain sums for the FE-ordered corners (the model corner sums)
         self.S = {c: word_sum(r, m.words(), m.KIND)
                   for c, m in CORNER_MODELS.items()}
-        # the end-algebra corners, as sums even for a single word
-        self.C = {c: SumBimodule([r.word(w) for w in words], name=f"C{c}")
+        # the end-algebra corners
+        self.C = {c: word_sum(r, words, f"C{c}")
                   for c, words in C_WORDS.items()}
 
     # -- small helpers ----------------------------------------------------
@@ -283,18 +282,14 @@ def tilde_tau(P: ProductRep, corner: str):
 # closed forms: commutator corner maps
 # ---------------------------------------------------------------------------
 
+@_memoized
 def tilde_sigma_closed(P: ProductRep, corner: str) -> BimoduleMap:
     """The commutator natural map on a corner, in closed matrix form."""
     r = P.Vy
     sig = sigma(r)
     if corner == "11":
-        mats = {}
-        dom, cod = P.T["11"], P.S["11"]
-        eps = r.eps
-        for lam in dom.weights():
-            mats[lam] = block_matrix(
-                r.A.field, [[eps.matrix(lam)], [sig.matrix(lam)]])
-        return BimoduleMap(dom, cod, mats, name="sigma11")
+        return direct_sum_maps(P.T["11"], P.S["11"],
+                               {(0, 0): r.eps, (1, 0): sig})
     if corner == "21":
         entries = {
             (0, 0): identity_map(r.word("F")),

@@ -9,33 +9,28 @@ and ``omega3_apply`` applies it.
 
 from __future__ import annotations
 
-from ..bimodcat import BimoduleMap, SumBimodule, compose, direct_sum_maps
+from ..bimodcat import BimoduleMap, compose, direct_sum_maps
 from ..matrixops import Matrix
 from ..polyring import Poly
 from ..tworep import _memoized, sigma
 from .elements import Elt, elem_tensor
 from .models import G2Elt, L2Elt
-from .core import ProductRep
-
-
-def omega3_map(P: ProductRep) -> BimoduleMap:
-    """The lower-right mixed component as an explicit block matrix map, built
-    once per representation."""
-    return _omega3_map(P.Vy)
+from .core import ProductRep, word_sum
 
 
 @_memoized
-def _omega3_map(r) -> BimoduleMap:
+def omega3_map(P: ProductRep) -> BimoduleMap:
+    """The lower-right mixed component as an explicit block matrix map, built
+    once per product."""
+    r = P.Vy
     sig = sigma(r)
     eps = r.eps
     y1 = r.y_at("EF", 1)
     sig_y = compose(sig, y1)
     eps_y = compose(eps, y1)
-    dom = SumBimodule([r.word("EF")] * 4 + [r.word("EFFE")] * 2
-                      + [r.word("FEEF")] * 2 + [r.word("FEEFFE")],
-                      name="G2L2")
-    cod = SumBimodule([r.word(""), r.word("FE"), r.word("FE"),
-                       r.word("FEFE")], name="G1G1")
+    dom = word_sum(r, ["EF"] * 4 + ["EFFE"] * 2 + ["FEEF"] * 2 + ["FEEFFE"],
+                   "G2L2")
+    cod = word_sum(r, ["", "FE", "FE", "FEFE"], "G1G1")
     entries = {
         (0, 0): eps,
         (0, 3): eps,

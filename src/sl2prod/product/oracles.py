@@ -13,7 +13,7 @@ import random
 from ..bimodcat import BimoduleMap, compose, identity_map
 from ..matrixops import Matrix, ShapeMismatchError
 from ..polyring import Poly
-from ..tworep import record
+from ..tworep import _memoized, record
 from .core import (ProductRep, tau21, tilde_tau, tilde_x_pow, tilde_x_step_21,
                    tilde_x_step_22)
 from .elements import Elt, apply_map, basis_elt, elem_tensor, join, zero_elt
@@ -41,6 +41,7 @@ def _fes(P, w):
     return [basis_elt(P.Vy, "FE", w, k) for k in range(_rank(P, "FE", w))]
 
 
+@_memoized
 def pair_basis(P: ProductRep, corner: str, w: int):
     """Decomposable pairs realizing the flat basis of an EF corner sum."""
     r = P.Vy
@@ -86,16 +87,14 @@ def pair_basis(P: ProductRep, corner: str, w: int):
     raise ShapeMismatchError(f"unknown corner {corner}")
 
 
+@_memoized
 def _eta_pairs(P: ProductRep, w: int):
     """Both coordinate flavors of the coevaluation split at weight w.
 
     Returns (l_eta at w + 2, g_eta at w, flavor) triples, flavor "a" or
-    "b", built once per weight and kept in ``P.Vy._cache``.
+    "b", built once per weight.
     """
     r = P.Vy
-    key = ("_eta_pairs", w)
-    if key in r._cache:
-        return r._cache[key]
     eta1 = apply_map(r.eta, one_at(r, w), "FE")
     zf = zero_elt(r, "F", w + 2)
     zffe = zero_elt(r, "FFE", w + 2)
@@ -107,7 +106,6 @@ def _eta_pairs(P: ProductRep, w: int):
                     G2Elt(r, w, v, ze, zfee), "a"))
         out.append((L2Elt(r, w + 2, zf, fL, zffe),
                     G2Elt(r, w, ze, v, zfee), "b"))
-    r._cache[key] = out
     return out
 
 
@@ -247,12 +245,12 @@ def _x_step_E(P, e: Elt) -> Elt:
 
 def _iterate(P: ProductRep, key: tuple, start, step, i: int):
     """The i-th iterate of ``step`` from ``start()``.  The iterates of a
-    column are kept in ``P.Vy._cache`` under ``key`` = (oracle, corner,
+    column are kept in ``P._cache`` under ``key`` = (oracle, corner,
     weight, column, ...), so a sweep over i = 0..n builds the start element
     once and applies ``step`` n times each."""
-    its = P.Vy._cache.get(("_iterates", *key))
+    its = P._cache.get(("_iterates", *key))
     if its is None:
-        its = P.Vy._cache[("_iterates", *key)] = [start()]
+        its = P._cache[("_iterates", *key)] = [start()]
     while len(its) <= i:
         its.append(step(P, its[-1]))
     return its[i]
@@ -359,9 +357,9 @@ def check_product_hecke(P: ProductRep):
         out.append(_map_check(f"hecke[{tag}]: xin tau = tau xout + 1",
                               compose(xin, t), compose(t, xout) + ident))
 
-    relations("11", r.tau_at("EE", 1), r.x_at("EE", 1),
+    relations("11", tilde_tau(P, "11"), r.x_at("EE", 1),
               r.x_at("EE", 2), identity_map(r.word("EE")))
-    relations("12", r.tau_at("EEE", 2), r.x_at("EEE", 2),
+    relations("12", tilde_tau(P, "12"), r.x_at("EEE", 2),
               r.x_at("EEE", 3), identity_map(r.word("EEE")))
 
     T21 = tilde_tau(P, "21")
@@ -374,6 +372,7 @@ def check_product_hecke(P: ProductRep):
     Xin21 = _columnwise(P, P.S["12"], P.S["12"], col_xin, "xin21")
     relations("21", T21, Xin21, Xout21, identity_map(P.S["12"]))
 
+    T22 = tilde_tau(P, "22")
     spanning_all_zero = True
     for w in P.weights():
         span = []
@@ -388,7 +387,7 @@ def check_product_hecke(P: ProductRep):
         for v in span:
             if not v.is_zero():
                 spanning_all_zero = False
-            if not tau22(tau22(v)).is_zero():
+            if not T22(T22(v)).is_zero():
                 out.append(record("hecke[22]: tau^2 = 0", False,
                                   f"weight {w}"))
                 return out

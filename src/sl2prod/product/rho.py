@@ -19,7 +19,7 @@ from ..bimodcat import BimoduleMap, certify_iso
 from ..matrixops import (Matrix, bareiss_determinant, block_diagonal,
                          offsets, pick, place_blocks)
 from ..polyring import Poly
-from ..tworep import commutator_at, rho
+from ..tworep import _memoized, commutator_at, rho
 from .core import (C_WORDS, CORNERS, MU_SHIFT, T_WORDS, ProductRep,
                    tilde_sigma_closed, eps_xi_F_closed, F_xi_eta_closed)
 from .models import CORNER_MODELS
@@ -71,6 +71,7 @@ class RhoMap:
         return f"RhoMap(lam={self.lam})"
 
 
+@_memoized
 def _corner_rho(P: ProductRep, corner: str, lam: int) -> BimoduleMap:
     """One corner of the commutator map at ``lam``, built by
     :func:`~sl2prod.tworep.commutator_at` at the corner's internal weight
@@ -261,17 +262,14 @@ def _layout(corner, lam):
             True, (*factored, _m_y_alt, False, 5))
 
 
-def _block_sizes(M, mu):
-    return [s.rank(mu) for s in getattr(M, "summands", [M])]
-
-
 def _corner_certificate(P, corner, lam, mu):
     """The triangular certificate of one corner at its internal weight
     ``mu``; see :func:`triangular_certificate`."""
     r = P.Vy
     field = r.A.field
     f = _corner_rho(P, corner, lam)
-    row_sizes, col_sizes = _block_sizes(f.cod, mu), _block_sizes(f.dom, mu)
+    row_sizes = [s.rank(mu) for s in f.cod.summands]
+    col_sizes = [s.rank(mu) for s in f.dom.summands]
     rowop, groups, lower, factor = _layout(corner, lam)
     out = {"status": "pass", "diag": [], "base": {}}
     bmat = None

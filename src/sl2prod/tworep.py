@@ -5,7 +5,8 @@ always derived, never user-supplied, together with the adjunction unit eta and
 counit eps.  A word calculus over the alphabet {E, F} provides the tensor
 word modules and the positional maps (x or tau at a factor, eps/eta at a
 position) out of which every composite map of the construction is assembled.
-The word modules and positional maps are memoized on the representation.
+The word modules, the positional maps and the commutator maps sigma and rho
+are memoized on the representation.
 """
 
 from __future__ import annotations
@@ -58,22 +59,28 @@ def restrict_at(M: Bimodule, mu: int) -> Bimodule:
 # the 2-representation data
 
 
-def _memoized(method):
-    """Cache a word-calculus method per (method, arguments) on its TwoRep.
+def _memoized(fn):
+    """Cache ``fn`` per (name, arguments) on the ``_cache`` dict of its first
+    argument.  This is the one memo of the package; its entries are:
 
-    The memoized entries are ``_left_dual``, ``eta``, ``eps``, ``word``,
-    ``x_at``, ``y_at``, ``tau_at``, ``eps_at``, ``eta_at``, ``tau_mate``,
-    ``xF_pow`` and ``_h_xy`` here, and ``_omega3_map`` in
-    ``sl2prod.product.gammas``; the oracles keep lists of dot iterates
-    (``_iterates``) and the coevaluation splits (``_eta_pairs``) in the same
-    dict.  Cached modules and maps are shared between callers, which only
-    read them."""
-    @functools.wraps(method)
-    def cached(self, *args):
-        key = (method.__name__, *args)
-        if key not in self._cache:
-            self._cache[key] = method(self, *args)
-        return self._cache[key]
+    * on a :class:`TwoRep`: ``_left_dual``, ``eta``, ``eps``, ``word``,
+      ``x_at``, ``y_at``, ``tau_at``, ``eps_at``, ``eta_at``, ``tau_mate``,
+      ``xF_pow`` and ``_h_xy`` (methods), ``sigma`` and ``rho`` (functions);
+    * on a :class:`~sl2prod.product.core.ProductRep`:
+      ``tilde_sigma_closed`` (``product.core``), ``_corner_rho``
+      (``product.rho``), ``pair_basis`` and ``_eta_pairs``
+      (``product.oracles``) and ``omega3_map`` (``product.gammas``); the
+      oracles' ``_iterate`` keeps its growing lists of dot iterates in the
+      same dict.
+
+    Cached modules, maps and elements are shared between callers, which
+    only read them."""
+    @functools.wraps(fn)
+    def cached(owner, *args):
+        key = (fn.__name__, *args)
+        if key not in owner._cache:
+            owner._cache[key] = fn(owner, *args)
+        return owner._cache[key]
     return cached
 
 
@@ -351,30 +358,26 @@ def make_L1(field=QQ) -> TwoRep:
 # verification of the defining relations and hypotheses
 
 
-def check_hecke(rep: TwoRep, n_max: int = 3):
-    """Verify the divided-difference relations on E^2 (and E^3 for the braid
-    relation) as exact matrix identities; returns a list of report entries."""
-    results = []
-    if n_max >= 2:
-        tau = rep.tau_at("EE", 1)
-        x_in = rep.x_at("EE", 1)   # x on the right factor
-        x_out = rep.x_at("EE", 2)  # x on the left factor
-        iden = identity_map(rep.word("EE"))
-        results += [
-            record("tau^2 = 0", compose(tau, tau).is_zero()),
-            record("tau.(Ex) = (xE).tau + 1",
-                   compose(tau, x_in) == compose(x_out, tau) + iden),
-            record("(Ex).tau = tau.(xE) + 1",
-                   compose(x_in, tau) == compose(tau, x_out) + iden)]
-    if n_max >= 3:
-        t1 = rep.tau_at("EEE", 1)
-        t2 = rep.tau_at("EEE", 2)
-        results.append(record(
-            "braid relation",
-            compose_all(t1, t2, t1) == compose_all(t2, t1, t2)))
-    return results
+def check_hecke(rep: TwoRep):
+    """Verify the divided-difference relations on E^2 and the braid relation
+    on E^3 as exact matrix identities; returns a list of report entries."""
+    tau = rep.tau_at("EE", 1)
+    x_in = rep.x_at("EE", 1)   # x on the right factor
+    x_out = rep.x_at("EE", 2)  # x on the left factor
+    iden = identity_map(rep.word("EE"))
+    t1 = rep.tau_at("EEE", 1)
+    t2 = rep.tau_at("EEE", 2)
+    return [
+        record("tau^2 = 0", compose(tau, tau).is_zero()),
+        record("tau.(Ex) = (xE).tau + 1",
+               compose(tau, x_in) == compose(x_out, tau) + iden),
+        record("(Ex).tau = tau.(xE) + 1",
+               compose(x_in, tau) == compose(tau, x_out) + iden),
+        record("braid relation",
+               compose_all(t1, t2, t1) == compose_all(t2, t1, t2))]
 
 
+@_memoized
 def sigma(rep: TwoRep) -> BimoduleMap:
     """The commutator map EF -> FE: (FE eps) . (F tau F) . (eta EF)."""
     out = compose_all(rep.eps_at("FEEF", 2), rep.tau_at("FEEF", 1),
@@ -415,17 +418,15 @@ def commutator_at(rep: TwoRep, mu: int, lam: int, dom_words, cod_words,
     matrices at ``mu``; it is called only when ``mu`` is in the support
     (outside it the map has no matrix), and at ``lam = 0`` the block's
     matrix is the map's matrix, uncopied.  Each distinct word module is
-    restricted to ``mu`` once; a single word is its own module."""
+    restricted to ``mu`` once; the domain and the codomain are the sums of
+    the restricted modules."""
     extra = [w for w in pair_words for _ in range(abs(lam))]
     dom_words = [*dom_words, *(extra if lam < 0 else [])]
     cod_words = [*cod_words, *(extra if lam > 0 else [])]
     restricted = {w: restrict_at(rep.word(w), mu)
                   for w in {*dom_words, *cod_words}}
-
-    def summed(words):
-        parts = [restricted[w] for w in words]
-        return parts[0] if len(parts) == 1 else SumBimodule(parts)
-    dom, cod = summed(dom_words), summed(cod_words)
+    dom = SumBimodule([restricted[w] for w in dom_words])
+    cod = SumBimodule([restricted[w] for w in cod_words])
     if mu not in rep.A:
         return BimoduleMap(dom, cod, {}, name=name)
     mat, pairs = blocks()
@@ -440,6 +441,7 @@ def commutator_at(rep: TwoRep, mu: int, lam: int, dom_words, cod_words,
     return BimoduleMap(dom, cod, {mu: mat}, name=name)
 
 
+@_memoized
 def rho(rep: TwoRep, lam: int) -> BimoduleMap:
     """The commutator map at a single weight, built by
     :func:`commutator_at`.
@@ -457,11 +459,11 @@ def rho(rep: TwoRep, lam: int) -> BimoduleMap:
         f"rho_{lam}")
 
 
-def check_hypotheses(rep: TwoRep, window=(-4, 4), n_max: int = 2):
+def check_hypotheses(rep: TwoRep, window=(-4, 4)):
     """Check the structural hypotheses of the construction on a finite window.
 
     (a) every component is finite free (structural in this representation);
-    (b) E^n carries a free module structure over k[x1..xn] for n <= n_max,
+    (b) E^n carries a free module structure over k[x1..xn] for n <= 2,
         certified when each x_i acts by a scalar variable or E^n vanishes;
     (c) E and F are locally nilpotent on the window;
     (d) rho is an isomorphism at every weight of the window.
@@ -471,7 +473,7 @@ def check_hypotheses(rep: TwoRep, window=(-4, 4), n_max: int = 2):
     results = [record("components finite free", True)]
 
     # (b) freeness of E^n over the polynomial action
-    for n in range(1, n_max + 1):
+    for n in (1, 2):
         word = "E" * n
         W = rep.word(word)
         if W.total_rank() == 0:

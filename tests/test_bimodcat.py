@@ -99,7 +99,6 @@ class TestBimodules:
         rep = make_L1()
         s = SumBimodule([rep.word("EF"), rep.word("")])
         assert s.rank(1) == rep.word("EF").rank(1) + rep.word("").rank(1)
-        assert s.offset(1, 1) == rep.word("EF").rank(1)
 
 
 class TestMaps:

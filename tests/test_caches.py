@@ -5,8 +5,9 @@ The call counts are exact and deterministic; no timing is involved.
 """
 
 import sys
+from collections import Counter
 
-from sl2prod import bimodcat, matrixops, polyring, tworep
+from sl2prod import bimodcat, cli, matrixops, polyring, tworep
 from sl2prod.bimodcat import Bimodule, SumBimodule
 from sl2prod.cli import suite_check_rho, suite_identities
 from sl2prod.matrixops import Matrix
@@ -17,7 +18,9 @@ from sl2prod.product import (build_product, check_omega3_linearity,
                              tilde_rho, tilde_sigma_closed,
                              tilde_sigma_oracle)
 from sl2prod.product import core, elements, gammas, oracles
-from sl2prod.product.core import CORNERS
+from sl2prod.product import rho as rho_mod
+from sl2prod.product.core import C_WORDS, CORNERS, T_WORDS
+from sl2prod.product.models import CORNER_MODELS
 from sl2prod.product.elements import Elt, basis_elt, elem_tensor
 from sl2prod.tworep import make_L1, sigma
 
@@ -102,11 +105,19 @@ def test_omega3_map_built_once_per_product(monkeypatch):
     assert len(built) == 2
 
 
+def warm_words(P):
+    """Build every word module a corner of the commutator maps sums."""
+    for c in CORNERS:
+        for w in (*T_WORDS[c], *CORNER_MODELS[c].words(), *C_WORDS[c]):
+            P.Vy.word(w)
+
+
 def test_tilde_rho_allocations_linear_in_summands(monkeypatch):
+    # first builds, on warm word modules: a second call is a cache hit
     P = build_product(make_L1(), check=False)
+    warm_words(P)
     allocs, summands = {}, {}
     for lam in (20, 40):
-        tilde_rho(P, lam)  # builds the word modules
         with monkeypatch.context() as m:
             made = counting(m, Matrix, "__init__")
             sums = counting(m, SumBimodule, "__init__")
@@ -123,11 +134,15 @@ def test_tilde_rho_outside_support_allocates_no_matrix(monkeypatch):
     # every corner is restricted to its internal weight before any sum is
     # formed, so a weight outside the support needs no left action matrix
     P = build_product(make_L1(), check=False)
-    tilde_rho(P, 40)  # builds the word modules
+    warm_words(P)
     made = counting(monkeypatch, Matrix, "__init__")
+    restricted = counting(monkeypatch, tworep, "restrict_at")
     f = tilde_rho(P, 40)
     assert made == []
     assert f.mats == {}
+    assert len(restricted) == sum(  # a first build, not a cache hit
+        len({*T_WORDS[c], *CORNER_MODELS[c].words(), *C_WORDS[c]})
+        for c in CORNERS)
 
 
 def test_ky_left_factor_makes_no_left_poly_call(monkeypatch):
@@ -185,7 +200,7 @@ def test_pairing_sweep_steps_linear_in_i(monkeypatch):
                   for c in CORNERS)
     total = len(steps[0]) + len(steps[1])
     assert 0 < total <= columns * n
-    iterates = [v for k, v in P.Vy._cache.items() if k[0] == "_iterates"]
+    iterates = [v for k, v in P._cache.items() if k[0] == "_iterates"]
     assert iterates and all(len(its) == n + 1 for its in iterates)
 
 
@@ -206,7 +221,7 @@ def test_oracles_on_fresh_and_swept_products_agree():
         for i in range(n + 1):
             eps_xi_F_oracle(swept, i, corner)
             F_xi_eta_oracle(swept, i, corner)
-    assert any(key[0] == "_iterates" for key in swept.Vy._cache)
+    assert any(key[0] == "_iterates" for key in swept._cache)
     for corner in CORNERS:
         for i in (0, 3, n):
             fresh = gf7_product()
@@ -265,3 +280,93 @@ def test_eta_pairs_built_once_per_weight(monkeypatch):
     for corner in CORNERS:
         tilde_sigma_oracle(P, corner)
     assert len(builds) == len({args[1] for args in builds}) == 2
+
+
+def returning(monkeypatch, owner, attr):
+    """Replace owner.attr by a wrapper that keeps its return values."""
+    real = getattr(owner, attr)
+    out = []
+
+    def wrapper(*args, **kwargs):
+        out.append(real(*args, **kwargs))
+        return out[-1]
+
+    monkeypatch.setattr(owner, attr, wrapper)
+    return out
+
+
+def test_verify_all_builds_each_structure_map_once(monkeypatch, tmp_path):
+    # each counted callee runs once per body of the map it stands for:
+    # tworep.commutator_at for rho, product.rho's commutator_at for
+    # _corner_rho, a T_c -> S_c direct sum for tilde_sigma_closed, and the
+    # three-factor composite for sigma
+    reps = returning(monkeypatch, cli, "_load_rep")
+    products = returning(monkeypatch, cli, "build_product")
+    rhos = counting(monkeypatch, tworep, "commutator_at")
+    corners = counting(monkeypatch, rho_mod, "commutator_at")
+    sums = counting(monkeypatch, core, "direct_sum_maps")
+    composites = counting(monkeypatch, tworep, "compose_all")
+    assert cli.main(["verify-all", "--out", str(tmp_path / "r.json")]) == 0
+    assert len(reps) == len(products) == 1
+    P = products[0]
+    assert P.V is reps[0]
+
+    for r in (P.V, P.Vy):
+        factors = (r.eps_at("FEEF", 2), r.tau_at("FEEF", 1),
+                   r.eta_at("EF", 0))
+        assert sum(all(a is b for a, b in zip(args, factors))
+                   for args in composites if len(args) == 3) == 1
+    # rho on V at -4..4 (check-rep, then again in build_product's
+    # hypotheses) and on V[y] at the internal weights the corner
+    # certificates factor through
+    built = Counter((id(args[0]), args[2]) for args in rhos)
+    assert set(built.values()) == {1}
+    assert {lam for rid, lam in built if rid == id(P.V)} == set(range(-4, 5))
+    assert len(built) == 11
+    assert Counter(args[-1] for args in corners) == {
+        f"rho{c}_{lam}": 1 for c in CORNERS for lam in range(-4, 5)}
+    assert Counter(c for c in CORNERS for args in sums
+                   if args[0] is P.T[c] and args[1] is P.S[c]) == {
+        c: 1 for c in CORNERS}
+
+
+def test_run_loads_the_rep_once(monkeypatch, tmp_path):
+    # the rep is loaded once, and never for identities; the product is
+    # built once, unchecked only for a standalone check-rho
+    loads = counting(monkeypatch, cli, "make_L1")
+    products = []
+    real = cli.build_product
+
+    def spy(V, check):
+        products.append(check)
+        return real(V, check)
+    monkeypatch.setattr(cli, "build_product", spy)
+    expected = {"identities": (0, []), "check-rep": (1, []),
+                "build-product": (1, [True]), "check-rho": (1, [False])}
+    for command, (n_loads, checks) in expected.items():
+        assert cli.main([command, "--out", str(tmp_path / "r.json")]) == 0
+        assert (len(loads), products) == (n_loads, checks), command
+        loads.clear()
+        products.clear()
+
+
+def test_pairing_sweep_builds_each_pair_basis_once():
+    # the memo stores each entry once, after the body ran: the stores
+    # count the body runs
+    class CountingDict(dict):
+        def __setitem__(self, key, value):
+            stores[key] += 1
+            super().__setitem__(key, value)
+
+    stores = Counter()
+    P = gf7_product()
+    P._cache = CountingDict()
+    for corner in CORNERS:
+        for i in range(17):
+            eps_xi_F_oracle(P, i, corner)
+            F_xi_eta_oracle(P, i, corner)
+        tilde_sigma_oracle(P, corner)
+    built = {key: n for key, n in stores.items() if key[0] == "pair_basis"}
+    assert built == {("pair_basis", c, w): 1
+                     for c in CORNERS for w in P.T[c].weights()}
+    assert len(built) == 6

@@ -29,22 +29,20 @@ PAIR_WORD = {"11": "", "21": "F", "12": "E"}
 
 def ref_rho(rep, lam):
     field = rep.A.field
+    EF, FE = SumBimodule([rep.word("EF")]), SumBimodule([rep.word("FE")])
     if lam not in rep.A:
-        return BimoduleMap(restrict_at(rep.word("EF"), lam),
-                           restrict_at(rep.word("FE"), lam), {})
+        return BimoduleMap(restrict_at(EF, lam), restrict_at(FE, lam), {})
     sig = sigma(rep)
     if lam >= 0:
         rows = [sig.matrix(lam)] + [eps_xi(rep, i).matrix(lam)
                                     for i in range(lam)]
-        summands = [rep.word("FE")] + [rep.word("")] * lam
-        cod = SumBimodule(summands) if len(summands) > 1 else summands[0]
-        return BimoduleMap(restrict_at(rep.word("EF"), lam),
-                           restrict_at(cod, lam),
+        cod = SumBimodule([rep.word("FE")] + [rep.word("")] * lam)
+        return BimoduleMap(restrict_at(EF, lam), restrict_at(cod, lam),
                            {lam: block_matrix(field, [[r] for r in rows])})
     cols = [sig.matrix(lam)] + [xi_eta(rep, i).matrix(lam)
                                 for i in range(-lam)]
     dom = SumBimodule([rep.word("EF")] + [rep.word("")] * (-lam))
-    return BimoduleMap(restrict_at(dom, lam), restrict_at(rep.word("FE"), lam),
+    return BimoduleMap(restrict_at(dom, lam), restrict_at(FE, lam),
                        {lam: block_matrix(field, [cols])})
 
 
