@@ -51,6 +51,8 @@ class WeightedAlgebra:
         return lam in self.support
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, WeightedAlgebra)
                 and self.field == other.field
                 and self.support == other.support

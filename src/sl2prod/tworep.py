@@ -44,13 +44,20 @@ def record(name, ok, witness=None) -> dict:
 # restriction to a single weight
 
 
-def restrict_at(M: Bimodule, mu: int) -> Bimodule:
+def restrict_algebra(A: WeightedAlgebra, mu: int,
+                     shift: int) -> WeightedAlgebra:
+    """The weights ``mu`` and ``mu + shift`` of ``A``."""
+    ws = {w for w in (mu, mu + shift) if w in A}
+    return WeightedAlgebra(A.field, {w: A.support[w] for w in ws}, A.has_y)
+
+
+def restrict_at(M: Bimodule, mu: int, algebra=None) -> Bimodule:
     """Restrict a bimodule to the single source weight ``mu``, keeping the
     target weight ``mu + shift`` in the base algebra so the left action
-    survives the restriction."""
-    A = M.algebra
-    ws = {w for w in (mu, mu + M.shift) if w in A}
-    algebra = WeightedAlgebra(A.field, {w: A.support[w] for w in ws}, A.has_y)
+    survives the restriction.  Summands of one sum pass one shared
+    ``algebra = restrict_algebra(M.algebra, mu, M.shift)``."""
+    if algebra is None:
+        algebra = restrict_algebra(M.algebra, mu, M.shift)
     comps = {mu: M.components[mu]} if mu in M.components else {}
     return Bimodule(algebra, M.shift, comps, name=M.name)
 
@@ -418,13 +425,16 @@ def commutator_at(rep: TwoRep, mu: int, lam: int, dom_words, cod_words,
     matrices at ``mu``; it is called only when ``mu`` is in the support
     (outside it the map has no matrix), and at ``lam = 0`` the block's
     matrix is the map's matrix, uncopied.  Each distinct word module is
-    restricted to ``mu`` once; the domain and the codomain are the sums of
-    the restricted modules."""
+    restricted to ``mu`` once, over one restricted algebra per shift; the
+    domain and the codomain are the sums of the restricted modules."""
     extra = [w for w in pair_words for _ in range(abs(lam))]
     dom_words = [*dom_words, *(extra if lam < 0 else [])]
     cod_words = [*cod_words, *(extra if lam > 0 else [])]
-    restricted = {w: restrict_at(rep.word(w), mu)
-                  for w in {*dom_words, *cod_words}}
+    modules = {w: rep.word(w) for w in {*dom_words, *cod_words}}
+    algebras = {s: restrict_algebra(rep.A, mu, s)
+                for s in {M.shift for M in modules.values()}}
+    restricted = {w: restrict_at(M, mu, algebras[M.shift])
+                  for w, M in modules.items()}
     dom = SumBimodule([restricted[w] for w in dom_words])
     cod = SumBimodule([restricted[w] for w in cod_words])
     if mu not in rep.A:

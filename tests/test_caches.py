@@ -105,6 +105,18 @@ def test_omega3_map_built_once_per_product(monkeypatch):
     assert len(built) == 2
 
 
+def test_omega3_linearity_applies_omega3_per_basis_triple(monkeypatch):
+    # on L(1) four basis triples (g, phi, l) exist over all weights; each
+    # defect takes two applications, however many samples are contracted
+    # against it (one per side per sample would make 2n)
+    calls = counting(monkeypatch, gammas, "omega3_apply")
+    for n in (5, 200):
+        P = build_product(make_L1(), check=False)
+        del calls[:]
+        check_omega3_linearity(P, n=n, seed=0)
+        assert len(calls) == 8, n
+
+
 def warm_words(P):
     """Build every word module a corner of the commutator maps sums."""
     for c in CORNERS:
@@ -143,6 +155,21 @@ def test_tilde_rho_outside_support_allocates_no_matrix(monkeypatch):
     assert len(restricted) == sum(  # a first build, not a cache hit
         len({*T_WORDS[c], *CORNER_MODELS[c].words(), *C_WORDS[c]})
         for c in CORNERS)
+
+
+def test_restricted_summands_share_one_algebra():
+    # restrict_at builds one restricted algebra per commutator map, so a
+    # sum compares its summands' algebras by identity
+    P = build_product(make_L1(), check=False)
+    sums = []
+    for lam in range(-3, 4):
+        f = tilde_rho(P, lam)
+        for g in (*f.corners.values(), tworep.rho(P.Vy, lam)):
+            sums += [g.dom, g.cod]
+    assert len(sums) == 2 * 7 * 5
+    for s in sums:
+        assert all(m.algebra is s.summands[0].algebra for m in s.summands)
+        assert s.algebra is s.summands[0].algebra
 
 
 def test_ky_left_factor_makes_no_left_poly_call(monkeypatch):

@@ -1,0 +1,160 @@
+"""The middle-linearity check of the mixed component omega3.
+
+``reference_check`` is the per-sample loop: it runs the whole element
+calculus on every random (g, phi, l).  The shipped
+``check_omega3_linearity`` must give the same status and witness on every
+seed and field, on the intact product and under faults in the omega3 block
+matrix and in the two middle actions.  The faults are injected through the
+module attributes both checks read, so one mutant reaches both.
+"""
+
+import json
+import random
+from pathlib import Path
+
+import pytest
+
+from sl2prod.polyring import QQ, Poly, make_field
+from sl2prod.product import build_product, check_omega3_linearity
+from sl2prod.product import gammas, oracles
+from sl2prod.product.elements import Elt
+from sl2prod.product.models import G2Elt, L2Elt
+from sl2prod.tworep import make_L1, record, rep_from_json
+
+FIELDS = {"QQ": QQ, "GF7": make_field("7")}
+N = 200
+
+
+def reference_check(P, n=N, seed=0):
+    """Middle linearity checked sample by sample."""
+    rng = random.Random(seed)
+    r = P.Vy
+    y = Poly.var(r.A.field, "y")
+
+    def rand(word, w):
+        vec = []
+        for _ in range(r.word(word).rank(w)):
+            p = Poly.zero(r.A.field)
+            for k in range(2):
+                c = rng.randint(-2, 2)
+                if c:
+                    p = p + (y ** k) * c
+            vec.append(p)
+        return Elt(r, word, w, vec)
+
+    weights = [w for w in P.weights()]
+    bad = 0
+    for t in range(n):
+        w = weights[rng.randrange(len(weights))]
+        g = G2Elt(r, w - 2, *(rand(word, w - 2) for word in G2Elt.words()))
+        l = L2Elt(r, w, *(rand(word, w) for word in L2Elt.words()))
+        phi = rand("FE", w - 2)
+        lhs = gammas.omega3_apply(P, oracles.act_phi1_on_G2(g, phi), l)
+        rhs = gammas.omega3_apply(
+            P, g, oracles.act_L2_on_L2_left(phi, l))
+        if any(not (a - b).is_zero() for a, b in zip(lhs, rhs)):
+            bad += 1
+    return [record(f"omega3 middle linearity ({n} samples)", bad == 0,
+                   f"{bad} failures" if bad else f"seed {seed}")]
+
+
+def outcome(records):
+    [rec] = records
+    return rec["status"], rec.get("witness")
+
+
+def product(field):
+    return build_product(make_L1(FIELDS[field]), check=False)
+
+
+@pytest.fixture(scope="module")
+def products():
+    return {name: product(name) for name in FIELDS}
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("seed", range(10))
+def test_matches_reference(products, field, seed):
+    P = products[field]
+    assert (outcome(check_omega3_linearity(P, n=N, seed=seed))
+            == outcome(reference_check(P, n=N, seed=seed)))
+
+
+# ---------------------------------------------------------------------------
+# fault sweep
+
+OMEGA3_ENTRIES = [(0, 0), (0, 3), (1, 0), (1, 5), (2, 1), (2, 3), (2, 6),
+                  (2, 7), (3, 4), (3, 5), (3, 6), (3, 8)]
+PINNED_SEEDS = (0, 1, 5)
+# failures out of 200 at the pinned seeds; every other mutant survives
+KILLED = {"zero (0, 0)": (93, 85, 93), "zero (0, 3)": (93, 85, 93),
+          "f doubled": (97, 89, 99), "a += y b": (93, 85, 93)}
+
+
+def zero_entry(key):
+    def install(monkeypatch):
+        real = gammas.direct_sum_maps
+
+        def spy(dom, cod, entries):
+            assert key in entries
+            return real(dom, cod,
+                        {k: f for k, f in entries.items() if k != key})
+        monkeypatch.setattr(gammas, "direct_sum_maps", spy)
+    return install
+
+
+def double_f(monkeypatch):
+    real = oracles.act_L2_on_L2_left
+
+    def mutant(phi1, l):
+        out = real(phi1, l)
+        return L2Elt(out.rep, out.weight, out.fp, out.f + out.f, out.rho1)
+    monkeypatch.setattr(oracles, "act_L2_on_L2_left", mutant)
+
+
+def shift_a_by_yb(monkeypatch):
+    real = oracles.act_phi1_on_G2
+
+    def mutant(g, phi1):
+        out = real(g, phi1)
+        y = Poly.var(out.rep.A.field, "y")
+        return G2Elt(out.rep, out.weight, out.a + out.b.scale(y), out.b,
+                     out.c)
+    monkeypatch.setattr(oracles, "act_phi1_on_G2", mutant)
+
+
+MUTANTS = {**{f"zero {key}": zero_entry(key) for key in OMEGA3_ENTRIES},
+           "f doubled": double_f, "a += y b": shift_a_by_yb}
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("mutant", MUTANTS)
+def test_mutant_outcomes_match_reference(monkeypatch, field, mutant):
+    # the reference runs at the first pinned seed only, to keep the sweep
+    # short; the pins at the other seeds are its outcomes there
+    MUTANTS[mutant](monkeypatch)
+    P = product(field)  # omega3_map is memoized per product
+    expected = KILLED.get(mutant, (0,) * len(PINNED_SEEDS))
+    for seed, bad in zip(PINNED_SEEDS, expected):
+        want = (("fail", f"{bad} failures") if bad
+                else ("pass", f"seed {seed}"))
+        if seed == PINNED_SEEDS[0]:
+            assert outcome(reference_check(P, n=N, seed=seed)) == want
+        assert outcome(check_omega3_linearity(P, n=N, seed=seed)) == want, seed
+
+
+E2_TAU0 = Path(__file__).parent / "golden" / "e2_tau0.json"
+# on this input with E^2 != 0 the check also sees the entries (2, 6), (2, 7)
+KILLED_E2 = {"zero (0, 0)", "zero (0, 3)", "zero (2, 6)", "zero (2, 7)",
+             "f doubled", "a += y b"}
+
+
+@pytest.mark.parametrize("mutant", [None, *MUTANTS])
+def test_outcomes_match_reference_with_e2_nonzero(monkeypatch, mutant):
+    if mutant:
+        MUTANTS[mutant](monkeypatch)
+    V = rep_from_json(json.loads(E2_TAU0.read_text()), QQ)
+    P = build_product(V, check=False)
+    want = outcome(reference_check(P, n=50, seed=0))
+    assert want[0] == ("fail" if mutant in KILLED_E2 else "pass")
+    assert outcome(check_omega3_linearity(P, n=50, seed=0)) == want
