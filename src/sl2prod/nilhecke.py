@@ -194,9 +194,6 @@ class NilHeckeElt:
     def __hash__(self):
         return hash((self.n, frozenset(self.terms.items())))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -273,19 +270,3 @@ def divided_power_idempotents(n: int = 2, field=QQ):
     e_plus = t * y1
     e_minus = -(y2 * t)
     return e_plus, e_minus
-
-
-def random_word(rng, n: int, length: int):
-    """A random generator word for property tests (seeded by the caller)."""
-    word = []
-    for _ in range(length):
-        kind = rng.randrange(4)
-        if kind == 0:
-            word.append(("tau", rng.randrange(1, n)))
-        elif kind == 1:
-            word.append(("x", rng.randrange(1, n + 1)))
-        elif kind == 2:
-            word.append(("y",))
-        else:
-            word.append(("scalar", rng.randrange(-3, 4)))
-    return word

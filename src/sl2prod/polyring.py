@@ -55,9 +55,6 @@ class Rationals:
     def add(self, a, b):
         return _integral(a + b)
 
-    def sub(self, a, b):
-        return _integral(a - b)
-
     def mul(self, a, b):
         return _integral(a * b)
 
@@ -102,9 +99,6 @@ class PrimeField:
 
     def add(self, a, b):
         return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
 
     def mul(self, a, b):
         return (a * b) % self.p

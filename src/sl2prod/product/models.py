@@ -81,9 +81,6 @@ class ModelElt:
     def __neg__(self):
         return self._new([-c for c in self.coords])
 
-    def scale(self, p):
-        return self._new([c.scale(p) for c in self.coords])
-
     def is_zero(self):
         return all(c.is_zero() for c in self.coords)
 

@@ -76,7 +76,7 @@ def test_criterion_6_unit_element(P):
 
 def test_criterion_7_omega3_middle_linearity(P):
     from sl2prod.product import check_omega3_linearity
-    records = timed(lambda: check_omega3_linearity(P, n=200, seed=0), 5)
+    records = timed(lambda: check_omega3_linearity(P), 5)
     assert failures(records) == []
 
 

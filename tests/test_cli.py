@@ -84,6 +84,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "'q'" in err
 
+    @pytest.mark.parametrize("nest", ["poly", "json"])
+    def test_deeply_nested_rep_is_input_error(self, capsys, tmp_path, nest):
+        if nest == "poly":
+            rep = self.rep_with(tmp_path, x="(" * 5000 + "u" + ")" * 5000)
+        else:
+            rep = tmp_path / "nested.json"
+            rep.write_text("[" * 100_000)
+        assert main(["check-rep", "--rep", str(rep)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_unwritable_out_is_config_error(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "report.json"
+        assert main(["identities", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert err.count("\n") == 1
+
     def test_failing_rep_exits_one(self, capsys, tmp_path):
         from test_tworep import corrupted_rep  # noqa: F401
         data = {
@@ -170,6 +189,13 @@ class TestDeterminism:
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert main(["verify-all", "--seed", "0", "--out", str(a)]) == 0
         assert main(["verify-all", "--seed", "0", "--out", str(b)]) == 0
+        capsys.readouterr()
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_verify_all_ignores_seed(self, capsys, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["verify-all", "--seed", "0", "--out", str(a)]) == 0
+        assert main(["verify-all", "--seed", "7", "--out", str(b)]) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 

@@ -7,9 +7,24 @@ import pytest
 
 from sl2prod.nilhecke import (IndexOutOfRangeError, NilHeckeElt, _perm_tables,
                               _word_to_perm, act_on_poly,
-                              divided_power_idempotents, normalize,
-                              random_word)
+                              divided_power_idempotents, normalize)
 from sl2prod.polyring import Poly, QQ
+
+
+def random_word(rng, n: int, length: int):
+    """A random generator word for property tests (seeded by the caller)."""
+    word = []
+    for _ in range(length):
+        kind = rng.randrange(4)
+        if kind == 0:
+            word.append(("tau", rng.randrange(1, n)))
+        elif kind == 1:
+            word.append(("x", rng.randrange(1, n + 1)))
+        elif kind == 2:
+            word.append(("y",))
+        else:
+            word.append(("scalar", rng.randrange(-3, 4)))
+    return word
 
 
 def T(i, n=2):

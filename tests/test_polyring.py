@@ -330,7 +330,6 @@ class TestRationalCoefficientForm:
         assert type(QQ.coerce(Fraction(6, 3))) is int
         assert type(QQ.coerce(Fraction(1, 3))) is Fraction
         assert type(QQ.add(Fraction(1, 2), Fraction(1, 2))) is int
-        assert type(QQ.sub(Fraction(3, 2), Fraction(1, 2))) is int
         assert type(QQ.mul(Fraction(2, 3), 3)) is int
         with pytest.raises(TypeError):
             QQ.coerce(0.5)

@@ -1,0 +1,154 @@
+"""Reachability ratchet: every function of ``src/`` that no CLI run calls is
+listed, with the reason it stays.
+
+One fresh interpreter installs a profiler before ``sl2prod`` is imported, so
+decorators and other import-time calls count, and then runs a fixed set of
+CLI commands in process.  Every ``def`` under ``src/sl2prod`` whose code
+never ran is compared with ``ALLOWED``.  Module and class bodies are left
+out, and so are lambdas and comprehensions: each is reported through the
+``def`` around it.  The test fails on a never-called function that is not
+listed, and on a listed function that is now called, so the list can only
+shrink.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+
+PROBE = r"""
+import contextlib, inspect, io, json, sys, types
+from pathlib import Path
+
+golden = Path(sys.argv[1])
+called = set()
+
+
+def profile(frame, event, arg):
+    if event == "call":
+        code = frame.f_code
+        called.add((code.co_filename, code.co_firstlineno, code.co_name))
+
+
+sys.setprofile(profile)
+import sl2prod
+from sl2prod.cli import main
+
+runs = [
+    ["verify-all"],
+    ["verify-all", "--field", "7"],
+    ["verify-all", "--rep", str(golden / "e2_tau0.json")],
+    ["verify-all", "--rep", str(golden / "l1_x2u.json"), "--report", "text"],
+    ["check-rho", "--weights=-8..8"],
+    ["check-rho", "--rep", str(golden / "e2_tau0.json")],
+    ["verify-all", "--rep", str(golden / "missing.json")],
+]
+codes = []
+with contextlib.redirect_stdout(io.StringIO()), \
+        contextlib.redirect_stderr(io.StringIO()):
+    for argv in runs:
+        codes.append(main(argv))
+sys.setprofile(None)
+
+
+def functions(code, prefix):
+    # (qualified name, code) of every def nested in code, the way
+    # co_qualname spells it
+    for c in code.co_consts:
+        if isinstance(c, types.CodeType):
+            name = prefix + c.co_name
+            is_function = c.co_flags & inspect.CO_NEWLOCALS
+            if is_function and not c.co_name.startswith("<"):
+                yield name, c
+            yield from functions(
+                c, name + (".<locals>." if is_function else "."))
+
+
+package = Path(sl2prod.__file__).parent
+never = []
+for path in sorted(package.rglob("*.py")):
+    module = ".".join(path.relative_to(package).with_suffix("").parts)
+    top = compile(path.read_text(encoding="utf-8"), str(path), "exec")
+    for name, c in functions(top, module + "."):
+        if (c.co_filename, c.co_firstlineno, c.co_name) not in called:
+            never.append(name)
+print(json.dumps({"codes": codes, "never": never}))
+"""
+
+L2 = "waits for an input with E^2 != 0 and tau != 0 (ROADMAP item 2)"
+LN = "waits for the L(n) inputs, the first with data at lambda < 0 (item 6)"
+CERT = "waits for exported inverse certificates (ROADMAP item 7)"
+TRACER = "hooked by perfbench/tracer.py"
+TESTS = "test-only"
+DUNDER = "protocol dunder"
+
+ALLOWED = {
+    "bimodcat.WeightedAlgebra.__hash__": DUNDER,
+    "bimodcat.WeightedAlgebra.__repr__": DUNDER,
+    "bimodcat.Bimodule.__repr__": DUNDER,
+    "bimodcat.BimoduleMap.__hash__": DUNDER,
+    "bimodcat.BimoduleMap.__repr__": DUNDER,
+    "bimodcat.inverse_map": CERT,
+    "matrixops.Matrix.__hash__": DUNDER,
+    "matrixops.Matrix.__str__": DUNDER,
+    "nilhecke.NilHeckeElt.scalar": TESTS,
+    "nilhecke.NilHeckeElt.__rmul__": DUNDER,
+    "nilhecke.NilHeckeElt.__hash__": DUNDER,
+    "nilhecke.NilHeckeElt.__str__": DUNDER,
+    "nilhecke.act_on_poly": TRACER,
+    "polyring.Rationals.__eq__": DUNDER,
+    "polyring.Rationals.__hash__": DUNDER,
+    "polyring.Rationals.__repr__": DUNDER,
+    "polyring.PrimeField.__eq__": DUNDER,
+    "polyring.PrimeField.__hash__": DUNDER,
+    "polyring.PrimeField.__repr__": DUNDER,
+    "polyring.Poly.constant_value": CERT,
+    "polyring.Poly.with_vars": TRACER,
+    "polyring.Poly.__rsub__": DUNDER,
+    "polyring.Poly.__hash__": DUNDER,
+    "polyring.Poly.subs": TRACER,
+    "polyring.Poly.coeff_of": TRACER,
+    "polyring.Poly.__repr__": DUNDER,
+    "product.elements.Elt.__repr__": DUNDER,
+    "product.models.ModelElt.__repr__": DUNDER,
+    "product.models.G1Elt.data": TESTS,
+    "product.models.G2Elt.e1": TESTS,
+    "product.models.G2Elt.data": TESTS,
+    "product.models.G2Elt.from_data": TESTS,
+    "product.models.G3Elt.ee_prime": L2,
+    "product.models.G3Elt.chi": L2,
+    "product.models.G3Elt.chi.<locals>.emb": L2,
+    "product.models.G3Elt.data": L2,
+    "product.models.G3Elt.from_data": L2,
+    "product.models.L2Elt.data": TESTS,
+    "product.models.UElt.data": TESTS,
+    "product.models.gamma22_EE_G1EE": L2,
+    "product.models.gamma22_EE_G2G2": L2,
+    "product.models.tau22": L2,
+    "product.models.to_submodule_form": TESTS,
+    "product.models.from_submodule_form": TESTS,
+    "product.oracles._sigma22_EF_column.<locals>.g2_lo": L2,
+    "product.oracles._sigma22_EF_column.<locals>.g2_hi": L2,
+    "product.rho.RhoMap.__repr__": DUNDER,
+    "product.rho._m_y_alt": LN,
+    "tworep.rep_to_json": TESTS,
+    "tworep.rep_to_json.<locals>.mat_to_json": TESTS,
+}
+
+
+def test_never_called_functions_match_allowlist():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", PROBE, str(GOLDEN)],
+                          cwd=ROOT, env=env, capture_output=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
+    result = json.loads(proc.stdout)
+    # pass, pass, construction fails, bad dot, pass, tau = 0, missing file
+    assert result["codes"] == [0, 0, 1, 1, 0, 1, 2]
+    never = set(result["never"])
+    assert sorted(never - set(ALLOWED)) == [], "never called, not listed"
+    assert sorted(set(ALLOWED) - never) == [], "called now: drop from ALLOWED"
