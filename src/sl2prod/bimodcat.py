@@ -11,10 +11,7 @@ columns, composed as ``compose(g, f) = [g] @ [f]``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
-from typing import Optional
-
-from .polyring import Poly, sort_vars, var_name
+from .polyring import Poly, dot, sort_vars, split_var, var_name
 from .matrixops import (
     Matrix, ShapeMismatchError, block_diagonal, place_blocks,
     kron_identity_left, bareiss_determinant, adjugate,
@@ -69,11 +66,13 @@ class WeightedAlgebra:
 # bimodules
 
 
-@dataclass
 class Component:
     """One weight component: a based free module with left action matrices."""
-    basis: tuple
-    left: dict  # generator name -> Matrix over the source base ring
+    __slots__ = ("basis", "left")
+
+    def __init__(self, basis: tuple, left: dict):
+        self.basis = basis
+        self.left = left  # generator name -> Matrix over the source base ring
 
     @property
     def rank(self) -> int:
@@ -121,33 +120,42 @@ class Bimodule:
 
     def left_poly(self, lam: int, p: Poly) -> Matrix:
         """The left action of an arbitrary element of the base ring at
-        lam + shift, as a matrix over the base ring at lam.
-
-        The central variable y acts by scalars, so each monomial in the other
-        generators is applied once, scaled by its coefficient in y; the powers
-        of each generator's matrix are built once per call, by squaring."""
+        lam + shift, as a matrix over the base ring at lam: Horner's rule
+        (:meth:`left_apply`) applied to the columns of the identity."""
         field = self.algebra.field
         r = self.rank(lam)
-        groups = {}  # exponents with y set to 0 -> terms in y
-        for exps, c in p.terms.items():
-            ey = exps[1] if len(exps) > 1 else 0
-            key = (exps[0] if exps else 0, 0) + exps[2:]
-            groups.setdefault(key, {})[(0, ey) if ey else ()] = c
-        powers = {}  # (generator index, e) -> L^e, by repeated squaring
+        one, zero = Poly.one(field), Poly.zero(field)
+        cols = self._horner(lam, p.terms, [[one if i == j else zero
+                                            for i in range(r)]
+                                           for j in range(r)])
+        return Matrix(field, r, r, [list(row) for row in zip(*cols)])
 
-        def power(k, e):
-            if (k, e) not in powers:
-                powers[k, e] = (self.left_matrix(lam, var_name(k)) if e == 1
-                                else power(k, e // 2) @ power(k, e - e // 2))
-            return powers[k, e]
-        out = Matrix.zero(field, r, r)
-        for exps, y_terms in groups.items():
-            term = Matrix.identity(field, r).scale(Poly(field, y_terms))
-            for k, e in enumerate(exps):
-                if e:
-                    term = power(k, e) @ term
-            out = out + term
-        return out
+    def left_apply(self, lam: int, p: Poly, vec: list) -> list:
+        """The left action of p on one coordinate column at lam, by
+        Horner's rule, without forming the matrix of p."""
+        return self._horner(lam, p.terms, [vec])[0]
+
+    def _horner(self, lam: int, terms: dict, cols: list) -> list:
+        """The left action of the polynomial with exponent map ``terms`` on
+        each of ``cols``.  The central variable y acts by scalars; in the
+        largest other generator g, p = sum_j g^j p_j is evaluated as
+        (.. (p_d g + p_(d-1)) g + ..) + p_0, one application of g's matrix
+        per degree, with each p_j applied by the same rule."""
+        k = max((i for e in terms for i, n in enumerate(e) if n and i != 1),
+                default=-1)  # the largest generator; y is at position 1
+        if k < 0:
+            q = Poly(self.algebra.field, terms)
+            return [[q * c if c.terms else c for c in col] for col in cols]
+        groups = split_var(terms, k)
+        L = self.left_matrix(lam, var_name(k))
+        top = max(groups)
+        acc = self._horner(lam, groups[top], cols)
+        for j in range(top - 1, -1, -1):
+            acc = _left_step(L, acc)
+            if j in groups:
+                acc = [[a + b for a, b in zip(c1, c2)] for c1, c2 in
+                       zip(acc, self._horner(lam, groups[j], cols))]
+        return acc
 
     def total_rank(self) -> int:
         return sum(self.rank(lam) for lam in self.weights())
@@ -155,6 +163,11 @@ class Bimodule:
     def __repr__(self):
         ranks = {lam: self.rank(lam) for lam in self.weights()}
         return f"Bimodule({self.name or '?'}, shift={self.shift}, ranks={ranks})"
+
+
+def _left_step(L: Matrix, cols: list) -> list:
+    """One Horner step: the matrix L applied to each column."""
+    return [[dot(zip(row, col), L.field) for row in L.entries] for col in cols]
 
 
 def regular_bimodule(algebra: WeightedAlgebra, name: str = "A") -> Bimodule:
@@ -350,11 +363,14 @@ def direct_sum_maps(dom: SumBimodule, cod: SumBimodule, entries: dict) -> Bimodu
 # isomorphism certification
 
 
-@dataclass
 class IsoCertificate:
-    ok: bool
-    dets: dict = dfield(default_factory=dict)  # weight -> determinant string
-    witness: Optional[tuple] = None  # (weight, reason)
+    """The verdict of :func:`certify_iso`, with the determinants it saw."""
+    __slots__ = ("ok", "dets", "witness")
+
+    def __init__(self, ok: bool, dets: dict, witness: tuple = None):
+        self.ok = ok
+        self.dets = dets  # weight -> determinant string
+        self.witness = witness  # (weight, reason)
 
 
 def certify_iso(f: BimoduleMap) -> IsoCertificate:

@@ -6,7 +6,7 @@ operation returns a new matrix.
 
 from __future__ import annotations
 
-from .polyring import Poly, exact_divide
+from .polyring import Poly, dot, exact_divide
 
 
 class ShapeMismatchError(ValueError):
@@ -52,16 +52,11 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ShapeMismatchError(f"{self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
-        out = Matrix(self.field, self.nrows, other.ncols)
-        for i in range(self.nrows):
-            row = self.entries[i]
-            for j in range(other.ncols):
-                acc = Poly.zero(self.field)
-                for k in range(self.ncols):
-                    if not row[k].is_zero() and not other.entries[k][j].is_zero():
-                        acc = acc + row[k] * other.entries[k][j]
-                out.entries[i][j] = acc
-        return out
+        field = self.field
+        cols = [[r[j] for r in other.entries] for j in range(other.ncols)]
+        return Matrix(field, self.nrows, other.ncols,
+                      [[dot(zip(row, col), field) for col in cols]
+                       for row in self.entries])
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):

@@ -169,6 +169,17 @@ def _trim(exps) -> tuple:
     return tuple(exps[:n])
 
 
+def split_var(terms: Mapping[tuple, object], k: int) -> dict:
+    """The terms of a polynomial grouped by the exponent of the k-th
+    variable: each exponent maps to the terms of its coefficient, which no
+    longer involve that variable."""
+    groups: dict = {}
+    for e, c in terms.items():
+        rest = _trim(e[:k] + (0,) + e[k + 1:]) if k < len(e) and e[k] else e
+        groups.setdefault(e[k] if k < len(e) else 0, {})[rest] = c
+    return groups
+
+
 def _monomial_key(exps: tuple):
     """Graded lexicographic key; larger variables dominate within a degree
     (a longer trimmed tuple involves a larger variable)."""
@@ -259,17 +270,7 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             c0 = f.coerce(other)
             return Poly(f, {e: f.mul(c, c0) for e, c in self.terms.items()})
-        other = self._operand(other)
-        terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2)) + (e1[len(e2):] or e2[len(e1):])
-                prod = f.mul(c1, c2)
-                if e in terms:
-                    terms[e] = f.add(terms[e], prod)
-                else:
-                    terms[e] = prod
-        return Poly(f, terms)
+        return dot(((self, self._operand(other)),), f)
 
     __rmul__ = __mul__
 
@@ -328,15 +329,8 @@ class Poly:
 
     def coeff_of(self, name: str, power: int) -> "Poly":
         """The coefficient polynomial of name**power."""
-        k = var_index(name)
-        terms = {}
-        for exps, c in self.terms.items():
-            if k < len(exps):
-                if exps[k] == power:
-                    terms[_trim(exps[:k] + (0,) + exps[k + 1:])] = c
-            elif power == 0:
-                terms[exps] = c
-        return Poly(self.field, terms)
+        groups = split_var(self.terms, var_index(name))
+        return Poly(self.field, groups.get(power, {}))
 
     # -- leading term machinery (graded lex)
 
@@ -387,25 +381,54 @@ class Poly:
 # operations
 
 
+def dot(pairs, field) -> Poly:
+    """The sum of p * q over pairs of polynomials, accumulated in one term
+    dict; a pair with a zero factor costs nothing."""
+    fadd, fmul = field.add, field.mul
+    terms: dict = {}
+    for p, q in pairs:
+        qterms = q.terms
+        if not (p.terms and qterms):
+            continue
+        for e1, c1 in p.terms.items():
+            for e2, c2 in qterms.items():
+                e = tuple(map(add, e1, e2)) + (e1[len(e2):] or e2[len(e1):])
+                prod = fmul(c1, c2)
+                terms[e] = fadd(terms[e], prod) if e in terms else prod
+    return Poly(field, terms)
+
+
 def exact_divide(f: Poly, g: Poly) -> Poly:
-    """The exact quotient f/g; raises NotDivisibleError if g does not divide f."""
+    """The exact quotient f/g; raises NotDivisibleError if g does not divide f.
+
+    Long division by the leading term of g, updating one remainder dict in
+    place: each step cancels the leading term of the remainder, and the
+    leading monomials strictly decrease, so every quotient monomial is new."""
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     g = f._operand(g)
     fld = f.field
     ge, gc = g.lead()
     n = len(ge)
+    gterms = [(e, fld.neg(c)) for e, c in g.terms.items()]
     quo: dict = {}
-    rem = f
-    while not rem.is_zero():
-        re, rc = rem.lead()
+    rem = dict(f.terms)
+    while rem:
+        re = max(rem, key=_monomial_key)
         qe = tuple(map(sub, re, ge))
         if len(re) < n or any(e < 0 for e in qe):
             raise NotDivisibleError(f"({f}) is not divisible by ({g})")
         qe = _trim(qe + re[n:])
-        qc = fld.div(rc, gc)
-        quo[qe] = fld.add(quo.get(qe, fld.zero), qc)
-        rem = rem - Poly(fld, {qe: qc}) * g
+        qc = quo[qe] = fld.div(rem[re], gc)
+        for e2, c2 in gterms:
+            e = tuple(map(add, qe, e2)) + (qe[len(e2):] or e2[len(qe):])
+            c = fld.mul(qc, c2)
+            if e in rem:
+                c = fld.add(rem[e], c)
+            if c == fld.zero:
+                del rem[e]
+            else:
+                rem[e] = c
     return Poly(fld, quo)
 
 

@@ -14,7 +14,7 @@ from ..bimodcat import (BimoduleMap, SumBimodule, compose, compose_all,
 from ..matrixops import ShapeMismatchError
 from ..polyring import Poly
 from ..tworep import (HypothesesFailedError, _memoized, check_hypotheses,
-                      eps_xi, self_pow, sigma, xi_eta)
+                      self_pow, sigma, xi_eta)
 from .elements import Elt, apply_map, basis_elt, elem_tensor, join, zero_elt
 from .models import (CORNER_MODELS, G1Elt, G2Elt, act_G1_on_G2,
                      compose_G1, one_G1, tau22)
@@ -151,8 +151,19 @@ def c_mult(P: ProductRep, ca: str, a, cb: str, b):
 
 
 def _check_c_algebra(P: ProductRep):
-    """Associativity of the corner multiplication on all basis triples."""
+    """Associativity of the corner multiplication on all basis triples.
+
+    The products ab and bd of basis elements are formed once per pair, on
+    first use, and shared by every triple they occur in."""
     for c in P.c_weights():
+        basis = {corner: c_basis(P, corner, c) for corner in CORNERS}
+        pairs = {}
+
+        def mult(ca, i, cb, j):
+            if (ca, i, cb, j) not in pairs:
+                pairs[ca, i, cb, j] = c_mult(P, ca, basis[ca][i],
+                                             cb, basis[cb][j])
+            return pairs[ca, i, cb, j]
         for ca in CORNERS:
             for cb in CORNERS:
                 if ca[1] != cb[0]:
@@ -160,12 +171,12 @@ def _check_c_algebra(P: ProductRep):
                 for cc in CORNERS:
                     if cb[1] != cc[0]:
                         continue
-                    for a in c_basis(P, ca, c):
-                        for b in c_basis(P, cb, c):
-                            for d in c_basis(P, cc, c):
-                                k1, ab = c_mult(P, ca, a, cb, b)
+                    for i, a in enumerate(basis[ca]):
+                        for j in range(len(basis[cb])):
+                            for k, d in enumerate(basis[cc]):
+                                k1, ab = mult(ca, i, cb, j)
                                 _, left = c_mult(P, k1, ab, cc, d)
-                                k2, bd = c_mult(P, cb, b, cc, d)
+                                k2, bd = mult(cb, j, cc, k)
                                 _, right = c_mult(P, ca, a, k2, bd)
                                 if left != right:
                                     raise HypothesesFailedError(
@@ -333,35 +344,52 @@ def _theta_entry(P: ProductRep, i: int) -> BimoduleMap:
     return -compose_all(m3, mid, m1)
 
 
+def _eps_x_y(r, i: int, lw: str, rw: str) -> BimoduleMap:
+    """The evaluation eps . x^i . y_1 : EF -> A lifted to lw + EF + rw, as
+    the composite of its factors on the longer word (lifting is
+    functorial)."""
+    w = lw + "EF" + rw
+    k = rw.count("E") + 1  # the E of the pair, counted from the right
+    return compose_all(r.eps_at(w, len(lw)),
+                       r.h_xy(w, i, [k], extra_y=False), r.y_at(w, k))
+
+
+def _h_eta(r, i: int, lw: str, rw: str) -> BimoduleMap:
+    """The coevaluation h_(i-1)(x, y) . eta : A -> FE lifted to
+    lw + FE + rw, as the composite of its factors on the longer word."""
+    k = rw.count("E") + 1  # the E of the pair, counted from the right
+    return compose(r.h_xy(lw + "FE" + rw, i - 1, [k]),
+                   r.eta_at(lw + rw, len(lw)))
+
+
 def eps_xi_F_closed(P: ProductRep, i: int, corner: str) -> BimoduleMap:
     """Closed form of the i-th evaluation pairing on a corner."""
     r = P.Vy
     field = r.A.field
     yi = Poly.var(field, "y") ** i if i else Poly.one(field)
     # evaluation against i dots and one framing dot: EF -> A
-    base = compose(eps_xi(r, i), r.y_at("EF", 1))
     if corner == "11":
-        return base
+        return _eps_x_y(r, i, "", "")
     if corner == "21":
         entries = {
             (0, 0): r.xF_pow(i, ""),
-            (0, 1): r.lift(base, "EF", "", "F", ""),
+            (0, 1): _eps_x_y(r, i, "F", ""),
         }
         return direct_sum_maps(P.T["21"], P.C["21"], entries)
     if corner == "12":
         entries = {
             (0, 0): self_pow(r, i),
-            (0, 1): r.lift(base, "EF", "", "", "E"),
+            (0, 1): _eps_x_y(r, i, "", "E"),
         }
         return direct_sum_maps(P.T["12"], P.C["12"], entries)
     if corner == "22":
         entries = {
             (0, 0): r.scalar("", yi),
             (0, 4): -compose(r.eps, r.h_xy("EF", i - 1, [1])),
-            (1, 0): compose(r.h_xy("FE", i - 1, [1]), r.eta),
+            (1, 0): _h_eta(r, i, "", ""),
             (1, 1): r.xF_pow(i, "E"),
-            (1, 2): r.lift(self_pow(r, i), "E", "E", "F", ""),
-            (1, 3): r.lift(base, "EF", "", "F", "E"),
+            (1, 2): r.h_xy("FE", i, [1], extra_y=False),
+            (1, 3): _eps_x_y(r, i, "F", "E"),
             (1, 4): _theta_entry(P, i),
         }
         return direct_sum_maps(P.T["22"], P.C["22"], entries)
@@ -373,21 +401,21 @@ def F_xi_eta_closed(P: ProductRep, i: int, corner: str) -> BimoduleMap:
     r = P.Vy
     field = r.A.field
     yi = Poly.var(field, "y") ** i if i else Poly.one(field)
-    h_eta = compose(r.h_xy("FE", i - 1, [1]), r.eta)
+    h_eta = _h_eta(r, i, "", "")
     if corner == "11":
         entries = {(0, 0): r.scalar("", yi), (1, 0): h_eta}
         return direct_sum_maps(P.C["11"], P.S["11"], entries)
     if corner == "21":
         entries = {
             (1, 0): r.scalar("F", yi),
-            (2, 0): r.lift(h_eta, "", "FE", "F", ""),
+            (2, 0): _h_eta(r, i, "F", ""),
         }
         return direct_sum_maps(P.C["21"], P.S["21"], entries)
     if corner == "12":
         entries = {
             (0, 0): r.scalar("E", yi),
             (1, 0): compose(r.y_at("E", 1), r.scalar("E", yi)),
-            (2, 0): r.lift(h_eta, "", "FE", "", "E"),
+            (2, 0): _h_eta(r, i, "", "E"),
         }
         return direct_sum_maps(P.C["12"], P.S["12"], entries)
     if corner == "22":

@@ -2,18 +2,20 @@
 
 An :class:`Elt` is an element of one weight component of a word module:
 a coordinate column over the base ring at its weight.  The two primitives
-are ``elem_tensor`` (concatenate two elements into the tensor word, pushing
-left-factor coefficients through the left action) and ``join`` (tensor then
-contract adjacent E/F pairs at the junction), from which evaluation and
-composition of all morphism data are built.
+are ``elem_tensor`` (concatenate two elements into the tensor word, applying
+each left-factor coefficient to the right factor's column by Horner's rule,
+``Bimodule.left_apply``, with no matrix formed; a coefficient in k[y] takes
+no Horner step, since y acts by scalars) and ``join`` (tensor then contract
+adjacent E/F pairs at the junction), from which evaluation and composition
+of all morphism data are built.  ``solve_op`` divides by an operator y_i
+exactly, with the determinant and adjugate memoized per (word, factor,
+weight) by ``TwoRep.y_adjugate``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ..polyring import NotDivisibleError, Poly, exact_divide
-from ..matrixops import Matrix, ShapeMismatchError, bareiss_determinant, adjugate
+from ..polyring import NotDivisibleError, Poly, dot, exact_divide
+from ..matrixops import Matrix, ShapeMismatchError
 
 
 class NotInModelError(ValueError):
@@ -24,13 +26,15 @@ def word_shift(word: str) -> int:
     return 2 * (word.count("E") - word.count("F"))
 
 
-@dataclass
 class Elt:
     """An element of a word-module component at a single source weight."""
-    rep: object          # the underlying TwoRep (with y adjoined)
-    word: str
-    weight: int
-    vec: list
+    __slots__ = ("rep", "word", "weight", "vec")
+
+    def __init__(self, rep, word: str, weight: int, vec: list):
+        self.rep = rep  # the underlying TwoRep (with y adjoined)
+        self.word = word
+        self.weight = weight
+        self.vec = vec
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.vec)
@@ -73,21 +77,6 @@ def basis_elt(rep, word: str, weight: int, index: int) -> Elt:
     return e
 
 
-def _dot(pairs, field) -> Poly:
-    """The sum of p * q over the pairs, skipping zero factors."""
-    acc = None
-    for p, q in pairs:
-        if p.terms:
-            t = p * q
-            acc = t if acc is None else acc + t
-    return Poly.zero(field) if acc is None else acc
-
-
-def _in_ky(p: Poly) -> bool:
-    """Whether p lies in k[y]: every monomial is 1 or a power of y."""
-    return all(not e or (len(e) == 2 and not e[0]) for e in p.terms)
-
-
 def apply_map(f, elt: Elt, out_word: str) -> Elt:
     """Apply a BimoduleMap to an element (matrix at the element's weight)."""
     m = f.matrix(elt.weight)
@@ -96,7 +85,7 @@ def apply_map(f, elt: Elt, out_word: str) -> Elt:
             f"map expects {m.ncols} coordinates, element has {len(elt.vec)}")
     field = elt.rep.A.field
     support = [(j, q) for j, q in enumerate(elt.vec) if q.terms]
-    out = [_dot(((row[j], q) for j, q in support), field)
+    out = [dot(((row[j], q) for j, q in support), field)
            for row in m.entries]
     return Elt(elt.rep, out_word, elt.weight, out)
 
@@ -104,8 +93,8 @@ def apply_map(f, elt: Elt, out_word: str) -> Elt:
 def elem_tensor(a: Elt, b: Elt) -> Elt:
     """The simple tensor a (x) b in the concatenated word module.
 
-    Each coordinate p of a contributes the block (left action of p) @ b.  The
-    central y acts by scalars, so for p in k[y] that block is p * b."""
+    Each coordinate p of a contributes the block (left action of p) @ b,
+    applied to b's column by Horner's rule."""
     rep = a.rep
     if a.weight != b.weight + word_shift(b.word):
         raise ShapeMismatchError(
@@ -113,17 +102,13 @@ def elem_tensor(a: Elt, b: Elt) -> Elt:
             f"left weight must be {b.weight + word_shift(b.word)}")
     N = rep.word(b.word)
     field = rep.A.field
-    support = [(c, q) for c, q in enumerate(b.vec) if q.terms]
+    live = any(q.terms for q in b.vec)
     out = []
     for p in a.vec:
-        if not (p.terms and support):
-            out += [Poly.zero(field)] * len(b.vec)
-        elif _in_ky(p):
-            out += [p * q if q.terms else q for q in b.vec]
+        if p.terms and live:
+            out += N.left_apply(b.weight, p, b.vec)
         else:
-            L = N.left_poly(b.weight, p)
-            out += [_dot(((row[c], q) for c, q in support), field)
-                    for row in L.entries]
+            out += [Poly.zero(field)] * len(b.vec)
     return Elt(rep, a.word + b.word, b.weight, out)
 
 
@@ -144,42 +129,39 @@ def join(a: Elt, b: Elt, n: int) -> Elt:
     return out
 
 
-def exact_solve(m: Matrix, vec: list, field) -> list:
-    """Solve m @ x = vec exactly over the polynomial ring.
+def exact_solve(m: Matrix, det: Poly, adj: Matrix, vec: list) -> list:
+    """Solve m @ x = vec exactly over the polynomial ring, given
+    det = det(m) and adj = adj(m).
 
-    Uses the adjugate: x = adj(m) @ vec / det(m), entrywise exact division.
-    Raises NotInModelError when the system has no polynomial solution or the
-    determinant vanishes.
+    x = adj @ vec / det, entrywise exact division, then m @ x = vec is
+    verified.  Raises NotInModelError when the determinant vanishes or the
+    system has no polynomial solution.
     """
     if m.nrows != m.ncols:
         raise ShapeMismatchError(f"solve with non-square {m.nrows}x{m.ncols}")
     if m.nrows == 0:
         return []
-    det = bareiss_determinant(m)
     if det.is_zero():
         raise NotInModelError("singular operator in membership division")
-    adj = adjugate(m)
+    field = m.field
     out = []
-    for i in range(m.nrows):
-        num = sum((adj.entries[i][j] * vec[j] for j in range(m.ncols)),
-                  Poly.zero(field))
+    for row in adj.entries:
         try:
-            out.append(exact_divide(num, det))
+            out.append(exact_divide(dot(zip(row, vec), field), det))
         except NotDivisibleError as e:
             raise NotInModelError(
                 "membership division leaves a remainder") from e
     # verify (adjugate route is exact, but guard against det sign slips)
-    for i in range(m.nrows):
-        chk = sum((m.entries[i][j] * out[j] for j in range(m.ncols)),
-                  Poly.zero(field))
-        if chk != vec[i]:
+    for row, v in zip(m.entries, vec):
+        if dot(zip(row, out), field) != v:
             raise NotInModelError("membership division verification failed")
     return out
 
 
-def solve_op(op_map, elt: Elt) -> Elt:
-    """Apply the exact inverse of an (injective) operator to an element."""
-    m = op_map.matrix(elt.weight)
-    return Elt(elt.rep, elt.word, elt.weight,
-               exact_solve(m, elt.vec, elt.rep.A.field))
-
+def solve_op(elt: Elt, i: int) -> Elt:
+    """Apply the exact inverse of the (injective) operator y_i of the
+    element's word module to the element."""
+    rep = elt.rep
+    m = rep.y_at(elt.word, i).matrix(elt.weight)
+    det, adj = rep.y_adjugate(elt.word, i, elt.weight)
+    return Elt(rep, elt.word, elt.weight, exact_solve(m, det, adj, elt.vec))

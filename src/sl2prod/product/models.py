@@ -108,7 +108,7 @@ class G1Elt(ModelElt):
     @classmethod
     def from_data(cls, rep, theta: Elt, phi: Elt):
         resid = phi - apply_map(rep.eta, theta, "FE")
-        phi1 = solve_op(rep.y_at("FE", 1), resid)
+        phi1 = solve_op(resid, 1)
         return cls(rep, theta.weight, theta, phi1)
 
 
@@ -144,9 +144,9 @@ class G2Elt(ModelElt):
 
     @classmethod
     def from_data(cls, rep, e1: Elt, e2: Elt, xi: Elt):
-        a = solve_op(rep.y_at("E", 1), e1 - e2)
-        resid = solve_op(rep.y_at("FEE", 1), xi - cls._xi_head(rep, e1, e2))
-        cfree = solve_op(rep.y_at("FEE", 2), resid)
+        a = solve_op(e1 - e2, 1)
+        resid = solve_op(xi - cls._xi_head(rep, e1, e2), 1)
+        cfree = solve_op(resid, 2)
         return cls(rep, e1.weight, a, e1, cfree)
 
 
@@ -157,7 +157,7 @@ class G3Elt(ModelElt):
 
     def ee_prime(self) -> Elt:
         """The divided difference (ee1 - ee2) / y2, exact by membership."""
-        return solve_op(self.rep.y_at("EE", 2), self.ee1 - self.ee2)
+        return solve_op(self.ee1 - self.ee2, 2)
 
     def chi(self) -> Elt:
         r = self.rep
@@ -183,13 +183,13 @@ class G3Elt(ModelElt):
     @classmethod
     def from_data(cls, rep, ee1, ee2, ee3, chi):
         # membership: y2 | ee1 - ee2 and y1 | ee3 - ee2 are checked implicitly
-        solve_op(rep.y_at("EE", 2), ee1 - ee2)
-        solve_op(rep.y_at("EE", 1), ee3 - ee2)
+        solve_op(ee1 - ee2, 2)
+        solve_op(ee3 - ee2, 1)
         probe = cls(rep, ee1.weight, ee1, ee2, ee3,
                     zero_elt(rep, "FEEE", ee1.weight))
         resid = chi - probe.chi()
         for i in (1, 2, 3):
-            resid = solve_op(rep.y_at("FEEE", i), resid)
+            resid = solve_op(resid, i)
         return cls(rep, ee1.weight, ee1, ee2, ee3, resid)
 
 
@@ -216,7 +216,7 @@ class L2Elt(ModelElt):
     @classmethod
     def from_data(cls, rep, fp: Elt, f: Elt, rho: Elt):
         probe = cls(rep, f.weight, fp, f, zero_elt(rep, "FFE", f.weight))
-        rho1 = solve_op(rep.y_at("FFE", 1), rho - probe.rho())
+        rho1 = solve_op(rho - probe.rho(), 1)
         return cls(rep, f.weight, fp, f, rho1)
 
 
@@ -250,8 +250,8 @@ class UElt(ModelElt):
     def from_data(cls, rep, p11, p21, p12, p22, Lam):
         probe = cls(rep, p11.weight, p11, p21, p12, p22,
                     zero_elt(rep, "FFEE", p11.weight))
-        resid = solve_op(rep.y_at("FFEE", 1), Lam - probe.Lam())
-        lam0 = solve_op(rep.y_at("FFEE", 2), resid)
+        resid = solve_op(Lam - probe.Lam(), 1)
+        lam0 = solve_op(resid, 2)
         return cls(rep, p11.weight, p11, p21, p12, p22, lam0)
 
 

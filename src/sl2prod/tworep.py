@@ -14,7 +14,8 @@ from __future__ import annotations
 import functools
 
 from .polyring import Poly, QQ, parse_poly
-from .matrixops import Matrix, block_matrix, offsets, pick
+from .matrixops import (Matrix, adjugate, bareiss_determinant, block_matrix,
+                        offsets, pick)
 from .bimodcat import (
     WeightedAlgebra, Bimodule, Component, BimoduleMap, SumBimodule,
     regular_bimodule, tensor_over_A, identity_map, zero_map, compose,
@@ -71,8 +72,10 @@ def _memoized(fn):
     argument.  This is the one memo of the package; its entries are:
 
     * on a :class:`TwoRep`: ``_left_dual``, ``eta``, ``eps``, ``word``,
-      ``x_at``, ``y_at``, ``tau_at``, ``eps_at``, ``eta_at``, ``tau_mate``,
-      ``xF_pow`` and ``_h_xy`` (methods), ``sigma`` and ``rho`` (functions);
+      ``x_at``, ``y_at``, ``y_adjugate`` (the membership solver's
+      determinant and adjugate of y_i, per word, factor and weight),
+      ``tau_at``, ``eps_at``, ``eta_at``, ``tau_mate``, ``xF_pow`` and
+      ``_h_xy`` (methods), ``sigma`` and ``rho`` (functions);
     * on a :class:`~sl2prod.product.core.ProductRep`:
       ``tilde_sigma_closed`` (``product.core``), ``_corner_rho``
       (``product.rho``), ``pair_basis`` and ``_eta_pairs``
@@ -173,6 +176,15 @@ class TwoRep:
         return self.x_at(word, i) - identity_map(W).scale(y)
 
     @_memoized
+    def y_adjugate(self, word: str, i: int, lam: int):
+        """The determinant of y_i on a word module at source weight lam and,
+        unless it vanishes, its adjugate (else None): the data of exact
+        division by y_i."""
+        m = self.y_at(word, i).matrix(lam)
+        det = bareiss_determinant(m)
+        return det, None if det.is_zero() else adjugate(m)
+
+    @_memoized
     def tau_at(self, word: str, i: int) -> BimoduleMap:
         """tau on the (i, i+1) adjacent E factors counted from the right."""
         positions = [k for k in range(len(word)) if word[k] == "E"]
@@ -194,18 +206,20 @@ class TwoRep:
         """Insert an FE pair at position pos via eta."""
         return self.lift(self.eta, "", "FE", word[:pos], word[pos:])
 
-    def _mate_F(self, op: BimoduleMap, k: int, rw: str) -> BimoduleMap:
+    def _mate_F(self, k: int, rw: str, op_at) -> BimoduleMap:
         """Transport an operator on E^k to the leading F^k of F^k + rw.
 
-        The resulting map sends the dual-word representative of a morphism
-        h on E^k to the representative of h . op.
+        ``op_at(w, i)`` is the operator on the word w = F^k E^k F^k rw
+        whose lowest E factor is the i-th from the right.  The resulting
+        map sends the dual-word representative of a morphism h on E^k to
+        the representative of h . op.
         """
         steps = []
         w = "F" * k + rw
         for j in range(k):
             steps.append(self.eta_at(w, j))
             w = w[:j] + "FE" + w[j:]
-        steps.append(self.lift(op, "E" * k, "E" * k, w[:k], w[2 * k:]))
+        steps.append(op_at(w, rw.count("E") + 1))
         for s in range(k):
             pos = 2 * k - s - 1
             steps.append(self.eps_at(w, pos))
@@ -215,12 +229,13 @@ class TwoRep:
     @_memoized
     def tau_mate(self, rw: str) -> BimoduleMap:
         """The crossing transported to the leading FF of FF + rw."""
-        return self._mate_F(self.tau, 2, rw)
+        return self._mate_F(2, rw, self.tau_at)
 
     @_memoized
     def xF_pow(self, i: int, rw: str) -> BimoduleMap:
-        """x^i transported to the leading F of F + rw."""
-        return self._mate_F(self_pow(self, i), 1, rw)
+        """x^i transported to the leading F of F + rw: x^i at its E factor
+        of the longer word is h_i of that one variable."""
+        return self._mate_F(1, rw, lambda w, k: self.h_xy(w, i, [k], False))
 
     def scalar(self, word: str, p) -> BimoduleMap:
         """Multiplication by a central scalar polynomial on a word module."""
@@ -394,9 +409,9 @@ def sigma(rep: TwoRep) -> BimoduleMap:
 
 
 def eps_xi(rep: TwoRep, i: int) -> BimoduleMap:
-    """The pairing eps . x^i F : EF -> A."""
-    xi = rep.lift(self_pow(rep, i), "E", "E", "", "F")
-    return compose(rep.eps, xi)
+    """The pairing eps . x^i F : EF -> A, with x^i F the i-th power of
+    x on EF (the lift of x^i, since lifting is functorial)."""
+    return compose(rep.eps, rep.h_xy("EF", i, [1], extra_y=False))
 
 
 def self_pow(rep: TwoRep, i: int) -> BimoduleMap:
@@ -405,9 +420,9 @@ def self_pow(rep: TwoRep, i: int) -> BimoduleMap:
 
 
 def xi_eta(rep: TwoRep, i: int) -> BimoduleMap:
-    """The pairing F x^i . eta : A -> FE."""
-    xi = rep.lift(self_pow(rep, i), "E", "E", "F", "")
-    return compose(xi, rep.eta)
+    """The pairing F x^i . eta : A -> FE, with F x^i the i-th power of x
+    on FE."""
+    return compose(rep.h_xy("FE", i, [1], extra_y=False), rep.eta)
 
 
 def commutator_at(rep: TwoRep, mu: int, lam: int, dom_words, cod_words,

@@ -13,7 +13,7 @@ from sl2prod.bimodcat import (Bimodule, BimoduleMap, Component, SumBimodule,
 from sl2prod.matrixops import (Matrix, ShapeMismatchError, adjugate,
                                bareiss_determinant, block_matrix,
                                kron_identity_left)
-from sl2prod.polyring import Poly, QQ, h_complete, var_name
+from sl2prod.polyring import Poly, PrimeField, QQ, h_complete, var_name
 from sl2prod.product.elements import (Elt, apply_map, elem_tensor, join,
                                       word_shift, zero_elt)
 from sl2prod.tworep import (LeftDualError, TwoRep, make_L1, rho, self_pow,
@@ -174,10 +174,11 @@ class TestCertification:
 
 def ref_left_poly(N, lam, p):
     """The left action of p by expanding every term of p separately."""
+    F = N.algebra.field
     r = N.rank(lam)
-    out = Matrix.zero(QQ, r, r)
+    out = Matrix.zero(F, r, r)
     for exps, c in p.terms.items():
-        term = Matrix.identity(QQ, r).scale(Poly.const(QQ, c))
+        term = Matrix.identity(F, r).scale(Poly.const(F, c))
         for k, e in enumerate(exps):
             for _ in range(e):
                 term = N.left_matrix(lam, var_name(k)) @ term
@@ -187,11 +188,12 @@ def ref_left_poly(N, lam, p):
 
 def ref_blocks(S, N, lam):
     """The block matrix [N.left_poly(S[k][i])], zero blocks included."""
+    F = N.algebra.field
     if S.nrows == 0 or S.ncols == 0:
         n = N.rank(lam)
-        return Matrix.zero(QQ, S.nrows * n, S.ncols * n)
-    return block_matrix(QQ, [[ref_left_poly(N, lam, e) for e in row]
-                             for row in S.entries])
+        return Matrix.zero(F, S.nrows * n, S.ncols * n)
+    return block_matrix(F, [[ref_left_poly(N, lam, e) for e in row]
+                            for row in S.entries])
 
 
 def ref_sum_left(summands, lam, v):
@@ -239,18 +241,25 @@ def ref_lift(rep, f, dom_mid, cod_mid, lw, rw):
     return rep.rebase(g, lw + dom_mid + rw, lw + cod_mid + rw)
 
 
-# random data over the L(1) algebra with y adjoined
+# random data over the L(1) algebra with y adjoined, and over an algebra
+# with a second generator x1, over QQ and GF(7)
 
 ALG = WeightedAlgebra(QQ, {-1: ("u",), 1: ("u",)}, has_y=True)
+FIELDS = [QQ, PrimeField(7)]
 
 
-def polys_in(*names, max_exp=2):
+def two_generator_algebra(field, has_y=True):
+    return WeightedAlgebra(field, {-1: ("u", "x1"), 1: ("u", "x1")},
+                           has_y=has_y)
+
+
+def polys_in(*names, max_exp=2, field=QQ):
     def build(t):
-        p = Poly.zero(QQ)
+        p = Poly.zero(field)
         for exps, c in t.items():
-            m = Poly.const(QQ, c)
+            m = Poly.const(field, c)
             for name, e in zip(names, exps):
-                m = m * Poly.var(QQ, name) ** e
+                m = m * Poly.var(field, name) ** e
             p = p + m
         return p
 
@@ -262,21 +271,40 @@ def polys_in(*names, max_exp=2):
 polys = polys_in("u", "y")
 
 
-def matrices(nrows, ncols):
-    return st.lists(st.lists(polys, min_size=ncols, max_size=ncols),
+def matrices(nrows, ncols, entries=polys, field=QQ):
+    return st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
                     min_size=nrows, max_size=nrows).map(
-        lambda rows: Matrix(QQ, nrows, ncols, rows))
+        lambda rows: Matrix(field, nrows, ncols, rows))
+
+
+def poly_of_matrix(U, coeffs):
+    """sum_k coeffs[k] U^k, a matrix that commutes with U."""
+    F = U.field
+    out = Matrix.zero(F, U.nrows, U.ncols)
+    power = Matrix.identity(F, U.nrows)
+    for c in coeffs:
+        out = out + power.scale(c)
+        power = U @ power
+    return out
 
 
 @st.composite
-def bimodules(draw):
-    """A shift-0 bimodule with ranks 0..2 and arbitrary left matrices."""
+def bimodules(draw, alg=ALG):
+    """A shift-0 bimodule with ranks 0..2 and arbitrary left matrices for
+    u.  Over an algebra with a second generator x1, x1 acts by a polynomial
+    in u's matrix with coefficients in k[y], so the two actions commute."""
+    F = alg.field
+    entries = polys_in("u", "y", field=F)
     comps = {}
-    for lam in ALG.weights():
+    for lam in alg.weights():
         r = draw(st.integers(0, 2))
-        comps[lam] = Component(tuple(range(r)),
-                               {"u": draw(matrices(r, r))})
-    return Bimodule(ALG, 0, comps, name="M")
+        U = draw(matrices(r, r, entries, F))
+        left = {"u": U}
+        if "x1" in alg.support[lam]:
+            left["x1"] = poly_of_matrix(U, draw(st.lists(
+                polys_in("y", field=F), min_size=3, max_size=3)))
+        comps[lam] = Component(tuple(range(r)), left)
+    return Bimodule(alg, 0, comps, name="M")
 
 
 @st.composite
@@ -327,14 +355,15 @@ def check_every_placement(rep, max_len):
                                               dm, cm, lw, rw))
 
 
-def rank_two_rep(x_rows):
-    """A rank-two E at weight -1 with u acting as a scalar and the given
-    dot matrix; E^2 vanishes, so tau is zero."""
-    A = WeightedAlgebra(QQ, {-1: ("u",), 1: ("u",)})
-    u = Poly.var(QQ, "u")
+def rank_two_rep(x_rows, field=QQ, gens=("u",)):
+    """A rank-two E at weight -1 on which each generator acts as itself
+    times the identity, with the given dot matrix; E^2 vanishes, so tau is
+    zero."""
+    A = WeightedAlgebra(field, {-1: gens, 1: gens})
     E = Bimodule(A, 2, {-1: Component(("e1", "e2"), {
-        "u": Matrix.identity(QQ, 2).scale(u)})}, name="E")
-    x = BimoduleMap(E, E, {-1: Matrix(QQ, 2, 2, x_rows)}, name="x")
+        v: Matrix.identity(field, 2).scale(Poly.var(field, v))
+        for v in gens})}, name="E")
+    x = BimoduleMap(E, E, {-1: Matrix(field, 2, 2, x_rows)}, name="x")
     EE = tensor_over_A(E, E)
     return TwoRep(A, E, x, BimoduleMap(EE, EE, {}, name="tau"))
 
@@ -357,12 +386,16 @@ class TestZeroBlockFreeAssembly:
             assert f.matrix(lam) == ref_direct_sum(sd, sc, entries, lam)
 
     @settings(max_examples=40, deadline=None)
-    @given(bimodules(), bimodules(), polys)
-    def test_tensor_and_left_poly(self, M, N, p):
+    @given(st.sampled_from(FIELDS).map(two_generator_algebra).flatmap(
+        lambda alg: st.tuples(bimodules(alg), bimodules(alg), polys_in(
+            "u", "x1", "y", max_exp=3, field=alg.field))))
+    def test_tensor_and_left_poly(self, data):
+        M, N, p = data
         t = tensor_over_A(M, N)
         for lam in t.weights():
-            assert t.left_matrix(lam, "u") == ref_blocks(
-                M.left_matrix(lam, "u"), N, lam)
+            for v in ("u", "x1"):
+                assert t.left_matrix(lam, v) == ref_blocks(
+                    M.left_matrix(lam, v), N, lam)
             assert N.left_poly(lam, p) == ref_left_poly(N, lam, p)
 
     @pytest.mark.parametrize("with_y", [False, True])
@@ -381,19 +414,21 @@ class TestZeroBlockFreeAssembly:
 # Reference element calculus: every output coordinate a dense sum from a
 # fresh zero over all matrix entries, and every nonzero left coefficient
 # pushed through left_poly.  The library skips zero coordinates and zero
-# entries and multiplies k[y] coefficients coordinatewise; these tests
-# require the two to agree coordinate for coordinate.
+# entries and applies each left coefficient to the column by Horner's rule;
+# these tests require the two to agree coordinate for coordinate.
 
 
 def ref_apply_map(f, elt, out_word):
     m = f.matrix(elt.weight)
+    zero = Poly.zero(elt.rep.A.field)
     out = [sum((m.entries[i][j] * elt.vec[j] for j in range(m.ncols)),
-               Poly.zero(QQ)) for i in range(m.nrows)]
+               zero) for i in range(m.nrows)]
     return Elt(elt.rep, out_word, elt.weight, out)
 
 
 def ref_elem_tensor(a, b):
     rep = a.rep
+    zero = Poly.zero(rep.A.field)
     N = rep.word(b.word)
     out = zero_elt(rep, a.word + b.word, b.weight)
     rb = N.rank(b.weight)
@@ -401,8 +436,8 @@ def ref_elem_tensor(a, b):
         if p.is_zero():
             continue
         L = N.left_poly(b.weight, p)
-        col = [sum((L.entries[r][c] * b.vec[c] for c in range(rb)),
-                   Poly.zero(QQ)) for r in range(rb)]
+        col = [sum((L.entries[r][c] * b.vec[c] for c in range(rb)), zero)
+               for r in range(rb)]
         for r in range(rb):
             out.vec[i * rb + r] = out.vec[i * rb + r] + col[r]
     return out
@@ -426,23 +461,38 @@ def assert_same_elt(got, want):
 
 WORDS = ["", "E", "F", "EE", "EF", "FE", "FF"]
 
-# L(1), L(1)[y], and the rank-two E with a random dot, y adjoined
+
+def two_generator_reps(field):
+    """The rank-two E with a random dot over ``field``, with u and a second
+    generator x1 acting as scalars, y adjoined."""
+    return st.lists(st.lists(polys_in("u", "x1", field=field), min_size=2,
+                             max_size=2), min_size=2, max_size=2).map(
+        lambda rows: rank_two_rep(rows, field, ("u", "x1")).adjoin_y())
+
+
+# L(1), L(1)[y], the rank-two E with a random dot, y adjoined, and the
+# two-generator rank-two E over QQ and GF(7)
 element_reps = st.one_of(
     st.builds(make_L1), st.builds(lambda: make_L1().adjoin_y()),
     st.lists(st.lists(polys_in("u"), min_size=2, max_size=2),
              min_size=2, max_size=2).map(
-        lambda rows: rank_two_rep(rows).adjoin_y()))
+        lambda rows: rank_two_rep(rows).adjoin_y()),
+    st.sampled_from(FIELDS).flatmap(two_generator_reps))
 
 
-def skew_rep(has_y):
+def skew_rep(has_y, field=QQ):
     """A rank-two E at weight -1 on which u acts by the non-scalar matrix
-    [[u, 1], [0, u]], with x = u.  It has no left dual F, but its E-only
+    U = [[u, 1], [0, u]] and a second generator x1 by U^2 - 2U, which
+    commutes with it, with x = u.  It has no left dual F, but its E-only
     words form."""
-    A = WeightedAlgebra(QQ, {-1: ("u",), 1: ("u",)})
-    u, one, z = Poly.var(QQ, "u"), Poly.one(QQ), Poly.zero(QQ)
+    A = two_generator_algebra(field, has_y=False)
+    u, one, z = Poly.var(field, "u"), Poly.one(field), Poly.zero(field)
+    U = Matrix(field, 2, 2, [[u, one], [z, u]])
     E = Bimodule(A, 2, {-1: Component(("e1", "e2"), {
-        "u": Matrix(QQ, 2, 2, [[u, one], [z, u]])})}, name="E")
-    x = BimoduleMap(E, E, {-1: Matrix.identity(QQ, 2).scale(u)}, name="x")
+        "u": U, "x1": poly_of_matrix(U, [z, Poly.const(field, -2), one])})},
+        name="E")
+    x = BimoduleMap(E, E, {-1: Matrix.identity(field, 2).scale(u)},
+                    name="x")
     EE = tensor_over_A(E, E)
     rep = TwoRep(A, E, x, BimoduleMap(EE, EE, {}, name="tau"))
     return rep.adjoin_y() if has_y else rep
@@ -458,17 +508,25 @@ def test_E_words_need_no_left_dual(has_y):
         rep.F
 
 
-def coordinates(has_y):
-    """Zero, k[y] (constants without y) and u-involving coordinates."""
-    ky = polys_in("y") if has_y else polys_in()
-    full = polys_in("u", "y") if has_y else polys_in("u")
-    return st.one_of(st.just(Poly.zero(QQ)), ky, full)
+def rep_polys(rep, ys, max_exp=2):
+    """Polynomials in the generators of rep's algebra and the names ys."""
+    names = rep.A.support[rep.A.weights()[0]] + ys
+    return polys_in(*names, max_exp=max_exp, field=rep.A.field)
+
+
+def coordinates(rep):
+    """Zero, k[y] (constants without y) and generator-involving
+    coordinates."""
+    F = rep.A.field
+    ys = ("y",) if rep.A.has_y else ()
+    return st.one_of(st.just(Poly.zero(F)), polys_in(*ys, field=F),
+                     rep_polys(rep, ys))
 
 
 def draw_elt(data, rep, word, weight):
     n = rep.word(word).rank(weight)
     return Elt(rep, word, weight, data.draw(st.lists(
-        coordinates(rep.A.has_y), min_size=n, max_size=n)))
+        coordinates(rep), min_size=n, max_size=n)))
 
 
 def draw_pair(data, rep, a_words, b_words):
@@ -492,9 +550,11 @@ class TestSparseElementCalculus:
         assert_same_elt(elem_tensor(a, b), ref_elem_tensor(a, b))
 
     @settings(max_examples=40, deadline=None)
-    @given(st.builds(skew_rep, st.booleans()), st.data())
+    @given(st.builds(skew_rep, st.booleans(), st.sampled_from(FIELDS)),
+           st.data())
     def test_elem_tensor_non_scalar_left_action(self, rep, data):
         # A at weight 1 (x) E at weight -1, where u acts on E non-scalarly
+        # and x1 by a polynomial in u's matrix
         a = draw_elt(data, rep, "", 1)
         b = draw_elt(data, rep, "E", -1)
         assert_same_elt(elem_tensor(a, b), ref_elem_tensor(a, b))
@@ -596,11 +656,13 @@ class TestIncrementalPairingIngredients:
     def test_left_poly_every_word(self, rep, word, data):
         N = rep.word(word)
         for lam in N.weights():
-            p = data.draw(polys_in("u", "y", max_exp=6))
+            p = data.draw(rep_polys(rep, ("y",), max_exp=6))
             assert N.left_poly(lam, p) == ref_left_poly(N, lam, p)
 
     @settings(max_examples=40, deadline=None)
-    @given(st.builds(skew_rep, st.booleans()), polys_in("u", "y", max_exp=6))
-    def test_left_poly_non_scalar_left_action(self, rep, p):
+    @given(st.builds(skew_rep, st.booleans(), st.sampled_from(FIELDS)),
+           st.data())
+    def test_left_poly_non_scalar_left_action(self, rep, data):
         N = rep.word("E")
+        p = data.draw(polys_in("u", "x1", "y", max_exp=6, field=rep.A.field))
         assert N.left_poly(-1, p) == ref_left_poly(N, -1, p)

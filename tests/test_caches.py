@@ -7,9 +7,11 @@ The call counts are exact and deterministic; no timing is involved.
 import sys
 from collections import Counter
 
+import pytest
+
 from sl2prod import bimodcat, cli, matrixops, polyring, tworep
-from sl2prod.bimodcat import Bimodule, SumBimodule
-from sl2prod.cli import suite_check_rho, suite_identities
+from sl2prod.bimodcat import Bimodule, SumBimodule, zero_map
+from sl2prod.cli import suite_build_product, suite_check_rho, suite_identities
 from sl2prod.matrixops import Matrix
 from sl2prod.polyring import QQ, Poly
 from sl2prod.product import (build_product, check_omega3_linearity,
@@ -21,7 +23,8 @@ from sl2prod.product import core, elements, gammas, oracles
 from sl2prod.product import rho as rho_mod
 from sl2prod.product.core import C_WORDS, CORNERS, T_WORDS
 from sl2prod.product.models import CORNER_MODELS
-from sl2prod.product.elements import Elt, basis_elt, elem_tensor
+from sl2prod.product.elements import (Elt, NotInModelError, basis_elt,
+                                      elem_tensor, solve_op)
 from sl2prod.tworep import make_L1, sigma
 
 
@@ -169,17 +172,46 @@ def test_restricted_summands_share_one_algebra():
         assert s.algebra is s.summands[0].algebra
 
 
-def test_ky_left_factor_makes_no_left_poly_call(monkeypatch):
-    # y acts by scalars, so a k[y] coefficient multiplies coordinatewise
+def test_ky_left_factor_makes_no_matrix_product(monkeypatch):
+    # y acts by scalars, so a k[y] coefficient multiplies coordinatewise,
+    # and u*y is one Horner step: u's matrix on the y-scaled column
     r = make_L1().adjoin_y()
     y, u = Poly.var(QQ, "y"), Poly.var(QQ, "u")
     b = basis_elt(r, "E", -1, 0)
-    calls = counting(monkeypatch, Bimodule, "left_poly")
+    products = counting(monkeypatch, Matrix, "__matmul__")
+    steps = counting(monkeypatch, bimodcat, "_left_step")
+    matrices = counting(monkeypatch, Bimodule, "left_poly")
     out = elem_tensor(Elt(r, "F", 1, [y ** 2 - 3]), b)
-    assert calls == []
+    assert (products, steps, matrices) == ([], [], [])
     assert out.vec == [y ** 2 - 3]
-    elem_tensor(Elt(r, "F", 1, [u * y]), b)
-    assert len(calls) == 1
+    out = elem_tensor(Elt(r, "F", 1, [u * y]), b)
+    assert (products, len(steps), matrices) == ([], 1, [])
+    assert out.vec == [u * y]
+
+
+def test_membership_solver_builds_one_adjugate_per_operator(monkeypatch):
+    # every division by y_i on a word at a weight shares one determinant
+    # and one adjugate, memoized as TwoRep.y_adjugate
+    adjugates = counting_everywhere(monkeypatch, matrixops, "adjugate")
+    P, records = suite_build_product(make_L1(), 4)
+    assert all(r["status"] == "pass" for r in records)
+    solvers = [key for key in P.Vy._cache if key[0] == "y_adjugate"]
+    assert 0 < len(adjugates) <= len(solvers)
+
+
+def test_singular_y_operator_fails_on_every_call(monkeypatch):
+    # the memo keeps a vanishing determinant, not a verdict: each division
+    # checks it again
+    r = make_L1().adjoin_y()
+    W = r.word("FE")
+    monkeypatch.setattr(tworep.TwoRep, "y_at",
+                        lambda self, word, i: zero_map(W, W))
+    elt = basis_elt(r, "FE", -1, 0)
+    for _ in range(2):
+        with pytest.raises(NotInModelError, match="singular operator"):
+            solve_op(elt, 1)
+    det, adj = r._cache[("y_adjugate", "FE", 1, -1)]
+    assert det.is_zero() and adj is None
 
 
 def test_identities_make_no_long_division(monkeypatch):
@@ -226,6 +258,23 @@ def test_pairing_sweep_steps_linear_in_i(monkeypatch):
     assert 0 < total <= columns * n
     iterates = [v for k, v in P._cache.items() if k[0] == "_iterates"]
     assert iterates and all(len(its) == n + 1 for its in iterates)
+
+
+def test_closed_pairings_lift_nothing_per_i(monkeypatch):
+    # each lifted factor of a closed-form pairing is a memoized map on the
+    # longer word (lifting is functorial), so sweeping further in i lifts
+    # nothing new
+    lifts = counting(monkeypatch, tworep.TwoRep, "lift")
+    counts = []
+    for n in (2, 8):
+        P = gf7_product()
+        for corner in CORNERS:
+            for i in range(n + 1):
+                eps_xi_F_closed(P, i, corner)
+                F_xi_eta_closed(P, i, corner)
+        counts.append(len(lifts))
+        lifts.clear()
+    assert counts[0] == counts[1] > 0
 
 
 def test_h_xy_makes_no_h_complete_call(monkeypatch):

@@ -1,6 +1,10 @@
 """Command-line verifier: exit codes, report formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -205,3 +209,16 @@ class TestDeterminism:
         report = json.loads(out)
         assert len(report["checks"]) > 100
         assert all(c["status"] == "pass" for c in report["checks"])
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # a fresh interpreter (no site hooks) imports the CLI without either
+    # module, which together add about 12 ms to every start-up
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, sl2prod.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -13,7 +13,8 @@ sympy = pytest.importorskip("sympy")
 
 from sl2prod.matrixops import Matrix, bareiss_determinant  # noqa: E402
 from sl2prod.polyring import (NotDivisibleError, Poly, PrimeField, QQ,  # noqa: E402
-                              divided_difference, exact_divide, h_complete)
+                              divided_difference, dot, exact_divide,
+                              h_complete, parse_poly)
 
 NAMES = ("u", "y", "x1", "x2", "x3")
 GENS = sympy.symbols(NAMES)
@@ -59,6 +60,12 @@ def from_sympy(sp, field):
             m = m * Poly.var(field, name) ** e
         out = out + m
     return out
+
+
+def parsed(text, field):
+    """A polynomial in the rendering that parse_poly reads, as sympy's."""
+    return sympy_poly(sympy.sympify(text.replace("^", "**"), locals=SYM),
+                      field)
 
 
 polys = st.sampled_from(FIELDS).flatmap(
@@ -116,6 +123,75 @@ class TestAgainstSympy:
         else:
             with pytest.raises(NotDivisibleError):
                 exact_divide(a, b)
+
+    @SETTINGS
+    @given(st.sampled_from(FIELDS).flatmap(lambda F: st.tuples(
+        st.just(F), st.lists(st.tuples(term_lists(), term_lists()),
+                             max_size=4), st.booleans())))
+    def test_dot(self, data):
+        # with cancel, every product appears once more negated, so the
+        # accumulated dict must cancel to the zero polynomial
+        F, drawn, cancel = data
+        pairs = [(build(ta, F), build(tb, F)) for ta, tb in drawn]
+        if cancel:
+            pairs += [((-a, -A), (b, B)) for (a, A), (b, B) in pairs]
+        want = sympy_poly(sympy.Integer(0), F)
+        for (_, A), (_, B) in pairs:
+            want = want + A * B
+        got = dot(((a, b) for (a, _), (b, _) in pairs), F)
+        assert got == from_sympy(want, F)
+        if cancel:
+            assert got.terms == {}
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_dot_exponent_lengths(self, field):
+        # u and x3 have exponent tuples of lengths 1 and 5; the last pair
+        # cancels the first
+        u, y, x3 = (Poly.var(field, n) for n in ("u", "y", "x3"))
+        got = dot([(u, x3), (x3 ** 2, u * y), (y, y), (x3, -u)], field)
+        assert got.terms == {(1, 1, 0, 0, 2): field.one, (0, 2): field.one}
+        U, Y, X3 = SYM["u"], SYM["y"], SYM["x3"]
+        assert got == from_sympy(sympy_poly(X3 ** 2 * U * Y + Y ** 2, field),
+                                 field)
+
+    @SETTINGS
+    @given(polys)
+    def test_exact_divide_leaves_its_operands(self, data):
+        # the remainder is updated in place, on a copy of the dividend
+        F, ta, tb = data
+        (a, _), (b, _) = build(ta, F), build(tb, F)
+        if b.is_zero():
+            return
+        ab = a * b
+        saved = [dict(p.terms) for p in (a, b, ab)]
+        assert exact_divide(ab, b) == a
+        try:
+            exact_divide(a, b)
+        except NotDivisibleError:
+            pass
+        assert [a.terms, b.terms, ab.terms] == saved
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    @pytest.mark.parametrize("f, g", [
+        ("x1", "x2"), ("x1^2 + 1", "x1 + y"), ("u*x3 + y", "x3"),
+        ("x1^2 - y^2 + u", "x1 - y"), ("u", "x3"), ("x3^2*u + 1", "u*x3")])
+    def test_not_divisible(self, field, f, g):
+        # sympy leaves a remainder on each, some only after several steps
+        _, r = sympy.div(parsed(f, field), parsed(g, field))
+        assert not r.is_zero
+        with pytest.raises(NotDivisibleError):
+            exact_divide(parse_poly(f, field), parse_poly(g, field))
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    @pytest.mark.parametrize("f, g", [
+        ("0", "x1 - y"), ("u*x3 + y*x3", "x3"), ("x3^2*u - u", "x3 + 1"),
+        ("x1^2 - y^2", "x1 - y"), ("u^3*x2 + u*x2", "u*x2")])
+    def test_divisible(self, field, f, g):
+        # exponent tuples of different lengths, and a zero dividend
+        q, r = sympy.div(parsed(f, field), parsed(g, field))
+        assert r.is_zero
+        assert exact_divide(parse_poly(f, field),
+                            parse_poly(g, field)) == from_sympy(q, field)
 
     @settings(max_examples=15, deadline=None)
     @given(st.sampled_from(FIELDS).flatmap(lambda F: st.tuples(
