@@ -11,7 +11,7 @@ columns, composed as ``compose(g, f) = [g] @ [f]``.
 
 from __future__ import annotations
 
-from .polyring import Poly, dot, sort_vars, split_var, var_name
+from .polyring import Poly, dot, split_var, var_name
 from .matrixops import (
     Matrix, ShapeMismatchError, block_diagonal, place_blocks,
     kron_identity_left, bareiss_determinant, adjugate,
@@ -27,22 +27,16 @@ class AlgebraMismatchError(ValueError):
 
 
 class WeightedAlgebra:
-    """A finite product of polynomial base rings graded by integer weights."""
+    """A finite product of polynomial base rings graded by integer weights.
+    The reserved central variable y is in no ``support``; it acts on every
+    module by scalars (:meth:`Bimodule.left_matrix`)."""
 
-    def __init__(self, field, support: dict, has_y: bool = False):
+    def __init__(self, field, support: dict):
         self.field = field
         self.support = {int(w): tuple(v) for w, v in support.items()}
-        self.has_y = has_y
 
     def weights(self):
         return sorted(self.support)
-
-    def ring_vars(self, lam: int) -> tuple:
-        base = self.support[lam]
-        return sort_vars(base + ("y",)) if self.has_y else sort_vars(base)
-
-    def adjoin_y(self) -> "WeightedAlgebra":
-        return WeightedAlgebra(self.field, self.support, has_y=True)
 
     def __contains__(self, lam: int) -> bool:
         return lam in self.support
@@ -52,14 +46,13 @@ class WeightedAlgebra:
             return True
         return (isinstance(other, WeightedAlgebra)
                 and self.field == other.field
-                and self.support == other.support
-                and self.has_y == other.has_y)
+                and self.support == other.support)
 
     def __hash__(self):
-        return hash((self.field, tuple(sorted(self.support.items())), self.has_y))
+        return hash((self.field, tuple(sorted(self.support.items()))))
 
     def __repr__(self):
-        return f"WeightedAlgebra({self.support}{'[y]' if self.has_y else ''})"
+        return f"WeightedAlgebra({self.support})"
 
 
 # ---------------------------------------------------------------------------

@@ -157,10 +157,6 @@ def var_name(index: int) -> str:
     return ("u", "y")[index] if index < 2 else f"x{index - 1}"
 
 
-def sort_vars(names: Iterable[str]) -> tuple[str, ...]:
-    return tuple(sorted(set(names), key=var_index))
-
-
 def _trim(exps) -> tuple:
     """An exponent sequence as a tuple without trailing zeros."""
     n = len(exps)

@@ -3,8 +3,9 @@
 The product of the standard two-object 2-representation with an input
 representation V is presented by a 2x2 corner decomposition.  Every corner
 of the one-step functors and of their squares is a finite sum of word
-modules over V (with the central variable y adjoined), except the
-constrained square corner, which is handled elementwise.
+modules over V, on which the central variable y acts by scalars, except the
+constrained square corner, which is handled elementwise.  The product works
+on V itself and shares its memo.
 """
 
 from __future__ import annotations
@@ -39,11 +40,11 @@ def word_sum(r, words, name):
 
 
 class ProductRep:
-    """The assembled product data over an input representation V."""
+    """The assembled product data over an input representation V.  ``Vy`` is
+    V itself, whose memo holds the word modules and y-operators."""
 
     def __init__(self, V):
-        self.V = V
-        self.Vy = r = V.adjoin_y()
+        self.Vy = r = V
         self._cache: dict = {}
         # domain sums for the EF-ordered corners
         self.T = {c: word_sum(r, words, f"T{c}")
@@ -60,7 +61,7 @@ class ProductRep:
         return sorted(self.Vy.A.weights())
 
     def c_weights(self):
-        supp = set(self.V.A.weights())
+        supp = set(self.Vy.A.weights())
         return sorted({w - 1 for w in supp} | {w + 1 for w in supp})
 
     def model_to_vec(self, m):

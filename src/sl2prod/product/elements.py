@@ -31,7 +31,7 @@ class Elt:
     __slots__ = ("rep", "word", "weight", "vec")
 
     def __init__(self, rep, word: str, weight: int, vec: list):
-        self.rep = rep  # the underlying TwoRep (with y adjoined)
+        self.rep = rep  # the underlying TwoRep; y acts on it by scalars
         self.word = word
         self.weight = weight
         self.vec = vec

@@ -117,9 +117,6 @@ class G2Elt(ModelElt):
     KIND = "G2"
     LAYOUT = (("a", "E"), ("b", "E"), ("c", "FEE"))
 
-    def e1(self) -> Elt:
-        return self.b
-
     def e2(self) -> Elt:
         return self.b - apply_map(self.rep.y_at("E", 1), self.a, "E")
 
@@ -140,7 +137,7 @@ class G2Elt(ModelElt):
         return self._xi_head(r, self.b, self.e2()) + t3
 
     def data(self):
-        return self.e1(), self.e2(), self.xi()
+        return self.b, self.e2(), self.xi()
 
     @classmethod
     def from_data(cls, rep, e1: Elt, e2: Elt, xi: Elt):

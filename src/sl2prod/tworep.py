@@ -6,14 +6,16 @@ counit eps.  A word calculus over the alphabet {E, F} provides the tensor
 word modules and the positional maps (x or tau at a factor, eps/eta at a
 position) out of which every composite map of the construction is assembled.
 The word modules, the positional maps and the commutator maps sigma and rho
-are memoized on the representation.
+are memoized on the representation.  The product's central variable y is
+reserved: no weight ring lists it, and it acts on every word module by
+scalars, so the product works on the input representation and its memo.
 """
 
 from __future__ import annotations
 
 import functools
 
-from .polyring import Poly, QQ, parse_poly
+from .polyring import Poly, QQ, parse_poly, var_index
 from .matrixops import (Matrix, adjugate, bareiss_determinant, block_matrix,
                         offsets, pick)
 from .bimodcat import (
@@ -49,7 +51,7 @@ def restrict_algebra(A: WeightedAlgebra, mu: int,
                      shift: int) -> WeightedAlgebra:
     """The weights ``mu`` and ``mu + shift`` of ``A``."""
     ws = {w for w in (mu, mu + shift) if w in A}
-    return WeightedAlgebra(A.field, {w: A.support[w] for w in ws}, A.has_y)
+    return WeightedAlgebra(A.field, {w: A.support[w] for w in ws})
 
 
 def restrict_at(M: Bimodule, mu: int, algebra=None) -> Bimodule:
@@ -69,14 +71,16 @@ def restrict_at(M: Bimodule, mu: int, algebra=None) -> Bimodule:
 
 def _memoized(fn):
     """Cache ``fn`` per (name, arguments) on the ``_cache`` dict of its first
-    argument.  This is the one memo of the package; its entries are:
+    argument: the one memo of the package.  A run keeps its entries on its
+    one :class:`TwoRep` and the one product over it:
 
-    * on a :class:`TwoRep`: ``_left_dual``, ``eta``, ``eps``, ``word``,
-      ``x_at``, ``y_at``, ``y_adjugate`` (the membership solver's
-      determinant and adjugate of y_i, per word, factor and weight),
-      ``tau_at``, ``eps_at``, ``eta_at``, ``tau_mate``, ``xF_pow`` and
-      ``_h_xy`` (methods), ``sigma`` and ``rho`` (functions);
-    * on a :class:`~sl2prod.product.core.ProductRep`:
+    * on the :class:`TwoRep`, read by its checks and by the product:
+      ``_left_dual``, ``eta``, ``eps``, ``word``, ``x_at``, ``y_at``,
+      ``y_adjugate`` (the membership solver's determinant and adjugate of
+      y_i, per word, factor and weight), ``tau_at``, ``eps_at``, ``eta_at``,
+      ``tau_mate``, ``xF_pow`` and ``_h_xy`` (methods), ``sigma`` and
+      ``rho`` (functions);
+    * on the :class:`~sl2prod.product.core.ProductRep`:
       ``tilde_sigma_closed`` (``product.core``), ``_corner_rho``
       (``product.rho``), ``pair_basis`` and ``_eta_pairs``
       (``product.oracles``) and ``omega3_map`` (``product.gammas``); the
@@ -95,7 +99,8 @@ def _memoized(fn):
 
 
 class TwoRep:
-    """The data (A, E, x, tau); F, eta, eps are derived on demand."""
+    """The data (A, E, x, tau); F, eta, eps are derived on demand.  The
+    same object, and its memo, serves its own checks and its product."""
 
     def __init__(self, A: WeightedAlgebra, E: Bimodule, x: BimoduleMap,
                  tau: BimoduleMap, name: str = ""):
@@ -268,20 +273,23 @@ class TwoRep:
                       self._h_xy(word, i - 1, xs, False))
         return self._h_xy(word, i, xs[:-1], False) + out if xs[:-1] else out
 
-    # -- base change
-
     def adjoin_y(self) -> "TwoRep":
-        """The same representation with the central variable y adjoined."""
-        A = self.A.adjoin_y()
-        E = Bimodule(A, self.E.shift, self.E.components, name=self.E.name)
-        EE = tensor_over_A(E, E)
-        x = BimoduleMap(E, E, self.x.mats, name="x")
-        tau = BimoduleMap(EE, EE, self.tau.mats, name="tau")
-        return TwoRep(A, E, x, tau, name=self.name + "[y]")
+        """The same representation with the central variable y adjoined:
+        itself, since y acts by scalars on every word module."""
+        return self
 
 
 # ---------------------------------------------------------------------------
 # left dual
+
+
+def scalar_variable(m: Matrix, n: int, A: WeightedAlgebra, lam: int):
+    """The generator v of the base ring at ``lam`` with ``m = v * I_n``, or
+    None when ``m`` is no such scalar matrix."""
+    for v in A.support[lam]:
+        if m == Matrix.identity(A.field, n).scale(Poly.var(A.field, v)):
+            return v
+    return None
 
 
 def left_dual(E: Bimodule):
@@ -305,11 +313,7 @@ def left_dual(E: Bimodule):
             if r == 0:
                 hat[w] = None
                 continue
-            target = None
-            for v in A.support[src]:
-                if mat == Matrix.identity(field, r).scale(Poly.var(field, v)):
-                    target = v
-                    break
+            target = scalar_variable(mat, r, A, src)
             if target is None:
                 raise LeftDualError(
                     f"left action of {w} at weight {src} is not scalar")
@@ -511,13 +515,7 @@ def check_hypotheses(rep: TwoRep, window=(-4, 4)):
             xi = rep.x_at(word, i)
             for lam in W.weights():
                 m = xi.matrix(lam)
-                if m.nrows == 0:
-                    continue
-                scalar_like = any(
-                    m == Matrix.identity(rep.A.field, m.nrows).scale(
-                        Poly.var(rep.A.field, v))
-                    for v in W.algebra.ring_vars(lam))
-                if not scalar_like:
+                if m.nrows and not scalar_variable(m, m.nrows, W.algebra, lam):
                     ok = False
                     witness = f"x_{i} at weight {lam} not a scalar variable"
         results.append(record(f"E^{n} free over P_{n}", ok, witness))
@@ -570,13 +568,26 @@ def rep_to_json(rep: TwoRep) -> dict:
 
 
 def rep_from_json(data: dict, field=QQ) -> TwoRep:
+    """Read the schema of :func:`rep_to_json`.  y is reserved for the
+    product: a weight ring or an entry with y raises ValueError."""
+    y = var_index("y")
+
+    def entry(text):
+        p = parse_poly(text, field)
+        if any(len(e) > y and e[y] for e in p.terms):
+            raise ValueError(f"entry {text!r} involves the reserved y")
+        return p
+
     def mat_from_json(rows, nrows, ncols):
         if not rows:
             return Matrix.zero(field, nrows, ncols)
-        return Matrix.from_rows(field, [[parse_poly(s, field) for s in row]
+        return Matrix.from_rows(field, [[entry(s) for s in row]
                                         for row in rows])
 
     support = {int(w): tuple(v) for w, v in data["weights"].items()}
+    for w, gens in support.items():
+        if "y" in gens:
+            raise ValueError(f"the weight ring at {w} lists the reserved y")
     A = WeightedAlgebra(field, support)
     comps = {}
     for lam_s, cdata in data.get("E", {}).items():

@@ -241,16 +241,15 @@ def ref_lift(rep, f, dom_mid, cod_mid, lw, rw):
     return rep.rebase(g, lw + dom_mid + rw, lw + cod_mid + rw)
 
 
-# random data over the L(1) algebra with y adjoined, and over an algebra
-# with a second generator x1, over QQ and GF(7)
+# random data over the L(1) algebra, and over an algebra with a second
+# generator x1, over QQ and GF(7); every ring also carries the central y
 
-ALG = WeightedAlgebra(QQ, {-1: ("u",), 1: ("u",)}, has_y=True)
+ALG = WeightedAlgebra(QQ, {-1: ("u",), 1: ("u",)})
 FIELDS = [QQ, PrimeField(7)]
 
 
-def two_generator_algebra(field, has_y=True):
-    return WeightedAlgebra(field, {-1: ("u", "x1"), 1: ("u", "x1")},
-                           has_y=has_y)
+def two_generator_algebra(field):
+    return WeightedAlgebra(field, {-1: ("u", "x1"), 1: ("u", "x1")})
 
 
 def polys_in(*names, max_exp=2, field=QQ):
@@ -344,15 +343,21 @@ def placements(word):
         yield ("eta_at", pos), ("eta", "", "FE", word[:pos], word[pos:])
 
 
-def check_every_placement(rep, max_len):
+def check_every_placement(rep, max_len, with_y=False):
+    """Every positional map on words up to ``max_len`` against the
+    reference lift; ``with_y`` also checks y_i = x_i - y at each x."""
+    y = Poly.var(rep.A.field, "y")
     for n in range(max_len + 1):
         for word in map("".join, itertools.product("EF", repeat=n)):
             for (meth, k), (f, dm, cm, lw, rw) in placements(word):
                 got = getattr(rep, meth)(word, k)
                 assert got.dom is rep.word(lw + dm + rw)
                 assert got.cod is rep.word(lw + cm + rw)
-                assert_same_map(got, ref_lift(rep, getattr(rep, f),
-                                              dm, cm, lw, rw))
+                want = ref_lift(rep, getattr(rep, f), dm, cm, lw, rw)
+                assert_same_map(got, want)
+                if with_y and meth == "x_at":
+                    assert_same_map(rep.y_at(word, k), want - identity_map(
+                        want.dom).scale(y))
 
 
 def rank_two_rep(x_rows, field=QQ, gens=("u",)):
@@ -400,14 +405,13 @@ class TestZeroBlockFreeAssembly:
 
     @pytest.mark.parametrize("with_y", [False, True])
     def test_lift_every_placement(self, with_y):
-        rep = make_L1()
-        check_every_placement(rep.adjoin_y() if with_y else rep, 4)
+        check_every_placement(make_L1(), 4, with_y)
 
     @settings(max_examples=8, deadline=None)
     @given(st.lists(st.lists(polys_in("u"), min_size=2, max_size=2),
                     min_size=2, max_size=2))
     def test_lift_every_placement_rank_two(self, x_rows):
-        check_every_placement(rank_two_rep(x_rows).adjoin_y(), 2)
+        check_every_placement(rank_two_rep(x_rows), 2, with_y=True)
 
 
 # ---------------------------------------------------------------------------
@@ -464,28 +468,27 @@ WORDS = ["", "E", "F", "EE", "EF", "FE", "FF"]
 
 def two_generator_reps(field):
     """The rank-two E with a random dot over ``field``, with u and a second
-    generator x1 acting as scalars, y adjoined."""
+    generator x1 acting as scalars."""
     return st.lists(st.lists(polys_in("u", "x1", field=field), min_size=2,
                              max_size=2), min_size=2, max_size=2).map(
-        lambda rows: rank_two_rep(rows, field, ("u", "x1")).adjoin_y())
+        lambda rows: rank_two_rep(rows, field, ("u", "x1")))
 
 
-# L(1), L(1)[y], the rank-two E with a random dot, y adjoined, and the
-# two-generator rank-two E over QQ and GF(7)
+# L(1), the rank-two E with a random dot, and the two-generator rank-two E
+# over QQ and GF(7)
 element_reps = st.one_of(
-    st.builds(make_L1), st.builds(lambda: make_L1().adjoin_y()),
+    st.builds(make_L1),
     st.lists(st.lists(polys_in("u"), min_size=2, max_size=2),
-             min_size=2, max_size=2).map(
-        lambda rows: rank_two_rep(rows).adjoin_y()),
+             min_size=2, max_size=2).map(rank_two_rep),
     st.sampled_from(FIELDS).flatmap(two_generator_reps))
 
 
-def skew_rep(has_y, field=QQ):
+def skew_rep(field=QQ):
     """A rank-two E at weight -1 on which u acts by the non-scalar matrix
     U = [[u, 1], [0, u]] and a second generator x1 by U^2 - 2U, which
     commutes with it, with x = u.  It has no left dual F, but its E-only
     words form."""
-    A = two_generator_algebra(field, has_y=False)
+    A = two_generator_algebra(field)
     u, one, z = Poly.var(field, "u"), Poly.one(field), Poly.zero(field)
     U = Matrix(field, 2, 2, [[u, one], [z, u]])
     E = Bimodule(A, 2, {-1: Component(("e1", "e2"), {
@@ -494,16 +497,17 @@ def skew_rep(has_y, field=QQ):
     x = BimoduleMap(E, E, {-1: Matrix.identity(field, 2).scale(u)},
                     name="x")
     EE = tensor_over_A(E, E)
-    rep = TwoRep(A, E, x, BimoduleMap(EE, EE, {}, name="tau"))
-    return rep.adjoin_y() if has_y else rep
+    return TwoRep(A, E, x, BimoduleMap(EE, EE, {}, name="tau"))
 
 
 @pytest.mark.parametrize("has_y", [False, True])
 def test_E_words_need_no_left_dual(has_y):
-    rep = skew_rep(has_y)
+    rep = skew_rep()
     assert rep.word("E").rank(-1) == 2
     assert rep.word("EE").total_rank() == 0
-    assert rep.word("E").left_matrix(-1, "u") == rep.E.left_matrix(-1, "u")
+    u, y = Poly.var(QQ, "u"), Poly.var(QQ, "y")
+    p = u * y + 3 if has_y else u
+    assert rep.word("E").left_poly(-1, p) == rep.E.left_poly(-1, p)
     with pytest.raises(LeftDualError):
         rep.F
 
@@ -514,19 +518,19 @@ def rep_polys(rep, ys, max_exp=2):
     return polys_in(*names, max_exp=max_exp, field=rep.A.field)
 
 
-def coordinates(rep):
+def coordinates(rep, with_y=True):
     """Zero, k[y] (constants without y) and generator-involving
     coordinates."""
     F = rep.A.field
-    ys = ("y",) if rep.A.has_y else ()
+    ys = ("y",) if with_y else ()
     return st.one_of(st.just(Poly.zero(F)), polys_in(*ys, field=F),
                      rep_polys(rep, ys))
 
 
-def draw_elt(data, rep, word, weight):
+def draw_elt(data, rep, word, weight, with_y=True):
     n = rep.word(word).rank(weight)
     return Elt(rep, word, weight, data.draw(st.lists(
-        coordinates(rep), min_size=n, max_size=n)))
+        coordinates(rep, with_y), min_size=n, max_size=n)))
 
 
 def draw_pair(data, rep, a_words, b_words):
@@ -550,13 +554,13 @@ class TestSparseElementCalculus:
         assert_same_elt(elem_tensor(a, b), ref_elem_tensor(a, b))
 
     @settings(max_examples=40, deadline=None)
-    @given(st.builds(skew_rep, st.booleans(), st.sampled_from(FIELDS)),
+    @given(st.builds(skew_rep, st.sampled_from(FIELDS)), st.booleans(),
            st.data())
-    def test_elem_tensor_non_scalar_left_action(self, rep, data):
+    def test_elem_tensor_non_scalar_left_action(self, rep, with_y, data):
         # A at weight 1 (x) E at weight -1, where u acts on E non-scalarly
         # and x1 by a polynomial in u's matrix
-        a = draw_elt(data, rep, "", 1)
-        b = draw_elt(data, rep, "E", -1)
+        a = draw_elt(data, rep, "", 1, with_y)
+        b = draw_elt(data, rep, "E", -1, with_y)
         assert_same_elt(elem_tensor(a, b), ref_elem_tensor(a, b))
 
     @settings(max_examples=40, deadline=None)
@@ -641,7 +645,7 @@ def check_h_xy_and_self_pow(rep, max_len, i_max):
 
 class TestIncrementalPairingIngredients:
     def test_h_xy_and_self_pow_L1(self):
-        check_h_xy_and_self_pow(make_L1().adjoin_y(), 4, 8)
+        check_h_xy_and_self_pow(make_L1(), 4, 8)
 
     @settings(max_examples=2, deadline=None)
     @given(st.lists(st.lists(polys_in("u"), min_size=2, max_size=2),
@@ -649,7 +653,7 @@ class TestIncrementalPairingIngredients:
     def test_h_xy_and_self_pow_rank_two(self, x_rows):
         # E^2 = 0 here, so words of length 4 add no new E-factor pattern to
         # those of length 3, only 16 x 16 matrices for the slow reference
-        check_h_xy_and_self_pow(rank_two_rep(x_rows).adjoin_y(), 3, 8)
+        check_h_xy_and_self_pow(rank_two_rep(x_rows), 3, 8)
 
     @settings(max_examples=20, deadline=None)
     @given(element_reps, st.sampled_from(short_words(4)), st.data())
@@ -660,8 +664,7 @@ class TestIncrementalPairingIngredients:
             assert N.left_poly(lam, p) == ref_left_poly(N, lam, p)
 
     @settings(max_examples=40, deadline=None)
-    @given(st.builds(skew_rep, st.booleans(), st.sampled_from(FIELDS)),
-           st.data())
+    @given(st.builds(skew_rep, st.sampled_from(FIELDS)), st.data())
     def test_left_poly_non_scalar_left_action(self, rep, data):
         N = rep.word("E")
         p = data.draw(polys_in("u", "x1", "y", max_exp=6, field=rep.A.field))

@@ -84,7 +84,7 @@ def test_cached_maps_survive_use():
 
 
 def test_lift_on_cached_words_builds_no_tensor(monkeypatch):
-    r = make_L1().adjoin_y()
+    r = make_L1()
     sig = sigma(r)
     lifts = [(sig, "EF", "FE", "F", "E"), (r.x, "E", "E", "FE", "F"),
              (r.eps, "EF", "", "EF", "EF"), (r.eta, "", "FE", "F", "")]
@@ -175,7 +175,7 @@ def test_restricted_summands_share_one_algebra():
 def test_ky_left_factor_makes_no_matrix_product(monkeypatch):
     # y acts by scalars, so a k[y] coefficient multiplies coordinatewise,
     # and u*y is one Horner step: u's matrix on the y-scaled column
-    r = make_L1().adjoin_y()
+    r = make_L1()
     y, u = Poly.var(QQ, "y"), Poly.var(QQ, "u")
     b = basis_elt(r, "E", -1, 0)
     products = counting(monkeypatch, Matrix, "__matmul__")
@@ -202,7 +202,7 @@ def test_membership_solver_builds_one_adjugate_per_operator(monkeypatch):
 def test_singular_y_operator_fails_on_every_call(monkeypatch):
     # the memo keeps a vanishing determinant, not a verdict: each division
     # checks it again
-    r = make_L1().adjoin_y()
+    r = make_L1()
     W = r.word("FE")
     monkeypatch.setattr(tworep.TwoRep, "y_at",
                         lambda self, word, i: zero_map(W, W))
@@ -279,7 +279,7 @@ def test_closed_pairings_lift_nothing_per_i(monkeypatch):
 
 def test_h_xy_makes_no_h_complete_call(monkeypatch):
     calls = counting_everywhere(monkeypatch, polyring, "h_complete")
-    r = make_L1().adjoin_y()
+    r = make_L1()
     for i in range(-1, 9):
         for word, xs in (("FE", [1]), ("FEEF", [1, 2]), ("FFEE", [2])):
             r.h_xy(word, i, xs)
@@ -307,7 +307,7 @@ def test_oracles_on_fresh_and_swept_products_agree():
 def test_first_call_at_high_i_stays_shallow():
     # both recurrences are built from i = 0 upward, so a first call far
     # above the interpreter's recursion limit does not nest that deep
-    r = make_L1().adjoin_y()
+    r = make_L1()
     n = sys.getrecursionlimit() + 100
     u = Poly.var(QQ, "u")
     assert tworep.self_pow(r, n).matrix(-1).entries == [[u ** n]]
@@ -375,32 +375,44 @@ def test_verify_all_builds_each_structure_map_once(monkeypatch, tmp_path):
     # three-factor composite for sigma
     reps = returning(monkeypatch, cli, "_load_rep")
     products = returning(monkeypatch, cli, "build_product")
+    made = counting(monkeypatch, tworep.TwoRep, "__init__")
     rhos = counting(monkeypatch, tworep, "commutator_at")
     corners = counting(monkeypatch, rho_mod, "commutator_at")
     sums = counting(monkeypatch, core, "direct_sum_maps")
     composites = counting(monkeypatch, tworep, "compose_all")
     assert cli.main(["verify-all", "--out", str(tmp_path / "r.json")]) == 0
-    assert len(reps) == len(products) == 1
+    # one representation: the product works on the loaded one
+    assert len(reps) == len(products) == len(made) == 1
     P = products[0]
-    assert P.V is reps[0]
+    r = P.Vy
+    assert r is reps[0]
 
-    for r in (P.V, P.Vy):
-        factors = (r.eps_at("FEEF", 2), r.tau_at("FEEF", 1),
-                   r.eta_at("EF", 0))
-        assert sum(all(a is b for a, b in zip(args, factors))
-                   for args in composites if len(args) == 3) == 1
-    # rho on V at -4..4 (check-rep, then again in build_product's
-    # hypotheses) and on V[y] at the internal weights the corner
-    # certificates factor through
-    built = Counter((id(args[0]), args[2]) for args in rhos)
-    assert set(built.values()) == {1}
-    assert {lam for rid, lam in built if rid == id(P.V)} == set(range(-4, 5))
-    assert len(built) == 11
+    factors = (r.eps_at("FEEF", 2), r.tau_at("FEEF", 1), r.eta_at("EF", 0))
+    assert sum(all(a is b for a, b in zip(args, factors))
+               for args in composites if len(args) == 3) == 1
+    # rho at -4..4, built by check-rep; build_product's hypotheses and the
+    # internal weights the corner certificates factor through hit the memo
+    assert all(args[0] is r for args in rhos)
+    assert Counter(args[2] for args in rhos) == {
+        lam: 1 for lam in range(-4, 5)}
     assert Counter(args[-1] for args in corners) == {
         f"rho{c}_{lam}": 1 for c in CORNERS for lam in range(-4, 5)}
     assert Counter(c for c in CORNERS for args in sums
                    if args[0] is P.T[c] and args[1] is P.S[c]) == {
         c: 1 for c in CORNERS}
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-all"], ["build-product", "--field", "7", "--i-max", "16"]])
+def test_run_tensors_each_word_module_once(monkeypatch, tmp_path, argv):
+    # one tensor product per nonempty word module of the one memo, plus
+    # E^2 for tau and EF, FE in the left dual
+    products = returning(monkeypatch, cli, "build_product")
+    tensors = counting_everywhere(monkeypatch, bimodcat, "tensor_over_A")
+    assert cli.main([*argv, "--out", str(tmp_path / "r.json")]) == 0
+    words = [key for key in products[0].Vy._cache
+             if key[0] == "word" and key[1]]
+    assert len(tensors) == len(words) + 3 == 36
 
 
 def test_run_loads_the_rep_once(monkeypatch, tmp_path):

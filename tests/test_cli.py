@@ -12,6 +12,9 @@ from sl2prod import cli
 from sl2prod.cli import main
 from sl2prod.polyring import Poly, QQ
 
+GOLDEN = Path(__file__).parent / "golden"
+REP_COMMANDS = ["check-rep", "build-product", "check-rho", "verify-all"]
+
 
 def run_cli(args, capsys):
     code = main(args)
@@ -82,11 +85,41 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_left_action_of_wrong_size_is_input_error(self, capsys,
+                                                      tmp_path):
+        # u * I_2 on a rank-one component is no scalar action
+        rep = self.rep_with(tmp_path)
+        data = json.loads(Path(rep).read_text())
+        data["E"]["-1"]["left"]["u"] = [["u", "0"], ["0", "u"]]
+        Path(rep).write_text(json.dumps(data))
+        assert main(["verify-all", "--rep", rep]) == 2
+        assert capsys.readouterr().err == (
+            "error: malformed representation data: left action of u at "
+            "weight -1 is not scalar\n")
+
     def test_unknown_variable_is_input_error(self, capsys, tmp_path):
         rep = self.rep_with(tmp_path, x="q")
         assert main(["check-rep", "--rep", rep]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "'q'" in err
+
+    @pytest.mark.parametrize("command", REP_COMMANDS)
+    def test_reserved_y_in_weight_ring_is_input_error(self, capsys, command):
+        # L(1) with u renamed to y: y is the product's central variable
+        rep = str(GOLDEN / "l1_y.json")
+        assert main([command, "--rep", rep]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: malformed representation data: the weight "
+                       "ring at -1 lists the reserved y\n")
+
+    @pytest.mark.parametrize("command", REP_COMMANDS)
+    def test_reserved_y_in_entry_is_input_error(self, capsys, tmp_path,
+                                                command):
+        rep = self.rep_with(tmp_path, x="u + y^2")
+        assert main([command, "--rep", rep]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: malformed representation data: entry "
+                       "'u + y^2' involves the reserved y\n")
 
     @pytest.mark.parametrize("nest", ["poly", "json"])
     def test_deeply_nested_rep_is_input_error(self, capsys, tmp_path, nest):

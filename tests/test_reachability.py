@@ -46,6 +46,7 @@ runs = [
     ["check-rho", "--weights=-8..8"],
     ["check-rho", "--rep", str(golden / "e2_tau0.json")],
     ["verify-all", "--rep", str(golden / "missing.json")],
+    ["verify-all", "--rep", str(golden / "l1_y.json")],
 ]
 codes = []
 with contextlib.redirect_stdout(io.StringIO()), \
@@ -116,7 +117,6 @@ ALLOWED = {
     "product.elements.Elt.__repr__": DUNDER,
     "product.models.ModelElt.__repr__": DUNDER,
     "product.models.G1Elt.data": TESTS,
-    "product.models.G2Elt.e1": TESTS,
     "product.models.G2Elt.data": TESTS,
     "product.models.G2Elt.from_data": TESTS,
     "product.models.G3Elt.ee_prime": L2,
@@ -135,6 +135,7 @@ ALLOWED = {
     "product.oracles._sigma22_EF_column.<locals>.g2_hi": L2,
     "product.rho.RhoMap.__repr__": DUNDER,
     "product.rho._m_y_alt": LN,
+    "tworep.TwoRep.adjoin_y": TRACER,
     "tworep.rep_to_json": TESTS,
     "tworep.rep_to_json.<locals>.mat_to_json": TESTS,
 }
@@ -147,8 +148,9 @@ def test_never_called_functions_match_allowlist():
                           timeout=300)
     assert proc.returncode == 0, proc.stderr.decode()
     result = json.loads(proc.stdout)
-    # pass, pass, construction fails, bad dot, pass, tau = 0, missing file
-    assert result["codes"] == [0, 0, 1, 1, 0, 1, 2]
+    # pass, pass, construction fails, bad dot, pass, tau = 0, missing file,
+    # reserved y
+    assert result["codes"] == [0, 0, 1, 1, 0, 1, 2, 2]
     never = set(result["never"])
     assert sorted(never - set(ALLOWED)) == [], "never called, not listed"
     assert sorted(set(ALLOWED) - never) == [], "called now: drop from ALLOWED"
