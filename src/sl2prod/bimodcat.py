@@ -6,7 +6,8 @@ has, for each source weight ``lam``, a free right module over the base ring at
 ``lam`` with an ordered basis; the right action is coordinatewise scalar
 multiplication and the left action of each generator of the base ring at
 ``lam + d`` is a stored matrix.  Maps are matrices acting on coordinate
-columns, composed as ``compose(g, f) = [g] @ [f]``.
+columns, composed as ``compose(g, f) = [g] @ [f]``.  Every check of the
+package returns its verdict as a :func:`record`.
 """
 
 from __future__ import annotations
@@ -353,43 +354,47 @@ def direct_sum_maps(dom: SumBimodule, cod: SumBimodule, entries: dict) -> Bimodu
 
 
 # ---------------------------------------------------------------------------
-# isomorphism certification
+# verdicts and isomorphism certification
 
 
-class IsoCertificate:
-    """The verdict of :func:`certify_iso`, with the determinants it saw."""
-    __slots__ = ("ok", "dets", "witness")
+def record(name, ok, witness=None, **evidence) -> dict:
+    """One verdict: the check name, its status, an optional witness and the
+    evidence the check gathered.  Reports copy only the first three."""
+    out = {"check": name, "status": "pass" if ok else "fail"}
+    if witness:
+        out["witness"] = str(witness)
+    out.update(evidence)
+    return out
 
-    def __init__(self, ok: bool, dets: dict, witness: tuple = None):
-        self.ok = ok
-        self.dets = dets  # weight -> determinant string
-        self.witness = witness  # (weight, reason)
 
-
-def certify_iso(f: BimoduleMap) -> IsoCertificate:
+def certify_iso(f: BimoduleMap, name: str) -> dict:
     """Certify a map as an isomorphism by exact determinants.
 
     A map is certified iso when every weight matrix is square with a
     determinant that is a nonzero constant of the coefficient field; empty
-    matrices are isomorphisms.
+    matrices are isomorphisms.  Returns the record ``name``, whose ``dets``
+    maps each weight checked to its determinant string; a failure's witness
+    is the weight and the reason.
     """
     dets = {}
     for lam in sorted(f.mats):
         m = f.matrix(lam)
         if m.nrows != m.ncols:
-            return IsoCertificate(False, dets, (lam, f"non-square {m.nrows}x{m.ncols}"))
+            return record(name, False, (lam, f"non-square {m.nrows}x{m.ncols}"),
+                          dets=dets)
         det = bareiss_determinant(m)
         dets[lam] = str(det)
         if det.is_zero() or not det.is_constant():
-            return IsoCertificate(False, dets, (lam, f"determinant {det} is not a unit"))
-    return IsoCertificate(True, dets)
+            return record(name, False, (lam, f"determinant {det} is not a unit"),
+                          dets=dets)
+    return record(name, True, dets=dets)
 
 
 def inverse_map(f: BimoduleMap) -> BimoduleMap:
     """The exact inverse of a certified isomorphism, via the adjugate."""
-    cert = certify_iso(f)
-    if not cert.ok:
-        raise ValueError(f"not an isomorphism: {cert.witness}")
+    cert = certify_iso(f, f.name)
+    if cert["status"] != "pass":
+        raise ValueError(f"not an isomorphism: {cert['witness']}")
     field = f.dom.algebra.field
     mats = {}
     for lam in f.mats:

@@ -12,15 +12,13 @@ import sys
 from . import __version__
 from .polyring import Poly, QQ, divided_difference, h_complete, make_field
 from .nilhecke import NilHeckeElt, divided_power_idempotents, normalize
-from .bimodcat import certify_iso
-from .tworep import (check_hecke, check_hypotheses, make_L1, record,
-                     rep_from_json, HypothesesFailedError)
-from .product import (build_product, check_eta22_identity,
+from .bimodcat import certify_iso, record
+from .tworep import check_hecke, check_hypotheses, make_L1, rep_from_json
+from .product import (build_product, check_construction, check_eta22_identity,
                       check_omega3_linearity, check_product_hecke,
                       eps_xi_F_closed, eps_xi_F_oracle, F_xi_eta_closed,
                       F_xi_eta_oracle, tilde_rho, tilde_sigma_closed,
-                      tilde_sigma_oracle, triangular_certificate,
-                      NotTriangularError, DiagonalNotIsoError)
+                      tilde_sigma_oracle, triangular_certificate)
 from .product.core import CORNERS
 
 
@@ -134,14 +132,13 @@ def suite_check_rep(rep, window=(-4, 4)):
 
 
 def suite_build_product(rep, i_max: int = 4):
-    """Build the product, then verify the product Hecke relations, the
-    closed-vs-oracle equalities, the unit composite, and middle-linearity."""
-    out = []
-    try:
-        P = build_product(rep, check=True)
-        out.append(record("construction checks (end algebra, actions)", True))
-    except HypothesesFailedError as e:
-        out.append(record("construction checks (end algebra, actions)", False, e))
+    """Build the product and pass its construction gate, then verify the
+    product Hecke relations, the closed-vs-oracle equalities, the unit
+    composite, and middle-linearity.  Past a failed gate nothing runs and
+    the product is None."""
+    P = build_product(rep)
+    out = [check_construction(P)]
+    if out[0]["status"] != "pass":
         return None, out
     out += [dict(r, check="product hecke: " + r["check"])
             for r in check_product_hecke(P)]
@@ -177,18 +174,11 @@ def suite_check_rho(P, window=(-4, 4)):
         bad = f.is_welldefined()
         out.append(record(f"commutator map well defined, weight {lam}",
                           bad is None, bad))
-        cert = certify_iso(f)
-        out.append(record(f"commutator map determinant certificate, weight {lam}",
-                          cert.ok, cert.witness))
-        try:
-            triangular_certificate(P, lam)
-            tri_ok, tri_witness = True, None
-        except (NotTriangularError, DiagonalNotIsoError) as e:
-            tri_ok, tri_witness = False, e
-        out.append(record(f"commutator map triangular certificate, weight {lam}",
-                          tri_ok, tri_witness))
-        out.append(record(f"certificates agree, weight {lam}",
-                          cert.ok == tri_ok))
+        det = certify_iso(
+            f, f"commutator map determinant certificate, weight {lam}")
+        tri = triangular_certificate(P, lam)
+        out += [det, tri, record(f"certificates agree, weight {lam}",
+                                 det["status"] == tri["status"])]
     # weight 0: every corner is its closed commutator block.  The corner
     # map is built from that block, so this record cannot fail; it is kept
     # so the suite's record count stays fixed.
@@ -256,7 +246,7 @@ def run(args):
         P, recs = suite_build_product(rep, args.i_max)
         suites.append(("build-product", recs))
     if cmd == "check-rho":
-        P = build_product(rep, check=False)
+        P = build_product(rep)
     if cmd in ("check-rho", "verify-all"):
         recs = (suite_check_rho(P, window) if P is not None else
                 [record("commutator suite skipped", False,

@@ -211,13 +211,11 @@ class NilHeckeElt:
 # word-level API
 
 
-def normalize(n: int, word, field=QQ, reverse: bool = False) -> NilHeckeElt:
-    """Normalize a product of generator tokens.
+def normalize(n: int, word, field=QQ) -> NilHeckeElt:
+    """Normalize a product of generator tokens, folded left to right.
 
     Tokens: ``("tau", i)``, ``("x", i)``, ``("y",)``, ``("scalar", c)``,
-    ``("y_", i)`` for the shorthand x_i - y.  ``reverse=True`` folds the word
-    right-to-left instead (multiplying on the left), which must produce the
-    same normal form; this is the confluence cross-check.
+    ``("y_", i)`` for the shorthand x_i - y.
     """
     factors = []
     for tok in word:
@@ -236,11 +234,6 @@ def normalize(n: int, word, field=QQ, reverse: bool = False) -> NilHeckeElt:
             raise ValueError(f"unknown token {tok!r}")
     if not factors:
         return NilHeckeElt.one(n, field)
-    if reverse:
-        acc = factors[-1]
-        for f in reversed(factors[:-1]):
-            acc = f * acc
-        return acc
     acc = factors[0]
     for f in factors[1:]:
         acc = acc * f

@@ -11,11 +11,10 @@ on V itself and shares its memo.
 from __future__ import annotations
 
 from ..bimodcat import (BimoduleMap, SumBimodule, compose, compose_all,
-                        direct_sum_maps, identity_map)
+                        direct_sum_maps, identity_map, record)
 from ..matrixops import ShapeMismatchError
 from ..polyring import Poly
-from ..tworep import (HypothesesFailedError, _memoized, check_hypotheses,
-                      self_pow, sigma, xi_eta)
+from ..tworep import _memoized, check_hypotheses, self_pow, sigma, xi_eta
 from .elements import Elt, apply_map, basis_elt, elem_tensor, join, zero_elt
 from .models import (CORNER_MODELS, G1Elt, G2Elt, act_G1_on_G2,
                      compose_G1, one_G1, tau22)
@@ -88,18 +87,20 @@ class ProductRep:
         return out
 
 
-def build_product(V, check: bool = True) -> ProductRep:
-    """Assemble the product over V, verifying the construction hypotheses."""
-    P = ProductRep(V)
-    if check:
-        results = check_hypotheses(V)
-        bad = [r for r in results if r["status"] != "pass"]
-        if bad:
-            raise HypothesesFailedError(
-                "input hypotheses fail: " + "; ".join(r["check"] for r in bad))
-        _check_c_algebra(P)
-        _check_actions(P)
-    return P
+def build_product(V) -> ProductRep:
+    """Assemble the product over V; :func:`check_construction` verifies it."""
+    return ProductRep(V)
+
+
+def check_construction(P: ProductRep) -> dict:
+    """The construction gate: the input hypotheses on the default window,
+    then the end algebra's associativity and its actions.  The witness names
+    the first of these that fails."""
+    bad = [r["check"] for r in check_hypotheses(P.Vy) if r["status"] != "pass"]
+    witness = ("input hypotheses fail: " + "; ".join(bad) if bad
+               else _check_c_algebra(P) or _check_actions(P))
+    return record("construction checks (end algebra, actions)",
+                  witness is None, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +153,8 @@ def c_mult(P: ProductRep, ca: str, a, cb: str, b):
 
 
 def _check_c_algebra(P: ProductRep):
-    """Associativity of the corner multiplication on all basis triples.
+    """Associativity of the corner multiplication on all basis triples; the
+    witness of the first failure, or None.
 
     The products ab and bd of basis elements are formed once per pair, on
     first use, and shared by every triple they occur in."""
@@ -180,13 +182,13 @@ def _check_c_algebra(P: ProductRep):
                                 k2, bd = mult(cb, j, cc, k)
                                 _, right = c_mult(P, ca, a, k2, bd)
                                 if left != right:
-                                    raise HypothesesFailedError(
-                                        "end algebra associativity fails at "
-                                        f"weight {c}: ({ca})({cb})({cc})")
+                                    return ("end algebra associativity fails "
+                                            f"at weight {c}: ({ca})({cb})({cc})")
 
 
 def _check_actions(P: ProductRep):
-    """Compatibility of the corner actions with the end multiplication."""
+    """Compatibility of the corner actions with the end multiplication; the
+    witness of the first failure, or None."""
     for c in P.c_weights():
         g1s = c_basis(P, "22", c)
         w = c - 1
@@ -195,15 +197,13 @@ def _check_actions(P: ProductRep):
         one = one_G1(P.Vy, w)
         for g in P.sum_basis("12", w):
             if act_G1_on_G2(g, one) != g:
-                raise HypothesesFailedError(
-                    f"unit action fails on degree +1 corner at weight {c}")
+                return f"unit action fails on degree +1 corner at weight {c}"
             for c1 in g1s:
                 for c2 in g1s:
                     lhs = act_G1_on_G2(act_G1_on_G2(g, c2), c1)
                     rhs = act_G1_on_G2(g, compose_G1(c2, c1))
                     if lhs != rhs:
-                        raise HypothesesFailedError(
-                            f"action compatibility fails at weight {c}")
+                        return f"action compatibility fails at weight {c}"
 
 
 # ---------------------------------------------------------------------------

@@ -4,16 +4,17 @@ Each corner of the product 1-morphisms is presented by free word-module
 summands together with membership equations.  A model element holds the free
 coordinates on its corner's summand words (the "model form"); each class
 declares that layout once, in ``LAYOUT``, and the coordinate arithmetic, the
-zero element and the flat coordinate vector follow from it.
-``to_submodule_form`` rebuilds the defining morphism data and
-``from_submodule_form`` recovers the free coordinates by exact division,
-raising :class:`NotInModelError` when the membership equations fail.
+zero element and the flat coordinate vector follow from it.  ``data``
+rebuilds the defining morphism data and ``from_data`` recovers the free
+coordinates by exact division, raising
+:class:`~sl2prod.product.elements.NotInModelError` when the membership
+equations fail.
 """
 
 from __future__ import annotations
 
-from .elements import (Elt, NotInModelError, apply_map, basis_elt, elem_tensor,
-                       join, solve_op, word_shift, zero_elt)
+from .elements import (Elt, apply_map, basis_elt, elem_tensor, join, solve_op,
+                       word_shift, zero_elt)
 from ..matrixops import ShapeMismatchError
 from ..polyring import Poly
 
@@ -25,7 +26,7 @@ from ..polyring import Poly
 class ModelElt:
     """Free coordinates of a corner element, one :class:`Elt` per summand.
 
-    Subclasses declare ``KIND``, the tag of their submodule form, and
+    Subclasses declare ``KIND``, the name of their corner sum, and
     ``LAYOUT``, the (coordinate name, word) pairs of their summands.  They
     add the defining morphism datum and its inverse, ``data`` and
     ``from_data``.
@@ -254,7 +255,6 @@ class UElt(ModelElt):
 
 # The model of each FE-ordered corner, and every model by its tag.
 CORNER_MODELS = {"11": G1Elt, "12": G2Elt, "21": L2Elt, "22": UElt}
-MODELS = {cls.KIND: cls for cls in (G1Elt, G2Elt, G3Elt, L2Elt, UElt)}
 
 
 def one_at(rep, weight: int) -> Elt:
@@ -445,33 +445,3 @@ def decompose_first(elt: Elt):
         if not right.is_zero():
             out.append((basis_elt(rep, first, w_left, i), right))
     return out
-
-
-# ---------------------------------------------------------------------------
-# form round-trips
-# ---------------------------------------------------------------------------
-
-def to_submodule_form(m):
-    """The full morphism data of a model element, as a tagged tuple.
-
-    The free coordinates determine constrained morphism data: an end-type
-    element yields its representative endomorphism component, an
-    intertwiner-type element the tuple of components subject to the
-    divisibility conditions that :func:`from_submodule_form` re-solves.
-    """
-    if not isinstance(m, ModelElt):
-        raise NotInModelError(f"not a model element: {m!r}")
-    return (m.KIND, *m.data())
-
-
-def from_submodule_form(rep, data):
-    """Recover the free coordinates from full morphism data.
-
-    Inverse of :func:`to_submodule_form`; raises
-    :class:`~sl2prod.product.elements.NotInModelError` when a divisibility
-    (membership) condition fails.
-    """
-    kind, *parts = data
-    if kind not in MODELS:
-        raise NotInModelError(f"unknown model kind {kind!r}")
-    return MODELS[kind].from_data(rep, *parts)

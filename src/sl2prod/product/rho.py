@@ -4,7 +4,7 @@ The weight-``lam`` commutator map has four corners indexed by the product
 idempotents.  Each corner stacks the closed-form commutator block with the
 evaluation pairings (``lam >= 0``, extra rows) or the coevaluation pairings
 (``lam <= 0``, extra columns).  Two independent certification routes are
-provided:
+provided, and each returns a :func:`~sl2prod.bimodcat.record`:
 
 * :func:`sl2prod.bimodcat.certify_iso` applied to the assembled map — a
   determinant computation;
@@ -12,10 +12,12 @@ provided:
   and columns (after explicit unit row operations) into a block-triangular
   matrix whose diagonal blocks are certified isomorphisms, and that checks
   the factorizations relating those blocks to the one-step commutator
-  isomorphisms of the underlying representation.
+  isomorphisms of the underlying representation.  A failure is raised
+  inside this module as :class:`NotTriangularError` or
+  :class:`DiagonalNotIsoError` and becomes the record's witness.
 """
 
-from ..bimodcat import BimoduleMap, certify_iso
+from ..bimodcat import BimoduleMap, certify_iso, record
 from ..matrixops import (Matrix, bareiss_determinant, block_diagonal,
                          offsets, pick, place_blocks)
 from ..polyring import Poly
@@ -24,10 +26,7 @@ from .core import (C_WORDS, CORNERS, MU_SHIFT, T_WORDS, ProductRep,
                    tilde_sigma_closed, eps_xi_F_closed, F_xi_eta_closed)
 from .models import CORNER_MODELS
 
-__all__ = [
-    "NotTriangularError", "DiagonalNotIsoError", "RhoMap",
-    "tilde_rho", "triangular_certificate",
-]
+__all__ = ["RhoMap", "tilde_rho", "triangular_certificate"]
 
 
 class NotTriangularError(ValueError):
@@ -271,18 +270,18 @@ def _corner_certificate(P, corner, lam, mu):
     row_sizes = [s.rank(mu) for s in f.cod.summands]
     col_sizes = [s.rank(mu) for s in f.dom.summands]
     rowop, groups, lower, factor = _layout(corner, lam)
-    out = {"status": "pass", "diag": [], "base": {}}
+    out = {"diag": [], "base": {}}
     bmat = None
 
     def certify_base():
         nonlocal bmat
         base = rho(r, mu)
-        cert = certify_iso(base)
-        if not cert.ok:
+        cert = certify_iso(base, f"rho_{mu} iso")
+        if cert["status"] != "pass":
             raise DiagonalNotIsoError(
                 f"corner {corner}, weight {lam}: one-step commutator at "
-                f"internal weight {mu} is not iso: {cert.witness}")
-        bmat, out["base"] = base.matrix(mu), dict(cert.dets)
+                f"internal weight {mu} is not iso: {cert['witness']}")
+        bmat, out["base"] = base.matrix(mu), cert["dets"]
 
     def check_factor():
         if bmat is None:
@@ -326,16 +325,21 @@ def triangular_certificate(P: ProductRep, lam: int) -> dict:
     is verified as an exact matrix identity.  The block sizes are read from
     the corner map's domain and codomain summands.
 
-    Raises :class:`NotTriangularError` or :class:`DiagonalNotIsoError`.
-    On success returns ``{"lam", "status", "corners"}``, where each corner
-    is ``{"status": "pass", "diag", "base"}``: ``diag`` lists the diagonal
-    groups' determinants in group order and ``base`` maps the internal
-    weight to rho_mu's determinant when a factorization was checked.  Both
-    are empty for a corner whose internal weight is outside the support.
+    Returns a record.  A failure's witness names the corner, the weight and
+    the first block that is not zero, not a unit or not factored as claimed.
+    A pass carries ``corners``, one ``{"diag", "base"}`` per corner:
+    ``diag`` lists the diagonal groups' determinants in group order and
+    ``base`` maps the internal weight to rho_mu's determinant when a
+    factorization was checked.  Both are empty for a corner whose internal
+    weight is outside the support.
     """
+    name = f"commutator map triangular certificate, weight {lam}"
     corners = {}
-    for c in CORNERS:
-        mu = lam + MU_SHIFT[c]
-        corners[c] = (_corner_certificate(P, c, lam, mu) if mu in P.Vy.A
-                      else {"status": "pass", "diag": [], "base": {}})
-    return {"lam": lam, "status": "pass", "corners": corners}
+    try:
+        for c in CORNERS:
+            mu = lam + MU_SHIFT[c]
+            corners[c] = (_corner_certificate(P, c, lam, mu) if mu in P.Vy.A
+                          else {"diag": [], "base": {}})
+    except (NotTriangularError, DiagonalNotIsoError) as e:
+        return record(name, False, e)
+    return record(name, True, corners=corners)

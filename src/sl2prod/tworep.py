@@ -21,26 +21,13 @@ from .matrixops import (Matrix, adjugate, bareiss_determinant, block_matrix,
 from .bimodcat import (
     WeightedAlgebra, Bimodule, Component, BimoduleMap, SumBimodule,
     regular_bimodule, tensor_over_A, identity_map, zero_map, compose,
-    compose_all, tensor_id_left, tensor_id_right, certify_iso,
+    compose_all, tensor_id_left, tensor_id_right, certify_iso, record,
 )
 
 
 class LeftDualError(ValueError):
     """The left dual requires scalar left-action matrices (v acting as a
     variable times the identity) on every component of E."""
-
-
-class HypothesesFailedError(ValueError):
-    """The input data violates a hypothesis of the construction."""
-
-
-def record(name, ok, witness=None) -> dict:
-    """One report record: the check name, its status and an optional
-    witness."""
-    out = {"check": name, "status": "pass" if ok else "fail"}
-    if witness:
-        out["witness"] = str(witness)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -536,9 +523,8 @@ def check_hypotheses(rep: TwoRep, window=(-4, 4)):
                 None if nil else f"{letter}^{span} e_{lam} != 0"))
 
     # (d) rho is an isomorphism across the window
-    for lam in range(lo, hi + 1):
-        cert = certify_iso(rho(rep, lam))
-        results.append(record(f"rho_{lam} iso", cert.ok, cert.witness))
+    results += [certify_iso(rho(rep, lam), f"rho_{lam} iso")
+                for lam in range(lo, hi + 1)]
     return results
 
 
@@ -569,7 +555,8 @@ def rep_to_json(rep: TwoRep) -> dict:
 
 def rep_from_json(data: dict, field=QQ) -> TwoRep:
     """Read the schema of :func:`rep_to_json`.  y is reserved for the
-    product: a weight ring or an entry with y raises ValueError."""
+    product: a weight ring or an entry with y raises ValueError, and so does
+    a left action named after anything but a generator of its target ring."""
     y = var_index("y")
 
     def entry(text):
@@ -594,6 +581,12 @@ def rep_from_json(data: dict, field=QQ) -> TwoRep:
         lam = int(lam_s)
         basis = tuple(cdata["basis"])
         r = len(basis)
+        gens = support.get(lam + 2, ())
+        for v in cdata["left"]:
+            if v not in gens:
+                raise ValueError(f"left action at weight {lam} names {v!r}, "
+                                 "not a generator of the weight ring at "
+                                 f"{lam + 2}")
         left = {v: mat_from_json(rows, r, r) for v, rows in cdata["left"].items()}
         comps[lam] = Component(basis, left)
     E = Bimodule(A, 2, comps, name="E")

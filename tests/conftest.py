@@ -1,7 +1,7 @@
 import pytest
 
 from sl2prod.tworep import make_L1
-from sl2prod.product import build_product
+from sl2prod.product import build_product, check_construction
 
 
 @pytest.fixture(scope="session")
@@ -11,4 +11,6 @@ def V():
 
 @pytest.fixture(scope="session")
 def P(V):
-    return build_product(V, check=True)
+    P = build_product(V)
+    assert check_construction(P)["status"] == "pass"
+    return P

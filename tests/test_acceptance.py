@@ -5,8 +5,7 @@ import json
 import time
 
 from sl2prod.bimodcat import certify_iso
-from sl2prod.cli import (main, suite_build_product, suite_check_rep,
-                         suite_check_rho, suite_identities)
+from sl2prod.cli import main, suite_check_rep, suite_check_rho, suite_identities
 from sl2prod.polyring import QQ
 from sl2prod.tworep import make_L1
 
@@ -86,7 +85,7 @@ def test_criterion_8_commutator_iso_certificates(P):
     def go():
         records = suite_check_rho(P, (-4, 4))
         for lam in range(-4, 5):
-            assert certify_iso(tilde_rho(P, lam)).ok, lam
+            assert certify_iso(tilde_rho(P, lam), "")["status"] == "pass", lam
             assert triangular_certificate(P, lam)["status"] == "pass", lam
         return records
     records = timed(go, 60)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from sl2prod.bimodcat import (Bimodule, BimoduleMap, Component, SumBimodule,
                               WeightedAlgebra, certify_iso, compose,
                               direct_sum_maps, identity_map, inverse_map,
-                              regular_bimodule, tensor_over_A, zero_map)
+                              tensor_over_A, zero_map)
 from sl2prod.matrixops import (Matrix, ShapeMismatchError, adjugate,
                                bareiss_determinant, block_matrix,
                                kron_identity_left)
@@ -131,24 +131,27 @@ class TestCertification:
     def test_rho_plus_one(self):
         rep = make_L1()
         f = rho(rep, 1)
-        cert = certify_iso(f)
-        assert cert.ok
+        cert = certify_iso(f, "rho_1 iso")
+        assert cert == {"check": "rho_1 iso", "status": "pass",
+                        "dets": {1: "1"}}
         assert f.matrix(1).nrows == 1  # evaluation component only
 
     def test_rho_minus_one(self):
         rep = make_L1()
-        cert = certify_iso(rho(rep, -1))
-        assert cert.ok
+        cert = certify_iso(rho(rep, -1), "rho_-1 iso")
+        assert cert["status"] == "pass"
 
     def test_empty_map_is_iso(self):
         rep = make_L1()
-        cert = certify_iso(rho(rep, 3))
-        assert cert.ok and cert.dets == {}
+        cert = certify_iso(rho(rep, 3), "rho_3 iso")
+        assert cert["status"] == "pass" and cert["dets"] == {}
 
     def test_zero_square_map_fails(self):
         rep = make_L1()
-        cert = certify_iso(zero_map(rep.word(""), rep.word("")))
-        assert not cert.ok
+        cert = certify_iso(zero_map(rep.word(""), rep.word("")), "zero iso")
+        assert cert["status"] == "fail"
+        assert cert["witness"] == "(-1, 'determinant 0 is not a unit')"
+        assert cert["dets"] == {-1: "0"}
 
     def test_inverse_round_trip(self):
         rep = make_L1()
@@ -162,7 +165,7 @@ class TestCertification:
         y = Poly.var(QQ, "y")
         f = rho(rep, 1)
         scaled = f.scale(y)
-        assert not certify_iso(scaled).ok
+        assert certify_iso(scaled, "y rho_1 iso")["status"] == "fail"
 
 
 # ---------------------------------------------------------------------------

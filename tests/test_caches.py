@@ -62,7 +62,7 @@ def h_xy_entries(r):
 
 
 def test_cached_maps_survive_use():
-    P = build_product(make_L1(), check=False)
+    P = build_product(make_L1())
     assert omega3_map(P) is omega3_map(P)
     assert P.Vy.h_xy("FE", 2, [1]) is P.Vy.h_xy("FE", 2, (1,))
     check_omega3_linearity(P)
@@ -75,7 +75,7 @@ def test_cached_maps_survive_use():
                                                                     corner)
     assert all(r["status"] == "pass" for r in suite_check_rho(P, (-3, 3)))
 
-    fresh = build_product(make_L1(), check=False)
+    fresh = build_product(make_L1())
     assert omega3_map(P) == omega3_map(fresh)
     cached = h_xy_entries(P.Vy)
     assert len(cached) > 10
@@ -101,10 +101,10 @@ def test_omega3_map_built_once_per_product(monkeypatch):
     # sigma is called exactly once in the body of omega3_map and nowhere
     # else in gammas, so its calls count the bodies run.
     built = counting(monkeypatch, gammas, "sigma")
-    P = build_product(make_L1(), check=False)
+    P = build_product(make_L1())
     check_omega3_linearity(P)
     assert len(built) == 1
-    check_omega3_linearity(build_product(make_L1(), check=False))
+    check_omega3_linearity(build_product(make_L1()))
     assert len(built) == 2
 
 
@@ -112,7 +112,7 @@ def test_omega3_linearity_applies_omega3_per_basis_triple(monkeypatch):
     # on L(1) four basis triples (g, phi, l) exist over all weights, and
     # each defect takes two applications
     calls = counting(monkeypatch, gammas, "omega3_apply")
-    P = build_product(make_L1(), check=False)
+    P = build_product(make_L1())
     assert check_omega3_linearity(P)[0]["witness"] == "4 basis triples"
     assert len(calls) == 8
 
@@ -126,7 +126,7 @@ def warm_words(P):
 
 def test_tilde_rho_allocations_linear_in_summands(monkeypatch):
     # first builds, on warm word modules: a second call is a cache hit
-    P = build_product(make_L1(), check=False)
+    P = build_product(make_L1())
     warm_words(P)
     allocs, summands = {}, {}
     for lam in (20, 40):
@@ -145,7 +145,7 @@ def test_tilde_rho_allocations_linear_in_summands(monkeypatch):
 def test_tilde_rho_outside_support_allocates_no_matrix(monkeypatch):
     # every corner is restricted to its internal weight before any sum is
     # formed, so a weight outside the support needs no left action matrix
-    P = build_product(make_L1(), check=False)
+    P = build_product(make_L1())
     warm_words(P)
     made = counting(monkeypatch, Matrix, "__init__")
     restricted = counting(monkeypatch, tworep, "restrict_at")
@@ -160,7 +160,7 @@ def test_tilde_rho_outside_support_allocates_no_matrix(monkeypatch):
 def test_restricted_summands_share_one_algebra():
     # restrict_at builds one restricted algebra per commutator map, so a
     # sum compares its summands' algebras by identity
-    P = build_product(make_L1(), check=False)
+    P = build_product(make_L1())
     sums = []
     for lam in range(-3, 4):
         f = tilde_rho(P, lam)
@@ -224,11 +224,11 @@ def test_identities_make_no_long_division(monkeypatch):
 
 
 def gf7_product():
-    return build_product(make_L1(polyring.make_field("7")), check=False)
+    return build_product(make_L1(polyring.make_field("7")))
 
 
 def test_oracles_never_call_closed_forms(monkeypatch):
-    P = build_product(make_L1(), check=False)
+    P = build_product(make_L1())
     calls = [counting_everywhere(monkeypatch, core, name)
              for name in ("eps_xi_F_closed", "F_xi_eta_closed")]
     for corner in CORNERS:
@@ -332,7 +332,7 @@ def test_oracle_start_elements_built_once_per_column(monkeypatch):
 
 
 def test_tilde_sigma_oracle_pair_basis_once_per_weight(monkeypatch):
-    P = build_product(make_L1(), check=False)
+    P = build_product(make_L1())
     calls = counting(monkeypatch, oracles, "pair_basis")
     for corner in CORNERS:
         tilde_sigma_oracle(P, corner)
@@ -348,7 +348,7 @@ def test_eta_pairs_built_once_per_weight(monkeypatch):
     for i in range(17):
         F_xi_eta_oracle(P, i, "22")
     assert len(builds) == len({args[1] for args in builds}) == 2
-    P = build_product(make_L1(), check=False)
+    P = build_product(make_L1())
     builds.clear()
     for corner in CORNERS:
         tilde_sigma_oracle(P, corner)
@@ -390,8 +390,9 @@ def test_verify_all_builds_each_structure_map_once(monkeypatch, tmp_path):
     factors = (r.eps_at("FEEF", 2), r.tau_at("FEEF", 1), r.eta_at("EF", 0))
     assert sum(all(a is b for a, b in zip(args, factors))
                for args in composites if len(args) == 3) == 1
-    # rho at -4..4, built by check-rep; build_product's hypotheses and the
-    # internal weights the corner certificates factor through hit the memo
+    # rho at -4..4, built by check-rep; the construction gate's hypotheses
+    # and the internal weights the corner certificates factor through hit
+    # the memo
     assert all(args[0] is r for args in rhos)
     assert Counter(args[2] for args in rhos) == {
         lam: 1 for lam in range(-4, 5)}
@@ -417,22 +418,16 @@ def test_run_tensors_each_word_module_once(monkeypatch, tmp_path, argv):
 
 def test_run_loads_the_rep_once(monkeypatch, tmp_path):
     # the rep is loaded once, and never for identities; the product is
-    # built once, unchecked only for a standalone check-rho
-    loads = counting(monkeypatch, cli, "make_L1")
-    products = []
-    real = cli.build_product
-
-    def spy(V, check):
-        products.append(check)
-        return real(V, check)
-    monkeypatch.setattr(cli, "build_product", spy)
-    expected = {"identities": (0, []), "check-rep": (1, []),
-                "build-product": (1, [True]), "check-rho": (1, [False])}
-    for command, (n_loads, checks) in expected.items():
+    # built once, and a standalone check-rho skips its construction gate
+    calls = [counting(monkeypatch, cli, name) for name in (
+        "make_L1", "build_product", "check_construction")]
+    expected = {"identities": [0, 0, 0], "check-rep": [1, 0, 0],
+                "build-product": [1, 1, 1], "check-rho": [1, 1, 0]}
+    for command, counts in expected.items():
         assert cli.main([command, "--out", str(tmp_path / "r.json")]) == 0
-        assert (len(loads), products) == (n_loads, checks), command
-        loads.clear()
-        products.clear()
+        assert [len(c) for c in calls] == counts, command
+        for c in calls:
+            c.clear()
 
 
 def test_pairing_sweep_builds_each_pair_basis_once():

@@ -121,6 +121,20 @@ class TestExitCodes:
         assert err == ("error: malformed representation data: entry "
                        "'u + y^2' involves the reserved y\n")
 
+    @pytest.mark.parametrize("command", REP_COMMANDS)
+    def test_left_action_of_a_non_generator_is_input_error(
+            self, capsys, tmp_path, command):
+        # y always acts as y*I, so a "y" key, like any key that is no
+        # generator of the target ring, would be silently ignored
+        rep = self.rep_with(tmp_path)
+        data = json.loads(Path(rep).read_text())
+        data["E"]["-1"]["left"].update(y=[["u"]], zz=[["7"]])
+        Path(rep).write_text(json.dumps(data))
+        assert main([command, "--rep", rep]) == 2
+        assert capsys.readouterr().err == (
+            "error: malformed representation data: left action at weight -1 "
+            "names 'y', not a generator of the weight ring at 1\n")
+
     @pytest.mark.parametrize("nest", ["poly", "json"])
     def test_deeply_nested_rep_is_input_error(self, capsys, tmp_path, nest):
         if nest == "poly":
@@ -141,7 +155,6 @@ class TestExitCodes:
         assert err.count("\n") == 1
 
     def test_failing_rep_exits_one(self, capsys, tmp_path):
-        from test_tworep import corrupted_rep  # noqa: F401
         data = {
             "weights": {"-2": ["u"], "0": ["u"], "2": ["u"]},
             "E": {

@@ -114,7 +114,7 @@ REPS = {
 
 @pytest.fixture(scope="module", params=sorted(REPS))
 def product(request):
-    return build_product(REPS[request.param](), check=False)
+    return build_product(REPS[request.param]())
 
 
 @pytest.mark.parametrize("lam", WEIGHTS)

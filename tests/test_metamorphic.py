@@ -135,10 +135,11 @@ def test_window_relation_sees_a_verdict_that_depends_on_position(
     uses = []
     real = tworep.certify_iso
 
-    def stale(f):
+    def stale(f, name):
         uses.append(f)
-        cert = real(f)
-        cert.ok = cert.ok and len(uses) <= 9
+        cert = real(f, name)
+        if len(uses) > 9:
+            cert["status"] = "fail"
         return cert
 
     monkeypatch.setattr(tworep, "certify_iso", stale)
@@ -155,8 +156,8 @@ def test_suite_order_sees_a_consumer_that_corrupts_the_memo(
     # zeroed rho maps from the memo, fail, and skip check-rho
     real = tworep.certify_iso
 
-    def destructive(f):
-        cert = real(f)
+    def destructive(f, name):
+        cert = real(f, name)
         for m in f.mats.values():
             m.entries[:] = [[Poly.zero(m.field)] * m.ncols
                             for _ in range(m.nrows)]

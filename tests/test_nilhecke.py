@@ -106,7 +106,11 @@ class TestConfluence:
         rng = random.Random(12345)
         for _ in range(1000):
             word = random_word(rng, 3, rng.randint(0, 8))
-            assert normalize(3, word) == normalize(3, word, reverse=True)
+            # fold right to left, multiplying on the left
+            acc = NilHeckeElt.one(3)
+            for tok in reversed(word):
+                acc = normalize(3, [tok]) * acc
+            assert normalize(3, word) == acc
 
 
 class TestPolynomialRepresentation:

@@ -16,12 +16,13 @@ from pathlib import Path
 
 import pytest
 
+from sl2prod.bimodcat import record
 from sl2prod.polyring import QQ, Poly, make_field
 from sl2prod.product import build_product, check_omega3_linearity
 from sl2prod.product import gammas, oracles
 from sl2prod.product.elements import Elt
 from sl2prod.product.models import G2Elt, L2Elt
-from sl2prod.tworep import make_L1, record, rep_from_json
+from sl2prod.tworep import make_L1, rep_from_json
 
 FIELDS = {"QQ": QQ, "GF7": make_field("7")}
 N = 200
@@ -70,7 +71,7 @@ def status(records):
 
 
 def product(field):
-    return build_product(make_L1(FIELDS[field]), check=False)
+    return build_product(make_L1(FIELDS[field]))
 
 
 @pytest.fixture(scope="module")
@@ -157,7 +158,7 @@ def test_outcomes_match_reference_with_e2_nonzero(monkeypatch, mutant):
     if mutant:
         MUTANTS[mutant](monkeypatch)
     V = rep_from_json(json.loads(E2_TAU0.read_text()), QQ)
-    P = build_product(V, check=False)
+    P = build_product(V)
     want = status(reference_check(P, n=50, seed=0))
     assert want == ("fail" if mutant in KILLED_E2 else "pass")
     assert status(check_omega3_linearity(P)) == want

@@ -1,18 +1,23 @@
 """The product construction: corner modules, generators, closed forms."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from sl2prod.bimodcat import compose
 from sl2prod.product import (F_xi_eta_closed, G2Elt, apply_map, basis_elt,
-                             build_product, check_eta22_identity,
+                             build_product, check_construction,
+                             check_eta22_identity,
                              check_omega3_linearity, check_product_hecke,
                              eps_xi_F_closed, tilde_sigma_closed, zero_elt)
 from sl2prod.product.core import tau21, tilde_x_pow
 from sl2prod.product.models import gamma21_EE_G1E, one_G1
 from sl2prod.product.oracles import (F_xi_eta_oracle, eps_xi_F_oracle,
                                      tilde_sigma_oracle)
-from sl2prod.tworep import HypothesesFailedError
+from sl2prod.tworep import rep_from_json
 
+GOLDEN = Path(__file__).parent / "golden"
 CORNERS = ("11", "21", "12", "22")
 
 
@@ -31,13 +36,25 @@ class TestBuild:
 
     def test_rejects_broken_input(self):
         from test_tworep import corrupted_rep
-        with pytest.raises(HypothesesFailedError):
-            build_product(corrupted_rep(), check=True)
+        assert check_construction(build_product(corrupted_rep())) == {
+            "check": "construction checks (end algebra, actions)",
+            "status": "fail",
+            "witness": "input hypotheses fail: rho_-2 iso; rho_0 iso; "
+                       "rho_2 iso"}
 
 
 class TestHecke:
     def test_product_hecke_all_corners(self, P):
         assert all_pass(check_product_hecke(P)) == []
+
+    def test_nonzero_constrained_corner_fails_dot_relations(self):
+        # E^2 != 0 spans corner 22, whose dot relations are not implemented:
+        # a record that fails, not an exception
+        data = json.loads((GOLDEN / "e2_tau0.json").read_text())
+        records = check_product_hecke(build_product(rep_from_json(data)))
+        assert records[-1] == {
+            "check": "hecke[22]: dot relations", "status": "fail",
+            "witness": "nonzero corner: dot relations not implemented"}
 
 
 class TestClosedForms:

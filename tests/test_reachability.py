@@ -129,8 +129,6 @@ ALLOWED = {
     "product.models.gamma22_EE_G1EE": L2,
     "product.models.gamma22_EE_G2G2": L2,
     "product.models.tau22": L2,
-    "product.models.to_submodule_form": TESTS,
-    "product.models.from_submodule_form": TESTS,
     "product.oracles._sigma22_EF_column.<locals>.g2_lo": L2,
     "product.oracles._sigma22_EF_column.<locals>.g2_hi": L2,
     "product.rho.RhoMap.__repr__": DUNDER,

@@ -9,8 +9,7 @@ from sl2prod.matrixops import Matrix
 from sl2prod.polyring import QQ, Poly, parse_poly
 from sl2prod.product import rho as rho_mod
 from sl2prod.product import tilde_sigma_oracle
-from sl2prod.product.rho import (DiagonalNotIsoError, NotTriangularError,
-                                 tilde_rho, triangular_certificate)
+from sl2prod.product.rho import tilde_rho, triangular_certificate
 
 CORNERS = ("11", "21", "12", "22")
 WINDOW = range(-4, 5)
@@ -31,12 +30,12 @@ class TestWellDefined:
 class TestDeterminantCertificate:
     @pytest.mark.parametrize("lam", WINDOW)
     def test_iso(self, P, lam):
-        cert = certify_iso(tilde_rho(P, lam))
-        assert cert.ok, (lam, cert.witness)
+        cert = certify_iso(tilde_rho(P, lam), f"weight {lam}")
+        assert cert["status"] == "pass", cert
 
     def test_dets_are_units(self, P):
         for lam in WINDOW:
-            for det in certify_iso(tilde_rho(P, lam)).dets.values():
+            for det in certify_iso(tilde_rho(P, lam), "")["dets"].values():
                 p = parse_poly(det, QQ)
                 assert p.is_constant()
                 assert not p.is_zero()
@@ -44,7 +43,7 @@ class TestDeterminantCertificate:
     def test_nonempty_somewhere(self, P):
         # the certificates are not vacuous: some weights carry actual matrices
         nonempty = [lam for lam in WINDOW
-                    if certify_iso(tilde_rho(P, lam)).dets]
+                    if certify_iso(tilde_rho(P, lam), "")["dets"]]
         assert nonempty
 
 
@@ -53,11 +52,24 @@ class TestTriangularCertificate:
     def test_passes(self, P, lam):
         out = triangular_certificate(P, lam)
         assert out["status"] == "pass"
-        assert out["lam"] == lam
+        assert out["check"] == (
+            f"commutator map triangular certificate, weight {lam}")
+        assert "witness" not in out
 
     def test_covers_all_corners(self, P):
         out = triangular_certificate(P, 0)
         assert set(out["corners"]) == set(CORNERS)
+        for c in CORNERS:
+            assert set(out["corners"][c]) == {"diag", "base"}
+
+    def test_evidence_on_weight_two(self, P):
+        # the diagonal determinants of the two nonempty corners, and rho_1,
+        # which corner 22 factors through
+        corners = triangular_certificate(P, 2)["corners"]
+        assert corners == {
+            "11": {"diag": [], "base": {}}, "21": {"diag": [], "base": {}},
+            "12": {"diag": ["1", "1"], "base": {}},
+            "22": {"diag": ["1", "1", "1", "-1", "1"], "base": {1: "1"}}}
 
 
 class TestAgreement:
@@ -113,14 +125,25 @@ class TestCertificateFaults:
                                    {mu: Matrix(m.field, m.nrows, m.ncols,
                                                rows)}, name=f.name)
             monkeypatch.setattr(rho_mod, "_corner_rho", mutated)
-            try:
-                triangular_certificate(P, lam)
-                outcomes["pass"] += 1
-            except (NotTriangularError, DiagonalNotIsoError) as e:
-                outcomes[type(e).__name__] += 1
+            out = triangular_certificate(P, lam)
+            outcomes[failure_kind(out)] += 1
+            if out["status"] != "pass":
                 caught.add((c, lam))
             monkeypatch.setattr(rho_mod, "_corner_rho", real)
         assert len(mutants) == 66
         assert caught == {(c, lam) for lam, c, *_ in mutants}
-        assert outcomes == {"NotTriangularError": 30,
-                            "DiagonalNotIsoError": 14, "pass": 22}
+        assert outcomes == {"not triangular": 30,
+                            "diagonal not iso": 14, "pass": 22}
+
+
+def failure_kind(out):
+    """Read a certificate record's verdict: a nonzero off-side block or a
+    failed factorization is not triangular; a diagonal block that is not
+    square, not a unit or not an iso is a diagonal failure."""
+    if out["status"] == "pass":
+        return "pass"
+    w = out["witness"]
+    if w.endswith("is nonzero") or "factorization" in w:
+        return "not triangular"
+    assert "diagonal block" in w or "is not iso" in w, w
+    return "diagonal not iso"
