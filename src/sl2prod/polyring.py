@@ -16,6 +16,7 @@ all operations are pure.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from operator import add, sub
@@ -455,8 +456,6 @@ def parse_poly(text: str, field=QQ) -> Poly:
     Grammar: sums/differences of products of powers of variables, integer or
     a/b rational constants, with parentheses.
     """
-    import re
-
     tokens = re.findall(r"\d+/\d+|\d+|[a-z]\d*|\^|\*|\+|-|\(|\)", text)
     if "".join(tokens).replace(" ", "") != text.replace(" ", ""):
         raise ValueError(f"cannot tokenize polynomial {text!r}")

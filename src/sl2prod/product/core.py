@@ -63,16 +63,9 @@ class ProductRep:
         supp = set(self.Vy.A.weights())
         return sorted({w - 1 for w in supp} | {w + 1 for w in supp})
 
-    def model_to_vec(self, m):
-        if not isinstance(m, tuple(CORNER_MODELS.values())):
-            raise ShapeMismatchError(f"unsupported model element {type(m)}")
-        return m.to_vec()
-
     def vec_to_model(self, corner, w, vec):
         """The model element of a corner whose concatenated coordinates are
         ``vec``."""
-        if corner not in CORNER_MODELS:
-            raise ShapeMismatchError(f"unknown corner {corner}")
         return CORNER_MODELS[corner].from_vec(self.Vy, w, vec)
 
     def sum_basis(self, corner, w):
@@ -93,10 +86,13 @@ def build_product(V) -> ProductRep:
 
 
 def check_construction(P: ProductRep) -> dict:
-    """The construction gate: the input hypotheses on the default window,
-    then the end algebra's associativity and its actions.  The witness names
-    the first of these that fails."""
-    bad = [r["check"] for r in check_hypotheses(P.Vy) if r["status"] != "pass"]
+    """The construction gate: the input hypotheses on every weight of the
+    input's support, then the end algebra's associativity and its actions.
+    The witness names the first of these that fails."""
+    supp = P.weights()
+    window = (supp[0], supp[-1]) if supp else (0, -1)
+    bad = [r["check"] for r in check_hypotheses(P.Vy, window)
+           if r["status"] != "pass"]
     witness = ("input hypotheses fail: " + "; ".join(bad) if bad
                else _check_c_algebra(P) or _check_actions(P))
     return record("construction checks (end algebra, actions)",

@@ -10,12 +10,14 @@ and ``omega3_apply`` applies it.
 from __future__ import annotations
 
 from ..bimodcat import BimoduleMap, compose, direct_sum_maps
-from ..matrixops import Matrix
-from ..polyring import Poly
+from ..polyring import dot
 from ..tworep import _memoized, sigma
 from .elements import Elt, elem_tensor
 from .models import G2Elt, L2Elt
 from .core import ProductRep, word_sum
+
+# Summand words of the mixed component's codomain.
+G1G1 = ("", "FE", "FE", "FEFE")
 
 
 @_memoized
@@ -30,7 +32,7 @@ def omega3_map(P: ProductRep) -> BimoduleMap:
     eps_y = compose(eps, y1)
     dom = word_sum(r, ["EF"] * 4 + ["EFFE"] * 2 + ["FEEF"] * 2 + ["FEEFFE"],
                    "G2L2")
-    cod = word_sum(r, ["", "FE", "FE", "FEFE"], "G1G1")
+    cod = word_sum(r, G1G1, "G1G1")
     entries = {
         (0, 0): eps,
         (0, 3): eps,
@@ -64,21 +66,12 @@ def omega3_apply(P: ProductRep, g: G2Elt, l: L2Elt):
     coordinate elements of the target sum."""
     r = P.Vy
     w = l.weight
-    parts = pack_G2L2(P, g, l)
     field = r.A.field
-    vec = []
-    for p in parts:
-        vec.extend(p.vec)
-    mat = omega3_map(P).matrix(w)
-    if vec:
-        col = Matrix.from_rows(field, [[v] for v in vec])
-        out = mat @ col
-        flat = [out[i, 0] for i in range(out.nrows)]
-    else:
-        flat = [Poly.zero(field)] * mat.nrows
-    words = ["", "FE", "FE", "FEFE"]
+    vec = [v for p in pack_G2L2(P, g, l) for v in p.vec]
+    flat = [dot(zip(row, vec), field)
+            for row in omega3_map(P).matrix(w).entries]
     res = []
-    for word in words:
+    for word in G1G1:
         n = r.word(word).rank(w)
         res.append(Elt(r, word, w, flat[:n]))
         flat = flat[n:]

@@ -14,6 +14,7 @@ from ..tworep import _memoized
 from .core import (ProductRep, tau21, tilde_tau, tilde_x_pow, tilde_x_step_21,
                    tilde_x_step_22)
 from .elements import Elt, apply_map, basis_elt, elem_tensor, join, zero_elt
+from .gammas import omega3_apply
 from .models import (G1Elt, G2Elt, L2Elt, UElt, act_G1_on_G2, act_G1_on_U,
                      act_L2_on_L2_left, act_phi1_on_G2, compose_F_after_G1,
                      compose_G1, compose_G1_after_L2, compose_L2_after_G2,
@@ -195,13 +196,13 @@ def tilde_sigma_oracle(P: ProductRep, corner: str) -> BimoduleMap:
         g2t = tau21(P, g2)
         fhat = compose_F_after_G1(f, one_G1(r, w - 2))
         l = L2Elt(r, w, zero_elt(r, "F", w), fhat, zero_elt(r, "FFE", w))
-        return P.model_to_vec(compose_L2_after_G2(l, g2t))
+        return compose_L2_after_G2(l, g2t).to_vec()
 
     def col12(w, j):
         e, chat = pairs[w][j]
         g2 = gamma21_EE_G1E(one_G1(r, w + 2), e)
         g2t = tau21(P, g2)
-        return P.model_to_vec(act_G1_on_G2(g2t, chat))
+        return act_G1_on_G2(g2t, chat).to_vec()
 
     def col21(w, j):
         c1, f = pairs[w][j]
@@ -214,19 +215,19 @@ def tilde_sigma_oracle(P: ProductRep, corner: str) -> BimoduleMap:
             g_t = tau21(P, g_mid)
             u = compose_U(g_t, l_eta)
             total = total + compose_L2_after_U(lout, u)
-        return P.model_to_vec(total)
+        return total.to_vec()
 
     def col22(w, j):
         a, b = pairs[w][j]
         if isinstance(a, G2Elt):
-            return P.model_to_vec(_sigma22_EF_column(P, a, b))
+            return _sigma22_EF_column(P, a, b).to_vec()
         total = UElt.zero(r, w)
         for l_eta, g_eta, _ in _eta_pairs(P, w):
             g_mid = act_G1_on_G2(g_eta, a)
             g_t = tau21(P, g_mid)
             u = compose_U(g_t, l_eta)
             total = total + act_G1_on_U(u, b)
-        return P.model_to_vec(total)
+        return total.to_vec()
 
     colfn = {"11": col11, "12": col12, "21": col21, "22": col22}[corner]
     return _columnwise(P, dom, cod, colfn, f"sigma{corner}_oracle")
@@ -283,9 +284,9 @@ def eps_xi_F_oracle(P: ProductRep, i: int, corner: str) -> BimoduleMap:
         if isinstance(a, G2Elt):
             g2i = _iterate(P, ("eps", "22", w, j), lambda: a,
                            tilde_x_step_22, i)
-            return P.model_to_vec(compose_L2_after_G2(b, g2i))
+            return compose_L2_after_G2(b, g2i).to_vec()
         gi = _iterate(P, ("eps", "22", w, j), lambda: a, tilde_x_step_21, i)
-        return P.model_to_vec(compose_G1(b, gi))
+        return compose_G1(b, gi).to_vec()
 
     colfn = {"11": col11, "12": col12, "21": col21, "22": col22}[corner]
     return _columnwise(P, P.T[corner], P.C[corner], colfn,
@@ -299,14 +300,14 @@ def F_xi_eta_oracle(P: ProductRep, i: int, corner: str) -> BimoduleMap:
     def col11(w, j):
         ci = _iterate(P, ("F", "11", w, j), lambda: one_G1(r, w),
                       tilde_x_step_21, i)
-        return P.model_to_vec(ci)
+        return ci.to_vec()
 
     def col21(w, j):
         f = basis_elt(r, "F", w, j)
         ci = _iterate(P, ("F", "21", w, j), lambda: one_G1(r, w),
                       tilde_x_step_21, i)
         l = L2Elt(r, w, zero_elt(r, "F", w), f, zero_elt(r, "FFE", w))
-        return P.model_to_vec(compose_G1_after_L2(ci, l))
+        return compose_G1_after_L2(ci, l).to_vec()
 
     def col12(w, j):
         def start():
@@ -314,7 +315,7 @@ def F_xi_eta_oracle(P: ProductRep, i: int, corner: str) -> BimoduleMap:
             return G2Elt(r, w, e, apply_map(r.y_at("E", 1), e, "E"),
                          zero_elt(r, "FEE", w))
         gi = _iterate(P, ("F", "12", w, j), start, tilde_x_step_22, i)
-        return P.model_to_vec(gi)
+        return gi.to_vec()
 
     def col22(w, j):
         total = UElt.zero(r, w)
@@ -324,7 +325,7 @@ def F_xi_eta_oracle(P: ProductRep, i: int, corner: str) -> BimoduleMap:
                                                P.sum_basis("11", w)[j]),
                           tilde_x_step_22, i)
             total = total + compose_U(gi, l_eta)
-        return P.model_to_vec(total)
+        return total.to_vec()
 
     colfn = {"11": col11, "12": col12, "21": col21, "22": col22}[corner]
     return _columnwise(P, P.C[corner], P.S[corner], colfn,
@@ -369,7 +370,7 @@ def check_product_hecke(P: ProductRep):
     def col_xin(w, j):
         g = P.sum_basis("12", w)[j]
         step = tilde_x_step_21(P, one_G1(r, w))
-        return P.model_to_vec(act_G1_on_G2(g, step))
+        return act_G1_on_G2(g, step).to_vec()
     Xin21 = _columnwise(P, P.S["12"], P.S["12"], col_xin, "xin21")
     relations("21", T21, Xin21, Xout21, identity_map(P.S["12"]))
 
@@ -380,7 +381,7 @@ def check_product_hecke(P: ProductRep):
         for i in range(r.word("EE").rank(w)):
             ee = basis_elt(r, "EE", w, i)
             for c1 in (P.sum_basis("11", w + 4)
-                       if w + 4 in {x for x in P.S["11"].weights()} else []):
+                       if w + 4 in P.S["11"].weights() else []):
                 span.append(gamma22_EE_G1EE(c1, ee))
         for q in P.sum_basis("12", w):
             for p in P.sum_basis("12", w + 2):
@@ -429,7 +430,6 @@ def check_omega3_linearity(P: ProductRep):
     basis triple (g at w - 2, phi in FE at w - 2, l at w).  The record
     fails on the first nonzero defect, with its weight and triple indices;
     a pass counts the triples checked, so an empty check shows."""
-    from .gammas import omega3_apply
     r = P.Vy
     name = "omega3 middle linearity on every basis triple"
     triples = 0

@@ -12,14 +12,17 @@ provided, and each returns a :func:`~sl2prod.bimodcat.record`:
   and columns (after explicit unit row operations) into a block-triangular
   matrix whose diagonal blocks are certified isomorphisms, and that checks
   the factorizations relating those blocks to the one-step commutator
-  isomorphisms of the underlying representation.  A failure is raised
-  inside this module as :class:`NotTriangularError` or
-  :class:`DiagonalNotIsoError` and becomes the record's witness.
+  isomorphisms of the underlying representation.  A corner's checks are
+  the ``steps`` of :func:`_layout` (base, shape, group and factor), run in
+  the listed order, so the order that picks a failing input's witness is
+  stated once.  A failure is raised inside this module as
+  :class:`NotTriangularError` or :class:`DiagonalNotIsoError` and becomes
+  the record's witness.
 """
 
 from ..bimodcat import BimoduleMap, certify_iso, record
 from ..matrixops import (Matrix, bareiss_determinant, block_diagonal,
-                         offsets, pick, place_blocks)
+                         offsets, pick)
 from ..polyring import Poly
 from ..tworep import _memoized, commutator_at, rho
 from .core import (C_WORDS, CORNERS, MU_SHIFT, T_WORDS, ProductRep,
@@ -107,20 +110,7 @@ def tilde_rho(P: ProductRep, lam: int) -> RhoMap:
 
 def _indices(sizes, blocks):
     offs = offsets(sizes)
-    idx = []
-    for b in blocks:
-        idx.extend(range(offs[b], offs[b + 1]))
-    return idx
-
-
-def _scalar_blocks(field, entries, n):
-    """Matrix of scalar blocks: each polynomial entry times the identity of
-    rank ``n``."""
-    ident = Matrix.identity(field, n)
-    sizes = [n] * len(entries)
-    return place_blocks(field, sizes, sizes, {
-        (i, j): ident.scale(e) for i, row in enumerate(entries)
-        for j, e in enumerate(row) if not e.is_zero()})
+    return [i for b in blocks for i in range(offs[b], offs[b + 1])]
 
 
 def _m_neg(field, k):
@@ -171,144 +161,125 @@ def _rowop(field, m, row_sizes, i, j, opmat):
     return u @ m
 
 
-def _unit_det(blk, corner, lam, label):
-    if blk.nrows != blk.ncols:
-        raise DiagonalNotIsoError(
-            f"corner {corner}, weight {lam}: diagonal block {label} is "
-            f"{blk.nrows}x{blk.ncols}")
-    det = bareiss_determinant(blk)
-    if det.is_zero() or not det.is_constant():
-        raise DiagonalNotIsoError(
-            f"corner {corner}, weight {lam}: diagonal block {label} has "
-            f"determinant {det}")
-    return str(det)
-
-
-def _check_groups(field, m, row_sizes, col_sizes, groups, lower, corner, lam,
-                  hook=None):
-    """Verify the block-triangular shape given a grouping of row and column
-    blocks, and certify each diagonal group; returns determinant strings.
-
-    ``hook = (a, check)`` runs ``check()`` before the determinant of group
-    ``a``, or after the last one when ``a == len(groups)``."""
-    rows = [_indices(row_sizes, g[0]) for g in groups]
-    cols = [_indices(col_sizes, g[1]) for g in groups]
-    for a in range(len(groups)):
-        for b in range(len(groups)):
-            off_side = b > a if lower else b < a
-            if off_side and not pick(m, rows[a], cols[b]).is_zero():
-                raise NotTriangularError(
-                    f"corner {corner}, weight {lam}: block (group {a}, "
-                    f"group {b}) is nonzero")
-    dets = []
-    for a in range(len(groups) + 1):
-        if hook is not None and hook[0] == a:
-            hook[1]()
-        if a < len(groups):
-            dets.append(_unit_det(pick(m, rows[a], cols[a]), corner, lam, a))
-    return dets
-
-
 def _layout(corner, lam):
     """The shape of a corner's certificate at weight ``lam``.
 
-    Returns ``(rowop, groups, lower, factor)``, in row and column blocks of
-    the corner map's codomain and domain summands at its internal weight:
+    Returns ``(rowop, lower, steps)``, in row and column blocks of the corner
+    map's codomain and domain summands at its internal weight mu:
 
     * ``rowop = (i, j, word)``, or None: row block ``i`` less y_1 on
       ``word`` times row block ``j``, a unit row operation;
-    * ``groups``: the diagonal groups (row blocks, column blocks) of a
-      block-triangular matrix, lower when ``lower`` and upper otherwise;
-    * ``factor = (rows, cols, U, left, at)``, or None: the block on
-      ``rows`` x ``cols`` equals F @ rho_mu (``left``) or rho_mu @ F, where
-      F = I (+) U (x) I_A and rho_mu is the one-step commutator at the
-      internal weight mu; U(field, |mu|) is a unit matrix of polynomials.
-      The identity is checked before the determinant of group ``at``
-      (after the last group when ``at == len(groups)``).
+    * ``lower``: the groups form a lower (else upper) block-triangular
+      matrix;
+    * ``steps``, the checks in the order they run, which decides the
+      witness of an input that fails more than one:
+
+      - ``("base",)``: the one-step commutator rho_mu is an isomorphism;
+      - ``("shape",)``: every off-side block between groups is zero;
+      - ``("group", rows, cols)``: the next diagonal group has a unit
+        determinant;
+      - ``("factor", rows, cols, U, left)``: the block on ``rows`` x
+        ``cols`` equals F @ rho_mu (``left``) or rho_mu @ F, where
+        F = I (+) U (x) I_A and U(field, |mu|) is a unit matrix of
+        polynomials.
     """
     n = abs(lam)
+    shape = ("shape",)
     if corner == "11":
         if lam >= 0:
-            return None, [], True, ([1, 0, *range(2, lam + 2)], [0],
-                                    _m_neg, True, 0)
+            return None, True, [("base",), shape, (
+                "factor", [1, 0, *range(2, lam + 2)], [0], _m_neg, True)]
         rest = [0, *range(2, n + 1)]
-        return (None, [([0], [1]), ([1], rest)], False,
-                ([1], rest, _m_h, False, 1))
+        return None, False, [("base",), shape, ("group", [0], [1]),
+                             ("factor", [1], rest, _m_h, False),
+                             ("group", [1], rest)]
     if corner in ("21", "12"):
         top, mid = ([0], [1]) if corner == "21" else ([1], [0])
         if lam >= 0:
             rowop = (1, 0, "E") if corner == "12" else None
-            return (rowop, [(top, [0]), ([*mid, 2, *range(3, 3 + n)], [1])],
-                    True, None)
-        return (None, [(top, [0]), (mid, [2]), ([2], [1, *range(3, 2 + n)])],
-                False, None)
+            return rowop, True, [shape, ("group", top, [0]),
+                                 ("group", [*mid, 2, *range(3, 3 + n)], [1])]
+        return None, False, [shape, ("group", top, [0]), ("group", mid, [2]),
+                             ("group", [2], [1, *range(3, 2 + n)])]
     a_blocks = list(range(5, 5 + n))
     fe_blocks = list(range(5 + n, 5 + 2 * n))
     if lam == 0:
-        return ((0, 1, "FE"),
-                [([3], [1]), ([0], [2]), ([2], [0, 4]), ([1, 4], [3])],
-                True, None)
+        return (0, 1, "FE"), True, [
+            shape, ("group", [3], [1]), ("group", [0], [2]),
+            ("group", [2], [0, 4]), ("group", [1, 4], [3])]
     if lam > 0:
         factored = ([2, *a_blocks[1:]], [4])
-        return ((0, 1, "FE"),
-                [([3], [1]), ([0], [2]), ([5], [0]), factored,
-                 ([1, 4, *fe_blocks], [3])],
-                True, (*factored, _m_h_low_neg, True, 5))
+        return (0, 1, "FE"), True, [
+            shape, ("group", [3], [1]), ("group", [0], [2]),
+            ("group", [5], [0]), ("group", *factored),
+            ("group", [1, 4, *fe_blocks], [3]),
+            ("base",), ("factor", *factored, _m_h_low_neg, True)]
     factored = ([2], [4, 0, *a_blocks])
-    return ((2, 3, "FE"),
-            [factored, ([3], [1]), ([4], [3, *fe_blocks[1:]]),
-             ([1], [fe_blocks[0]]), ([0], [2])],
-            True, (*factored, _m_y_alt, False, 5))
+    return (2, 3, "FE"), True, [
+        shape, ("group", *factored), ("group", [3], [1]),
+        ("group", [4], [3, *fe_blocks[1:]]), ("group", [1], [fe_blocks[0]]),
+        ("group", [0], [2]), ("base",),
+        ("factor", *factored, _m_y_alt, False)]
 
 
 def _corner_certificate(P, corner, lam, mu):
     """The triangular certificate of one corner at its internal weight
-    ``mu``; see :func:`triangular_certificate`."""
+    ``mu``: the steps of :func:`_layout`, run in order; see
+    :func:`triangular_certificate`."""
     r = P.Vy
     field = r.A.field
     f = _corner_rho(P, corner, lam)
     row_sizes = [s.rank(mu) for s in f.cod.summands]
     col_sizes = [s.rank(mu) for s in f.dom.summands]
-    rowop, groups, lower, factor = _layout(corner, lam)
-    out = {"diag": [], "base": {}}
-    bmat = None
-
-    def certify_base():
-        nonlocal bmat
-        base = rho(r, mu)
-        cert = certify_iso(base, f"rho_{mu} iso")
-        if cert["status"] != "pass":
-            raise DiagonalNotIsoError(
-                f"corner {corner}, weight {lam}: one-step commutator at "
-                f"internal weight {mu} is not iso: {cert['witness']}")
-        bmat, out["base"] = base.matrix(mu), cert["dets"]
-
-    def check_factor():
-        if bmat is None:
-            certify_base()
-        rows, cols, unit, left, _ = factor
-        ra, k = r.word("").rank(mu), abs(mu)
-        F = block_diagonal(field, [
-            Matrix.identity(field,
-                            (bmat.nrows if left else bmat.ncols) - k * ra),
-            _scalar_blocks(field, unit(field, k), ra)])
-        block = pick(m, _indices(row_sizes, rows), _indices(col_sizes, cols))
-        if block != (F @ bmat if left else bmat @ F):
-            raise NotTriangularError(
-                f"corner {corner}, weight {lam}: factorization through the "
-                f"internal commutator fails")
-
-    # corner 11 certifies rho_mu first, corner 22 after all its groups: a
-    # failing input's first witness depends on this order
-    if corner == "11":
-        certify_base()
+    rowop, lower, steps = _layout(corner, lam)
+    where = f"corner {corner}, weight {lam}"
     m = f.matrix(mu)
     if rowop is not None:
         i, j, word = rowop
         m = _rowop(field, m, row_sizes, i, j, r.y_at(word, 1).matrix(mu))
-    out["diag"] = _check_groups(
-        field, m, row_sizes, col_sizes, groups, lower, corner, lam,
-        None if factor is None else (factor[4], check_factor))
+    groups = [(_indices(row_sizes, s[1]), _indices(col_sizes, s[2]))
+              for s in steps if s[0] == "group"]
+    out = {"diag": [], "base": {}}
+    for kind, *args in steps:
+        if kind == "base":
+            cert = certify_iso(rho(r, mu), f"rho_{mu} iso")
+            if cert["status"] != "pass":
+                raise DiagonalNotIsoError(
+                    f"{where}: one-step commutator at internal weight {mu} "
+                    f"is not iso: {cert['witness']}")
+            out["base"] = cert["dets"]
+        elif kind == "shape":
+            for a, (rows, _) in enumerate(groups):
+                for b, (_, cols) in enumerate(groups):
+                    if ((b > a if lower else b < a)
+                            and not pick(m, rows, cols).is_zero()):
+                        raise NotTriangularError(
+                            f"{where}: block (group {a}, group {b}) is "
+                            f"nonzero")
+        elif kind == "group":
+            a = len(out["diag"])
+            blk = pick(m, *groups[a])
+            if blk.nrows != blk.ncols:
+                raise DiagonalNotIsoError(
+                    f"{where}: diagonal block {a} is {blk.nrows}x{blk.ncols}")
+            det = bareiss_determinant(blk)
+            if det.is_zero() or not det.is_constant():
+                raise DiagonalNotIsoError(
+                    f"{where}: diagonal block {a} has determinant {det}")
+            out["diag"].append(str(det))
+        else:
+            rows, cols, unit, left = args
+            bmat, k = rho(r, mu).matrix(mu), abs(mu)
+            F = block_diagonal(field, [
+                Matrix.identity(field, (bmat.nrows if left else bmat.ncols)
+                                - k),
+                Matrix.from_rows(field, unit(field, k))])
+            block = pick(m, _indices(row_sizes, rows),
+                         _indices(col_sizes, cols))
+            if block != (F @ bmat if left else bmat @ F):
+                raise NotTriangularError(
+                    f"{where}: factorization through the internal "
+                    f"commutator fails")
     return out
 
 

@@ -475,8 +475,9 @@ def rho(rep: TwoRep, lam: int) -> BimoduleMap:
         f"rho_{lam}")
 
 
-def check_hypotheses(rep: TwoRep, window=(-4, 4)):
-    """Check the structural hypotheses of the construction on a finite window.
+def check_hypotheses(rep: TwoRep, window):
+    """Check the structural hypotheses of the construction on the finite
+    window ``(lo, hi)``, both ends included.
 
     (a) every component is finite free (structural in this representation);
     (b) E^n carries a free module structure over k[x1..xn] for n <= 2,

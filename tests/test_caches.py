@@ -111,7 +111,7 @@ def test_omega3_map_built_once_per_product(monkeypatch):
 def test_omega3_linearity_applies_omega3_per_basis_triple(monkeypatch):
     # on L(1) four basis triples (g, phi, l) exist over all weights, and
     # each defect takes two applications
-    calls = counting(monkeypatch, gammas, "omega3_apply")
+    calls = counting(monkeypatch, oracles, "omega3_apply")
     P = build_product(make_L1())
     assert check_omega3_linearity(P)[0]["witness"] == "4 basis triples"
     assert len(calls) == 8

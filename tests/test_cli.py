@@ -171,6 +171,32 @@ class TestExitCodes:
         report = json.loads(out)
         assert any(c["status"] == "fail" for c in report["checks"])
 
+    @pytest.mark.parametrize("window", [[], ["--weights=-10..10"]])
+    def test_gate_checks_the_whole_support(self, capsys, tmp_path, window):
+        # e2_tau0 shifted to weights 4, 6, 8, where rho fails at each
+        # weight: the gate checks the input's support, not the report window
+        data = json.loads((GOLDEN / "e2_tau0.json").read_text())
+        p = tmp_path / "shifted.json"
+        p.write_text(json.dumps({
+            key: {str(int(w) + 6): v for w, v in part.items()}
+            for key, part in data.items()}))
+        code, out = run_cli(["verify-all", "--rep", str(p), *window], capsys)
+        gate, = [c for c in json.loads(out)["checks"]
+                 if c["id"] == "build-product.000"]
+        assert code == 1
+        assert gate["witness"] == (
+            "input hypotheses fail: rho_4 iso; rho_6 iso; rho_8 iso")
+
+    def test_empty_support_passes(self, capsys, tmp_path):
+        p = tmp_path / "empty.json"
+        p.write_text('{"weights": {}}')
+        assert main(["verify-all", "--rep", str(p)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        checks = json.loads(out)["checks"]
+        assert len(checks) == 140
+        assert all(c["status"] == "pass" for c in checks)
+
 
 class TestReports:
     def test_json_schema(self, capsys):

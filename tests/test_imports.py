@@ -1,5 +1,5 @@
 """Lean imports: no module under ``src/`` or ``tests/`` imports a name it
-never uses.
+never uses, and no function under ``src/`` imports anything in its body.
 
 A name counts as used when it is read anywhere in the module (as a bare
 name or as the root of an attribute chain) or is listed in ``__all__``.
@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted([*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/**/*.py")])
+SRC = sorted(ROOT.glob("src/**/*.py"))
+FILES = sorted([*SRC, *ROOT.glob("tests/**/*.py")])
 
 
 def unused_imports(source):
@@ -36,6 +37,15 @@ def unused_imports(source):
                   if name not in used)
 
 
+def function_imports(source):
+    """The line numbers of the imports inside function bodies, in order."""
+    return sorted({node.lineno
+                   for fn in ast.walk(ast.parse(source))
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))})
+
+
 def test_finds_an_unused_import():
     source = ("import os\nimport sys as system\nfrom a.b import c, d\n"
               "__all__ = ['d']\nprint(system.argv)\n")
@@ -46,3 +56,15 @@ def test_finds_an_unused_import():
                          ids=[str(p.relative_to(ROOT)) for p in FILES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_finds_an_import_in_a_function():
+    source = ("import os\n\ndef f():\n    import re\n\n"
+              "    def g():\n        from a import b\n")
+    assert function_imports(source) == [4, 7]
+
+
+@pytest.mark.parametrize("path", SRC,
+                         ids=[str(p.relative_to(ROOT)) for p in SRC])
+def test_no_imports_in_function_bodies(path):
+    assert function_imports(path.read_text(encoding="utf-8")) == []

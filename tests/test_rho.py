@@ -135,6 +135,42 @@ class TestCertificateFaults:
         assert outcomes == {"not triangular": 30,
                             "diagonal not iso": 14, "pass": 22}
 
+    @pytest.mark.parametrize("corner, lam, entry, witness", [
+        # base before shape: rho_mu is certified before any block
+        ("11", -2, (1, 0, "1"), "corner 11, weight -2: one-step commutator "
+         "at internal weight -1 is not iso: (-1, 'determinant y is not a "
+         "unit')"),
+        # the groups before base: rho_mu is certified after every group
+        ("22", 2, (0, 0, "y"), "corner 22, weight 2: diagonal block 2 has "
+         "determinant y + 1"),
+    ])
+    def test_double_fault_order(self, P, monkeypatch, corner, lam, entry,
+                                witness):
+        # rho_mu scaled by y is no iso, and the corner entry alone breaks
+        # the corner's shape (11) or a group (22): the check order picks
+        # which of the two faults the witness names
+        real_corner, real_rho = rho_mod._corner_rho, rho_mod.rho
+        y = Poly.var(P.Vy.A.field, "y")
+        i, j, d = entry
+
+        def mutated(P_, c, lam_):
+            f = real_corner(P_, c, lam_)
+            if (c, lam_) != (corner, lam):
+                return f
+            (mu, m), = f.mats.items()
+            rows = [list(row) for row in m.entries]
+            rows[i][j] = rows[i][j] + parse_poly(d, QQ)
+            return BimoduleMap(f.dom, f.cod,
+                               {mu: Matrix(m.field, m.nrows, m.ncols, rows)},
+                               name=f.name)
+
+        monkeypatch.setattr(rho_mod, "_corner_rho", mutated)
+        monkeypatch.setattr(rho_mod, "rho",
+                            lambda rep, mu: real_rho(rep, mu).scale(y))
+        out = triangular_certificate(P, lam)
+        assert out["status"] == "fail"
+        assert out["witness"] == witness
+
 
 def failure_kind(out):
     """Read a certificate record's verdict: a nonzero off-side block or a
