@@ -76,11 +76,9 @@ class Component:
 class Bimodule:
     """A weight-graded free bimodule with explicit ordered bases."""
 
-    def __init__(self, algebra: WeightedAlgebra, shift: int, components: dict,
-                 name: str = ""):
+    def __init__(self, algebra: WeightedAlgebra, shift: int, components: dict):
         self.algebra = algebra
         self.shift = shift
-        self.name = name
         self.components = {}
         for lam in algebra.weights():
             if lam + shift not in algebra:
@@ -156,7 +154,7 @@ class Bimodule:
 
     def __repr__(self):
         ranks = {lam: self.rank(lam) for lam in self.weights()}
-        return f"Bimodule({self.name or '?'}, shift={self.shift}, ranks={ranks})"
+        return f"Bimodule(shift={self.shift}, ranks={ranks})"
 
 
 def _left_step(L: Matrix, cols: list) -> list:
@@ -164,18 +162,18 @@ def _left_step(L: Matrix, cols: list) -> list:
     return [[dot(zip(row, col), L.field) for row in L.entries] for col in cols]
 
 
-def regular_bimodule(algebra: WeightedAlgebra, name: str = "A") -> Bimodule:
+def regular_bimodule(algebra: WeightedAlgebra) -> Bimodule:
     """The algebra as a bimodule over itself (rank one per weight)."""
     comps = {}
     for lam in algebra.weights():
         left = {}
         for v in algebra.support[lam]:
             left[v] = Matrix.from_rows(algebra.field, [[Poly.var(algebra.field, v)]])
-        comps[lam] = Component((name,), left)
-    return Bimodule(algebra, 0, comps, name=name)
+        comps[lam] = Component(("A",), left)
+    return Bimodule(algebra, 0, comps)
 
 
-def tensor_over_A(M: Bimodule, N: Bimodule, name: str = "") -> Bimodule:
+def tensor_over_A(M: Bimodule, N: Bimodule) -> Bimodule:
     """Componentwise tensor product over the algebra, basis row-major with the
     left factor outer."""
     if M.algebra != N.algebra:
@@ -191,14 +189,13 @@ def tensor_over_A(M: Bimodule, N: Bimodule, name: str = "") -> Bimodule:
         left = {v: tensor_id_right(M.left_matrix(mid, v), N, lam)
                 for v in A.support[lam + shift]}
         comps[lam] = Component(basis, left)
-    out_name = name or (f"{M.name}{N.name}" if M.name and N.name else "")
-    return Bimodule(A, shift, comps, name=out_name)
+    return Bimodule(A, shift, comps)
 
 
 class SumBimodule(Bimodule):
     """A direct sum with recorded summands and per-weight offsets."""
 
-    def __init__(self, summands, name: str = ""):
+    def __init__(self, summands):
         if not summands:
             raise ValueError("direct sum needs at least one summand")
         A = summands[0].algebra
@@ -218,7 +215,7 @@ class SumBimodule(Bimodule):
                                                 for s in summands])
                     for v in A.support[lam + shift]}
             comps[lam] = Component(basis, left)
-        super().__init__(A, shift, comps, name=name or "(+)".join(s.name for s in summands))
+        super().__init__(A, shift, comps)
         self.summands = list(summands)
 
 
@@ -229,14 +226,13 @@ class SumBimodule(Bimodule):
 class BimoduleMap:
     """A map of bimodules: one matrix per source weight, acting on columns."""
 
-    def __init__(self, dom: Bimodule, cod: Bimodule, mats: dict, name: str = ""):
+    def __init__(self, dom: Bimodule, cod: Bimodule, mats: dict):
         if dom.algebra != cod.algebra:
             raise AlgebraMismatchError("map between bimodules over different algebras")
         if dom.shift != cod.shift:
             raise ValueError("map between bimodules of different weight shifts")
         self.dom = dom
         self.cod = cod
-        self.name = name
         self.mats = {}
         field = dom.algebra.field
         for lam in dom.weights():
@@ -296,17 +292,18 @@ class BimoduleMap:
         return None
 
     def __repr__(self):
-        return f"BimoduleMap({self.name or '?'}: {self.dom.name} -> {self.cod.name})"
+        shapes = {lam: (m.nrows, m.ncols) for lam, m in self.mats.items()}
+        return f"BimoduleMap(shift={self.dom.shift}, shapes={shapes})"
 
 
 def identity_map(M: Bimodule) -> BimoduleMap:
     field = M.algebra.field
     return BimoduleMap(M, M, {lam: Matrix.identity(field, M.rank(lam))
-                              for lam in M.weights()}, name="id")
+                              for lam in M.weights()})
 
 
 def zero_map(dom: Bimodule, cod: Bimodule) -> BimoduleMap:
-    return BimoduleMap(dom, cod, {}, name="0")
+    return BimoduleMap(dom, cod, {})
 
 
 def compose(g: BimoduleMap, f: BimoduleMap) -> BimoduleMap:
@@ -314,7 +311,7 @@ def compose(g: BimoduleMap, f: BimoduleMap) -> BimoduleMap:
     mats = {}
     for lam in f.mats:
         mats[lam] = g.matrix(lam) @ f.matrix(lam)
-    return BimoduleMap(f.dom, g.cod, mats, name=f"{g.name}.{f.name}")
+    return BimoduleMap(f.dom, g.cod, mats)
 
 
 def compose_all(*maps: BimoduleMap) -> BimoduleMap:
@@ -392,7 +389,7 @@ def certify_iso(f: BimoduleMap, name: str) -> dict:
 
 def inverse_map(f: BimoduleMap) -> BimoduleMap:
     """The exact inverse of a certified isomorphism, via the adjugate."""
-    cert = certify_iso(f, f.name)
+    cert = certify_iso(f, "inverse")
     if cert["status"] != "pass":
         raise ValueError(f"not an isomorphism: {cert['witness']}")
     field = f.dom.algebra.field
@@ -404,4 +401,4 @@ def inverse_map(f: BimoduleMap) -> BimoduleMap:
         c = det.constant_value()
         inv_c = field.div(field.one, c) if m.nrows else field.one
         mats[lam] = adj.scale(Poly.const(field, inv_c))
-    return BimoduleMap(f.cod, f.dom, mats, name=f"{f.name}^-1")
+    return BimoduleMap(f.cod, f.dom, mats)

@@ -466,6 +466,8 @@ def parse_poly(text: str, field=QQ) -> Poly:
 
     def take():
         nonlocal pos
+        if pos == len(tokens):
+            raise ValueError(f"polynomial {text!r} ends too early")
         tok = tokens[pos]
         pos += 1
         return tok

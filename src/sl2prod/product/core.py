@@ -33,9 +33,9 @@ C_WORDS = {"11": ("",), "21": ("F",), "12": ("E",), "22": ("", "FE")}
 MU_SHIFT = {"11": +1, "21": +1, "12": -1, "22": -1}
 
 
-def word_sum(r, words, name):
+def word_sum(r, words):
     """The direct sum of the word modules of ``words``."""
-    return SumBimodule([r.word(w) for w in words], name=name)
+    return SumBimodule([r.word(w) for w in words])
 
 
 class ProductRep:
@@ -46,14 +46,11 @@ class ProductRep:
         self.Vy = r = V
         self._cache: dict = {}
         # domain sums for the EF-ordered corners
-        self.T = {c: word_sum(r, words, f"T{c}")
-                  for c, words in T_WORDS.items()}
+        self.T = {c: word_sum(r, words) for c, words in T_WORDS.items()}
         # codomain sums for the FE-ordered corners (the model corner sums)
-        self.S = {c: word_sum(r, m.words(), m.KIND)
-                  for c, m in CORNER_MODELS.items()}
+        self.S = {c: word_sum(r, m.words()) for c, m in CORNER_MODELS.items()}
         # the end-algebra corners
-        self.C = {c: word_sum(r, words, f"C{c}")
-                  for c, words in C_WORDS.items()}
+        self.C = {c: word_sum(r, words) for c, words in C_WORDS.items()}
 
     # -- small helpers ----------------------------------------------------
     def weights(self):

@@ -134,15 +134,14 @@ def exact_solve(m: Matrix, det: Poly, adj: Matrix, vec: list) -> list:
     det = det(m) and adj = adj(m).
 
     x = adj @ vec / det, entrywise exact division, then m @ x = vec is
-    verified.  Raises NotInModelError when the determinant vanishes or the
-    system has no polynomial solution.
+    verified.  Raises NotInModelError when the system has no polynomial
+    solution.  The determinant of an operator y_i never vanishes: with y
+    reserved, det(x_i - y*I) is monic in y up to sign.
     """
     if m.nrows != m.ncols:
         raise ShapeMismatchError(f"solve with non-square {m.nrows}x{m.ncols}")
     if m.nrows == 0:
         return []
-    if det.is_zero():
-        raise NotInModelError("singular operator in membership division")
     field = m.field
     out = []
     for row in adj.entries:

@@ -30,9 +30,8 @@ def omega3_map(P: ProductRep) -> BimoduleMap:
     y1 = r.y_at("EF", 1)
     sig_y = compose(sig, y1)
     eps_y = compose(eps, y1)
-    dom = word_sum(r, ["EF"] * 4 + ["EFFE"] * 2 + ["FEEF"] * 2 + ["FEEFFE"],
-                   "G2L2")
-    cod = word_sum(r, G1G1, "G1G1")
+    dom = word_sum(r, ["EF"] * 4 + ["EFFE"] * 2 + ["FEEF"] * 2 + ["FEEFFE"])
+    cod = word_sum(r, G1G1)
     entries = {
         (0, 0): eps,
         (0, 3): eps,

@@ -26,12 +26,10 @@ from ..polyring import Poly
 class ModelElt:
     """Free coordinates of a corner element, one :class:`Elt` per summand.
 
-    Subclasses declare ``KIND``, the name of their corner sum, and
-    ``LAYOUT``, the (coordinate name, word) pairs of their summands.  They
-    add the defining morphism datum and its inverse, ``data`` and
-    ``from_data``.
+    Subclasses declare ``LAYOUT``, the (coordinate name, word) pairs of
+    their summands.  They add the defining morphism datum and its inverse,
+    ``data`` and ``from_data``.
     """
-    KIND = ""
     LAYOUT: tuple = ()
 
     def __init__(self, rep, weight: int, *coords: Elt):
@@ -94,7 +92,6 @@ class ModelElt:
 
 class G1Elt(ModelElt):
     """End-type corner element: free coordinates (theta, phi1)."""
-    KIND = "G1"
     LAYOUT = (("theta", ""), ("phi1", "FE"))
 
     def phi(self) -> Elt:
@@ -115,7 +112,6 @@ class G1Elt(ModelElt):
 
 class G2Elt(ModelElt):
     """Degree +1 corner element: free coordinates (a, b, c)."""
-    KIND = "G2"
     LAYOUT = (("a", "E"), ("b", "E"), ("c", "FEE"))
 
     def e2(self) -> Elt:
@@ -150,7 +146,6 @@ class G2Elt(ModelElt):
 
 class G3Elt(ModelElt):
     """Degree +1 square corner element (constrained tuple, not free)."""
-    KIND = "G3"
     LAYOUT = (("ee1", "EE"), ("ee2", "EE"), ("ee3", "EE"), ("chi2", "FEEE"))
 
     def ee_prime(self) -> Elt:
@@ -193,7 +188,6 @@ class G3Elt(ModelElt):
 
 class L2Elt(ModelElt):
     """Degree -1 corner element: free coordinates (fp, f, rho1)."""
-    KIND = "L2"
     LAYOUT = (("fp", "F"), ("f", "F"), ("rho1", "FFE"))
 
     def Ef(self, fcoord: Elt) -> Elt:
@@ -220,7 +214,6 @@ class L2Elt(ModelElt):
 
 class UElt(ModelElt):
     """Degree 0 square corner element: free coordinates (p11,p21,p12,p22,lam0)."""
-    KIND = "U"
     LAYOUT = (("p11", "FE"), ("p21", "FE"), ("p12", "FE"), ("p22", "FE"),
               ("lam0", "FFEE"))
 

@@ -108,7 +108,8 @@ def _eta_pairs(P: ProductRep, w: int):
 
 
 def _columnwise(P: ProductRep, dom, cod, colfn, name: str) -> BimoduleMap:
-    """Assemble a map from a per-basis-column elementwise construction."""
+    """Assemble a map from a per-basis-column elementwise construction;
+    ``name`` labels a column of the wrong length."""
     field = P.Vy.A.field
     mats = {}
     for w in dom.weights():
@@ -122,7 +123,7 @@ def _columnwise(P: ProductRep, dom, cod, colfn, name: str) -> BimoduleMap:
             for i, v in enumerate(col):
                 mat.set(i, j, v)
         mats[w] = mat
-    return BimoduleMap(dom, cod, mats, name=name)
+    return BimoduleMap(dom, cod, mats)
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,6 @@ class RhoMap:
     def __init__(self, lam: int, corners: dict):
         self.lam = lam
         self.corners = corners
-        self.name = f"tilde_rho_{lam}"
 
     @property
     def mats(self):
@@ -90,8 +89,7 @@ def _corner_rho(P: ProductRep, corner: str, lam: int) -> BimoduleMap:
         P.Vy, mu, lam, T_WORDS[corner], CORNER_MODELS[corner].words(),
         C_WORDS[corner],
         lambda: (tilde_sigma_closed(P, corner).matrix(mu),
-                 [closed(P, i, corner).matrix(mu) for i in range(abs(lam))]),
-        f"rho{corner}_{lam}")
+                 [closed(P, i, corner).matrix(mu) for i in range(abs(lam))]))
 
 
 def tilde_rho(P: ProductRep, lam: int) -> RhoMap:

@@ -49,7 +49,7 @@ def restrict_at(M: Bimodule, mu: int, algebra=None) -> Bimodule:
     if algebra is None:
         algebra = restrict_algebra(M.algebra, mu, M.shift)
     comps = {mu: M.components[mu]} if mu in M.components else {}
-    return Bimodule(algebra, M.shift, comps, name=M.name)
+    return Bimodule(algebra, M.shift, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -90,12 +90,11 @@ class TwoRep:
     same object, and its memo, serves its own checks and its product."""
 
     def __init__(self, A: WeightedAlgebra, E: Bimodule, x: BimoduleMap,
-                 tau: BimoduleMap, name: str = ""):
+                 tau: BimoduleMap):
         self.A = A
         self.E = E
         self.x = x
         self.tau = tau
-        self.name = name
         self._cache: dict = {}
 
     # -- derived duality
@@ -126,14 +125,14 @@ class TwoRep:
     def word(self, w: str) -> Bimodule:
         """The tensor word module for a word over {E, F} ('' is the algebra)."""
         if w == "":
-            return regular_bimodule(self.A, name="A")
+            return regular_bimodule(self.A)
         head = self.F if w[0] == "F" else self.E
-        return tensor_over_A(head, self.word(w[1:]), name=w)
+        return tensor_over_A(head, self.word(w[1:]))
 
     def rebase(self, f: BimoduleMap, dom_word: str, cod_word: str) -> BimoduleMap:
         """Re-attach a map to the cached word modules (coordinates agree)."""
         return BimoduleMap(self.word(dom_word), self.word(cod_word),
-                           {lam: f.matrix(lam) for lam in f.mats}, name=f.name)
+                           {lam: f.matrix(lam) for lam in f.mats})
 
     def lift(self, f: BimoduleMap, dom_mid: str, cod_mid: str, lw: str, rw: str,
              ) -> BimoduleMap:
@@ -149,7 +148,7 @@ class TwoRep:
             if lw:
                 m = tensor_id_left(L, m, lam + R.shift + f.dom.shift)
             mats[lam] = m
-        return BimoduleMap(dom, self.word(lw + cod_mid + rw), mats, name=f.name)
+        return BimoduleMap(dom, self.word(lw + cod_mid + rw), mats)
 
     @_memoized
     def x_at(self, word: str, i: int) -> BimoduleMap:
@@ -169,12 +168,11 @@ class TwoRep:
 
     @_memoized
     def y_adjugate(self, word: str, i: int, lam: int):
-        """The determinant of y_i on a word module at source weight lam and,
-        unless it vanishes, its adjugate (else None): the data of exact
-        division by y_i."""
+        """The determinant of y_i on a word module at source weight lam and
+        its adjugate: the data of exact division by y_i.  The determinant
+        is monic in y up to sign, so it never vanishes."""
         m = self.y_at(word, i).matrix(lam)
-        det = bareiss_determinant(m)
-        return det, None if det.is_zero() else adjugate(m)
+        return bareiss_determinant(m), adjugate(m)
 
     @_memoized
     def tau_at(self, word: str, i: int) -> BimoduleMap:
@@ -317,9 +315,9 @@ def left_dual(E: Bimodule):
                 left[v] = Matrix.zero(field, 0, 0)
         basis = tuple(f"{b}^" for b in E.basis(src))
         comps[lam] = Component(basis, left)
-    F = Bimodule(A, -E.shift, comps, name="F")
+    F = Bimodule(A, -E.shift, comps)
     # eps: E (x) F -> A, evaluation on dual bases
-    EF = tensor_over_A(E, F, name="EF")
+    EF = tensor_over_A(E, F)
     Areg = regular_bimodule(A)
     eps_mats = {}
     for lam in EF.weights():
@@ -330,9 +328,9 @@ def left_dual(E: Bimodule):
             for i in range(r):
                 m.set(0, i * r + i, one)
         eps_mats[lam] = m
-    eps = BimoduleMap(EF, Areg, eps_mats, name="eps")
+    eps = BimoduleMap(EF, Areg, eps_mats)
     # eta: A -> F (x) E, the dual basis element
-    FE = tensor_over_A(F, E, name="FE")
+    FE = tensor_over_A(F, E)
     eta_mats = {}
     for lam in Areg.weights():
         r = E.rank(lam)
@@ -342,7 +340,7 @@ def left_dual(E: Bimodule):
             for a in range(r):
                 m.set(a * r + a, 0, one)
         eta_mats[lam] = m
-    eta = BimoduleMap(Areg, FE, eta_mats, name="eta")
+    eta = BimoduleMap(Areg, FE, eta_mats)
     return F, eta, eps
 
 
@@ -360,11 +358,10 @@ def make_L1(field=QQ) -> TwoRep:
     A = WeightedAlgebra(field, {-1: ("u",), 1: ("u",)})
     u = Poly.var(field, "u")
     comps = {-1: Component(("e",), {"u": Matrix.from_rows(field, [[u]])})}
-    E = Bimodule(A, 2, comps, name="E")
-    x = BimoduleMap(E, E, {-1: Matrix.from_rows(field, [[u]])}, name="x")
-    EE = tensor_over_A(E, E, name="EE")
-    tau = BimoduleMap(EE, EE, {}, name="tau")
-    return TwoRep(A, E, x, tau, name="L(1)")
+    E = Bimodule(A, 2, comps)
+    x = BimoduleMap(E, E, {-1: Matrix.from_rows(field, [[u]])})
+    EE = tensor_over_A(E, E)
+    return TwoRep(A, E, x, BimoduleMap(EE, EE, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +390,8 @@ def check_hecke(rep: TwoRep):
 @_memoized
 def sigma(rep: TwoRep) -> BimoduleMap:
     """The commutator map EF -> FE: (FE eps) . (F tau F) . (eta EF)."""
-    out = compose_all(rep.eps_at("FEEF", 2), rep.tau_at("FEEF", 1),
-                      rep.eta_at("EF", 0))
-    out.name = "sigma"
-    return out
+    return compose_all(rep.eps_at("FEEF", 2), rep.tau_at("FEEF", 1),
+                       rep.eta_at("EF", 0))
 
 
 def eps_xi(rep: TwoRep, i: int) -> BimoduleMap:
@@ -417,7 +412,7 @@ def xi_eta(rep: TwoRep, i: int) -> BimoduleMap:
 
 
 def commutator_at(rep: TwoRep, mu: int, lam: int, dom_words, cod_words,
-                  pair_words, blocks, name: str) -> BimoduleMap:
+                  pair_words, blocks) -> BimoduleMap:
     """A commutator map of weight ``lam``, restricted to the single source
     weight ``mu``: a commutator block stacked with ``|lam|`` pairings.
 
@@ -444,7 +439,7 @@ def commutator_at(rep: TwoRep, mu: int, lam: int, dom_words, cod_words,
     dom = SumBimodule([restricted[w] for w in dom_words])
     cod = SumBimodule([restricted[w] for w in cod_words])
     if mu not in rep.A:
-        return BimoduleMap(dom, cod, {}, name=name)
+        return BimoduleMap(dom, cod, {})
     mat, pairs = blocks()
     cuts = offsets([rep.word(w).rank(mu) for w in pair_words])
     spans = [range(a, b) for a, b in zip(cuts, cuts[1:])]
@@ -454,7 +449,7 @@ def commutator_at(rep: TwoRep, mu: int, lam: int, dom_words, cod_words,
     elif lam < 0:
         mat = block_matrix(rep.A.field, [[mat] + [
             pick(p, range(p.nrows), span) for span in spans for p in pairs]])
-    return BimoduleMap(dom, cod, {mu: mat}, name=name)
+    return BimoduleMap(dom, cod, {mu: mat})
 
 
 @_memoized
@@ -471,8 +466,7 @@ def rho(rep: TwoRep, lam: int) -> BimoduleMap:
     return commutator_at(
         rep, lam, lam, ["EF"], ["FE"], [""],
         lambda: (sigma(rep).matrix(lam),
-                 [pairing(rep, i).matrix(lam) for i in range(abs(lam))]),
-        f"rho_{lam}")
+                 [pairing(rep, i).matrix(lam) for i in range(abs(lam))]))
 
 
 def check_hypotheses(rep: TwoRep, window):
@@ -590,12 +584,11 @@ def rep_from_json(data: dict, field=QQ) -> TwoRep:
                                  f"{lam + 2}")
         left = {v: mat_from_json(rows, r, r) for v, rows in cdata["left"].items()}
         comps[lam] = Component(basis, left)
-    E = Bimodule(A, 2, comps, name="E")
+    E = Bimodule(A, 2, comps)
     x_mats = {int(l): mat_from_json(rows, E.rank(int(l)), E.rank(int(l)))
               for l, rows in data.get("x", {}).items()}
-    x = BimoduleMap(E, E, x_mats, name="x")
-    EE = tensor_over_A(E, E, name="EE")
+    x = BimoduleMap(E, E, x_mats)
+    EE = tensor_over_A(E, E)
     tau_mats = {int(l): mat_from_json(rows, EE.rank(int(l)), EE.rank(int(l)))
                 for l, rows in data.get("tau", {}).items()}
-    tau = BimoduleMap(EE, EE, tau_mats, name="tau")
-    return TwoRep(A, E, x, tau, name="json")
+    return TwoRep(A, E, x, BimoduleMap(EE, EE, tau_mats))

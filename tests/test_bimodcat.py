@@ -306,7 +306,7 @@ def bimodules(draw, alg=ALG):
             left["x1"] = poly_of_matrix(U, draw(st.lists(
                 polys_in("y", field=F), min_size=3, max_size=3)))
         comps[lam] = Component(tuple(range(r)), left)
-    return Bimodule(alg, 0, comps, name="M")
+    return Bimodule(alg, 0, comps)
 
 
 @st.composite
@@ -370,10 +370,10 @@ def rank_two_rep(x_rows, field=QQ, gens=("u",)):
     A = WeightedAlgebra(field, {-1: gens, 1: gens})
     E = Bimodule(A, 2, {-1: Component(("e1", "e2"), {
         v: Matrix.identity(field, 2).scale(Poly.var(field, v))
-        for v in gens})}, name="E")
-    x = BimoduleMap(E, E, {-1: Matrix(field, 2, 2, x_rows)}, name="x")
+        for v in gens})})
+    x = BimoduleMap(E, E, {-1: Matrix(field, 2, 2, x_rows)})
     EE = tensor_over_A(E, E)
-    return TwoRep(A, E, x, BimoduleMap(EE, EE, {}, name="tau"))
+    return TwoRep(A, E, x, BimoduleMap(EE, EE, {}))
 
 
 class TestZeroBlockFreeAssembly:
@@ -495,12 +495,10 @@ def skew_rep(field=QQ):
     u, one, z = Poly.var(field, "u"), Poly.one(field), Poly.zero(field)
     U = Matrix(field, 2, 2, [[u, one], [z, u]])
     E = Bimodule(A, 2, {-1: Component(("e1", "e2"), {
-        "u": U, "x1": poly_of_matrix(U, [z, Poly.const(field, -2), one])})},
-        name="E")
-    x = BimoduleMap(E, E, {-1: Matrix.identity(field, 2).scale(u)},
-                    name="x")
+        "u": U, "x1": poly_of_matrix(U, [z, Poly.const(field, -2), one])})})
+    x = BimoduleMap(E, E, {-1: Matrix.identity(field, 2).scale(u)})
     EE = tensor_over_A(E, E)
-    return TwoRep(A, E, x, BimoduleMap(EE, EE, {}, name="tau"))
+    return TwoRep(A, E, x, BimoduleMap(EE, EE, {}))
 
 
 @pytest.mark.parametrize("has_y", [False, True])

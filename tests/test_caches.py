@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 
 from sl2prod import bimodcat, cli, matrixops, polyring, tworep
-from sl2prod.bimodcat import Bimodule, SumBimodule, zero_map
+from sl2prod.bimodcat import Bimodule, SumBimodule
 from sl2prod.cli import suite_build_product, suite_check_rho, suite_identities
 from sl2prod.matrixops import Matrix
 from sl2prod.polyring import QQ, Poly
@@ -23,8 +23,7 @@ from sl2prod.product import core, elements, gammas, oracles
 from sl2prod.product import rho as rho_mod
 from sl2prod.product.core import C_WORDS, CORNERS, T_WORDS
 from sl2prod.product.models import CORNER_MODELS
-from sl2prod.product.elements import (Elt, NotInModelError, basis_elt,
-                                      elem_tensor, solve_op)
+from sl2prod.product.elements import Elt, basis_elt, elem_tensor
 from sl2prod.tworep import make_L1, sigma
 
 
@@ -197,21 +196,6 @@ def test_membership_solver_builds_one_adjugate_per_operator(monkeypatch):
     assert all(r["status"] == "pass" for r in records)
     solvers = [key for key in P.Vy._cache if key[0] == "y_adjugate"]
     assert 0 < len(adjugates) <= len(solvers)
-
-
-def test_singular_y_operator_fails_on_every_call(monkeypatch):
-    # the memo keeps a vanishing determinant, not a verdict: each division
-    # checks it again
-    r = make_L1()
-    W = r.word("FE")
-    monkeypatch.setattr(tworep.TwoRep, "y_at",
-                        lambda self, word, i: zero_map(W, W))
-    elt = basis_elt(r, "FE", -1, 0)
-    for _ in range(2):
-        with pytest.raises(NotInModelError, match="singular operator"):
-            solve_op(elt, 1)
-    det, adj = r._cache[("y_adjugate", "FE", 1, -1)]
-    assert det.is_zero() and adj is None
 
 
 def test_identities_make_no_long_division(monkeypatch):
@@ -396,8 +380,8 @@ def test_verify_all_builds_each_structure_map_once(monkeypatch, tmp_path):
     assert all(args[0] is r for args in rhos)
     assert Counter(args[2] for args in rhos) == {
         lam: 1 for lam in range(-4, 5)}
-    assert Counter(args[-1] for args in corners) == {
-        f"rho{c}_{lam}": 1 for c in CORNERS for lam in range(-4, 5)}
+    assert Counter((args[3], args[2]) for args in corners) == {
+        (T_WORDS[c], lam): 1 for c in CORNERS for lam in range(-4, 5)}
     assert Counter(c for c in CORNERS for args in sums
                    if args[0] is P.T[c] and args[1] is P.S[c]) == {
         c: 1 for c in CORNERS}

@@ -122,6 +122,16 @@ class TestExitCodes:
                        "'u + y^2' involves the reserved y\n")
 
     @pytest.mark.parametrize("command", REP_COMMANDS)
+    @pytest.mark.parametrize("entry", ["u+", "u^", "(", "", "u*"])
+    def test_truncated_entry_is_input_error(self, capsys, tmp_path, command,
+                                            entry):
+        rep = self.rep_with(tmp_path, x=entry)
+        assert main([command, "--rep", rep]) == 2
+        assert capsys.readouterr().err == (
+            "error: malformed representation data: polynomial "
+            f"{entry!r} ends too early\n")
+
+    @pytest.mark.parametrize("command", REP_COMMANDS)
     def test_left_action_of_a_non_generator_is_input_error(
             self, capsys, tmp_path, command):
         # y always acts as y*I, so a "y" key, like any key that is no

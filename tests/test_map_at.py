@@ -69,8 +69,8 @@ def ref_corner_rho(P, corner, lam):
         cod_words += extra
     else:
         dom_words += extra
-    dom = restrict_at(word_sum(r, dom_words, "T"), mu)
-    cod = restrict_at(word_sum(r, cod_words, "S"), mu)
+    dom = restrict_at(word_sum(r, dom_words), mu)
+    cod = restrict_at(word_sum(r, cod_words), mu)
     if mu not in r.A:
         return BimoduleMap(dom, cod, {})
     smat = tilde_sigma_closed(P, corner).matrix(mu)

@@ -47,6 +47,7 @@ runs = [
     ["check-rho", "--rep", str(golden / "e2_tau0.json")],
     ["verify-all", "--rep", str(golden / "missing.json")],
     ["verify-all", "--rep", str(golden / "l1_y.json")],
+    ["verify-all", "--rep", str(golden / "truncated.json")],
 ]
 codes = []
 with contextlib.redirect_stdout(io.StringIO()), \
@@ -147,8 +148,8 @@ def test_never_called_functions_match_allowlist():
     assert proc.returncode == 0, proc.stderr.decode()
     result = json.loads(proc.stdout)
     # pass, pass, construction fails, bad dot, pass, tau = 0, missing file,
-    # reserved y
-    assert result["codes"] == [0, 0, 1, 1, 0, 1, 2, 2]
+    # reserved y, truncated entry
+    assert result["codes"] == [0, 0, 1, 1, 0, 1, 2, 2, 2]
     never = set(result["never"])
     assert sorted(never - set(ALLOWED)) == [], "never called, not listed"
     assert sorted(set(ALLOWED) - never) == [], "called now: drop from ALLOWED"

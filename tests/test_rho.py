@@ -123,7 +123,7 @@ class TestCertificateFaults:
                 rows[i][j] = rows[i][j] + d
                 return BimoduleMap(f.dom, f.cod,
                                    {mu: Matrix(m.field, m.nrows, m.ncols,
-                                               rows)}, name=f.name)
+                                               rows)})
             monkeypatch.setattr(rho_mod, "_corner_rho", mutated)
             out = triangular_certificate(P, lam)
             outcomes[failure_kind(out)] += 1
@@ -161,8 +161,7 @@ class TestCertificateFaults:
             rows = [list(row) for row in m.entries]
             rows[i][j] = rows[i][j] + parse_poly(d, QQ)
             return BimoduleMap(f.dom, f.cod,
-                               {mu: Matrix(m.field, m.nrows, m.ncols, rows)},
-                               name=f.name)
+                               {mu: Matrix(m.field, m.nrows, m.ncols, rows)})
 
         monkeypatch.setattr(rho_mod, "_corner_rho", mutated)
         monkeypatch.setattr(rho_mod, "rho",
