@@ -23,11 +23,7 @@ from .product.core import CORNERS
 
 
 class ConfigError(ValueError):
-    pass
-
-
-class RepLoadError(ValueError):
-    pass
+    """An unusable configuration or input: ``main`` exits 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -35,7 +31,7 @@ class RepLoadError(ValueError):
 # ---------------------------------------------------------------------------
 
 def suite_identities(field=QQ, i_max: int = 8):
-    """Symmetric-polynomial facts, the crossing-chain normal form, and the
+    """Symmetric-polynomial facts, the crossing-chain identity, and the
     divided-power idempotent relations.
 
     The h_i facts run for i = 0..max(i_max, 3): below i = 3 some of them
@@ -111,7 +107,7 @@ def suite_identities(field=QQ, i_max: int = 8):
     out.append(record("crossing chain normal form", chain == expected))
 
     # divided-power idempotents
-    ep, em = divided_power_idempotents(2, field)
+    ep, em = divided_power_idempotents(field)
     one = NilHeckeElt.one(2, field)
     zero = NilHeckeElt.zero(2, field)
     out.append(record("idempotents: e+ + e- = 1", ep + em == one))
@@ -211,12 +207,12 @@ def _load_rep(args, field):
         rep.F  # memoized; a left action it cannot dualize is bad input
         return rep
     except OSError as e:
-        raise RepLoadError(f"cannot read {args.rep}: {e}") from e
+        raise ConfigError(f"cannot read {args.rep}: {e}") from e
     except (KeyError, ValueError, TypeError, AttributeError,
             ArithmeticError) as e:
-        raise RepLoadError(f"malformed representation data: {e}") from e
+        raise ConfigError(f"malformed representation data: {e}") from e
     except RecursionError as e:
-        raise RepLoadError("representation data nested too deeply") from e
+        raise ConfigError("representation data nested too deeply") from e
 
 
 def _parse_window(text):
@@ -325,7 +321,7 @@ def main(argv=None):
         _attach_window(sys.argv[1:] if argv is None else argv))
     try:
         report = run(args)
-    except (ConfigError, RepLoadError) as e:
+    except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     text = render(report, args.report)

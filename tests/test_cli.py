@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from sl2prod import cli
+from sl2prod import cli, nilhecke
 from sl2prod.cli import main
 from sl2prod.polyring import Poly, QQ
 
@@ -262,6 +262,24 @@ class TestReports:
         assert code == 1
         assert len(facts) == 4
         assert all(c["status"] == "fail" for c in facts)
+
+    def test_negated_divided_difference_fails_hecke_records(
+            self, capsys, monkeypatch):
+        # tau acting as -d flips the sign of every word with an odd number
+        # of crossings; the dd: and fact: records use cli's own
+        # divided_difference and e+ e- = e- e+ = 0 survive any sign
+        real = nilhecke.divided_difference
+        monkeypatch.setattr(nilhecke, "divided_difference",
+                            lambda f, i: -real(f, i))
+        code, out = run_cli(["identities"], capsys)
+        failed = [c["anchor"] for c in json.loads(out)["checks"]
+                  if c["status"] != "pass"]
+        assert code == 1
+        assert failed == ["crossing chain normal form",
+                          "idempotents: e+ + e- = 1",
+                          "idempotents: e+^2 = e+",
+                          "idempotents: e-^2 = e-"]
+        assert len(json.loads(out)["checks"]) == 12
 
     def test_suite_filtering(self, capsys):
         _, out = run_cli(["check-rep"], capsys)

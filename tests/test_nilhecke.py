@@ -1,14 +1,15 @@
-"""Normal forms in the extended nil affine Hecke algebra."""
+"""Equality and the polynomial representation of the extended nil affine
+Hecke algebra."""
 
-import itertools
+import math
 import random
 
 import pytest
 
-from sl2prod.nilhecke import (IndexOutOfRangeError, NilHeckeElt, _perm_tables,
-                              _word_to_perm, act_on_poly,
-                              divided_power_idempotents, normalize)
-from sl2prod.polyring import Poly, QQ
+from sl2prod.nilhecke import (IndexOutOfRangeError, NilHeckeElt, _artin_basis,
+                              act_on_poly, divided_power_idempotents,
+                              normalize)
+from sl2prod.polyring import Poly, QQ, make_field, var_index
 
 
 def random_word(rng, n: int, length: int):
@@ -72,21 +73,52 @@ class TestNormalize:
             normalize(2, [("tau", 2)])
 
 
-class TestPermTables:
+class TestEqualityByAction:
+    def test_longest_element_is_not_zero(self):
+        # t1 t2 t1 kills every Artin monomial but x2 x3^2, so a truncated
+        # basis would find it equal to zero
+        w0 = normalize(3, [("tau", 1), ("tau", 2), ("tau", 1)])
+        assert w0 != NilHeckeElt.zero(3)
+
+    def test_tau_is_not_zero(self):
+        # t1 kills 1 and needs the monomial x2
+        assert T(1) != NilHeckeElt.zero(2)
+
+    @pytest.mark.parametrize("lhs, rhs", [
+        ([("tau", 1), ("x", 1)], [("x", 1), ("tau", 1)]),
+        ([("tau", 1), ("tau", 2), ("tau", 1)], [("tau", 1), ("tau", 2)]),
+        ([("tau", 1), ("x", 3)], [("tau", 1)]),
+        ([("y",), ("tau", 1)], [("tau", 1)]),
+    ])
+    def test_false_identities_compare_unequal(self, lhs, rhs):
+        assert normalize(3, lhs) != normalize(3, rhs)
+
+    def test_field_gf2(self):
+        gf2 = make_field("2")
+        # x1 t1 - t1 x2 = 1 holds over GF(2) too, where -1 = 1
+        lhs = normalize(2, [("x", 1), ("tau", 1)], gf2)
+        rhs = (normalize(2, [("tau", 1), ("x", 2)], gf2)
+               + NilHeckeElt.one(2, gf2))
+        assert lhs == rhs
+        assert normalize(2, [("tau", 1)], gf2) != NilHeckeElt.zero(2, gf2)
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(NilHeckeElt.one(2))
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_words_match_brute_force(self, n):
-        # the first word of each length, in lexicographic order, that reaches
-        # a permutation is its shortlex-minimal reduced word
-        expected = {}
-        for length in range(n * (n - 1) // 2 + 1):
-            for word in itertools.product(range(1, n), repeat=length):
-                expected.setdefault(_word_to_perm(n, word), word)
-        words, right = _perm_tables(n)
-        assert words == expected
-        for (p, i), (q, change) in right.items():
-            assert q == _word_to_perm(n, words[p] + (i,))
-            assert change == (1 if len(words[q]) > len(words[p]) else -1)
-        assert len(right) == len(words) * (n - 1)
+    def test_artin_basis(self, n):
+        # n! distinct monomials with a_k < k: that is every such monomial
+        basis = _artin_basis(n)
+        assert len(set(basis)) == len(basis) == math.factorial(n)
+        top = var_index(f"x{n}")
+        for m in basis:
+            (exps,) = m.terms
+            assert m.terms[exps] == 1
+            exps = exps + (0,) * (top + 1 - len(exps))
+            assert len(exps) == top + 1
+            assert exps[:var_index("x1")] == (0, 0)
+            assert all(exps[var_index(f"x{k}")] < k for k in range(1, n + 1))
 
 
 class TestIdempotents:
