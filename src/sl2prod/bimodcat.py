@@ -61,20 +61,17 @@ class WeightedAlgebra:
 
 
 class Component:
-    """One weight component: a based free module with left action matrices."""
-    __slots__ = ("basis", "left")
+    """One weight component: a free module of rank ``rank`` with left action
+    matrices."""
+    __slots__ = ("rank", "left")
 
-    def __init__(self, basis: tuple, left: dict):
-        self.basis = basis
+    def __init__(self, rank: int, left: dict):
+        self.rank = rank
         self.left = left  # generator name -> Matrix over the source base ring
-
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
 
 
 class Bimodule:
-    """A weight-graded free bimodule with explicit ordered bases."""
+    """A weight-graded free bimodule of finite rank at each weight."""
 
     def __init__(self, algebra: WeightedAlgebra, shift: int, components: dict):
         self.algebra = algebra
@@ -85,7 +82,7 @@ class Bimodule:
                 continue
             comp = components.get(lam)
             if comp is None:
-                comp = Component((), {v: Matrix.zero(algebra.field, 0, 0)
+                comp = Component(0, {v: Matrix.zero(algebra.field, 0, 0)
                                       for v in algebra.support[lam + shift]})
             self.components[lam] = comp
 
@@ -95,10 +92,6 @@ class Bimodule:
     def rank(self, lam: int) -> int:
         comp = self.components.get(lam)
         return comp.rank if comp else 0
-
-    def basis(self, lam: int):
-        comp = self.components.get(lam)
-        return comp.basis if comp else ()
 
     def left_matrix(self, lam: int, var: str) -> Matrix:
         """The left action of a generator of the base ring at lam + shift."""
@@ -169,7 +162,7 @@ def regular_bimodule(algebra: WeightedAlgebra) -> Bimodule:
         left = {}
         for v in algebra.support[lam]:
             left[v] = Matrix.from_rows(algebra.field, [[Poly.var(algebra.field, v)]])
-        comps[lam] = Component(("A",), left)
+        comps[lam] = Component(1, left)
     return Bimodule(algebra, 0, comps)
 
 
@@ -185,10 +178,9 @@ def tensor_over_A(M: Bimodule, N: Bimodule) -> Bimodule:
         mid = lam + N.shift
         if lam + shift not in A or mid not in A:
             continue  # no component, or a rank-zero one
-        basis = tuple((bm, bn) for bm in M.basis(mid) for bn in N.basis(lam))
         left = {v: tensor_id_right(M.left_matrix(mid, v), N, lam)
                 for v in A.support[lam + shift]}
-        comps[lam] = Component(basis, left)
+        comps[lam] = Component(M.rank(mid) * N.rank(lam), left)
     return Bimodule(A, shift, comps)
 
 
@@ -209,12 +201,10 @@ class SumBimodule(Bimodule):
         for lam in A.weights():
             if lam + shift not in A:
                 continue
-            basis = tuple((k, b) for k, s in enumerate(summands)
-                          for b in s.basis(lam))
             left = {v: block_diagonal(A.field, [s.left_matrix(lam, v)
                                                 for s in summands])
                     for v in A.support[lam + shift]}
-            comps[lam] = Component(basis, left)
+            comps[lam] = Component(sum(s.rank(lam) for s in summands), left)
         super().__init__(A, shift, comps)
         self.summands = list(summands)
 
@@ -272,9 +262,6 @@ class BimoduleMap:
             return NotImplemented
         return all(self.matrix(lam) == other.matrix(lam)
                    for lam in set(self.mats) | set(other.mats))
-
-    def __hash__(self):
-        return hash((id(self.dom), id(self.cod)))
 
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.mats.values())

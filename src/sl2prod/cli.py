@@ -14,12 +14,13 @@ from .polyring import Poly, QQ, divided_difference, h_complete, make_field
 from .nilhecke import NilHeckeElt, divided_power_idempotents, normalize
 from .bimodcat import certify_iso, record
 from .tworep import check_hecke, check_hypotheses, make_L1, rep_from_json
-from .product import (build_product, check_construction, check_eta22_identity,
-                      check_omega3_linearity, check_product_hecke,
-                      eps_xi_F_closed, eps_xi_F_oracle, F_xi_eta_closed,
-                      F_xi_eta_oracle, tilde_rho, tilde_sigma_closed,
-                      tilde_sigma_oracle, triangular_certificate)
-from .product.core import CORNERS
+from .product.core import (CORNERS, build_product, check_construction,
+                           eps_xi_F_closed, F_xi_eta_closed,
+                           tilde_sigma_closed)
+from .product.oracles import (check_eta22_identity, check_omega3_linearity,
+                              check_product_hecke, eps_xi_F_oracle,
+                              F_xi_eta_oracle, tilde_sigma_oracle)
+from .product.rho import tilde_rho, triangular_certificate
 
 
 class ConfigError(ValueError):

@@ -189,13 +189,12 @@ class Poly:
     ``terms`` maps exponent tuples on the global variable order (position k
     is ``var_name(k)``, no tuple ends in a zero) to nonzero coefficients."""
 
-    __slots__ = ("field", "terms", "_hash")
+    __slots__ = ("field", "terms")
 
     def __init__(self, field, terms: Mapping[tuple, object]):
         self.field = field
         # callers pass exponent tuples without trailing zeros
         self.terms = {e: c for e, c in terms.items() if c != field.zero}
-        self._hash = None
 
     # -- constructors
 
@@ -291,9 +290,7 @@ class Poly:
         return self.terms == self._operand(other).terms
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.field, frozenset(self.terms.items())))
-        return self._hash
+        return hash((self.field, frozenset(self.terms.items())))
 
     # -- substitution and specialization
 

@@ -17,7 +17,7 @@ from ..polyring import Poly
 from ..tworep import _memoized, check_hypotheses, self_pow, sigma, xi_eta
 from .elements import Elt, apply_map, basis_elt, elem_tensor, join, zero_elt
 from .models import (CORNER_MODELS, G1Elt, G2Elt, act_G1_on_G2,
-                     compose_G1, one_G1, tau22)
+                     compose_G1, one_G1)
 
 # Corner order of the commutator maps and of the reports.
 CORNERS = ("11", "21", "12", "22")
@@ -203,36 +203,22 @@ def _check_actions(P: ProductRep):
 # closed forms: single-step and power maps, crossing
 # ---------------------------------------------------------------------------
 
-def tilde_x_pow(P: ProductRep, i: int, corner: str) -> BimoduleMap:
-    """The i-th power of the dot map on a one-step corner, in closed form.
+def tilde_x_pow(P: ProductRep, i: int) -> BimoduleMap:
+    """The i-th power of the dot map on the degree +1 corner, in closed form.
 
     A power x_k^i at one factor is h_i of the single variable x_k."""
     r = P.Vy
-    if corner == "11":
-        return self_pow(r, i)
-    if corner == "12":
-        return r.h_xy("EE", i, [2], extra_y=False)
     yi = Poly.var(r.A.field, "y") ** i if i else Poly.one(r.A.field)
-    if corner == "21":
-        entries = {
-            (0, 0): r.scalar("", yi),
-            (1, 0): compose(r.h_xy("FE", i - 1, [1]), r.eta),
-            (1, 1): r.h_xy("FE", i, [1], extra_y=False),
-        }
-        return direct_sum_maps(P.S["11"], P.S["11"], entries)
-    if corner == "22":
-        entries = {
-            (0, 0): self_pow(r, i),
-            (0, 1): -r.h_xy("E", i - 1, [1]),
-            (1, 1): r.scalar("E", yi),
-            (2, 0): compose(r.h_xy("FEE", i - 1, [1, 2], extra_y=False),
-                            r.eta_at("E", 0)),
-            (2, 1): -compose(r.h_xy("FEE", i - 2, [1, 2]),
-                             r.eta_at("E", 0)),
-            (2, 2): r.h_xy("FEE", i, [2], extra_y=False),
-        }
-        return direct_sum_maps(P.S["12"], P.S["12"], entries)
-    raise ShapeMismatchError(f"unknown corner {corner}")
+    entries = {
+        (0, 0): self_pow(r, i),
+        (0, 1): -r.h_xy("E", i - 1, [1]),
+        (1, 1): r.scalar("E", yi),
+        (2, 0): compose(r.h_xy("FEE", i - 1, [1, 2], extra_y=False),
+                        r.eta_at("E", 0)),
+        (2, 1): -compose(r.h_xy("FEE", i - 2, [1, 2]), r.eta_at("E", 0)),
+        (2, 2): r.h_xy("FEE", i, [2], extra_y=False),
+    }
+    return direct_sum_maps(P.S["12"], P.S["12"], entries)
 
 
 def tilde_x_step_21(P: ProductRep, g: G1Elt) -> G1Elt:
@@ -264,9 +250,10 @@ def tau21(P: ProductRep, g: G2Elt) -> G2Elt:
     return G2Elt(r, g.weight, z, g.a, c)
 
 
-def tilde_tau(P: ProductRep, corner: str):
-    """The crossing on a square corner: a matrix map for the three free
-    corners, and the elementwise callable for the constrained corner."""
+def tilde_tau(P: ProductRep, corner: str) -> BimoduleMap:
+    """The crossing on a free square corner as a matrix map; the
+    constrained corner 22 has the elementwise crossing
+    :func:`~sl2prod.product.models.tau22`."""
     r = P.Vy
     if corner == "11":
         return r.tau_at("EE", 1)
@@ -278,8 +265,6 @@ def tilde_tau(P: ProductRep, corner: str):
             (2, 2): r.tau_at("FEE", 1),
         }
         return direct_sum_maps(P.S["12"], P.S["12"], entries)
-    if corner == "22":
-        return tau22
     raise ShapeMismatchError(f"unknown corner {corner}")
 
 

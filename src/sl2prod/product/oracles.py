@@ -366,7 +366,7 @@ def check_product_hecke(P: ProductRep):
               r.x_at("EEE", 3), identity_map(r.word("EEE")))
 
     T21 = tilde_tau(P, "21")
-    Xout21 = tilde_x_pow(P, 1, "22")
+    Xout21 = tilde_x_pow(P, 1)
 
     def col_xin(w, j):
         g = P.sum_basis("12", w)[j]
@@ -375,7 +375,6 @@ def check_product_hecke(P: ProductRep):
     Xin21 = _columnwise(P, P.S["12"], P.S["12"], col_xin, "xin21")
     relations("21", T21, Xin21, Xout21, identity_map(P.S["12"]))
 
-    T22 = tilde_tau(P, "22")
     spanning_all_zero = True
     for w in P.weights():
         span = []
@@ -390,7 +389,7 @@ def check_product_hecke(P: ProductRep):
         for v in span:
             if not v.is_zero():
                 spanning_all_zero = False
-            if not T22(T22(v)).is_zero():
+            if not tau22(tau22(v)).is_zero():
                 out.append(record("hecke[22]: tau^2 = 0", False,
                                   f"weight {w}"))
                 return out

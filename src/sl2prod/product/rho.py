@@ -16,8 +16,7 @@ provided, and each returns a :func:`~sl2prod.bimodcat.record`:
   the ``steps`` of :func:`_layout` (base, shape, group and factor), run in
   the listed order, so the order that picks a failing input's witness is
   stated once.  A failure is raised inside this module as
-  :class:`NotTriangularError` or :class:`DiagonalNotIsoError` and becomes
-  the record's witness.
+  :class:`CertificateError` and becomes the record's witness.
 """
 
 from ..bimodcat import BimoduleMap, certify_iso, record
@@ -29,16 +28,11 @@ from .core import (C_WORDS, CORNERS, MU_SHIFT, T_WORDS, ProductRep,
                    tilde_sigma_closed, eps_xi_F_closed, F_xi_eta_closed)
 from .models import CORNER_MODELS
 
-__all__ = ["RhoMap", "tilde_rho", "triangular_certificate"]
 
-
-class NotTriangularError(ValueError):
-    """A claimed-zero block of the permuted matrix is nonzero, or a claimed
-    factorization of a block fails."""
-
-
-class DiagonalNotIsoError(ValueError):
-    """A diagonal block of the permuted matrix is not an isomorphism."""
+class CertificateError(ValueError):
+    """A step of a triangular certificate fails: a diagonal block is not an
+    isomorphism, a claimed-zero block is nonzero, or a claimed factorization
+    of a block fails."""
 
 
 class RhoMap:
@@ -242,7 +236,7 @@ def _corner_certificate(P, corner, lam, mu):
         if kind == "base":
             cert = certify_iso(rho(r, mu), f"rho_{mu} iso")
             if cert["status"] != "pass":
-                raise DiagonalNotIsoError(
+                raise CertificateError(
                     f"{where}: one-step commutator at internal weight {mu} "
                     f"is not iso: {cert['witness']}")
             out["base"] = cert["dets"]
@@ -251,18 +245,18 @@ def _corner_certificate(P, corner, lam, mu):
                 for b, (_, cols) in enumerate(groups):
                     if ((b > a if lower else b < a)
                             and not pick(m, rows, cols).is_zero()):
-                        raise NotTriangularError(
+                        raise CertificateError(
                             f"{where}: block (group {a}, group {b}) is "
                             f"nonzero")
         elif kind == "group":
             a = len(out["diag"])
             blk = pick(m, *groups[a])
             if blk.nrows != blk.ncols:
-                raise DiagonalNotIsoError(
+                raise CertificateError(
                     f"{where}: diagonal block {a} is {blk.nrows}x{blk.ncols}")
             det = bareiss_determinant(blk)
             if det.is_zero() or not det.is_constant():
-                raise DiagonalNotIsoError(
+                raise CertificateError(
                     f"{where}: diagonal block {a} has determinant {det}")
             out["diag"].append(str(det))
         else:
@@ -275,7 +269,7 @@ def _corner_certificate(P, corner, lam, mu):
             block = pick(m, _indices(row_sizes, rows),
                          _indices(col_sizes, cols))
             if block != (F @ bmat if left else bmat @ F):
-                raise NotTriangularError(
+                raise CertificateError(
                     f"{where}: factorization through the internal "
                     f"commutator fails")
     return out
@@ -309,6 +303,6 @@ def triangular_certificate(P: ProductRep, lam: int) -> dict:
             mu = lam + MU_SHIFT[c]
             corners[c] = (_corner_certificate(P, c, lam, mu) if mu in P.Vy.A
                           else {"diag": [], "base": {}})
-    except (NotTriangularError, DiagonalNotIsoError) as e:
+    except CertificateError as e:
         return record(name, False, e)
     return record(name, True, corners=corners)

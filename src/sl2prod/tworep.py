@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 
-from .polyring import Poly, QQ, parse_poly, var_index
+from .polyring import Poly, QQ, parse_poly, var_name
 from .matrixops import (Matrix, adjugate, bareiss_determinant, block_matrix,
                         offsets, pick)
 from .bimodcat import (
@@ -41,13 +41,11 @@ def restrict_algebra(A: WeightedAlgebra, mu: int,
     return WeightedAlgebra(A.field, {w: A.support[w] for w in ws})
 
 
-def restrict_at(M: Bimodule, mu: int, algebra=None) -> Bimodule:
-    """Restrict a bimodule to the single source weight ``mu``, keeping the
-    target weight ``mu + shift`` in the base algebra so the left action
-    survives the restriction.  Summands of one sum pass one shared
-    ``algebra = restrict_algebra(M.algebra, mu, M.shift)``."""
-    if algebra is None:
-        algebra = restrict_algebra(M.algebra, mu, M.shift)
+def restrict_at(M: Bimodule, mu: int, algebra: WeightedAlgebra) -> Bimodule:
+    """Restrict a bimodule to the single source weight ``mu`` over
+    ``algebra = restrict_algebra(M.algebra, mu, M.shift)``, which keeps the
+    target weight ``mu + shift`` so the left action survives the
+    restriction.  Summands of one sum share one such algebra."""
     comps = {mu: M.components[mu]} if mu in M.components else {}
     return Bimodule(algebra, M.shift, comps)
 
@@ -313,8 +311,7 @@ def left_dual(E: Bimodule):
                     f"no variable of the base ring at {lam} acts as {v}")
             else:
                 left[v] = Matrix.zero(field, 0, 0)
-        basis = tuple(f"{b}^" for b in E.basis(src))
-        comps[lam] = Component(basis, left)
+        comps[lam] = Component(r, left)
     F = Bimodule(A, -E.shift, comps)
     # eps: E (x) F -> A, evaluation on dual bases
     EF = tensor_over_A(E, F)
@@ -357,7 +354,7 @@ def make_L1(field=QQ) -> TwoRep:
     """
     A = WeightedAlgebra(field, {-1: ("u",), 1: ("u",)})
     u = Poly.var(field, "u")
-    comps = {-1: Component(("e",), {"u": Matrix.from_rows(field, [[u]])})}
+    comps = {-1: Component(1, {"u": Matrix.from_rows(field, [[u]])})}
     E = Bimodule(A, 2, comps)
     x = BimoduleMap(E, E, {-1: Matrix.from_rows(field, [[u]])})
     EE = tensor_over_A(E, E)
@@ -536,7 +533,7 @@ def rep_to_json(rep: TwoRep) -> dict:
         "weights": {str(w): list(v) for w, v in rep.A.support.items()},
         "E": {
             str(lam): {
-                "basis": list(E.basis(lam)),
+                "basis": [f"e{k}" for k in range(E.rank(lam))],
                 "left": {v: mat_to_json(E.left_matrix(lam, v))
                          for v in rep.A.support[lam + 2]},
             }
@@ -549,21 +546,29 @@ def rep_to_json(rep: TwoRep) -> dict:
 
 
 def rep_from_json(data: dict, field=QQ) -> TwoRep:
-    """Read the schema of :func:`rep_to_json`.  y is reserved for the
-    product: a weight ring or an entry with y raises ValueError, and so does
-    a left action named after anything but a generator of its target ring."""
-    y = var_index("y")
+    """Read the schema of :func:`rep_to_json`; a ``"basis"`` list is read
+    only for its length.  y is reserved for the product: a weight ring or an
+    entry with y raises ValueError.  So does a left action named after
+    anything but a generator of its target ring, and an entry at weight lam
+    (of x, tau or a left action matrix) that names a variable outside the
+    ring at lam."""
 
-    def entry(text):
+    def entry(text, lam):
         p = parse_poly(text, field)
-        if any(len(e) > y and e[y] for e in p.terms):
+        names = {var_name(k) for e in p.terms for k, n in enumerate(e) if n}
+        if "y" in names:
             raise ValueError(f"entry {text!r} involves the reserved y")
+        foreign = sorted(names - set(support.get(lam, ())))
+        if foreign:
+            raise ValueError(f"entry {text!r} at weight {lam} names "
+                             f"{foreign[0]!r}, not a generator of the weight "
+                             f"ring at {lam}")
         return p
 
-    def mat_from_json(rows, nrows, ncols):
+    def mat_from_json(rows, lam, n):
         if not rows:
-            return Matrix.zero(field, nrows, ncols)
-        return Matrix.from_rows(field, [[entry(s) for s in row]
+            return Matrix.zero(field, n, n)
+        return Matrix.from_rows(field, [[entry(s, lam) for s in row]
                                         for row in rows])
 
     support = {int(w): tuple(v) for w, v in data["weights"].items()}
@@ -574,21 +579,21 @@ def rep_from_json(data: dict, field=QQ) -> TwoRep:
     comps = {}
     for lam_s, cdata in data.get("E", {}).items():
         lam = int(lam_s)
-        basis = tuple(cdata["basis"])
-        r = len(basis)
+        r = len(cdata["basis"])
         gens = support.get(lam + 2, ())
         for v in cdata["left"]:
             if v not in gens:
                 raise ValueError(f"left action at weight {lam} names {v!r}, "
                                  "not a generator of the weight ring at "
                                  f"{lam + 2}")
-        left = {v: mat_from_json(rows, r, r) for v, rows in cdata["left"].items()}
-        comps[lam] = Component(basis, left)
+        left = {v: mat_from_json(rows, lam, r)
+                for v, rows in cdata["left"].items()}
+        comps[lam] = Component(r, left)
     E = Bimodule(A, 2, comps)
-    x_mats = {int(l): mat_from_json(rows, E.rank(int(l)), E.rank(int(l)))
+    x_mats = {int(l): mat_from_json(rows, int(l), E.rank(int(l)))
               for l, rows in data.get("x", {}).items()}
     x = BimoduleMap(E, E, x_mats)
     EE = tensor_over_A(E, E)
-    tau_mats = {int(l): mat_from_json(rows, EE.rank(int(l)), EE.rank(int(l)))
+    tau_mats = {int(l): mat_from_json(rows, int(l), EE.rank(int(l)))
                 for l, rows in data.get("tau", {}).items()}
     return TwoRep(A, E, x, BimoduleMap(EE, EE, tau_mats))

@@ -1,7 +1,7 @@
 import pytest
 
 from sl2prod.tworep import make_L1
-from sl2prod.product import build_product, check_construction
+from sl2prod.product.core import build_product, check_construction
 
 
 @pytest.fixture(scope="session")

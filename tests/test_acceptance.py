@@ -39,13 +39,13 @@ def test_criterion_2_input_rep():
 
 
 def test_criterion_3_product_hecke(P):
-    from sl2prod.product import check_product_hecke
+    from sl2prod.product.oracles import check_product_hecke
     records = timed(lambda: check_product_hecke(P), 30)
     assert failures(records) == []
 
 
 def test_criterion_4_sigma_oracle_equivalence(P):
-    from sl2prod.product import tilde_sigma_closed
+    from sl2prod.product.core import tilde_sigma_closed
     from sl2prod.product.oracles import tilde_sigma_oracle
 
     def go():
@@ -55,7 +55,7 @@ def test_criterion_4_sigma_oracle_equivalence(P):
 
 
 def test_criterion_5_pairing_oracle_equivalence(P):
-    from sl2prod.product import F_xi_eta_closed, eps_xi_F_closed
+    from sl2prod.product.core import F_xi_eta_closed, eps_xi_F_closed
     from sl2prod.product.oracles import F_xi_eta_oracle, eps_xi_F_oracle
 
     def go():
@@ -69,12 +69,12 @@ def test_criterion_5_pairing_oracle_equivalence(P):
 
 
 def test_criterion_6_unit_element(P):
-    from sl2prod.product import check_eta22_identity
+    from sl2prod.product.oracles import check_eta22_identity
     assert failures(check_eta22_identity(P)) == []
 
 
 def test_criterion_7_omega3_middle_linearity(P):
-    from sl2prod.product import check_omega3_linearity
+    from sl2prod.product.oracles import check_omega3_linearity
     records = timed(lambda: check_omega3_linearity(P), 5)
     assert failures(records) == []
 

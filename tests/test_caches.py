@@ -14,14 +14,15 @@ from sl2prod.bimodcat import Bimodule, SumBimodule
 from sl2prod.cli import suite_build_product, suite_check_rho, suite_identities
 from sl2prod.matrixops import Matrix
 from sl2prod.polyring import QQ, Poly
-from sl2prod.product import (build_product, check_omega3_linearity,
-                             eps_xi_F_closed, eps_xi_F_oracle,
-                             F_xi_eta_closed, F_xi_eta_oracle, omega3_map,
-                             tilde_rho, tilde_sigma_closed,
-                             tilde_sigma_oracle)
 from sl2prod.product import core, elements, gammas, oracles
 from sl2prod.product import rho as rho_mod
-from sl2prod.product.core import C_WORDS, CORNERS, T_WORDS
+from sl2prod.product.core import (C_WORDS, CORNERS, T_WORDS, build_product,
+                                  eps_xi_F_closed, F_xi_eta_closed,
+                                  tilde_sigma_closed)
+from sl2prod.product.gammas import omega3_map
+from sl2prod.product.oracles import (check_omega3_linearity, eps_xi_F_oracle,
+                                     F_xi_eta_oracle, tilde_sigma_oracle)
+from sl2prod.product.rho import tilde_rho
 from sl2prod.product.models import CORNER_MODELS
 from sl2prod.product.elements import Elt, basis_elt, elem_tensor
 from sl2prod.tworep import make_L1, sigma

@@ -121,6 +121,25 @@ class TestExitCodes:
         assert err == ("error: malformed representation data: entry "
                        "'u + y^2' involves the reserved y\n")
 
+    @pytest.mark.parametrize("command", ["check-rho", "verify-all"])
+    def test_variable_outside_weight_ring_is_input_error(self, capsys,
+                                                         command):
+        # L(1) with x = x1 at weight -1, whose ring is k[u]: the left
+        # action of x1 is undefined, so the input is unusable
+        rep = str(GOLDEN / "l1_x1.json")
+        assert main([command, "--rep", rep]) == 2
+        assert capsys.readouterr().err == (
+            "error: malformed representation data: entry 'x1' at weight -1 "
+            "names 'x1', not a generator of the weight ring at -1\n")
+
+    def test_left_action_entry_outside_weight_ring_is_input_error(
+            self, capsys, tmp_path):
+        rep = self.rep_with(tmp_path, left="u + x2")
+        assert main(["check-rep", "--rep", rep]) == 2
+        assert capsys.readouterr().err == (
+            "error: malformed representation data: entry 'u + x2' at weight "
+            "-1 names 'x2', not a generator of the weight ring at -1\n")
+
     @pytest.mark.parametrize("command", REP_COMMANDS)
     @pytest.mark.parametrize("entry", ["u+", "u^", "(", "", "u*"])
     def test_truncated_entry_is_input_error(self, capsys, tmp_path, command,

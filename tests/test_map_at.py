@@ -3,7 +3,7 @@
 ``tworep.commutator_at`` restricts each word module to the one weight a
 commutator map lives at and sums the restricted summands.  The references below are the
 earlier assembly: sum the full word modules, then restrict the sum.  Both
-must give the same matrices and, at that weight, the same bases and left
+must give the same matrices and, at that weight, the same ranks and left
 actions on the domain and the codomain.
 """
 
@@ -12,14 +12,14 @@ import pytest
 from sl2prod.bimodcat import BimoduleMap, SumBimodule
 from sl2prod.matrixops import Matrix, block_matrix
 from sl2prod.polyring import make_field
-from sl2prod.product import build_product
-from sl2prod.product.core import (CORNERS, T_WORDS, eps_xi_F_closed,
+from sl2prod.product.core import (CORNERS, T_WORDS, build_product,
+                                  eps_xi_F_closed,
                                   F_xi_eta_closed, tilde_sigma_closed,
                                   word_sum)
 from sl2prod.product.models import CORNER_MODELS
 from sl2prod.product.rho import _corner_rho
-from sl2prod.tworep import (eps_xi, make_L1, restrict_at, rho, sigma,
-                            xi_eta)
+from sl2prod.tworep import (eps_xi, make_L1, restrict_algebra, restrict_at,
+                            rho, sigma, xi_eta)
 
 from test_tworep import corrupted_rep
 
@@ -27,22 +27,28 @@ WEIGHTS = range(-6, 7)
 PAIR_WORD = {"11": "", "21": "F", "12": "E"}
 
 
+def restricted(M, mu):
+    """M restricted to the source weight mu over its own restricted
+    algebra."""
+    return restrict_at(M, mu, restrict_algebra(M.algebra, mu, M.shift))
+
+
 def ref_rho(rep, lam):
     field = rep.A.field
     EF, FE = SumBimodule([rep.word("EF")]), SumBimodule([rep.word("FE")])
     if lam not in rep.A:
-        return BimoduleMap(restrict_at(EF, lam), restrict_at(FE, lam), {})
+        return BimoduleMap(restricted(EF, lam), restricted(FE, lam), {})
     sig = sigma(rep)
     if lam >= 0:
         rows = [sig.matrix(lam)] + [eps_xi(rep, i).matrix(lam)
                                     for i in range(lam)]
         cod = SumBimodule([rep.word("FE")] + [rep.word("")] * lam)
-        return BimoduleMap(restrict_at(EF, lam), restrict_at(cod, lam),
+        return BimoduleMap(restricted(EF, lam), restricted(cod, lam),
                            {lam: block_matrix(field, [[r] for r in rows])})
     cols = [sig.matrix(lam)] + [xi_eta(rep, i).matrix(lam)
                                 for i in range(-lam)]
     dom = SumBimodule([rep.word("EF")] + [rep.word("")] * (-lam))
-    return BimoduleMap(restrict_at(dom, lam), restrict_at(FE, lam),
+    return BimoduleMap(restricted(dom, lam), restricted(FE, lam),
                        {lam: block_matrix(field, [cols])})
 
 
@@ -69,8 +75,8 @@ def ref_corner_rho(P, corner, lam):
         cod_words += extra
     else:
         dom_words += extra
-    dom = restrict_at(word_sum(r, dom_words), mu)
-    cod = restrict_at(word_sum(r, cod_words), mu)
+    dom = restricted(word_sum(r, dom_words), mu)
+    cod = restricted(word_sum(r, cod_words), mu)
     if mu not in r.A:
         return BimoduleMap(dom, cod, {})
     smat = tilde_sigma_closed(P, corner).matrix(mu)
@@ -101,7 +107,7 @@ def assert_same(got, want):
         assert g.shift == w.shift
         assert g.weights() == w.weights()
         for lam in w.weights():
-            assert g.basis(lam) == w.basis(lam)
+            assert g.rank(lam) == w.rank(lam)
             assert g.components[lam].left == w.components[lam].left
 
 

@@ -5,11 +5,11 @@ import random
 import pytest
 
 from sl2prod.polyring import Poly
-from sl2prod.product import (Elt, G1Elt, G2Elt, L2Elt, UElt,
-                             NotInModelError, act_G1_on_G2, basis_elt,
-                             compose_G1, decompose_first, elem_tensor, one_G1,
-                             tau22, zero_elt)
-from sl2prod.product.models import gamma22_EE_G1EE
+from sl2prod.product.elements import (Elt, NotInModelError, basis_elt,
+                                      elem_tensor, zero_elt)
+from sl2prod.product.models import (G1Elt, G2Elt, L2Elt, UElt, act_G1_on_G2,
+                                    compose_G1, decompose_first,
+                                    gamma22_EE_G1EE, one_G1, tau22)
 
 
 def rand_elt(P, rng, word, w):

@@ -18,8 +18,9 @@ import pytest
 
 from sl2prod.bimodcat import record
 from sl2prod.polyring import QQ, Poly, make_field
-from sl2prod.product import build_product, check_omega3_linearity
 from sl2prod.product import gammas, oracles
+from sl2prod.product.core import build_product
+from sl2prod.product.oracles import check_omega3_linearity
 from sl2prod.product.elements import Elt
 from sl2prod.product.models import G2Elt, L2Elt
 from sl2prod.tworep import make_L1, rep_from_json

@@ -6,14 +6,15 @@ from pathlib import Path
 import pytest
 
 from sl2prod.bimodcat import compose
-from sl2prod.product import (F_xi_eta_closed, G2Elt, apply_map, basis_elt,
-                             build_product, check_construction,
-                             check_eta22_identity,
-                             check_omega3_linearity, check_product_hecke,
-                             eps_xi_F_closed, tilde_sigma_closed, zero_elt)
-from sl2prod.product.core import tau21, tilde_x_pow
-from sl2prod.product.models import gamma21_EE_G1E, one_G1
-from sl2prod.product.oracles import (F_xi_eta_oracle, eps_xi_F_oracle,
+from sl2prod.product import core
+from sl2prod.product.core import (F_xi_eta_closed, build_product,
+                                  check_construction, eps_xi_F_closed, tau21,
+                                  tilde_sigma_closed, tilde_x_pow)
+from sl2prod.product.elements import apply_map, basis_elt, zero_elt
+from sl2prod.product.models import G2Elt, gamma21_EE_G1E, one_G1
+from sl2prod.product.oracles import (F_xi_eta_oracle, check_eta22_identity,
+                                     check_omega3_linearity,
+                                     check_product_hecke, eps_xi_F_oracle,
                                      tilde_sigma_oracle)
 from sl2prod.tworep import rep_from_json
 
@@ -41,6 +42,42 @@ class TestBuild:
             "status": "fail",
             "witness": "input hypotheses fail: rho_-2 iso; rho_0 iso; "
                        "rho_2 iso"}
+
+    @staticmethod
+    def gate_witness(V):
+        record = check_construction(build_product(V))
+        assert record["status"] == "fail"
+        return record["witness"]
+
+    def test_broken_end_algebra_fails_associativity(self, V, monkeypatch):
+        # doubling the (11)(12) product breaks ((11)(11))(12) = (11)((11)(12))
+        mult = core.c_mult
+
+        def doubled(P, ca, a, cb, b):
+            k, out = mult(P, ca, a, cb, b)
+            return k, out + out if (ca, cb) == ("11", "12") else out
+        monkeypatch.setattr(core, "c_mult", doubled)
+        assert self.gate_witness(V) == (
+            "end algebra associativity fails at weight 0: (11)(11)(12)")
+
+    def test_doubled_action_fails_unit(self, V, monkeypatch):
+        act = core.act_G1_on_G2
+        monkeypatch.setattr(core, "act_G1_on_G2",
+                            lambda g, c: act(g, c) + act(g, c))
+        assert self.gate_witness(V) == (
+            "unit action fails on degree +1 corner at weight 0")
+
+    def test_unital_non_multiplicative_action_fails_compatibility(
+            self, V, monkeypatch):
+        # the unit still acts as the identity, every other element twice
+        act = core.act_G1_on_G2
+
+        def doubled_off_unit(g, c):
+            out = act(g, c)
+            return out if c == one_G1(c.rep, c.weight) else out + out
+        monkeypatch.setattr(core, "act_G1_on_G2", doubled_off_unit)
+        assert self.gate_witness(V) == (
+            "action compatibility fails at weight 0")
 
 
 class TestHecke:
@@ -72,13 +109,12 @@ class TestClosedForms:
     def test_F_xi_eta_closed_equals_oracle(self, P, corner, i):
         assert F_xi_eta_closed(P, i, corner) == F_xi_eta_oracle(P, i, corner)
 
-    @pytest.mark.parametrize("corner", CORNERS)
-    def test_x_power_consistency(self, P, corner):
-        one = tilde_x_pow(P, 1, corner)
-        acc = tilde_x_pow(P, 0, corner)
+    def test_x_power_consistency(self, P):
+        one = tilde_x_pow(P, 1)
+        acc = tilde_x_pow(P, 0)
         for i in range(4):
             acc = compose(one, acc)
-            assert acc == tilde_x_pow(P, i + 1, corner)
+            assert acc == tilde_x_pow(P, i + 1)
 
 
 class TestExamples:

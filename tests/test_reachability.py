@@ -92,7 +92,6 @@ ALLOWED = {
     "bimodcat.WeightedAlgebra.__hash__": DUNDER,
     "bimodcat.WeightedAlgebra.__repr__": DUNDER,
     "bimodcat.Bimodule.__repr__": DUNDER,
-    "bimodcat.BimoduleMap.__hash__": DUNDER,
     "bimodcat.BimoduleMap.__repr__": DUNDER,
     "bimodcat.inverse_map": CERT,
     "matrixops.Matrix.__hash__": DUNDER,

@@ -8,7 +8,7 @@ from sl2prod.bimodcat import BimoduleMap, certify_iso
 from sl2prod.matrixops import Matrix
 from sl2prod.polyring import QQ, Poly, parse_poly
 from sl2prod.product import rho as rho_mod
-from sl2prod.product import tilde_sigma_oracle
+from sl2prod.product.oracles import tilde_sigma_oracle
 from sl2prod.product.rho import tilde_rho, triangular_certificate
 
 CORNERS = ("11", "21", "12", "22")
