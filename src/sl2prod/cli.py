@@ -10,7 +10,7 @@ import json
 import sys
 
 from . import __version__
-from .polyring import Poly, QQ, divided_difference, h_complete, make_field
+from .polyring import Poly, divided_difference, h_complete, make_field
 from .nilhecke import NilHeckeElt, divided_power_idempotents, normalize
 from .bimodcat import certify_iso, record
 from .tworep import check_hecke, check_hypotheses, make_L1, rep_from_json
@@ -31,7 +31,7 @@ class ConfigError(ValueError):
 # suites
 # ---------------------------------------------------------------------------
 
-def suite_identities(field=QQ, i_max: int = 8):
+def suite_identities(field, i_max: int):
     """Symmetric-polynomial facts, the crossing-chain identity, and the
     divided-power idempotent relations.
 
@@ -119,16 +119,16 @@ def suite_identities(field=QQ, i_max: int = 8):
     return out
 
 
-def suite_check_rep(rep, window=(-4, 4)):
+def suite_check_rep(rep, window):
     """The nil affine Hecke relations, structural hypotheses, and one-step
     commutator isomorphisms of the input representation."""
     out = [dict(r, check="hecke: " + r["check"]) for r in check_hecke(rep)]
     out += [dict(r, check="hypotheses: " + r["check"])
-            for r in check_hypotheses(rep, window=window)]
+            for r in check_hypotheses(rep, window)]
     return out
 
 
-def suite_build_product(rep, i_max: int = 4):
+def suite_build_product(rep, i_max: int):
     """Build the product and pass its construction gate, then verify the
     product Hecke relations, the closed-vs-oracle equalities, the unit
     composite, and middle-linearity.  Past a failed gate nothing runs and
@@ -161,7 +161,7 @@ def suite_build_product(rep, i_max: int = 4):
     return P, out
 
 
-def suite_check_rho(P, window=(-4, 4)):
+def suite_check_rho(P, window):
     """Both certification routes for the commutator maps, and their
     agreement, across the weight window."""
     out = []
@@ -209,8 +209,10 @@ def _load_rep(args, field):
         return rep
     except OSError as e:
         raise ConfigError(f"cannot read {args.rep}: {e}") from e
-    except (KeyError, ValueError, TypeError, AttributeError,
-            ArithmeticError) as e:
+    except KeyError as e:
+        raise ConfigError(
+            f"malformed representation data: missing key {e}") from e
+    except (ValueError, TypeError, AttributeError, ArithmeticError) as e:
         raise ConfigError(f"malformed representation data: {e}") from e
     except RecursionError as e:
         raise ConfigError("representation data nested too deeply") from e

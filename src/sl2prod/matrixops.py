@@ -99,26 +99,13 @@ class Matrix:
 
 
 def block_matrix(field, blocks) -> "Matrix":
-    """Assemble a matrix from a 2d grid of Matrix blocks (shapes must tile)."""
-    row_heights = [row[0].nrows for row in blocks]
-    col_widths = [b.ncols for b in blocks[0]] if blocks else []
-    for row in blocks:
-        for b, w in zip(row, col_widths):
-            if b.ncols != w:
-                raise ShapeMismatchError("inconsistent block widths")
-        if any(b.nrows != row[0].nrows for b in row):
-            raise ShapeMismatchError("inconsistent block heights")
-    out = Matrix(field, sum(row_heights), sum(col_widths))
-    r0 = 0
-    for row in blocks:
-        c0 = 0
-        for b in row:
-            for i in range(b.nrows):
-                for j in range(b.ncols):
-                    out.entries[r0 + i][c0 + j] = b.entries[i][j]
-            c0 += b.ncols
-        r0 += row[0].nrows
-    return out
+    """Assemble a matrix from a 2d grid of Matrix blocks: row i is as tall
+    as its first block and column j as wide as the first row's block j, and
+    a block of another shape raises ShapeMismatchError."""
+    return place_blocks(field, [row[0].nrows for row in blocks],
+                        [b.ncols for b in blocks[0]] if blocks else [],
+                        {(i, j): b for i, row in enumerate(blocks)
+                         for j, b in enumerate(row)})
 
 
 def offsets(sizes) -> list:

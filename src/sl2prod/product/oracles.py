@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from ..bimodcat import BimoduleMap, compose, identity_map, record
 from ..matrixops import Matrix, ShapeMismatchError
-from ..tworep import _memoized
+from ..tworep import _memoized, _sequence
 from .core import (ProductRep, tau21, tilde_tau, tilde_x_pow, tilde_x_step_21,
                    tilde_x_step_22)
 from .elements import Elt, apply_map, basis_elt, elem_tensor, join, zero_elt
@@ -243,16 +243,11 @@ def _x_step_E(P, e: Elt) -> Elt:
 
 
 def _iterate(P: ProductRep, key: tuple, start, step, i: int):
-    """The i-th iterate of ``step`` from ``start()``.  The iterates of a
-    column are kept in ``P._cache`` under ``key`` = (oracle, corner,
-    weight, column, ...), so a sweep over i = 0..n builds the start element
-    once and applies ``step`` n times each."""
-    its = P._cache.get(("_iterates", *key))
-    if its is None:
-        its = P._cache[("_iterates", *key)] = [start()]
-    while len(its) <= i:
-        its.append(step(P, its[-1]))
-    return its[i]
+    """The i-th iterate of ``step`` from ``start()``: one
+    :func:`~sl2prod.tworep._sequence` per column, ``key`` = (oracle,
+    corner, weight, column, ...)."""
+    return _sequence(P, ("_iterates", *key), i,
+                     lambda its: step(P, its[-1]) if its else start())
 
 
 def eps_xi_F_oracle(P: ProductRep, i: int, corner: str) -> BimoduleMap:

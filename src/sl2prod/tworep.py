@@ -63,14 +63,13 @@ def _memoized(fn):
       ``_left_dual``, ``eta``, ``eps``, ``word``, ``x_at``, ``y_at``,
       ``y_adjugate`` (the membership solver's determinant and adjugate of
       y_i, per word, factor and weight), ``tau_at``, ``eps_at``, ``eta_at``,
-      ``tau_mate``, ``xF_pow`` and ``_h_xy`` (methods), ``sigma`` and
-      ``rho`` (functions);
+      ``tau_mate`` and ``xF_pow`` (methods), ``sigma`` and ``rho``
+      (functions), and the :func:`_sequence` lists of ``h_xy``;
     * on the :class:`~sl2prod.product.core.ProductRep`:
       ``tilde_sigma_closed`` (``product.core``), ``_corner_rho``
       (``product.rho``), ``pair_basis`` and ``_eta_pairs``
-      (``product.oracles``) and ``omega3_map`` (``product.gammas``); the
-      oracles' ``_iterate`` keeps its growing lists of dot iterates in the
-      same dict.
+      (``product.oracles``) and ``omega3_map`` (``product.gammas``), and
+      the :func:`_sequence` lists of the oracles' dot iterates.
 
     Cached modules, maps and elements are shared between callers, which
     only read them."""
@@ -81,6 +80,17 @@ def _memoized(fn):
             owner._cache[key] = fn(owner, *args)
         return owner._cache[key]
     return cached
+
+
+def _sequence(owner, key, i, step):
+    """Item ``i`` of the sequence kept as a list under ``key`` in the memo
+    of ``owner``: ``step(items)`` builds the next item from the list of
+    those before it.  A sweep over i costs one step per new i, and no call
+    nests deeper than one step."""
+    items = owner._cache.setdefault(key, [])
+    while len(items) <= i:
+        items.append(step(items))
+    return items[i]
 
 
 class TwoRep:
@@ -233,28 +243,23 @@ class TwoRep:
         """The operator h_i evaluated at the listed x positions and y.
 
         xs is a list of E-factor indices (from the right); the variable y is
-        included when extra_y is True.  Built from i = 0 upward by the
-        memoized recurrence h_i(z_1..z_m) = h_i(z_1..z_(m-1)) + z_m
-        h_(i-1)(z_1..z_m), y last: one composite or y-scaling per entry, and
-        one addition unless z_1..z_(m-1) is empty (then that term is 0)."""
-        for k in range(i):
-            self._h_xy(word, k, tuple(xs), extra_y)
-        return self._h_xy(word, i, tuple(xs), extra_y)
-
-    @_memoized
-    def _h_xy(self, word: str, i: int, xs: tuple, extra_y: bool) -> BimoduleMap:
+        included when extra_y is True.  One :func:`_sequence` per (word, xs,
+        extra_y) follows the recurrence h_i(z_1..z_m) = h_i(z_1..z_(m-1)) +
+        z_m h_(i-1)(z_1..z_m), y last: one composite or y-scaling per item,
+        and one addition unless z_1..z_(m-1) is empty (then that term is 0)."""
         W = self.word(word)
-        if i == 0:
-            return identity_map(W)
-        if i < 0 or not (xs or extra_y):
+        if i < 0 or (i > 0 and not (xs or extra_y)):
             return zero_map(W, W)
-        if extra_y:
-            out = self._h_xy(word, i - 1, xs, True).scale(
-                Poly.var(self.A.field, "y"))
-            return self._h_xy(word, i, xs, False) + out if xs else out
-        out = compose(self.x_at(word, xs[-1]),
-                      self._h_xy(word, i - 1, xs, False))
-        return self._h_xy(word, i, xs[:-1], False) + out if xs[:-1] else out
+        xs = tuple(xs)
+        head = xs if extra_y else xs[:-1]
+
+        def step(hs):
+            if not hs:
+                return identity_map(W)
+            last = (hs[-1].scale(Poly.var(self.A.field, "y")) if extra_y
+                    else compose(self.x_at(word, xs[-1]), hs[-1]))
+            return self.h_xy(word, len(hs), head, False) + last if head else last
+        return _sequence(self, ("h_xy", word, xs, extra_y), i, step)
 
     def adjoin_y(self) -> "TwoRep":
         """The same representation with the central variable y adjoined:

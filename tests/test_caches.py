@@ -58,7 +58,11 @@ def counting_everywhere(monkeypatch, module, attr):
 
 
 def h_xy_entries(r):
-    return {key: f for key, f in r._cache.items() if key[0] == "_h_xy"}
+    """The memoized h_xy powers, keyed ("h_xy", word, i, xs, extra_y)."""
+    seqs = {key[1:]: fs for key, fs in r._cache.items() if key[0] == "h_xy"}
+    return {("h_xy", word, i, xs, extra_y): f
+            for (word, xs, extra_y), fs in seqs.items()
+            for i, f in enumerate(fs)}
 
 
 def test_cached_maps_survive_use():
@@ -203,7 +207,7 @@ def test_identities_make_no_long_division(monkeypatch):
     # the divided differences apply their closed form term by term
     calls = [counting(monkeypatch, mod, "exact_divide")
              for mod in (polyring, matrixops, elements)]
-    records = suite_identities(QQ)
+    records = suite_identities(QQ, 8)
     assert all(r["status"] == "pass" for r in records)
     assert calls == [[], [], []]
 
@@ -297,6 +301,37 @@ def test_first_call_at_high_i_stays_shallow():
     u = Poly.var(QQ, "u")
     assert tworep.self_pow(r, n).matrix(-1).entries == [[u ** n]]
     assert r.h_xy("E", n, [1], extra_y=False).matrix(-1).entries == [[u ** n]]
+
+
+def test_far_support_gate_is_linear_in_lam():
+    # L(1) plus one isolated weight ring at lam: rho_lam stacks lam
+    # pairings, each a dot power; building every power from 0 on each call
+    # would make the memo lookups grow quadratically in lam
+    lookups = []
+
+    class LookupCounter(dict):
+        def __contains__(self, key):
+            lookups.append(key)
+            return super().__contains__(key)
+
+        def __getitem__(self, key):
+            lookups.append(key)
+            return super().__getitem__(key)
+
+        def setdefault(self, key, default=None):
+            lookups.append(key)
+            return super().setdefault(key, default)
+
+    counts = []
+    for lam in (201, 401):
+        data = tworep.rep_to_json(make_L1())
+        data["weights"][str(lam)] = ["u"]
+        r = tworep.rep_from_json(data)
+        r._cache = LookupCounter()
+        lookups.clear()
+        tworep.check_hypotheses(r, (-1, lam))
+        counts.append(len(lookups))
+    assert counts[1] <= 2.2 * counts[0]
 
 
 def test_oracle_start_elements_built_once_per_column(monkeypatch):

@@ -59,6 +59,14 @@ class TestExitCodes:
         p.write_text('{"weights": "not a dict"}')
         assert main(["check-rep", "--rep", str(p)]) == 2
 
+    def test_missing_key_is_named(self, capsys, tmp_path):
+        p = tmp_path / "nobasis.json"
+        p.write_text('{"weights": {"-1": ["u"]}, '
+                     '"E": {"-1": {"left": {}}}}')
+        assert main(["check-rep", "--rep", str(p)]) == 2
+        assert capsys.readouterr().err == (
+            "error: malformed representation data: missing key 'basis'\n")
+
     @staticmethod
     def rep_with(tmp_path, x="u", left="u"):
         """The L(1) rep JSON with the given dot and left action of u."""
