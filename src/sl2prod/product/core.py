@@ -15,7 +15,7 @@ from ..bimodcat import (BimoduleMap, SumBimodule, compose, compose_all,
 from ..matrixops import ShapeMismatchError
 from ..polyring import Poly
 from ..tworep import _memoized, check_hypotheses, self_pow, sigma, xi_eta
-from .elements import Elt, apply_map, basis_elt, elem_tensor, join, zero_elt
+from .elements import Elt, apply_map, basis_elt, elem_tensor, join
 from .models import (CORNER_MODELS, G1Elt, G2Elt, act_G1_on_G2,
                      compose_G1, one_G1)
 
@@ -136,10 +136,9 @@ def c_mult(P: ProductRep, ca: str, a, cb: str, b):
     if key == ("21", "11"):
         return "21", a.scale(b.vec[0])
     if key == ("21", "12"):
-        return "22", G1Elt(r, b.weight, zero_elt(a.rep, "", b.weight),
-                           elem_tensor(a, b))
+        return "22", G1Elt(r, b.weight, phi1=elem_tensor(a, b))
     if key == ("22", "21"):
-        return "21", join(a.phi(), b, 1)
+        return "21", join(a.datum(), b, 1)
     if key == ("22", "22"):
         return "22", compose_G1(b, a)
     raise ShapeMismatchError(f"no product rule for corners {ca} x {cb}")
@@ -208,7 +207,7 @@ def tilde_x_pow(P: ProductRep, i: int) -> BimoduleMap:
 
     A power x_k^i at one factor is h_i of the single variable x_k."""
     r = P.Vy
-    yi = Poly.var(r.A.field, "y") ** i if i else Poly.one(r.A.field)
+    yi = Poly.var(r.A.field, "y") ** i
     entries = {
         (0, 0): self_pow(r, i),
         (0, 1): -r.h_xy("E", i - 1, [1]),
@@ -245,9 +244,8 @@ def tilde_x_step_22(P: ProductRep, g: G2Elt) -> G2Elt:
 def tau21(P: ProductRep, g: G2Elt) -> G2Elt:
     """The crossing on the degree +1 corner, elementwise."""
     r = P.Vy
-    z = zero_elt(r, "E", g.weight)
     c = apply_map(r.tau_at("FEE", 1), g.c, "FEE")
-    return G2Elt(r, g.weight, z, g.a, c)
+    return G2Elt(r, g.weight, b=g.a, c=c)
 
 
 def tilde_tau(P: ProductRep, corner: str) -> BimoduleMap:
@@ -345,7 +343,7 @@ def eps_xi_F_closed(P: ProductRep, i: int, corner: str) -> BimoduleMap:
     """Closed form of the i-th evaluation pairing on a corner."""
     r = P.Vy
     field = r.A.field
-    yi = Poly.var(field, "y") ** i if i else Poly.one(field)
+    yi = Poly.var(field, "y") ** i
     # evaluation against i dots and one framing dot: EF -> A
     if corner == "11":
         return _eps_x_y(r, i, "", "")
@@ -379,7 +377,7 @@ def F_xi_eta_closed(P: ProductRep, i: int, corner: str) -> BimoduleMap:
     """Closed form of the i-th coevaluation pairing on a corner."""
     r = P.Vy
     field = r.A.field
-    yi = Poly.var(field, "y") ** i if i else Poly.one(field)
+    yi = Poly.var(field, "y") ** i
     h_eta = _h_eta(r, i, "", "")
     if corner == "11":
         entries = {(0, 0): r.scalar("", yi), (1, 0): h_eta}

@@ -40,9 +40,11 @@ class Elt:
         return all(p.is_zero() for p in self.vec)
 
     def __add__(self, other: "Elt") -> "Elt":
-        if (self.word, self.weight) != (other.word, other.weight):
+        if (self.word, self.weight, len(self.vec)) != (
+                other.word, other.weight, len(other.vec)):
             raise ShapeMismatchError(
-                f"add {self.word}@{self.weight} to {other.word}@{other.weight}")
+                f"add {self.word}@{self.weight} of length {len(self.vec)} "
+                f"to {other.word}@{other.weight} of length {len(other.vec)}")
         return Elt(self.rep, self.word, self.weight,
                    [a + b for a, b in zip(self.vec, other.vec)])
 
@@ -60,7 +62,7 @@ class Elt:
         if not isinstance(other, Elt):
             return NotImplemented
         return (self.word == other.word and self.weight == other.weight
-                and all(a == b for a, b in zip(self.vec, other.vec)))
+                and self.vec == other.vec)
 
     def __repr__(self):
         return f"Elt({self.word!r}@{self.weight}: {[str(p) for p in self.vec]})"

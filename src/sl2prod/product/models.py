@@ -4,11 +4,15 @@ Each corner of the product 1-morphisms is presented by free word-module
 summands together with membership equations.  A model element holds the free
 coordinates on its corner's summand words (the "model form"); each class
 declares that layout once, in ``LAYOUT``, and the coordinate arithmetic, the
-zero element and the flat coordinate vector follow from it.  ``data``
-rebuilds the defining morphism data and ``from_data`` recovers the free
-coordinates by exact division, raising
-:class:`~sl2prod.product.elements.NotInModelError` when the membership
-equations fail.
+zero-filled construction and the flat coordinate vector follow from it.
+
+The membership rule is one formula: the defining morphism datum of an
+element is ``head() + y_Y . last``, where ``head()`` reads every coordinate
+but the last and y_Y is the product of the operators y_i = x_i - y for i in
+the class's ``Y``.  ``data`` returns the leading coordinates and the datum;
+``from_data`` inverts it by subtracting the head and dividing exactly by
+y_Y, raising :class:`~sl2prod.product.elements.NotInModelError` when a
+division leaves a remainder.
 """
 
 from __future__ import annotations
@@ -27,20 +31,32 @@ class ModelElt:
     """Free coordinates of a corner element, one :class:`Elt` per summand.
 
     Subclasses declare ``LAYOUT``, the (coordinate name, word) pairs of
-    their summands.  They add the defining morphism datum and its inverse,
-    ``data`` and ``from_data``.
+    their summands, ``Y``, the factors y_i that multiply the last
+    coordinate in the datum, and ``head()``, the rest of the datum.
+    Coordinates are given in layout order, then by name; any left out is
+    zero.
     """
     LAYOUT: tuple = ()
+    Y: tuple = ()
 
-    def __init__(self, rep, weight: int, *coords: Elt):
-        if len(coords) != len(self.LAYOUT):
+    def __init__(self, rep, weight: int, *coords: Elt, **named: Elt):
+        layout = self.LAYOUT
+        if len(coords) > len(layout):
             raise ShapeMismatchError(
-                f"{type(self).__name__} takes {len(self.LAYOUT)} coordinates, "
+                f"{type(self).__name__} takes {len(layout)} coordinates, "
                 f"got {len(coords)}")
         self.rep = rep
         self.weight = weight
-        for (name, _), c in zip(self.LAYOUT, coords):
+        for (name, _), c in zip(layout, coords):
             setattr(self, name, c)
+        for name, word in layout[len(coords):]:
+            c = named.pop(name, None)
+            setattr(self, name,
+                    zero_elt(rep, word, weight) if c is None else c)
+        if named:
+            raise ShapeMismatchError(
+                f"{type(self).__name__} takes no coordinate "
+                f"{', '.join(named)} here")
 
     @classmethod
     def words(cls):
@@ -50,10 +66,30 @@ class ModelElt:
     def coords(self):
         return [getattr(self, name) for name, _ in self.LAYOUT]
 
+    def datum(self) -> Elt:
+        """The defining morphism datum head() + y_Y . last."""
+        name, word = self.LAYOUT[-1]
+        t = getattr(self, name)
+        for i in self.Y:
+            t = apply_map(self.rep.y_at(word, i), t, word)
+        return self.head() + t
+
+    def data(self):
+        return (*self.coords[:-1], self.datum())
+
     @classmethod
-    def zero(cls, rep, weight: int):
-        return cls(rep, weight, *(zero_elt(rep, word, weight)
-                                  for word in cls.words()))
+    def from_data(cls, rep, *data: Elt):
+        """The element with leading coordinates ``data[:-1]`` and datum
+        ``data[-1]``: the last coordinate is (datum - head) / y_Y."""
+        *lead, datum = data
+        # the datum lies on the last word and head() does not read it, so
+        # it holds the last slot until the quotient replaces it
+        m = cls(rep, datum.weight, *lead, datum)
+        resid = datum - m.head()
+        for i in reversed(cls.Y):
+            resid = solve_op(resid, i)
+        setattr(m, cls.LAYOUT[-1][0], resid)
+        return m
 
     @classmethod
     def from_vec(cls, rep, weight: int, vec):
@@ -91,68 +127,51 @@ class ModelElt:
 
 
 class G1Elt(ModelElt):
-    """End-type corner element: free coordinates (theta, phi1)."""
+    """End-type corner element: free coordinates (theta, phi1); the datum
+    phi = eta.theta + y1.phi1 is the full endomorphism representative."""
     LAYOUT = (("theta", ""), ("phi1", "FE"))
+    Y = (1,)
 
-    def phi(self) -> Elt:
-        """The full endomorphism representative theta + y1.phi1."""
-        r = self.rep
-        return (apply_map(r.eta, self.theta, "FE")
-                + apply_map(r.y_at("FE", 1), self.phi1, "FE"))
-
-    def data(self):
-        return self.theta, self.phi()
-
-    @classmethod
-    def from_data(cls, rep, theta: Elt, phi: Elt):
-        resid = phi - apply_map(rep.eta, theta, "FE")
-        phi1 = solve_op(resid, 1)
-        return cls(rep, theta.weight, theta, phi1)
+    def head(self) -> Elt:
+        return apply_map(self.rep.eta, self.theta, "FE")
 
 
 class G2Elt(ModelElt):
-    """Degree +1 corner element: free coordinates (a, b, c)."""
+    """Degree +1 corner element: free coordinates (a, b, c); the datum is
+    the full morphism representative xi."""
     LAYOUT = (("a", "E"), ("b", "E"), ("c", "FEE"))
+    Y = (1, 2)
 
     def e2(self) -> Elt:
         return self.b - apply_map(self.rep.y_at("E", 1), self.a, "E")
 
-    @staticmethod
-    def _xi_head(rep, e1: Elt, e2: Elt) -> Elt:
-        """The part of the xi datum fixed by the components e1 and e2."""
-        t1 = apply_map(rep.eta_at("E", 0), e1, "FEE")
-        t2 = apply_map(rep.eta_at("E", 0), e2, "FEE")
-        t2 = apply_map(rep.tau_at("FEE", 1), t2, "FEE")
-        t2 = apply_map(rep.y_at("FEE", 2), t2, "FEE")
+    def head(self) -> Elt:
+        r = self.rep
+        t1 = apply_map(r.eta_at("E", 0), self.b, "FEE")
+        t2 = apply_map(r.eta_at("E", 0), self.e2(), "FEE")
+        t2 = apply_map(r.tau_at("FEE", 1), t2, "FEE")
+        t2 = apply_map(r.y_at("FEE", 2), t2, "FEE")
         return t1 + t2
 
-    def xi(self) -> Elt:
-        """Full morphism representative of the defining xi datum."""
-        r = self.rep
-        t3 = apply_map(r.y_at("FEE", 1), self.c, "FEE")
-        t3 = apply_map(r.y_at("FEE", 2), t3, "FEE")
-        return self._xi_head(r, self.b, self.e2()) + t3
-
     def data(self):
-        return self.b, self.e2(), self.xi()
+        return self.b, self.e2(), self.datum()
 
     @classmethod
     def from_data(cls, rep, e1: Elt, e2: Elt, xi: Elt):
-        a = solve_op(e1 - e2, 1)
-        resid = solve_op(xi - cls._xi_head(rep, e1, e2), 1)
-        cfree = solve_op(resid, 2)
-        return cls(rep, e1.weight, a, e1, cfree)
+        return super().from_data(rep, solve_op(e1 - e2, 1), e1, xi)
 
 
 class G3Elt(ModelElt):
-    """Degree +1 square corner element (constrained tuple, not free)."""
+    """Degree +1 square corner element (constrained tuple, not free); the
+    datum is chi."""
     LAYOUT = (("ee1", "EE"), ("ee2", "EE"), ("ee3", "EE"), ("chi2", "FEEE"))
+    Y = (1, 2, 3)
 
     def ee_prime(self) -> Elt:
         """The divided difference (ee1 - ee2) / y2, exact by membership."""
         return solve_op(self.ee1 - self.ee2, 2)
 
-    def chi(self) -> Elt:
+    def head(self) -> Elt:
         r = self.rep
 
         def emb(v):
@@ -165,59 +184,40 @@ class G3Elt(ModelElt):
         t3 = apply_map(r.tau_at("FEEE", 1), t3, "FEEE")
         t3 = apply_map(r.y_at("FEEE", 2), t3, "FEEE")
         t3 = apply_map(r.y_at("FEEE", 3), t3, "FEEE")
-        t4 = self.chi2
-        for i in (1, 2, 3):
-            t4 = apply_map(r.y_at("FEEE", i), t4, "FEEE")
-        return t1 + t2 + t3 + t4
-
-    def data(self):
-        return self.ee1, self.ee2, self.ee3, self.chi()
+        return t1 + t2 + t3
 
     @classmethod
     def from_data(cls, rep, ee1, ee2, ee3, chi):
-        # membership: y2 | ee1 - ee2 and y1 | ee3 - ee2 are checked implicitly
+        # membership: y2 | ee1 - ee2 and y1 | ee3 - ee2
         solve_op(ee1 - ee2, 2)
         solve_op(ee3 - ee2, 1)
-        probe = cls(rep, ee1.weight, ee1, ee2, ee3,
-                    zero_elt(rep, "FEEE", ee1.weight))
-        resid = chi - probe.chi()
-        for i in (1, 2, 3):
-            resid = solve_op(resid, i)
-        return cls(rep, ee1.weight, ee1, ee2, ee3, resid)
+        return super().from_data(rep, ee1, ee2, ee3, chi)
 
 
 class L2Elt(ModelElt):
-    """Degree -1 corner element: free coordinates (fp, f, rho1)."""
+    """Degree -1 corner element: free coordinates (fp, f, rho1); the datum
+    is rho."""
     LAYOUT = (("fp", "F"), ("f", "F"), ("rho1", "FFE"))
+    Y = (1,)
 
     def Ef(self, fcoord: Elt) -> Elt:
         """Representative of the induced one-step evaluation of an F datum."""
         eta1 = apply_map(self.rep.eta, one_at(self.rep, fcoord.weight), "FE")
         return elem_tensor(fcoord, eta1)
 
-    def rho(self) -> Elt:
-        r = self.rep
-        t1 = self.Ef(self.f)
-        t2 = apply_map(r.tau_mate("E"), self.Ef(self.fp), "FFE")
-        t3 = apply_map(r.y_at("FFE", 1), self.rho1, "FFE")
-        return t1 + t2 + t3
-
-    def data(self):
-        return self.fp, self.f, self.rho()
-
-    @classmethod
-    def from_data(cls, rep, fp: Elt, f: Elt, rho: Elt):
-        probe = cls(rep, f.weight, fp, f, zero_elt(rep, "FFE", f.weight))
-        rho1 = solve_op(rho - probe.rho(), 1)
-        return cls(rep, f.weight, fp, f, rho1)
+    def head(self) -> Elt:
+        return self.Ef(self.f) + apply_map(self.rep.tau_mate("E"),
+                                           self.Ef(self.fp), "FFE")
 
 
 class UElt(ModelElt):
-    """Degree 0 square corner element: free coordinates (p11,p21,p12,p22,lam0)."""
+    """Degree 0 square corner element: free coordinates (p11,p21,p12,p22,lam0);
+    the datum is Lam."""
     LAYOUT = (("p11", "FE"), ("p21", "FE"), ("p12", "FE"), ("p22", "FE"),
               ("lam0", "FFEE"))
+    Y = (2, 1)
 
-    def Lam(self) -> Elt:
+    def head(self) -> Elt:
         r = self.rep
         alpha = EPhi(r, self.p11) + apply_map(r.tau_mate("EE"),
                                               EPhi(r, self.p12), "FFEE")
@@ -230,20 +230,7 @@ class UElt(ModelElt):
                        apply_map(r.tau_at("FFEE", 1),
                                  apply_map(r.y_at("FFEE", 1), beta, "FFEE"),
                                  "FFEE"), "FFEE")
-        t3 = apply_map(r.y_at("FFEE", 1),
-                       apply_map(r.y_at("FFEE", 2), self.lam0, "FFEE"), "FFEE")
-        return t1 - t2 + t3
-
-    def data(self):
-        return self.p11, self.p21, self.p12, self.p22, self.Lam()
-
-    @classmethod
-    def from_data(cls, rep, p11, p21, p12, p22, Lam):
-        probe = cls(rep, p11.weight, p11, p21, p12, p22,
-                    zero_elt(rep, "FFEE", p11.weight))
-        resid = solve_op(Lam - probe.Lam(), 1)
-        lam0 = solve_op(resid, 2)
-        return cls(rep, p11.weight, p11, p21, p12, p22, lam0)
+        return t1 - t2
 
 
 # The model of each FE-ordered corner, and every model by its tag.
@@ -255,7 +242,7 @@ def one_at(rep, weight: int) -> Elt:
 
 
 def one_G1(rep, w):
-    g = G1Elt.zero(rep, w)
+    g = G1Elt(rep, w)
     g.theta.vec[0] = Poly.one(rep.A.field)
     return g
 
@@ -274,23 +261,23 @@ def compose_G1(after: G1Elt, first: G1Elt) -> G1Elt:
     theta = Elt(first.theta.rep, "", first.theta.weight,
                 [first.theta.vec[0] * after.theta.vec[0]]
                 if first.theta.vec else [])
-    phi = join(first.phi(), after.phi(), 1)
+    phi = join(first.datum(), after.datum(), 1)
     return G1Elt.from_data(after.rep, theta, phi)
 
 
 def compose_F_after_G1(f: Elt, g: G1Elt) -> Elt:
-    return join(g.phi(), f, 1)
+    return join(g.datum(), f, 1)
 
 
 def compose_L2_after_G2(l: L2Elt, g: G2Elt) -> G1Elt:
     theta = join(g.b, l.f, 1) + join(g.a, l.fp, 1)
-    phi = join(g.xi(), l.rho(), 2)
+    phi = join(g.datum(), l.datum(), 2)
     return G1Elt.from_data(l.rep, theta, phi)
 
 
 def compose_G1_after_L2(g: G1Elt, l: L2Elt) -> L2Elt:
     theta = g.theta.vec[0]
-    rho = join(l.rho(), g.phi(), 1)
+    rho = join(l.datum(), g.datum(), 1)
     return L2Elt.from_data(l.rep, l.fp.scale(theta), l.f.scale(theta), rho)
 
 
@@ -300,14 +287,14 @@ def compose_U(g: G2Elt, l: L2Elt) -> UElt:
     p21 = elem_tensor(l.f, g.a)
     p12 = elem_tensor(l.fp, g.b)
     p22 = elem_tensor(l.fp, g.a)
-    Lam = join(l.rho(), g.xi(), 1)
+    Lam = join(l.datum(), g.datum(), 1)
     return UElt.from_data(g.rep, p11, p21, p12, p22, Lam)
 
 
 def compose_L2_after_U(l: L2Elt, u: UElt) -> L2Elt:
     f = join(u.p11, l.f, 1) + join(u.p21, l.fp, 1)
     fp = join(u.p12, l.f, 1) + join(u.p22, l.fp, 1)
-    rho = join(u.Lam(), l.rho(), 2)
+    rho = join(u.datum(), l.datum(), 2)
     return L2Elt.from_data(l.rep, fp, f, rho)
 
 
@@ -315,7 +302,7 @@ def act_G1_on_G2(g: G2Elt, c1: G1Elt) -> G2Elt:
     """Right action of an end-type element on a degree +1 corner element."""
     r = g.rep
     theta = c1.theta.vec[0] if c1.theta.vec else None
-    phi = c1.phi()
+    phi = c1.datum()
     y1a = apply_map(r.y_at("E", 1), g.a, "E")
     b_new = join(g.b, phi, 1)
     a_new = join(g.b, c1.phi1, 1)
@@ -331,12 +318,12 @@ def act_G1_on_G2(g: G2Elt, c1: G1Elt) -> G2Elt:
 
 def act_G1_on_U(u: UElt, c1: G1Elt) -> UElt:
     theta = c1.theta.vec[0]
-    phi = c1.phi()
+    phi = c1.datum()
     p11 = join(u.p11, phi, 1)
     p12 = join(u.p12, phi, 1)
     p21 = join(u.p11, c1.phi1, 1) + u.p21.scale(theta)
     p22 = join(u.p12, c1.phi1, 1) + u.p22.scale(theta)
-    Lam = join(u.Lam(), phi, 1)
+    Lam = join(u.datum(), phi, 1)
     return UElt.from_data(u.rep, p11, p21, p12, p22, Lam)
 
 
@@ -348,15 +335,12 @@ def act_L2_on_L2_left(phi1: Elt, l: L2Elt) -> L2Elt:
     t1 = join(apply_map(r.tau_at("FFEE", 1), EPhi(r, phi1), "FFEE"),
               l.fp, 1)
     t2 = join(y1phi1, l.rho1, 1)
-    rho1_like = t1 + t2
-    zf = zero_elt(r, "F", l.weight)
-    return L2Elt(r, l.weight, zf, f_new, rho1_like)
+    return L2Elt(r, l.weight, f=f_new, rho1=t1 + t2)
 
 
 def act_phi1_on_G2(g: G2Elt, phi1: Elt) -> G2Elt:
     """Middle action of an off-diagonal end datum on a degree +1 element."""
-    return act_G1_on_G2(g, G1Elt(g.rep, phi1.weight,
-                                 zero_elt(g.rep, "", phi1.weight), phi1))
+    return act_G1_on_G2(g, G1Elt(g.rep, phi1.weight, phi1=phi1))
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +363,8 @@ def gamma22_EE_G1EE(c1: G1Elt, ee: Elt) -> G3Elt:
     v = apply_map(r.y_at("EE", 1), ee, "EE")
     v = apply_map(r.y_at("EE", 2), v, "EE")
     ee1 = elem_tensor(c1.theta, v)
-    z = zero_elt(r, "EE", ee.weight)
     chi2 = elem_tensor(c1.phi1, ee)
-    return G3Elt(r, ee.weight, ee1, z, z, chi2)
+    return G3Elt(r, ee.weight, ee1, chi2=chi2)
 
 
 def gamma22_EE_G2G2(p: G2Elt, q: G2Elt) -> G3Elt:

@@ -13,7 +13,7 @@ from ..matrixops import Matrix, ShapeMismatchError
 from ..tworep import _memoized, _sequence
 from .core import (ProductRep, tau21, tilde_tau, tilde_x_pow, tilde_x_step_21,
                    tilde_x_step_22)
-from .elements import Elt, apply_map, basis_elt, elem_tensor, join, zero_elt
+from .elements import Elt, apply_map, basis_elt, elem_tensor, join
 from .gammas import omega3_apply
 from .models import (G1Elt, G2Elt, L2Elt, UElt, act_G1_on_G2, act_G1_on_U,
                      act_L2_on_L2_left, act_phi1_on_G2, compose_F_after_G1,
@@ -44,7 +44,7 @@ def pair_basis(P: ProductRep, corner: str, w: int):
     """Decomposable pairs realizing the flat basis of an EF corner sum."""
     r = P.Vy
     def g1(fe):
-        return G1Elt(r, fe.weight, zero_elt(r, "", fe.weight), fe)
+        return G1Elt(r, fe.weight, phi1=fe)
     if corner == "11":
         return [(basis_elt(r, "E", w - 2, i), basis_elt(r, "F", w, j))
                 for i in range(_rank(P, "E", w - 2))
@@ -58,9 +58,8 @@ def pair_basis(P: ProductRep, corner: str, w: int):
     if corner == "21":
         out = [(one_G1(r, w - 2), basis_elt(r, "F", w, j))
                for j in range(_rank(P, "F", w))]
-        out += [(G1Elt(r, w - 2, zero_elt(r, "", w - 2),
-                       elem_tensor(basis_elt(r, "F", w, c),
-                                   basis_elt(r, "E", w - 2, d))),
+        out += [(G1Elt(r, w - 2, phi1=elem_tensor(
+                     basis_elt(r, "F", w, c), basis_elt(r, "E", w - 2, d))),
                  basis_elt(r, "F", w, j))
                 for c in range(_rank(P, "F", w))
                 for d in range(_rank(P, "E", w - 2))
@@ -73,12 +72,8 @@ def pair_basis(P: ProductRep, corner: str, w: int):
         out += [(g1(fe), unit) for fe in _fes(P, w)]
         out += [(g1(fe1), g1(fe2)) for fe1 in _fes(P, w)
                 for fe2 in _fes(P, w)]
-        ze = zero_elt(r, "E", w - 2)
-        zf = zero_elt(r, "F", w)
-        zffe = zero_elt(r, "FFE", w)
-        zfee = zero_elt(r, "FEE", w - 2)
-        out += [(G2Elt(r, w - 2, ze, basis_elt(r, "E", w - 2, i), zfee),
-                 L2Elt(r, w, basis_elt(r, "F", w, j), zf, zffe))
+        out += [(G2Elt(r, w - 2, b=basis_elt(r, "E", w - 2, i)),
+                 L2Elt(r, w, basis_elt(r, "F", w, j)))
                 for i in range(_rank(P, "E", w - 2))
                 for j in range(_rank(P, "F", w))]
         return out
@@ -94,16 +89,10 @@ def _eta_pairs(P: ProductRep, w: int):
     """
     r = P.Vy
     eta1 = apply_map(r.eta, one_at(r, w), "FE")
-    zf = zero_elt(r, "F", w + 2)
-    zffe = zero_elt(r, "FFE", w + 2)
-    ze = zero_elt(r, "E", w)
-    zfee = zero_elt(r, "FEE", w)
     out = []
     for fL, v in decompose_first(eta1):
-        out.append((L2Elt(r, w + 2, fL, zf, zffe),
-                    G2Elt(r, w, v, ze, zfee), "a"))
-        out.append((L2Elt(r, w + 2, zf, fL, zffe),
-                    G2Elt(r, w, ze, v, zfee), "b"))
+        out.append((L2Elt(r, w + 2, fL), G2Elt(r, w, v), "a"))
+        out.append((L2Elt(r, w + 2, f=fL), G2Elt(r, w, b=v), "b"))
     return out
 
 
@@ -135,16 +124,7 @@ def _sigma22_EF_column(P: ProductRep, g2in: G2Elt, lprime: L2Elt) -> UElt:
     r = P.Vy
     w = lprime.weight
     e = g2in.b
-    total = UElt.zero(r, w)
-    zfee = zero_elt(r, "FEE", w - 2)
-    zfee_hi = zero_elt(r, "FEE", w)
-    ze_hi = zero_elt(r, "E", w)
-
-    def g2_lo(a, b):
-        return G2Elt(r, w - 2, a, b, zfee)
-
-    def g2_hi(a, b):
-        return G2Elt(r, w, a, b, zfee_hi)
+    total = UElt(r, w)
     for l_eta, g_eta, flavor in _eta_pairs(P, w):
         ht = tau22(gamma22_EE_G2G2(g_eta, g2in))
         v = g_eta.a if flavor == "a" else g_eta.b
@@ -154,17 +134,15 @@ def _sigma22_EF_column(P: ProductRep, g2in: G2Elt, lprime: L2Elt) -> UElt:
             z1 = apply_map(r.tau_at("EE", 1), tens, "EE")
             for u, rr in decompose_first(z1):
                 y1r = apply_map(r.y_at("E", 1), rr, "E")
-                claim.append((g2_hi(ze_hi, u), g2_lo(rr, y1r), 1))
+                claim.append((G2Elt(r, w, b=u), G2Elt(r, w - 2, rr, y1r), 1))
             z2 = apply_map(r.tau_at("EE", 1),
                            apply_map(r.y_at("EE", 1), tens, "EE"), "EE")
             for u, rr in decompose_first(z2):
-                claim.append((g2_hi(ze_hi, u),
-                              g2_lo(zero_elt(r, "E", w - 2), rr), -1))
+                claim.append((G2Elt(r, w, b=u), G2Elt(r, w - 2, b=rr), -1))
         else:
             z3 = apply_map(r.tau_at("EE", 1), tens, "EE")
             for u, rr in decompose_first(z3):
-                claim.append((g2_hi(ze_hi, u),
-                              g2_lo(zero_elt(r, "E", w - 2), rr), 1))
+                claim.append((G2Elt(r, w, b=u), G2Elt(r, w - 2, b=rr), 1))
         acc = None
         for p, q, s in claim:
             t = gamma22_EE_G2G2(p, q)
@@ -196,7 +174,7 @@ def tilde_sigma_oracle(P: ProductRep, corner: str) -> BimoduleMap:
         g2 = gamma21_EE_G1E(one_G1(r, w), e)
         g2t = tau21(P, g2)
         fhat = compose_F_after_G1(f, one_G1(r, w - 2))
-        l = L2Elt(r, w, zero_elt(r, "F", w), fhat, zero_elt(r, "FFE", w))
+        l = L2Elt(r, w, f=fhat)
         return compose_L2_after_G2(l, g2t).to_vec()
 
     def col12(w, j):
@@ -207,10 +185,8 @@ def tilde_sigma_oracle(P: ProductRep, corner: str) -> BimoduleMap:
 
     def col21(w, j):
         c1, f = pairs[w][j]
-        total = L2Elt.zero(r, w)
-        fhat = compose_F_after_G1(f, one_G1(r, w - 2))
-        lout = L2Elt(r, w, zero_elt(r, "F", w), fhat,
-                     zero_elt(r, "FFE", w))
+        total = L2Elt(r, w)
+        lout = L2Elt(r, w, f=compose_F_after_G1(f, one_G1(r, w - 2)))
         for l_eta, g_eta, _ in _eta_pairs(P, w - 2):
             g_mid = act_G1_on_G2(g_eta, c1)
             g_t = tau21(P, g_mid)
@@ -222,7 +198,7 @@ def tilde_sigma_oracle(P: ProductRep, corner: str) -> BimoduleMap:
         a, b = pairs[w][j]
         if isinstance(a, G2Elt):
             return _sigma22_EF_column(P, a, b).to_vec()
-        total = UElt.zero(r, w)
+        total = UElt(r, w)
         for l_eta, g_eta, _ in _eta_pairs(P, w):
             g_mid = act_G1_on_G2(g_eta, a)
             g_t = tau21(P, g_mid)
@@ -302,19 +278,18 @@ def F_xi_eta_oracle(P: ProductRep, i: int, corner: str) -> BimoduleMap:
         f = basis_elt(r, "F", w, j)
         ci = _iterate(P, ("F", "21", w, j), lambda: one_G1(r, w),
                       tilde_x_step_21, i)
-        l = L2Elt(r, w, zero_elt(r, "F", w), f, zero_elt(r, "FFE", w))
+        l = L2Elt(r, w, f=f)
         return compose_G1_after_L2(ci, l).to_vec()
 
     def col12(w, j):
         def start():
             e = basis_elt(r, "E", w, j)
-            return G2Elt(r, w, e, apply_map(r.y_at("E", 1), e, "E"),
-                         zero_elt(r, "FEE", w))
+            return G2Elt(r, w, e, apply_map(r.y_at("E", 1), e, "E"))
         gi = _iterate(P, ("F", "12", w, j), start, tilde_x_step_22, i)
         return gi.to_vec()
 
     def col22(w, j):
-        total = UElt.zero(r, w)
+        total = UElt(r, w)
         for k, (l_eta, g_eta, _) in enumerate(_eta_pairs(P, w)):
             gi = _iterate(P, ("F", "22", w, j, k),
                           lambda: act_G1_on_G2(g_eta,
@@ -401,12 +376,10 @@ def check_eta22_identity(P: ProductRep):
     out = []
     for w in P.weights():
         eta1 = apply_map(r.eta, one_at(r, w), "FE")
-        total = UElt.zero(r, w)
+        total = UElt(r, w)
         for l_eta, g_eta, _ in _eta_pairs(P, w):
             total = total + compose_U(g_eta, l_eta)
-        zfe = zero_elt(r, "FE", w)
-        expected = UElt(r, w, eta1, zfe, zfe, eta1,
-                        zero_elt(r, "FFEE", w))
+        expected = UElt(r, w, p11=eta1, p22=eta1)
         ok = (total - expected).is_zero()
         out.append(record(f"eta22 identity at {w}", ok))
     return out

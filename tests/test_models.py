@@ -1,15 +1,31 @@
 """Model elements: coordinate forms, tensor decompositions, compositions."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
+from sl2prod.matrixops import ShapeMismatchError
 from sl2prod.polyring import Poly
+from sl2prod.product.core import build_product
 from sl2prod.product.elements import (Elt, NotInModelError, basis_elt,
                                       elem_tensor, zero_elt)
-from sl2prod.product.models import (G1Elt, G2Elt, L2Elt, UElt, act_G1_on_G2,
-                                    compose_G1, decompose_first,
+from sl2prod.product.models import (CORNER_MODELS, G1Elt, L2Elt, UElt,
+                                    act_G1_on_G2, compose_G1, decompose_first,
                                     gamma22_EE_G1EE, one_G1, tau22)
+from sl2prod.tworep import rep_from_json
+
+CORNER_TAGS = sorted(CORNER_MODELS)
+
+
+@pytest.fixture(scope="module")
+def E2():
+    """The product over an input with E^2 != 0, where every corner's last
+    word has nonzero rank at some weight.  The construction gate is not
+    run: the input fails its rho hypotheses."""
+    path = Path(__file__).parent / "golden" / "e2_tau0.json"
+    return build_product(rep_from_json(json.loads(path.read_text())))
 
 
 def rand_elt(P, rng, word, w):
@@ -27,11 +43,8 @@ def rand_elt(P, rng, word, w):
 
 
 def rand_model(P, rng, corner, w):
-    words = {"11": ("", "FE"), "12": ("E", "E", "FEE"),
-             "21": ("F", "F", "FFE"), "22": ("FE",) * 4 + ("FFEE",)}[corner]
-    parts = [rand_elt(P, rng, word, w) for word in words]
-    cls = {"11": G1Elt, "12": G2Elt, "21": L2Elt, "22": UElt}[corner]
-    return cls(P.Vy, w, *parts)
+    cls = CORNER_MODELS[corner]
+    return cls(P.Vy, w, *(rand_elt(P, rng, word, w) for word in cls.words()))
 
 
 def round_trip(rep, m):
@@ -80,6 +93,88 @@ class TestFormRoundTrip:
         r = P.Vy
         with pytest.raises(NotInModelError):
             G1Elt.from_data(r, zero_elt(r, "", -1), basis_elt(r, "FE", -1, 0))
+
+
+def last_word_weights(P, corner):
+    """The weights at which the corner's last coordinate is not empty."""
+    word = CORNER_MODELS[corner].words()[-1]
+    return [w for w in P.weights() if P.Vy.word(word).rank(w)]
+
+
+class TestDivisionsOnE2:
+    """On L(1) the last words FEE, FFE and FFEE are empty at every weight;
+    here each model's from_data divides a nonempty vector."""
+
+    @pytest.mark.parametrize("corner", CORNER_TAGS)
+    def test_round_trip(self, E2, corner):
+        rng = random.Random(int(corner))
+        ws = last_word_weights(E2, corner)
+        assert ws
+        for w in ws:
+            ms = E2.sum_basis(corner, w)
+            ms += [rand_model(E2, rng, corner, w) for _ in range(5)]
+            for m in ms:
+                assert round_trip(E2.Vy, m) == m, (corner, w)
+
+    @pytest.mark.parametrize("corner", CORNER_TAGS)
+    def test_non_member_rejected(self, E2, corner):
+        # a basis vector of the last word added to the datum is not
+        # divisible by y_Y
+        r = E2.Vy
+        cls = CORNER_MODELS[corner]
+        word = cls.words()[-1]
+        for w in last_word_weights(E2, corner):
+            *lead, datum = cls(r, w).data()
+            for k in range(r.word(word).rank(w)):
+                with pytest.raises(NotInModelError):
+                    cls.from_data(r, *lead, datum + basis_elt(r, word, w, k))
+
+    @pytest.mark.parametrize("corner", CORNER_TAGS)
+    def test_dropped_factor_fails_round_trip(self, E2, monkeypatch, corner):
+        # data built with the full y_Y, then divided without its last
+        # factor: the recovered last coordinate is off by that factor
+        cls = CORNER_MODELS[corner]
+        ms = [m for w in last_word_weights(E2, corner)
+              for m in E2.sum_basis(corner, w) if not m.coords[-1].is_zero()]
+        assert ms
+        data = [m.data() for m in ms]
+        monkeypatch.setattr(cls, "Y", cls.Y[:-1])
+        for m, d in zip(ms, data):
+            assert cls.from_data(E2.Vy, *d) != m
+
+
+class TestConstruction:
+    def test_left_out_coordinates_are_zero(self, P):
+        r = P.Vy
+        f = basis_elt(r, "F", 1, 0)
+        assert L2Elt(r, 1, f=f) == L2Elt(r, 1, zero_elt(r, "F", 1), f,
+                                         zero_elt(r, "FFE", 1))
+        assert UElt(r, -1).is_zero()
+
+    def test_too_many_coordinates(self, P):
+        r = P.Vy
+        z = zero_elt(r, "", -1)
+        with pytest.raises(ShapeMismatchError):
+            G1Elt(r, -1, z, zero_elt(r, "FE", -1), z)
+
+    @pytest.mark.parametrize("name", ["rho", "fp"])
+    def test_unknown_or_repeated_name(self, P, name):
+        r = P.Vy
+        fp = zero_elt(r, "F", 1)
+        with pytest.raises(ShapeMismatchError):
+            L2Elt(r, 1, fp, **{name: fp})
+
+
+class TestEltShape:
+    def test_length_mismatch(self, P):
+        r = P.Vy
+        one = Poly.one(r.A.field)
+        u = Poly.var(r.A.field, "u")
+        short = Elt(r, "E", -1, [one])
+        long = Elt(r, "E", -1, [one, u])
+        assert short != long
+        with pytest.raises(ShapeMismatchError):
+            short + long
 
 
 class TestDecomposition:

@@ -10,7 +10,7 @@ from sl2prod.product import core
 from sl2prod.product.core import (F_xi_eta_closed, build_product,
                                   check_construction, eps_xi_F_closed, tau21,
                                   tilde_sigma_closed, tilde_x_pow)
-from sl2prod.product.elements import apply_map, basis_elt, zero_elt
+from sl2prod.product.elements import apply_map, basis_elt
 from sl2prod.product.models import G2Elt, gamma21_EE_G1E, one_G1
 from sl2prod.product.oracles import (F_xi_eta_oracle, check_eta22_identity,
                                      check_omega3_linearity,
@@ -124,7 +124,7 @@ class TestExamples:
         w = -1
         e = basis_elt(r, "E", w, 0)
         y1e = apply_map(r.y_at("E", 1), e, "E")
-        g = G2Elt(r, w, e, y1e, zero_elt(r, "FEE", w))
+        g = G2Elt(r, w, e, y1e)
         t = tau21(P, g)
         assert t.a.is_zero()
         assert (t.b - e).is_zero()

@@ -112,21 +112,16 @@ ALLOWED = {
     "polyring.Poly.__repr__": DUNDER,
     "product.elements.Elt.__repr__": DUNDER,
     "product.models.ModelElt.__repr__": DUNDER,
-    "product.models.G1Elt.data": TESTS,
+    "product.models.ModelElt.data": TESTS,
     "product.models.G2Elt.data": TESTS,
     "product.models.G2Elt.from_data": TESTS,
     "product.models.G3Elt.ee_prime": L2,
-    "product.models.G3Elt.chi": L2,
-    "product.models.G3Elt.chi.<locals>.emb": L2,
-    "product.models.G3Elt.data": L2,
+    "product.models.G3Elt.head": L2,
+    "product.models.G3Elt.head.<locals>.emb": L2,
     "product.models.G3Elt.from_data": L2,
-    "product.models.L2Elt.data": TESTS,
-    "product.models.UElt.data": TESTS,
     "product.models.gamma22_EE_G1EE": L2,
     "product.models.gamma22_EE_G2G2": L2,
     "product.models.tau22": L2,
-    "product.oracles._sigma22_EF_column.<locals>.g2_lo": L2,
-    "product.oracles._sigma22_EF_column.<locals>.g2_hi": L2,
     "product.rho.RhoMap.__repr__": DUNDER,
     "product.rho._m_y_alt": LN,
     "tworep.TwoRep.adjoin_y": TRACER,
