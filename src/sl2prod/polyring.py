@@ -80,11 +80,29 @@ class Rationals:
         return "QQ"
 
 
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on the prime bases 2..41, which is exact below
+    3317044064679887385961981 (Sorenson and Webster, 2015); larger n
+    raise ValueError."""
+    if n >= 3317044064679887385961981:
+        raise ValueError(f"{n} is too large to decide primality exactly")
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2 or any(n % b == 0 for b in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    # a witnesses n composite when a^d != 1 and a^(d 2^k) != -1 for k < s
+    return all(pow(a, d, n) == 1
+               or any(pow(a, d << k, n) == n - 1 for k in range(s))
+               for a in bases)
+
+
 class PrimeField:
     """The field of integers modulo a prime, with int coefficients."""
 
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.name = f"GF({p})"

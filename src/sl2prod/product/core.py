@@ -15,7 +15,7 @@ from ..bimodcat import (BimoduleMap, SumBimodule, compose, compose_all,
 from ..matrixops import ShapeMismatchError
 from ..polyring import Poly
 from ..tworep import _memoized, check_hypotheses, self_pow, sigma, xi_eta
-from .elements import Elt, apply_map, basis_elt, elem_tensor, join
+from .elements import Elt, basis_elt, elem_tensor, join
 from .models import (CORNER_MODELS, G1Elt, G2Elt, act_G1_on_G2,
                      compose_G1, one_G1)
 
@@ -128,11 +128,9 @@ def c_mult(P: ProductRep, ca: str, a, cb: str, b):
     if key == ("11", "12"):
         return "12", elem_tensor(a, b)
     if key == ("12", "21"):
-        y1e = apply_map(r.y_at("E", 1), a, "E")
-        return "11", join(y1e, b, 1)
+        return "11", join(a.y(1), b, 1)
     if key == ("12", "22"):
-        y1e = apply_map(r.y_at("E", 1), a, "E")
-        return "12", a.scale(b.theta.vec[0]) + join(y1e, b.phi1, 1)
+        return "12", a.scale(b.theta.vec[0]) + join(a.y(1), b.phi1, 1)
     if key == ("21", "11"):
         return "21", a.scale(b.vec[0])
     if key == ("21", "12"):
@@ -222,30 +220,21 @@ def tilde_x_pow(P: ProductRep, i: int) -> BimoduleMap:
 
 def tilde_x_step_21(P: ProductRep, g: G1Elt) -> G1Elt:
     """One dot application on the end-type one-step corner, elementwise."""
-    r = P.Vy
-    y = Poly.var(r.A.field, "y")
-    theta = g.theta.scale(y)
-    phi1 = (apply_map(r.eta, g.theta, "FE")
-            + apply_map(r.x_at("FE", 1), g.phi1, "FE"))
-    return G1Elt(r, g.weight, theta, phi1)
+    y = Poly.var(P.Vy.A.field, "y")
+    return G1Elt(P.Vy, g.weight, g.theta.scale(y),
+                 g.theta.eta(0) + g.phi1.x(1))
 
 
 def tilde_x_step_22(P: ProductRep, g: G2Elt) -> G2Elt:
     """One dot application on the degree +1 corner, elementwise."""
-    r = P.Vy
-    y = Poly.var(r.A.field, "y")
-    a = apply_map(r.x_at("E", 1), g.a, "E") - g.b
-    b = g.b.scale(y)
-    c = (apply_map(r.eta_at("E", 0), g.a, "FEE")
-         + apply_map(r.x_at("FEE", 2), g.c, "FEE"))
-    return G2Elt(r, g.weight, a, b, c)
+    y = Poly.var(P.Vy.A.field, "y")
+    return G2Elt(P.Vy, g.weight, g.a.x(1) - g.b, g.b.scale(y),
+                 g.a.eta(0) + g.c.x(2))
 
 
 def tau21(P: ProductRep, g: G2Elt) -> G2Elt:
     """The crossing on the degree +1 corner, elementwise."""
-    r = P.Vy
-    c = apply_map(r.tau_at("FEE", 1), g.c, "FEE")
-    return G2Elt(r, g.weight, b=g.a, c=c)
+    return G2Elt(P.Vy, g.weight, b=g.a, c=g.c.tau(1))
 
 
 def tilde_tau(P: ProductRep, corner: str) -> BimoduleMap:

@@ -10,6 +10,12 @@ adjacent E/F pairs at the junction), from which evaluation and composition
 of all morphism data are built.  ``solve_op`` divides by an operator y_i
 exactly, with the determinant and adjugate memoized per (word, factor,
 weight) by ``TwoRep.y_adjugate``.
+
+An element applies the positional generators of its own word, each the
+memoized ``TwoRep`` map: ``v.x(i)``, ``v.y(i)`` and ``v.tau(i)`` (as
+``x_at``, ``y_at`` and ``tau_at``), ``v.eta(pos)`` (insert FE at pos) and
+``v.tau_mate()`` (the crossing on the leading FF).  A chain applies left
+to right: ``v.y(1).tau(1)`` is tau_1 . y_1.
 """
 
 from __future__ import annotations
@@ -57,6 +63,25 @@ class Elt:
     def scale(self, p) -> "Elt":
         """Right multiplication by a base-ring element (coordinatewise)."""
         return Elt(self.rep, self.word, self.weight, [q * p for q in self.vec])
+
+    def x(self, i: int) -> "Elt":
+        return apply_map(self.rep.x_at(self.word, i), self, self.word)
+
+    def y(self, i: int) -> "Elt":
+        return apply_map(self.rep.y_at(self.word, i), self, self.word)
+
+    def tau(self, i: int) -> "Elt":
+        return apply_map(self.rep.tau_at(self.word, i), self, self.word)
+
+    def eta(self, pos: int) -> "Elt":
+        w = self.word
+        return apply_map(self.rep.eta_at(w, pos), self,
+                         w[:pos] + "FE" + w[pos:])
+
+    def tau_mate(self) -> "Elt":
+        if not self.word.startswith("FF"):
+            raise ShapeMismatchError(f"no leading FF in {self.word!r}")
+        return apply_map(self.rep.tau_mate(self.word[2:]), self, self.word)
 
     def __eq__(self, other):
         if not isinstance(other, Elt):

@@ -17,10 +17,9 @@ division leaves a remainder.
 
 from __future__ import annotations
 
-from .elements import (Elt, apply_map, basis_elt, elem_tensor, join, solve_op,
+from .elements import (Elt, basis_elt, elem_tensor, join, solve_op,
                        word_shift, zero_elt)
 from ..matrixops import ShapeMismatchError
-from ..polyring import Poly
 
 
 # ---------------------------------------------------------------------------
@@ -68,10 +67,9 @@ class ModelElt:
 
     def datum(self) -> Elt:
         """The defining morphism datum head() + y_Y . last."""
-        name, word = self.LAYOUT[-1]
-        t = getattr(self, name)
+        t = getattr(self, self.LAYOUT[-1][0])
         for i in self.Y:
-            t = apply_map(self.rep.y_at(word, i), t, word)
+            t = t.y(i)
         return self.head() + t
 
     def data(self):
@@ -133,7 +131,7 @@ class G1Elt(ModelElt):
     Y = (1,)
 
     def head(self) -> Elt:
-        return apply_map(self.rep.eta, self.theta, "FE")
+        return self.theta.eta(0)
 
 
 class G2Elt(ModelElt):
@@ -143,15 +141,10 @@ class G2Elt(ModelElt):
     Y = (1, 2)
 
     def e2(self) -> Elt:
-        return self.b - apply_map(self.rep.y_at("E", 1), self.a, "E")
+        return self.b - self.a.y(1)
 
     def head(self) -> Elt:
-        r = self.rep
-        t1 = apply_map(r.eta_at("E", 0), self.b, "FEE")
-        t2 = apply_map(r.eta_at("E", 0), self.e2(), "FEE")
-        t2 = apply_map(r.tau_at("FEE", 1), t2, "FEE")
-        t2 = apply_map(r.y_at("FEE", 2), t2, "FEE")
-        return t1 + t2
+        return self.b.eta(0) + self.e2().eta(0).tau(1).y(2)
 
     def data(self):
         return self.b, self.e2(), self.datum()
@@ -172,19 +165,8 @@ class G3Elt(ModelElt):
         return solve_op(self.ee1 - self.ee2, 2)
 
     def head(self) -> Elt:
-        r = self.rep
-
-        def emb(v):
-            return apply_map(r.eta_at("EE", 0), v, "FEEE")
-        t1 = emb(self.ee1)
-        t2 = apply_map(r.y_at("FEEE", 3),
-                       apply_map(r.tau_at("FEEE", 2), emb(self.ee2), "FEEE"),
-                       "FEEE")
-        t3 = apply_map(r.tau_at("FEEE", 2), emb(self.ee3), "FEEE")
-        t3 = apply_map(r.tau_at("FEEE", 1), t3, "FEEE")
-        t3 = apply_map(r.y_at("FEEE", 2), t3, "FEEE")
-        t3 = apply_map(r.y_at("FEEE", 3), t3, "FEEE")
-        return t1 + t2 + t3
+        return (self.ee1.eta(0) + self.ee2.eta(0).tau(2).y(3)
+                + self.ee3.eta(0).tau(2).tau(1).y(2).y(3))
 
     @classmethod
     def from_data(cls, rep, ee1, ee2, ee3, chi):
@@ -202,12 +184,10 @@ class L2Elt(ModelElt):
 
     def Ef(self, fcoord: Elt) -> Elt:
         """Representative of the induced one-step evaluation of an F datum."""
-        eta1 = apply_map(self.rep.eta, one_at(self.rep, fcoord.weight), "FE")
-        return elem_tensor(fcoord, eta1)
+        return elem_tensor(fcoord, one_at(self.rep, fcoord.weight).eta(0))
 
     def head(self) -> Elt:
-        return self.Ef(self.f) + apply_map(self.rep.tau_mate("E"),
-                                           self.Ef(self.fp), "FFE")
+        return self.Ef(self.f) + self.Ef(self.fp).tau_mate()
 
 
 class UElt(ModelElt):
@@ -218,19 +198,11 @@ class UElt(ModelElt):
     Y = (2, 1)
 
     def head(self) -> Elt:
-        r = self.rep
-        alpha = EPhi(r, self.p11) + apply_map(r.tau_mate("EE"),
-                                              EPhi(r, self.p12), "FFEE")
-        beta = EPhi(r, self.p21) + apply_map(r.tau_mate("EE"),
-                                             EPhi(r, self.p22), "FFEE")
-        # alpha, beta: representatives of the bracketed endomorphism sums
-        t1 = apply_map(r.tau_at("FFEE", 1),
-                       apply_map(r.y_at("FFEE", 1), alpha, "FFEE"), "FFEE")
-        t2 = apply_map(r.y_at("FFEE", 2),
-                       apply_map(r.tau_at("FFEE", 1),
-                                 apply_map(r.y_at("FFEE", 1), beta, "FFEE"),
-                                 "FFEE"), "FFEE")
-        return t1 - t2
+        # alpha, beta: representatives of the bracketed endomorphism sums,
+        # each p lifted to the pair word by eta at position 1
+        alpha = self.p11.eta(1) + self.p12.eta(1).tau_mate()
+        beta = self.p21.eta(1) + self.p22.eta(1).tau_mate()
+        return alpha.y(1).tau(1) - beta.y(1).tau(1).y(2)
 
 
 # The model of each FE-ordered corner, and every model by its tag.
@@ -242,14 +214,7 @@ def one_at(rep, weight: int) -> Elt:
 
 
 def one_G1(rep, w):
-    g = G1Elt(rep, w)
-    g.theta.vec[0] = Poly.one(rep.A.field)
-    return g
-
-
-def EPhi(rep, p: Elt) -> Elt:
-    """Representative of the induced endomorphism on the pair word."""
-    return apply_map(rep.eta_at("FE", 1), p, "FFEE")
+    return G1Elt(rep, w, one_at(rep, w))
 
 
 # ---------------------------------------------------------------------------
@@ -300,20 +265,14 @@ def compose_L2_after_U(l: L2Elt, u: UElt) -> L2Elt:
 
 def act_G1_on_G2(g: G2Elt, c1: G1Elt) -> G2Elt:
     """Right action of an end-type element on a degree +1 corner element."""
-    r = g.rep
     theta = c1.theta.vec[0] if c1.theta.vec else None
-    phi = c1.datum()
-    y1a = apply_map(r.y_at("E", 1), g.a, "E")
-    b_new = join(g.b, phi, 1)
+    b_new = join(g.b, c1.datum(), 1)
     a_new = join(g.b, c1.phi1, 1)
-    t_tau = apply_map(r.tau_at("FEE", 1),
-                      apply_map(r.eta_at("E", 0), g.b - y1a, "FEE"), "FEE")
-    c_new = join(t_tau, c1.phi1, 1) + join(
-        apply_map(r.y_at("FEE", 1), g.c, "FEE"), c1.phi1, 1)
+    c_new = join(g.e2().eta(0).tau(1) + g.c.y(1), c1.phi1, 1)
     if theta is not None:
         a_new = a_new + g.a.scale(theta)
         c_new = c_new + g.c.scale(theta)
-    return G2Elt(r, g.weight, a_new, b_new, c_new)
+    return G2Elt(g.rep, g.weight, a_new, b_new, c_new)
 
 
 def act_G1_on_U(u: UElt, c1: G1Elt) -> UElt:
@@ -329,13 +288,10 @@ def act_G1_on_U(u: UElt, c1: G1Elt) -> UElt:
 
 def act_L2_on_L2_left(phi1: Elt, l: L2Elt) -> L2Elt:
     """Middle action of an off-diagonal end datum on a degree -1 element."""
-    r = l.rep
-    y1phi1 = apply_map(r.y_at("FE", 1), phi1, "FE")
+    y1phi1 = phi1.y(1)
     f_new = join(y1phi1, l.f, 1) + join(phi1, l.fp, 1)
-    t1 = join(apply_map(r.tau_at("FFEE", 1), EPhi(r, phi1), "FFEE"),
-              l.fp, 1)
-    t2 = join(y1phi1, l.rho1, 1)
-    return L2Elt(r, l.weight, f=f_new, rho1=t1 + t2)
+    rho1 = join(phi1.eta(1).tau(1), l.fp, 1) + join(y1phi1, l.rho1, 1)
+    return L2Elt(l.rep, l.weight, f=f_new, rho1=rho1)
 
 
 def act_phi1_on_G2(g: G2Elt, phi1: Elt) -> G2Elt:
@@ -349,58 +305,31 @@ def act_phi1_on_G2(g: G2Elt, phi1: Elt) -> G2Elt:
 
 def gamma21_EE_G1E(c1: G1Elt, e: Elt) -> G2Elt:
     """Pair of an end-type and a one-step element, degree +1 corner."""
-    r = c1.rep
-    theta = c1.theta
-    a = elem_tensor(theta, e)
-    y1e = apply_map(r.y_at("E", 1), e, "E")
-    b = elem_tensor(theta, y1e)
-    cfree = elem_tensor(c1.phi1, e)
-    return G2Elt(r, e.weight, a, b, cfree)
+    return G2Elt(c1.rep, e.weight, elem_tensor(c1.theta, e),
+                 elem_tensor(c1.theta, e.y(1)), elem_tensor(c1.phi1, e))
 
 
 def gamma22_EE_G1EE(c1: G1Elt, ee: Elt) -> G3Elt:
-    r = c1.rep
-    v = apply_map(r.y_at("EE", 1), ee, "EE")
-    v = apply_map(r.y_at("EE", 2), v, "EE")
-    ee1 = elem_tensor(c1.theta, v)
-    chi2 = elem_tensor(c1.phi1, ee)
-    return G3Elt(r, ee.weight, ee1, chi2=chi2)
+    return G3Elt(c1.rep, ee.weight, elem_tensor(c1.theta, ee.y(1).y(2)),
+                 chi2=elem_tensor(c1.phi1, ee))
 
 
 def gamma22_EE_G2G2(p: G2Elt, q: G2Elt) -> G3Elt:
     """Pair of two degree +1 elements in the square corner."""
-    r = p.rep
-    y1 = lambda v: apply_map(r.y_at("E", 1), v, "E")
-    pb, pa, qb, qa = p.b, p.a, q.b, q.a
-    t_bb = elem_tensor(pb, qb)
-    t_ba = elem_tensor(pb, qa)
-    t_ab = elem_tensor(pa, qb)
-    inner = t_bb - apply_map(r.y_at("EE", 1), t_ba, "EE")
-    ee1 = (t_bb
-           + apply_map(r.y_at("EE", 2),
-                       apply_map(r.tau_at("EE", 1), inner, "EE"), "EE")
-           + apply_map(r.y_at("EE", 1),
-                       apply_map(r.y_at("EE", 2), join(pb, q.c, 1), "EE"),
-                       "EE"))
-    ee2 = t_bb - apply_map(r.y_at("EE", 2), t_ab, "EE")
-    ee3 = elem_tensor(pb - y1(pa), qb - y1(qa))
-    t_tau = apply_map(r.tau_at("FEE", 1),
-                      apply_map(r.eta_at("E", 0), pb - y1(pa), "FEE"),
-                      "FEE")
-    chi2 = (join(t_tau, q.c, 1)
-            + apply_map(r.tau_at("FEEE", 1),
-                        elem_tensor(p.c, qb - y1(qa)), "FEEE")
-            + elem_tensor(p.c, qa))
-    return G3Elt(r, q.weight, ee1, ee2, ee3, chi2)
+    t_bb = elem_tensor(p.b, q.b)
+    inner = t_bb - elem_tensor(p.b, q.a).y(1)
+    ee1 = t_bb + inner.tau(1).y(2) + join(p.b, q.c, 1).y(2).y(1)
+    ee2 = t_bb - elem_tensor(p.a, q.b).y(2)
+    ee3 = elem_tensor(p.e2(), q.e2())
+    chi2 = (join(p.e2().eta(0).tau(1), q.c, 1)
+            + elem_tensor(p.c, q.e2()).tau(1) + elem_tensor(p.c, q.a))
+    return G3Elt(p.rep, q.weight, ee1, ee2, ee3, chi2)
 
 
 def tau22(h: G3Elt) -> G3Elt:
     """The crossing map on the square corner, elementwise."""
-    r = h.rep
     eep = h.ee_prime()
-    ee3 = apply_map(r.tau_at("EE", 1), h.ee3, "EE")
-    chi2 = apply_map(r.tau_at("FEEE", 2), h.chi2, "FEEE")
-    return G3Elt(r, h.weight, eep, eep, ee3, chi2)
+    return G3Elt(h.rep, h.weight, eep, eep, h.ee3.tau(1), h.chi2.tau(2))
 
 
 def decompose_first(elt: Elt):

@@ -13,7 +13,7 @@ from ..matrixops import Matrix, ShapeMismatchError
 from ..tworep import _memoized, _sequence
 from .core import (ProductRep, tau21, tilde_tau, tilde_x_pow, tilde_x_step_21,
                    tilde_x_step_22)
-from .elements import Elt, apply_map, basis_elt, elem_tensor, join
+from .elements import basis_elt, elem_tensor, join
 from .gammas import omega3_apply
 from .models import (G1Elt, G2Elt, L2Elt, UElt, act_G1_on_G2, act_G1_on_U,
                      act_L2_on_L2_left, act_phi1_on_G2, compose_F_after_G1,
@@ -88,9 +88,8 @@ def _eta_pairs(P: ProductRep, w: int):
     "b", built once per weight.
     """
     r = P.Vy
-    eta1 = apply_map(r.eta, one_at(r, w), "FE")
     out = []
-    for fL, v in decompose_first(eta1):
+    for fL, v in decompose_first(one_at(r, w).eta(0)):
         out.append((L2Elt(r, w + 2, fL), G2Elt(r, w, v), "a"))
         out.append((L2Elt(r, w + 2, f=fL), G2Elt(r, w, b=v), "b"))
     return out
@@ -130,19 +129,13 @@ def _sigma22_EF_column(P: ProductRep, g2in: G2Elt, lprime: L2Elt) -> UElt:
         v = g_eta.a if flavor == "a" else g_eta.b
         tens = elem_tensor(v, e)
         claim = []
+        for u, rr in decompose_first(tens.tau(1)):
+            q = (G2Elt(r, w - 2, rr, rr.y(1)) if flavor == "a"
+                 else G2Elt(r, w - 2, b=rr))
+            claim.append((G2Elt(r, w, b=u), q, 1))
         if flavor == "a":
-            z1 = apply_map(r.tau_at("EE", 1), tens, "EE")
-            for u, rr in decompose_first(z1):
-                y1r = apply_map(r.y_at("E", 1), rr, "E")
-                claim.append((G2Elt(r, w, b=u), G2Elt(r, w - 2, rr, y1r), 1))
-            z2 = apply_map(r.tau_at("EE", 1),
-                           apply_map(r.y_at("EE", 1), tens, "EE"), "EE")
-            for u, rr in decompose_first(z2):
+            for u, rr in decompose_first(tens.y(1).tau(1)):
                 claim.append((G2Elt(r, w, b=u), G2Elt(r, w - 2, b=rr), -1))
-        else:
-            z3 = apply_map(r.tau_at("EE", 1), tens, "EE")
-            for u, rr in decompose_first(z3):
-                claim.append((G2Elt(r, w, b=u), G2Elt(r, w - 2, b=rr), 1))
         acc = None
         for p, q, s in claim:
             t = gamma22_EE_G2G2(p, q)
@@ -214,10 +207,6 @@ def tilde_sigma_oracle(P: ProductRep, corner: str) -> BimoduleMap:
 # the pairing maps, built elementwise
 # ---------------------------------------------------------------------------
 
-def _x_step_E(P, e: Elt) -> Elt:
-    return apply_map(P.Vy.x_at("E", 1), e, "E")
-
-
 def _iterate(P: ProductRep, key: tuple, start, step, i: int):
     """The i-th iterate of ``step`` from ``start()``: one
     :func:`~sl2prod.tworep._sequence` per column, ``key`` = (oracle,
@@ -228,14 +217,13 @@ def _iterate(P: ProductRep, key: tuple, start, step, i: int):
 
 def eps_xi_F_oracle(P: ProductRep, i: int, corner: str) -> BimoduleMap:
     """The i-th evaluation pairing on a corner, built column by column."""
-    r = P.Vy
-    y1E = r.y_at("E", 1)
     pairs = {w: pair_basis(P, corner, w) for w in P.T[corner].weights()}
+    x_step_E = lambda P, e: e.x(1)
 
     def col11(w, j):
         e, f = pairs[w][j]
-        ei = _iterate(P, ("eps", "11", w, j), lambda: e, _x_step_E, i)
-        return join(apply_map(y1E, ei, "E"), f, 1).vec
+        ei = _iterate(P, ("eps", "11", w, j), lambda: e, x_step_E, i)
+        return join(ei.y(1), f, 1).vec
 
     def col21(w, j):
         c1, f = pairs[w][j]
@@ -245,8 +233,8 @@ def eps_xi_F_oracle(P: ProductRep, i: int, corner: str) -> BimoduleMap:
 
     def col12(w, j):
         e, chat = pairs[w][j]
-        ei = _iterate(P, ("eps", "12", w, j), lambda: e, _x_step_E, i)
-        res = join(apply_map(y1E, ei, "E"), chat.phi1, 1)
+        ei = _iterate(P, ("eps", "12", w, j), lambda: e, x_step_E, i)
+        res = join(ei.y(1), chat.phi1, 1)
         if chat.theta.vec:
             res = res + ei.scale(chat.theta.vec[0])
         return res.vec
@@ -284,7 +272,7 @@ def F_xi_eta_oracle(P: ProductRep, i: int, corner: str) -> BimoduleMap:
     def col12(w, j):
         def start():
             e = basis_elt(r, "E", w, j)
-            return G2Elt(r, w, e, apply_map(r.y_at("E", 1), e, "E"))
+            return G2Elt(r, w, e, e.y(1))
         gi = _iterate(P, ("F", "12", w, j), start, tilde_x_step_22, i)
         return gi.to_vec()
 
@@ -375,7 +363,7 @@ def check_eta22_identity(P: ProductRep):
     r = P.Vy
     out = []
     for w in P.weights():
-        eta1 = apply_map(r.eta, one_at(r, w), "FE")
+        eta1 = one_at(r, w).eta(0)
         total = UElt(r, w)
         for l_eta, g_eta, _ in _eta_pairs(P, w):
             total = total + compose_U(g_eta, l_eta)
@@ -391,7 +379,8 @@ def check_omega3_linearity(P: ProductRep):
 
     The defect d(g, phi, l) = omega3(g.phi (x) l) - omega3(g (x) phi.l) is
     k[y]-linear in each of g, phi and l, because every step computing it
-    is: ``apply_map``, ``join``, the omega3 block matrix and
+    is: the element operators ``x``, ``y``, ``tau``, ``eta`` and
+    ``tau_mate``, ``join``, the omega3 block matrix and
     ``elem_tensor`` (a k[y] coefficient acts by scalars, so
     left_poly(pq) = q left_poly(p) for q in k[y]).  So d vanishes on all
     k[y]-combinations of basis vectors exactly when it vanishes on every

@@ -554,9 +554,11 @@ def rep_from_json(data: dict, field=QQ) -> TwoRep:
     """Read the schema of :func:`rep_to_json`; a ``"basis"`` list is read
     only for its length.  y is reserved for the product: a weight ring or an
     entry with y raises ValueError.  So does a left action named after
-    anything but a generator of its target ring, and an entry at weight lam
+    anything but a generator of its target ring, an entry at weight lam
     (of x, tau or a left action matrix) that names a variable outside the
-    ring at lam."""
+    ring at lam, and an entry at a weight where its module has no
+    component: E at lam needs the rings at lam and lam + 2, x needs E at
+    lam and tau needs EE at lam."""
 
     def entry(text, lam):
         p = parse_poly(text, field)
@@ -576,6 +578,16 @@ def rep_from_json(data: dict, field=QQ) -> TwoRep:
         return Matrix.from_rows(field, [[entry(s, lam) for s in row]
                                         for row in rows])
 
+    def endo(section, M, name):
+        mats = {}
+        for lam_s, rows in data.get(section, {}).items():
+            lam = int(lam_s)
+            if lam not in M.weights():
+                raise ValueError(f"{section} entry at weight {lam}, where "
+                                 f"{name} has no component")
+            mats[lam] = mat_from_json(rows, lam, M.rank(lam))
+        return BimoduleMap(M, M, mats)
+
     support = {int(w): tuple(v) for w, v in data["weights"].items()}
     for w, gens in support.items():
         if "y" in gens:
@@ -585,7 +597,10 @@ def rep_from_json(data: dict, field=QQ) -> TwoRep:
     for lam_s, cdata in data.get("E", {}).items():
         lam = int(lam_s)
         r = len(cdata["basis"])
-        gens = support.get(lam + 2, ())
+        if lam not in support or lam + 2 not in support:
+            raise ValueError(f"E entry at weight {lam} needs the weight "
+                             f"rings at {lam} and {lam + 2}")
+        gens = support[lam + 2]
         for v in cdata["left"]:
             if v not in gens:
                 raise ValueError(f"left action at weight {lam} names {v!r}, "
@@ -595,10 +610,5 @@ def rep_from_json(data: dict, field=QQ) -> TwoRep:
                 for v, rows in cdata["left"].items()}
         comps[lam] = Component(r, left)
     E = Bimodule(A, 2, comps)
-    x_mats = {int(l): mat_from_json(rows, int(l), E.rank(int(l)))
-              for l, rows in data.get("x", {}).items()}
-    x = BimoduleMap(E, E, x_mats)
-    EE = tensor_over_A(E, E)
-    tau_mats = {int(l): mat_from_json(rows, int(l), EE.rank(int(l)))
-                for l, rows in data.get("tau", {}).items()}
-    return TwoRep(A, E, x, BimoduleMap(EE, EE, tau_mats))
+    return TwoRep(A, E, endo("x", E, "E"),
+                  endo("tau", tensor_over_A(E, E), "EE"))

@@ -582,16 +582,30 @@ class TestSparseElementCalculus:
         assert_same_elt(join(a, b, n), ref_join(a, b, n))
 
     @settings(max_examples=40, deadline=None)
-    @given(element_reps, st.sampled_from(WORDS + ["EFE", "FEF", "EEF"]),
+    @given(element_reps,
+           st.sampled_from(WORDS + ["EFE", "FEF", "EEF", "FFE", "FFEE"]),
            st.data())
     def test_apply_map_every_placement(self, rep, word, data):
+        # apply_map and the element's own operators (x, y, tau, eta at each
+        # placement, tau_mate on FF + rw) against the dense reference
         lam = data.draw(st.sampled_from(rep.A.weights()))
         elt = draw_elt(data, rep, word, lam)
         for (meth, k), (_, _, cod_mid, lw, rw) in placements(word):
             f = getattr(rep, meth)(word, k)
             out_word = lw + cod_mid + rw
-            assert_same_elt(apply_map(f, elt, out_word),
-                            ref_apply_map(f, elt, out_word))
+            want = ref_apply_map(f, elt, out_word)
+            assert_same_elt(apply_map(f, elt, out_word), want)
+            if meth != "eps_at":
+                assert_same_elt(getattr(elt, meth[:-3])(k), want)
+            if meth == "x_at":
+                assert_same_elt(elt.y(k), ref_apply_map(rep.y_at(word, k),
+                                                        elt, word))
+        if word.startswith("FF"):
+            assert_same_elt(elt.tau_mate(),
+                            ref_apply_map(rep.tau_mate(word[2:]), elt, word))
+        else:
+            with pytest.raises(ShapeMismatchError):
+                elt.tau_mate()
 
 
 # ---------------------------------------------------------------------------

@@ -342,7 +342,7 @@ def test_oracle_start_elements_built_once_per_column(monkeypatch):
     splits = sum(C22.rank(w) * len(oracles._eta_pairs(P, w))
                  for w in C22.weights())
     acts = counting(monkeypatch, oracles, "act_G1_on_G2")
-    applies = counting(monkeypatch, oracles, "apply_map")
+    applies = counting(monkeypatch, Elt, "y")
     for i in range(n + 1):
         F_xi_eta_oracle(P, i, "12")
     assert len(applies) == P.Vy.word("E").total_rank()

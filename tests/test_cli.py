@@ -46,6 +46,23 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "error: bad field '4': expected QQ or a prime\n")
 
+    @pytest.mark.parametrize("p", [10**18 + 3, 2**61 - 1])
+    def test_large_prime_field_is_accepted(self, capsys, p):
+        # trial division up to sqrt(p) did not finish within 20 s
+        code, out = run_cli(["identities", "--field", str(p)], capsys)
+        assert code == 0
+        assert json.loads(out)["config"]["field"] == str(p)
+
+    @pytest.mark.parametrize("n", [2047, 561, 3215031751,
+                                   3317044064679887385961981])
+    def test_pseudoprime_field_is_config_error(self, capsys, n):
+        # a strong pseudoprime to base 2, a Carmichael number, a strong
+        # pseudoprime to bases 2, 3, 5 and 7, and the first n the bases
+        # 2..41 do not decide
+        assert main(["identities", "--field", str(n)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: bad field '{n}': expected QQ or a prime\n")
+
     def test_non_numeric_field_is_config_error(self, capsys):
         assert main(["identities", "--field", "abc"]) == 2
         assert capsys.readouterr().err == (
@@ -223,6 +240,27 @@ class TestExitCodes:
         assert code == 1
         assert gate["witness"] == (
             "input hypotheses fail: rho_4 iso; rho_6 iso; rho_8 iso")
+
+    @pytest.mark.parametrize("section, weight, line", [
+        ("E", "5", "E entry at weight 5 needs the weight rings at 5 and 7"),
+        ("x", "9", "x entry at weight 9, where E has no component"),
+        ("tau", "3", "tau entry at weight 3, where EE has no component")])
+    def test_entry_outside_its_module_is_input_error(self, capsys, tmp_path,
+                                                     section, weight, line):
+        # the parent dropped these entries and passed 142/142 on L(1)
+        data = {
+            "weights": {"-1": ["u"], "1": ["u"]},
+            "E": {"-1": {"basis": ["e"], "left": {"u": [["u"]]}}},
+            "x": {"-1": [["u"]]},
+            "tau": {},
+        }
+        data[section][weight] = ({"basis": ["e", "f"], "left": {}}
+                                 if section == "E" else [["1"]])
+        p = tmp_path / "stray.json"
+        p.write_text(json.dumps(data))
+        assert main(["verify-all", "--rep", str(p)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: malformed representation data: {line}\n")
 
     def test_empty_support_passes(self, capsys, tmp_path):
         p = tmp_path / "empty.json"

@@ -117,7 +117,6 @@ ALLOWED = {
     "product.models.G2Elt.from_data": TESTS,
     "product.models.G3Elt.ee_prime": L2,
     "product.models.G3Elt.head": L2,
-    "product.models.G3Elt.head.<locals>.emb": L2,
     "product.models.G3Elt.from_data": L2,
     "product.models.gamma22_EE_G1EE": L2,
     "product.models.gamma22_EE_G2G2": L2,
