@@ -148,7 +148,7 @@ QQ = Rationals()
 
 def make_field(spec: str):
     """Parse a field tag: ``"QQ"`` or a prime such as ``"7"``."""
-    if spec in ("QQ", "rationals", "Q"):
+    if spec == "QQ":
         return QQ
     return PrimeField(int(spec))
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 
-from .polyring import Poly, QQ, parse_poly, var_name
+from .polyring import Poly, QQ, parse_poly, var_index, var_name
 from .matrixops import (Matrix, adjugate, bareiss_determinant, block_matrix,
                         offsets, pick)
 from .bimodcat import (
@@ -60,7 +60,7 @@ def _memoized(fn):
     one :class:`TwoRep` and the one product over it:
 
     * on the :class:`TwoRep`, read by its checks and by the product:
-      ``_left_dual``, ``eta``, ``eps``, ``word``, ``x_at``, ``y_at``,
+      ``F``, ``eta``, ``eps``, ``word``, ``x_at``, ``y_at``,
       ``y_adjugate`` (the membership solver's determinant and adjugate of
       y_i, per word, factor and weight), ``tau_at``, ``eps_at``, ``eta_at``,
       ``tau_mate`` and ``xF_pow`` (methods), ``sigma`` and ``rho``
@@ -107,25 +107,26 @@ class TwoRep:
 
     # -- derived duality
 
-    @_memoized
-    def _left_dual(self):
-        return left_dual(self.E)
-
     @property
+    @_memoized
     def F(self) -> Bimodule:
-        return self._left_dual()[0]
+        return left_dual(self.E)
 
     @property
     @_memoized
     def eta(self) -> BimoduleMap:
-        """The unit A -> FE on the word modules."""
-        return self.rebase(self._left_dual()[1], "", "FE")
+        """The unit A -> FE: the column vec(I_r) at lam, r = E.rank(lam)."""
+        return BimoduleMap(self.word(""), self.word("FE"), {
+            lam: dual_basis(self.A.field, self.E.rank(lam), column=True)
+            for lam in self.E.weights()})
 
     @property
     @_memoized
     def eps(self) -> BimoduleMap:
-        """The counit EF -> A on the word modules."""
-        return self.rebase(self._left_dual()[2], "EF", "")
+        """The counit EF -> A: the row vec(I_r) at lam + 2, r = E.rank(lam)."""
+        return BimoduleMap(self.word("EF"), self.word(""), {
+            lam + self.E.shift: dual_basis(self.A.field, self.E.rank(lam))
+            for lam in self.E.weights()})
 
     # -- word calculus
 
@@ -280,70 +281,47 @@ def scalar_variable(m: Matrix, n: int, A: WeightedAlgebra, lam: int):
     return None
 
 
-def left_dual(E: Bimodule):
-    """The left dual F with the adjunction (eta, eps) for E.
+def left_dual(E: Bimodule) -> Bimodule:
+    """The left dual F of E: at lam it has the rank r of E at lam - 2, and
+    each generator acts by the one that acts on E as it, times I_r.  Its
+    unit and counit are the dual-basis maps ``TwoRep.eta`` and ``eps``.
 
     Requires every component's left action matrices to be scalar (a variable
     times the identity) inducing a variable bijection between the base rings.
     """
     A = E.algebra
-    field = A.field
     comps = {}
-    for lam in A.weights():
-        if lam - E.shift not in A:
-            continue
-        src = lam - E.shift  # source weight of the E component being dualized
+    for src in E.weights():
         r = E.rank(src)
-        # determine the variable bijection hat: vars(lam) -> vars(src)
-        hat = {}
+        if not r:
+            continue
+        lam = src + E.shift
+        inv = {}  # generator at src -> the generator at lam acting as it
         for w in A.support[lam]:
-            mat = E.left_matrix(src, w)
-            if r == 0:
-                hat[w] = None
-                continue
-            target = scalar_variable(mat, r, A, src)
-            if target is None:
+            v = scalar_variable(E.left_matrix(src, w), r, A, src)
+            if v is None:
                 raise LeftDualError(
                     f"left action of {w} at weight {src} is not scalar")
-            hat[w] = target
-        inv = {v: w for w, v in hat.items() if v is not None}
+            inv[v] = w
         left = {}
         for v in A.support[src]:
-            if r and v in inv:
-                left[v] = Matrix.identity(field, r).scale(Poly.var(field, inv[v]))
-            elif r:
+            if v not in inv:
                 raise LeftDualError(
                     f"no variable of the base ring at {lam} acts as {v}")
-            else:
-                left[v] = Matrix.zero(field, 0, 0)
+            left[v] = Matrix.identity(A.field, r).scale(
+                Poly.var(A.field, inv[v]))
         comps[lam] = Component(r, left)
-    F = Bimodule(A, -E.shift, comps)
-    # eps: E (x) F -> A, evaluation on dual bases
-    EF = tensor_over_A(E, F)
-    Areg = regular_bimodule(A)
-    eps_mats = {}
-    for lam in EF.weights():
-        r = E.rank(lam - 2) if (lam - 2) in A else 0
-        m = Matrix.zero(field, Areg.rank(lam), EF.rank(lam))
-        if Areg.rank(lam) and r:
-            one = Poly.one(field)
-            for i in range(r):
-                m.set(0, i * r + i, one)
-        eps_mats[lam] = m
-    eps = BimoduleMap(EF, Areg, eps_mats)
-    # eta: A -> F (x) E, the dual basis element
-    FE = tensor_over_A(F, E)
-    eta_mats = {}
-    for lam in Areg.weights():
-        r = E.rank(lam)
-        m = Matrix.zero(field, FE.rank(lam), Areg.rank(lam))
-        if r and FE.rank(lam) == r * r:
-            one = Poly.one(field)
-            for a in range(r):
-                m.set(a * r + a, 0, one)
-        eta_mats[lam] = m
-    eta = BimoduleMap(Areg, FE, eta_mats)
-    return F, eta, eps
+    return Bimodule(A, -E.shift, comps)
+
+
+def dual_basis(field, r: int, column: bool = False) -> Matrix:
+    """vec(I_r), as a row or a column: the pairing of a rank-r basis with
+    its dual basis, in the row-major, left-factor-outer basis of
+    :func:`~sl2prod.bimodcat.tensor_over_A`."""
+    one, zero = Poly.one(field), Poly.zero(field)
+    v = [one if k % (r + 1) == 0 else zero for k in range(r * r)]
+    return (Matrix(field, r * r, 1, [[e] for e in v]) if column
+            else Matrix(field, 1, r * r, [v]))
 
 
 # ---------------------------------------------------------------------------
@@ -552,13 +530,15 @@ def rep_to_json(rep: TwoRep) -> dict:
 
 def rep_from_json(data: dict, field=QQ) -> TwoRep:
     """Read the schema of :func:`rep_to_json`; a ``"basis"`` list is read
-    only for its length.  y is reserved for the product: a weight ring or an
-    entry with y raises ValueError.  So does a left action named after
-    anything but a generator of its target ring, an entry at weight lam
-    (of x, tau or a left action matrix) that names a variable outside the
-    ring at lam, and an entry at a weight where its module has no
-    component: E at lam needs the rings at lam and lam + 2, x needs E at
-    lam and tau needs EE at lam."""
+    only for its length.  ValueError is raised by a weight ring that is not
+    a list of distinct variable names or that lists y (reserved for the
+    product), a ragged matrix, a left action matrix that is not r x r for a
+    basis of length r, an entry with y, a left action named after anything
+    but a generator of its target ring, an entry at weight lam (of x, tau
+    or a left action matrix) that names a variable outside the ring at lam,
+    and an entry at a weight where its module has no component: E at lam
+    needs the rings at lam and lam + 2, x needs E at lam and tau needs EE
+    at lam."""
 
     def entry(text, lam):
         p = parse_poly(text, field)
@@ -572,9 +552,13 @@ def rep_from_json(data: dict, field=QQ) -> TwoRep:
                              f"ring at {lam}")
         return p
 
-    def mat_from_json(rows, lam, n):
+    def mat_from_json(rows, lam, n, name):
         if not rows:
             return Matrix.zero(field, n, n)
+        widths = [len(row) for row in rows]
+        if len(set(widths)) > 1:
+            raise ValueError(f"{name} at weight {lam} is ragged, with rows of "
+                             f"lengths {', '.join(map(str, widths))}")
         return Matrix.from_rows(field, [[entry(s, lam) for s in row]
                                         for row in rows])
 
@@ -585,13 +569,24 @@ def rep_from_json(data: dict, field=QQ) -> TwoRep:
             if lam not in M.weights():
                 raise ValueError(f"{section} entry at weight {lam}, where "
                                  f"{name} has no component")
-            mats[lam] = mat_from_json(rows, lam, M.rank(lam))
+            mats[lam] = mat_from_json(rows, lam, M.rank(lam), section)
         return BimoduleMap(M, M, mats)
 
-    support = {int(w): tuple(v) for w, v in data["weights"].items()}
-    for w, gens in support.items():
+    support = {}
+    for w, gens in data["weights"].items():
+        w = int(w)
+        try:
+            ok = (isinstance(gens, list)
+                  and all(isinstance(g, str) for g in gens)
+                  and len({var_index(g) for g in gens}) == len(gens))
+        except ValueError:  # an unknown variable name
+            ok = False
+        if not ok:
+            raise ValueError(f"the weight ring at {w} is not a list of "
+                             "distinct variable names")
         if "y" in gens:
             raise ValueError(f"the weight ring at {w} lists the reserved y")
+        support[w] = tuple(gens)
     A = WeightedAlgebra(field, support)
     comps = {}
     for lam_s, cdata in data.get("E", {}).items():
@@ -601,13 +596,17 @@ def rep_from_json(data: dict, field=QQ) -> TwoRep:
             raise ValueError(f"E entry at weight {lam} needs the weight "
                              f"rings at {lam} and {lam + 2}")
         gens = support[lam + 2]
-        for v in cdata["left"]:
+        left = {}
+        for v, rows in cdata["left"].items():
             if v not in gens:
                 raise ValueError(f"left action at weight {lam} names {v!r}, "
                                  "not a generator of the weight ring at "
                                  f"{lam + 2}")
-        left = {v: mat_from_json(rows, lam, r)
-                for v, rows in cdata["left"].items()}
+            name = f"E's left action of {v}"
+            m = left[v] = mat_from_json(rows, lam, r, name)
+            if (m.nrows, m.ncols) != (r, r):
+                raise ValueError(f"{name} at weight {lam} is "
+                                 f"{m.nrows}x{m.ncols}, expected {r}x{r}")
         comps[lam] = Component(r, left)
     E = Bimodule(A, 2, comps)
     return TwoRep(A, E, endo("x", E, "E"),

@@ -427,13 +427,13 @@ def test_verify_all_builds_each_structure_map_once(monkeypatch, tmp_path):
     ["verify-all"], ["build-product", "--field", "7", "--i-max", "16"]])
 def test_run_tensors_each_word_module_once(monkeypatch, tmp_path, argv):
     # one tensor product per nonempty word module of the one memo, plus
-    # E^2 for tau and EF, FE in the left dual
+    # E^2 for tau
     products = returning(monkeypatch, cli, "build_product")
     tensors = counting_everywhere(monkeypatch, bimodcat, "tensor_over_A")
     assert cli.main([*argv, "--out", str(tmp_path / "r.json")]) == 0
     words = [key for key in products[0].Vy._cache
              if key[0] == "word" and key[1]]
-    assert len(tensors) == len(words) + 3 == 36
+    assert len(tensors) == len(words) + 1 == 34
 
 
 def test_run_loads_the_rep_once(monkeypatch, tmp_path):

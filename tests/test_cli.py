@@ -64,9 +64,11 @@ class TestExitCodes:
             f"error: bad field '{n}': expected QQ or a prime\n")
 
     def test_non_numeric_field_is_config_error(self, capsys):
-        assert main(["identities", "--field", "abc"]) == 2
-        assert capsys.readouterr().err == (
-            "error: bad field 'abc': expected QQ or a prime\n")
+        # "Q" and "rationals" were undocumented aliases of QQ
+        for spec in ("abc", "Q", "rationals"):
+            assert main(["identities", "--field", spec]) == 2
+            assert capsys.readouterr().err == (
+                f"error: bad field {spec!r}: expected QQ or a prime\n")
 
     def test_missing_rep_file(self, capsys, tmp_path):
         assert main(["check-rep", "--rep", str(tmp_path / "nope.json")]) == 2
@@ -112,15 +114,62 @@ class TestExitCodes:
 
     def test_left_action_of_wrong_size_is_input_error(self, capsys,
                                                       tmp_path):
-        # u * I_2 on a rank-one component is no scalar action
+        # u * I_2 on a rank-one component
         rep = self.rep_with(tmp_path)
         data = json.loads(Path(rep).read_text())
         data["E"]["-1"]["left"]["u"] = [["u", "0"], ["0", "u"]]
         Path(rep).write_text(json.dumps(data))
         assert main(["verify-all", "--rep", rep]) == 2
         assert capsys.readouterr().err == (
-            "error: malformed representation data: left action of u at "
-            "weight -1 is not scalar\n")
+            "error: malformed representation data: E's left action of u at "
+            "weight -1 is 2x2, expected 1x1\n")
+
+    @pytest.mark.parametrize("component, x, line", [
+        # a rank-zero component with a 1x1 left action, which used to fail
+        # rho_-1 iso as "non-square 0x1"
+        ({"basis": [], "left": {"u": [["u"]]}}, {},
+         "E's left action of u at weight -1 is 1x1, expected 0x0"),
+        # a ragged left action on a rank-two component
+        ({"basis": ["e", "f"], "left": {"u": [["u", "0"], ["0"]]}}, {},
+         "E's left action of u at weight -1 is ragged, with rows of "
+         "lengths 2, 1"),
+        # u * I_2 with a ragged dot
+        ({"basis": ["e", "f"], "left": {"u": [["u", "0"], ["0", "u"]]}},
+         {"-1": [["u", "0"], ["0", "u", "7"]]},
+         "x at weight -1 is ragged, with rows of lengths 2, 3")],
+        ids=["rank-zero-left", "ragged-left", "ragged-x"])
+    def test_matrix_of_wrong_shape_is_input_error(self, capsys, tmp_path,
+                                                  component, x, line):
+        # each of these used to load and exit 1: a ragged matrix passed the
+        # shape checks, which read the length of its first row
+        p = tmp_path / "shape.json"
+        p.write_text(json.dumps({"weights": {"-1": ["u"], "1": ["u"]},
+                                 "E": {"-1": component}, "x": x,
+                                 "tau": {}}))
+        assert main(["verify-all", "--rep", str(p)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: malformed representation data: {line}\n")
+
+    L1_E = {"-1": {"basis": ["e"], "left": {"u": [["u"]]}}}
+
+    @pytest.mark.parametrize("weights, E, x", [
+        # both used to pass 142/142 with L(1)'s E and x
+        ({"-1": "u", "1": "u"}, L1_E, {"-1": [["u"]]}),
+        ({"-1": ["u", "u"], "1": ["u", "u"]}, L1_E, {"-1": [["u"]]}),
+        # read as the variables x and 1, as its keys, and as no name
+        ({"-1": "x1", "1": "x1"}, {}, {}),
+        ({"-1": {"u": 1}, "1": ["u"]}, {}, {}),
+        ({"-1": [1], "1": ["u"]}, {}, {})],
+        ids=["string", "duplicates", "letters", "dict", "int"])
+    def test_weight_ring_not_a_list_of_names_is_input_error(
+            self, capsys, tmp_path, weights, E, x):
+        p = tmp_path / "weights.json"
+        p.write_text(json.dumps({"weights": weights, "E": E, "x": x,
+                                 "tau": {}}))
+        assert main(["verify-all", "--rep", str(p)]) == 2
+        assert capsys.readouterr().err == (
+            "error: malformed representation data: the weight ring at -1 is "
+            "not a list of distinct variable names\n")
 
     def test_unknown_variable_is_input_error(self, capsys, tmp_path):
         rep = self.rep_with(tmp_path, x="q")

@@ -124,6 +124,7 @@ ALLOWED = {
     "product.rho.RhoMap.__repr__": DUNDER,
     "product.rho._m_y_alt": LN,
     "tworep.TwoRep.adjoin_y": TRACER,
+    "tworep.TwoRep.rebase": TRACER,
     "tworep.rep_to_json": TESTS,
     "tworep.rep_to_json.<locals>.mat_to_json": TESTS,
 }

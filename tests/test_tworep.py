@@ -1,13 +1,43 @@
 """Structural checks on weighted representations and the commutator map."""
 
-from sl2prod.bimodcat import certify_iso
-from sl2prod.polyring import make_field
+import json
+from pathlib import Path
+
+import pytest
+
+from sl2prod.bimodcat import (BimoduleMap, Component, Bimodule, certify_iso,
+                              compose, identity_map, regular_bimodule,
+                              tensor_over_A)
+from sl2prod.matrixops import Matrix
+from sl2prod.polyring import Poly, QQ, make_field
 from sl2prod.tworep import (check_hecke, check_hypotheses, make_L1,
-                            rep_from_json, rep_to_json, rho, sigma)
+                            rep_from_json, rep_to_json, rho,
+                            scalar_variable, sigma)
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# E of rank 2 at weight -1 and of rank 1 at -3 and 1, each with u acting
+# as u, and x = u; rho is no isomorphism on it
+RANK2 = {
+    "weights": {"-3": ["u"], "-1": ["u"], "1": ["u"], "3": ["u"]},
+    "E": {"-3": {"basis": ["e"], "left": {"u": [["u"]]}},
+          "-1": {"basis": ["e", "f"],
+                 "left": {"u": [["u", "0"], ["0", "u"]]}},
+          "1": {"basis": ["e"], "left": {"u": [["u"]]}}},
+    "x": {"-3": [["u"]], "-1": [["u", "0"], ["0", "u"]], "1": [["u"]]},
+    "tau": {}}
 
 
 def all_pass(records):
     return [r for r in records if r["status"] != "pass"]
+
+
+def zigzags(r):
+    """(eps E).(E eta) and (F eps).(eta F), each against the identity."""
+    return (compose(r.eps_at("EFE", 0), r.eta_at("E", 1))
+            == identity_map(r.word("E")),
+            compose(r.eps_at("FEF", 1), r.eta_at("F", 0))
+            == identity_map(r.word("F")))
 
 
 class TestL1:
@@ -30,6 +60,7 @@ class TestL1:
         # on L(1) the only nonzero weight of EF is 1, where sigma vanishes
         # (FE has rank 0 there) and the evaluation pairing is an iso
         assert s.matrix(1).is_zero()
+        assert zigzags(V) == (True, True)
 
     def test_prime_field_build(self):
         rep = make_L1(field=make_field("7"))
@@ -77,3 +108,81 @@ class TestFaultInjection:
         bad = all_pass(check_hecke(corrupted_rep()))
         assert {r["check"] for r in bad} == {
             "tau.(Ex) = (xE).tau + 1", "(Ex).tau = tau.(xE) + 1"}
+
+
+def ref_left_dual(E):
+    """F, eta and eps built independently: F from the variable bijection
+    read off E's scalar left actions at every weight, and eta and eps on
+    tensor modules FE, EF and A of their own, one dual-basis entry at a
+    time."""
+    A, field = E.algebra, E.algebra.field
+    one = Poly.one(field)
+    comps = {}
+    for lam in A.weights():
+        src = lam - E.shift
+        if src not in A:
+            continue
+        r = E.rank(src)
+        inv = {scalar_variable(E.left_matrix(src, w), r, A, src): w
+               for w in A.support[lam]} if r else {}
+        comps[lam] = Component(r, {
+            v: Matrix.identity(field, r).scale(Poly.var(field, inv[v]))
+            if r else Matrix.zero(field, 0, 0) for v in A.support[src]})
+    F = Bimodule(A, -E.shift, comps)
+    Areg, FE, EF = (regular_bimodule(A), tensor_over_A(F, E),
+                    tensor_over_A(E, F))
+    eta, eps = {}, {}
+    for lam in A.weights():
+        r = E.rank(lam)
+        eta[lam] = Matrix.zero(field, FE.rank(lam), 1)
+        for a in range(r):
+            eta[lam].set(a * r + a, 0, one)
+        r = E.rank(lam - 2) if lam - 2 in A else 0
+        eps[lam] = Matrix.zero(field, 1, EF.rank(lam))
+        for a in range(r):
+            eps[lam].set(0, a * r + a, one)
+    return F, BimoduleMap(Areg, FE, eta), BimoduleMap(EF, Areg, eps)
+
+
+def load(name):
+    if name == "L1":
+        return make_L1()
+    if name == "L1/GF7":
+        return make_L1(make_field("7"))
+    data = RANK2 if name == "rank2" else json.loads(
+        (GOLDEN / f"{name}.json").read_text())
+    return rep_from_json(data, QQ)
+
+
+@pytest.mark.parametrize("name", ["L1", "e2_tau0", "l1_x2u", "rank2"])
+def test_duality_matches_reference(name):
+    r = load(name)
+    F, eta, eps = ref_left_dual(r.E)
+    assert r.F.weights() == F.weights()
+    for lam in F.weights():
+        assert r.F.rank(lam) == F.rank(lam)
+        assert r.F.components[lam].left == F.components[lam].left
+    for lam in r.A.weights():
+        assert r.eta.matrix(lam) == eta.matrix(lam)
+        assert r.eps.matrix(lam) == eps.matrix(lam)
+    assert r.eta.dom is r.word("") and r.eta.cod is r.word("FE")
+    assert r.eps.dom is r.word("EF") and r.eps.cod is r.word("")
+
+
+@pytest.mark.parametrize("name", ["L1/GF7", "rank2"])
+def test_zigzag_identities(name):
+    r = load(name)
+    assert zigzags(r) == (True, True)
+
+
+def test_zigzag_fails_on_off_diagonal_counit():
+    r = load("rank2")
+    one, zero = Poly.one(QQ), Poly.zero(QQ)
+    assert r.eta.matrix(-1) == Matrix.from_rows(
+        QQ, [[one], [zero], [zero], [one]])
+    # the counit at weight 1 with its ones moved off the diagonal
+    mats = dict(r.eps.mats)
+    assert mats[1] == Matrix.from_rows(QQ, [[one, zero, zero, one]])
+    mats[1] = Matrix.from_rows(QQ, [[zero, one, one, zero]])
+    r._cache[("eps",)] = BimoduleMap(r.eps.dom, r.eps.cod, mats)
+    assert zigzags(r) != (True, True)
