@@ -25,7 +25,11 @@ from .bimodcat import (
 )
 
 
-class LeftDualError(ValueError):
+class InputError(ValueError):
+    """Data that :func:`rep_from_json` cannot read as a representation."""
+
+
+class LeftDualError(InputError):
     """The left dual requires scalar left-action matrices (v acting as a
     variable times the identity) on every component of E."""
 
@@ -329,19 +333,14 @@ def dual_basis(field, r: int, column: bool = False) -> Matrix:
 
 
 def make_L1(field=QQ) -> TwoRep:
-    """The rank-one representation on weights {-1, +1}.
-
-    Both weight rings are k[u]; E is the rank-one bimodule concentrated at
-    source weight -1, u acts by multiplication on both sides, x is
-    multiplication by u, and tau is the zero map on the zero bimodule E^2.
-    """
-    A = WeightedAlgebra(field, {-1: ("u",), 1: ("u",)})
-    u = Poly.var(field, "u")
-    comps = {-1: Component(1, {"u": Matrix.from_rows(field, [[u]])})}
-    E = Bimodule(A, 2, comps)
-    x = BimoduleMap(E, E, {-1: Matrix.from_rows(field, [[u]])})
-    EE = tensor_over_A(E, E)
-    return TwoRep(A, E, x, BimoduleMap(EE, EE, {}))
+    """The rank-one representation on weights {-1, +1}, read by
+    :func:`rep_from_json`.  Both weight rings are k[u]; E is the rank-one
+    bimodule at source weight -1, u acts by multiplication on both sides,
+    x is multiplication by u, and tau is the zero map on the zero E^2."""
+    return rep_from_json({
+        "weights": {"-1": ["u"], "1": ["u"]},
+        "E": {"-1": {"basis": ["e0"], "left": {"u": [["u"]]}}},
+        "x": {"-1": [["u"]]}, "tau": {}}, field)
 
 
 # ---------------------------------------------------------------------------
@@ -471,28 +470,19 @@ def check_hypotheses(rep: TwoRep, window):
             results.append(record(f"E^{n} free over P_{n}", True,
                                   witness=f"E^{n} = 0"))
             continue
-        ok = True
-        witness = None
-        for i in range(1, n + 1):
-            xi = rep.x_at(word, i)
-            for lam in W.weights():
-                m = xi.matrix(lam)
-                if m.nrows and not scalar_variable(m, m.nrows, W.algebra, lam):
-                    ok = False
-                    witness = f"x_{i} at weight {lam} not a scalar variable"
-        results.append(record(f"E^{n} free over P_{n}", ok, witness))
+        bad = [f"x_{i} at weight {lam} not a scalar variable"
+               for i in range(1, n + 1)
+               for lam, m in rep.x_at(word, i).mats.items()
+               if m.nrows and not scalar_variable(m, m.nrows, W.algebra, lam)]
+        results.append(record(f"E^{n} free over P_{n}", not bad,
+                              bad[-1] if bad else None))
 
     # (c) local nilpotence
     span = hi - lo + 1
     for lam in range(lo, hi + 1):
         for letter in "EF":
-            k = 1
-            nil = False
-            while k <= span:
-                if rep.word(letter * k).rank(lam) == 0:
-                    nil = True
-                    break
-                k += 1
+            nil = any(rep.word(letter * k).rank(lam) == 0
+                      for k in range(1, span + 1))
             results.append(record(
                 f"{letter}^k e_{lam} = 0 for some k <= {span}", nil,
                 None if nil else f"{letter}^{span} e_{lam} != 0"))
@@ -528,86 +518,107 @@ def rep_to_json(rep: TwoRep) -> dict:
     }
 
 
-def rep_from_json(data: dict, field=QQ) -> TwoRep:
-    """Read the schema of :func:`rep_to_json`; a ``"basis"`` list is read
-    only for its length.  ValueError is raised by a weight ring that is not
-    a list of distinct variable names or that lists y (reserved for the
-    product), a ragged matrix, a left action matrix that is not r x r for a
-    basis of length r, an entry with y, a left action named after anything
-    but a generator of its target ring, an entry at weight lam (of x, tau
-    or a left action matrix) that names a variable outside the ring at lam,
-    and an entry at a weight where its module has no component: E at lam
-    needs the rings at lam and lam + 2, x needs E at lam and tau needs EE
-    at lam."""
+def rep_from_json(data, field=QQ) -> TwoRep:
+    """Read the schema of :func:`rep_to_json`; derive the left dual.
 
-    def entry(text, lam):
-        p = parse_poly(text, field)
+    ``data`` has ``"weights"`` and may have ``"E"``, ``"x"`` and ``"tau"``,
+    each keyed by integer weights, each weight once.  The ring at lam is a
+    list of distinct variable names other than the reserved y.  E at lam
+    needs the rings at lam and lam + 2: a ``"basis"`` list read only for
+    its length r and a ``"left"`` matrix for each generator of the ring at
+    lam + 2.  x is at weights of E, tau at weights of EE.  A matrix is a
+    list of n lists of n strings, n the rank of its module at lam (E's for
+    left actions and x, EE's for tau), each a polynomial in the generators
+    of the ring at lam.  Other data, and an E without a left dual
+    (:func:`left_dual`), raise InputError."""
+
+    def need(ok, message):
+        if not ok:
+            raise InputError(message)
+
+    def weighted(obj, name):
+        need(isinstance(obj, dict), f"{name} is not an object keyed by weight")
+        out = {}
+        for key, value in obj.items():
+            try:
+                lam = int(key)
+            except ValueError:
+                raise InputError(f"{name} has the weight key {key!r}, not an "
+                                 "integer") from None
+            need(lam not in out, f"{name} names weight {lam} twice")
+            out[lam] = value
+        return out
+
+    def entry(text, lam, name):
+        need(isinstance(text, str),
+             f"{name} at weight {lam} has an entry that is not a string")
+        try:
+            p = parse_poly(text, field)
+        except (ValueError, ZeroDivisionError, RecursionError) as e:
+            raise InputError(f"{name} at weight {lam}: {e}") from None
         names = {var_name(k) for e in p.terms for k, n in enumerate(e) if n}
-        if "y" in names:
-            raise ValueError(f"entry {text!r} involves the reserved y")
-        foreign = sorted(names - set(support.get(lam, ())))
+        need("y" not in names, f"entry {text!r} involves the reserved y")
+        foreign = sorted(names - set(support[lam]))
         if foreign:
-            raise ValueError(f"entry {text!r} at weight {lam} names "
+            raise InputError(f"entry {text!r} at weight {lam} names "
                              f"{foreign[0]!r}, not a generator of the weight "
                              f"ring at {lam}")
         return p
 
-    def mat_from_json(rows, lam, n, name):
-        if not rows:
-            return Matrix.zero(field, n, n)
+    def matrix(rows, n, lam, name):
+        need(isinstance(rows, list) and all(isinstance(r, list) for r in rows),
+             f"{name} at weight {lam} is not a list of rows")
         widths = [len(row) for row in rows]
-        if len(set(widths)) > 1:
-            raise ValueError(f"{name} at weight {lam} is ragged, with rows of "
-                             f"lengths {', '.join(map(str, widths))}")
-        return Matrix.from_rows(field, [[entry(s, lam) for s in row]
-                                        for row in rows])
+        need(len(set(widths)) < 2, f"{name} at weight {lam} is ragged, with "
+             f"rows of lengths {', '.join(map(str, widths))}")
+        need(widths == [n] * n, f"{name} at weight {lam} is {len(rows)}x"
+             f"{max(widths, default=0)}, expected {n}x{n}")
+        return Matrix(field, n, n, [[entry(s, lam, name) for s in row]
+                                    for row in rows])
 
     def endo(section, M, name):
-        mats = {}
-        for lam_s, rows in data.get(section, {}).items():
-            lam = int(lam_s)
-            if lam not in M.weights():
-                raise ValueError(f"{section} entry at weight {lam}, where "
-                                 f"{name} has no component")
-            mats[lam] = mat_from_json(rows, lam, M.rank(lam), section)
+        mats = weighted(data.get(section, {}), section)
+        for lam, rows in mats.items():
+            need(lam in M.weights(), f"{section} entry at weight {lam}, where "
+                 f"{name} has no component")
+            mats[lam] = matrix(rows, M.rank(lam), lam, section)
         return BimoduleMap(M, M, mats)
 
-    support = {}
-    for w, gens in data["weights"].items():
-        w = int(w)
+    need(isinstance(data, dict) and "weights" in data
+         and set(data) <= {"weights", "E", "x", "tau"},
+         'the data is not an object with "weights" and at most "E", "x" '
+         'and "tau" besides')
+    support = weighted(data["weights"], "weights")
+    for lam, gens in support.items():
         try:
             ok = (isinstance(gens, list)
                   and all(isinstance(g, str) for g in gens)
                   and len({var_index(g) for g in gens}) == len(gens))
         except ValueError:  # an unknown variable name
             ok = False
-        if not ok:
-            raise ValueError(f"the weight ring at {w} is not a list of "
-                             "distinct variable names")
-        if "y" in gens:
-            raise ValueError(f"the weight ring at {w} lists the reserved y")
-        support[w] = tuple(gens)
+        need(ok, f"the weight ring at {lam} is not a list of distinct "
+             "variable names")
+        need("y" not in gens, f"the weight ring at {lam} lists the reserved y")
     A = WeightedAlgebra(field, support)
-    comps = {}
-    for lam_s, cdata in data.get("E", {}).items():
-        lam = int(lam_s)
-        r = len(cdata["basis"])
-        if lam not in support or lam + 2 not in support:
-            raise ValueError(f"E entry at weight {lam} needs the weight "
-                             f"rings at {lam} and {lam + 2}")
-        gens = support[lam + 2]
-        left = {}
-        for v, rows in cdata["left"].items():
-            if v not in gens:
-                raise ValueError(f"left action at weight {lam} names {v!r}, "
-                                 "not a generator of the weight ring at "
-                                 f"{lam + 2}")
-            name = f"E's left action of {v}"
-            m = left[v] = mat_from_json(rows, lam, r, name)
-            if (m.nrows, m.ncols) != (r, r):
-                raise ValueError(f"{name} at weight {lam} is "
-                                 f"{m.nrows}x{m.ncols}, expected {r}x{r}")
-        comps[lam] = Component(r, left)
+    comps = weighted(data.get("E", {}), "E")
+    for lam, c in comps.items():
+        need(isinstance(c, dict) and set(c) == {"basis", "left"}
+             and isinstance(c["basis"], list) and isinstance(c["left"], dict),
+             f'E at weight {lam} is not an object with a "basis" list and a '
+             '"left" object')
+        need(lam in support and lam + 2 in support, f"E entry at weight {lam} "
+             f"needs the weight rings at {lam} and {lam + 2}")
+        gens, left, r = support[lam + 2], c["left"], len(c["basis"])
+        for v in left:
+            need(v in gens, f"left action at weight {lam} names {v!r}, not a "
+                 f"generator of the weight ring at {lam + 2}")
+        for v in gens:
+            need(v in left, f"E at weight {lam} has no left action of {v}")
+        comps[lam] = Component(r, {v: matrix(left[v], r, lam,
+                                              f"E's left action of {v}")
+                                   for v in gens})
     E = Bimodule(A, 2, comps)
-    return TwoRep(A, E, endo("x", E, "E"),
-                  endo("tau", tensor_over_A(E, E), "EE"))
+    rep = TwoRep(A, E, endo("x", E, "E"),
+                 endo("tau", tensor_over_A(E, E), "EE"))
+    rep.F  # memoized; an E without a left dual is bad input
+    return rep

@@ -84,7 +84,8 @@ class TestExitCodes:
                      '"E": {"-1": {"left": {}}}}')
         assert main(["check-rep", "--rep", str(p)]) == 2
         assert capsys.readouterr().err == (
-            "error: malformed representation data: missing key 'basis'\n")
+            "error: malformed representation data: E at weight -1 is not an "
+            'object with a "basis" list and a "left" object\n')
 
     @staticmethod
     def rep_with(tmp_path, x="u", left="u"):
@@ -221,8 +222,8 @@ class TestExitCodes:
         rep = self.rep_with(tmp_path, x=entry)
         assert main([command, "--rep", rep]) == 2
         assert capsys.readouterr().err == (
-            "error: malformed representation data: polynomial "
-            f"{entry!r} ends too early\n")
+            "error: malformed representation data: x at weight -1: "
+            f"polynomial {entry!r} ends too early\n")
 
     @pytest.mark.parametrize("command", REP_COMMANDS)
     def test_left_action_of_a_non_generator_is_input_error(
@@ -311,6 +312,51 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: malformed representation data: {line}\n")
 
+    @pytest.mark.parametrize("edit, line", [
+        # each loaded at the parent: a string read letter by letter as a
+        # row or a matrix, a "basis" string by its number of letters, and
+        # a weight named twice with the later entry winning
+        (lambda d: d["x"].update({"-1": "u"}),
+         "x at weight -1 is not a list of rows"),
+        (lambda d: d["E"]["-1"]["left"].update(u=["u"]),
+         "E's left action of u at weight -1 is not a list of rows"),
+        (lambda d: d["E"]["-1"].update(basis="e"),
+         'E at weight -1 is not an object with a "basis" list and a "left" '
+         'object'),
+        # exited 2 with "missing key 'u'", naming neither section nor weight
+        (lambda d: d["E"]["-1"].update(left={}),
+         "E at weight -1 has no left action of u"),
+        (lambda d: d["x"].update({"-01": [["2*u"]]}),
+         "x names weight -1 twice")],
+        ids=["string-x", "string-left", "string-basis", "no-left",
+             "weight-twice"])
+    def test_input_read_as_written_or_rejected(self, capsys, tmp_path, edit,
+                                               line):
+        rep = self.rep_with(tmp_path)
+        data = json.loads(Path(rep).read_text())
+        edit(data)
+        Path(rep).write_text(json.dumps(data))
+        assert main(["verify-all", "--rep", rep]) == 2
+        assert capsys.readouterr().err == (
+            f"error: malformed representation data: {line}\n")
+
+    def test_builtin_alias_is_gone(self, capsys):
+        # the default and --rep L1 name the built-in L(1); "builtin" is a
+        # file name like any other
+        assert run_cli(["check-rep", "--rep", "L1"], capsys) == run_cli(
+            ["check-rep"], capsys)
+        assert main(["check-rep", "--rep", "builtin"]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read builtin")
+
+    def test_undecodable_rep_file_is_input_error(self, capsys, tmp_path):
+        # invalid UTF-8 is read as U+FFFD, which no schema field accepts
+        p = tmp_path / "latin1.json"
+        p.write_bytes(b'{"weights": {"-1": ["u\xff"]}}')
+        assert main(["check-rep", "--rep", str(p)]) == 2
+        assert capsys.readouterr().err == (
+            "error: malformed representation data: the weight ring at -1 is "
+            "not a list of distinct variable names\n")
+
     def test_empty_support_passes(self, capsys, tmp_path):
         p = tmp_path / "empty.json"
         p.write_text('{"weights": {}}')
@@ -376,6 +422,26 @@ class TestReports:
         assert code == 1
         assert len(facts) == 4
         assert all(c["status"] == "fail" for c in facts)
+
+    def test_h_facts_reach_degree_four(self, capsys, monkeypatch):
+        # h_2 of three variables plus x1^2 passes every fact for i <= 3;
+        # facts 3 and 4 have Q(t) = (1 - x1 t)(1 - x2 t)(1 - y t) and index
+        # shift 2, so they need i = 4 even at --i-max 0
+        real = cli.h_complete
+
+        def mutated(i, names, field):
+            h = real(i, names, field)
+            return h + Poly.var(field, "x1") ** 2 if (
+                i == 2 and len(names) == 3) else h
+
+        monkeypatch.setattr(cli, "h_complete", mutated)
+        code, out = run_cli(["identities", "--i-max", "0"], capsys)
+        failed = [c["anchor"] for c in json.loads(out)["checks"]
+                  if c["status"] != "pass"]
+        assert code == 1
+        assert failed == [
+            "fact: sum x1^j h_(k-1)(x2,y) = h_(i-2)(x1,x2,y)",
+            "fact: y_2 h_(i-2)(x1,x2,y) = h_(i-1)(x1,x2) - h_(i-1)(x1,y)"]
 
     def test_negated_divided_difference_fails_hecke_records(
             self, capsys, monkeypatch):

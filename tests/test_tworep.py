@@ -7,10 +7,10 @@ import pytest
 
 from sl2prod.bimodcat import (BimoduleMap, Component, Bimodule, certify_iso,
                               compose, identity_map, regular_bimodule,
-                              tensor_over_A)
+                              tensor_over_A, WeightedAlgebra)
 from sl2prod.matrixops import Matrix
 from sl2prod.polyring import Poly, QQ, make_field
-from sl2prod.tworep import (check_hecke, check_hypotheses, make_L1,
+from sl2prod.tworep import (TwoRep, check_hecke, check_hypotheses, make_L1,
                             rep_from_json, rep_to_json, rho,
                             scalar_variable, sigma)
 
@@ -186,3 +186,39 @@ def test_zigzag_fails_on_off_diagonal_counit():
     mats[1] = Matrix.from_rows(QQ, [[zero, one, one, zero]])
     r._cache[("eps",)] = BimoduleMap(r.eps.dom, r.eps.cod, mats)
     assert zigzags(r) != (True, True)
+
+
+def hand_L1(field):
+    """L(1) built by hand, as ``make_L1`` built it before it read JSON:
+    k[u] at -1 and 1, E of rank one at -1 with u acting as u, x = u, and
+    tau the zero map on the zero E^2."""
+    A = WeightedAlgebra(field, {-1: ("u",), 1: ("u",)})
+    u = Matrix.from_rows(field, [[Poly.var(field, "u")]])
+    E = Bimodule(A, 2, {-1: Component(1, {"u": u})})
+    EE = tensor_over_A(E, E)
+    return TwoRep(A, E, BimoduleMap(E, E, {-1: u}), BimoduleMap(EE, EE, {}))
+
+
+@pytest.mark.parametrize("field", ["QQ", "7"])
+def test_make_L1_matches_the_hand_construction(field):
+    got, want = make_L1(make_field(field)), hand_L1(make_field(field))
+    assert got.A == want.A and got.A.weights() == [-1, 1]
+    for ours, theirs in ((got.E, want.E), (got.F, want.F),
+                         (got.word("EE"), want.word("EE"))):
+        assert ours.shift == theirs.shift
+        assert ours.weights() == theirs.weights()
+        for lam in theirs.weights():
+            assert ours.rank(lam) == theirs.rank(lam)
+            assert ours.components[lam].left == theirs.components[lam].left
+    for ours, theirs in ((got.x, want.x), (got.tau, want.tau),
+                         (got.eta, want.eta), (got.eps, want.eps)):
+        for lam in got.A.weights():
+            assert ours.matrix(lam) == theirs.matrix(lam)
+    assert got.E.rank(-1) == 1 and got.x.matrix(-1) != Matrix.zero(
+        got.A.field, 1, 1)
+
+
+def test_readme_prints_the_built_in_input():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("read by the same loader:\n\n```json\n")[1]
+    assert json.loads(block.split("```")[0]) == rep_to_json(make_L1())
