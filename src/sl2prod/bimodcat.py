@@ -351,41 +351,52 @@ def record(name, ok, witness=None, **evidence) -> dict:
     return out
 
 
-def certify_iso(f: BimoduleMap, name: str) -> dict:
-    """Certify a map as an isomorphism by exact determinants.
+def check_equal(name, lhs: BimoduleMap, rhs: BimoduleMap) -> dict:
+    """The record ``name`` of ``lhs == rhs``; a failure's witness lists the
+    weights where lhs - rhs is nonzero."""
+    if lhs == rhs:
+        return record(name, True)
+    bad = [lam for lam in lhs.dom.weights()
+           if not (lhs.matrix(lam) - rhs.matrix(lam)).is_zero()]
+    return record(name, False, f"weights {bad}")
 
-    A map is certified iso when every weight matrix is square with a
-    determinant that is a nonzero constant of the coefficient field; empty
-    matrices are isomorphisms.  Returns the record ``name``, whose ``dets``
-    maps each weight checked to its determinant string; a failure's witness
-    is the weight and the reason.
-    """
+
+def unit_det(m: Matrix):
+    """``(det, reason)``: det(m), None if m is not square, and why m is no
+    isomorphism, None if det is a nonzero constant (1 if m is empty)."""
+    if m.nrows != m.ncols:
+        return None, f"non-square {m.nrows}x{m.ncols}"
+    det = bareiss_determinant(m)
+    if det.is_zero() or not det.is_constant():
+        return det, f"determinant {det} is not a unit"
+    return det, None
+
+
+def certify_iso(mats: dict, name: str) -> dict:
+    """Certify matrices keyed by weight or by (corner, weight) as
+    isomorphisms by exact determinants (:func:`unit_det`), in sorted key
+    order.  Returns the record ``name``, whose ``dets`` maps each key
+    checked to its determinant string; a failure's witness is the key and
+    the reason."""
     dets = {}
-    for lam in sorted(f.mats):
-        m = f.matrix(lam)
-        if m.nrows != m.ncols:
-            return record(name, False, (lam, f"non-square {m.nrows}x{m.ncols}"),
-                          dets=dets)
-        det = bareiss_determinant(m)
-        dets[lam] = str(det)
-        if det.is_zero() or not det.is_constant():
-            return record(name, False, (lam, f"determinant {det} is not a unit"),
-                          dets=dets)
+    for key in sorted(mats):
+        det, reason = unit_det(mats[key])
+        if det is not None:
+            dets[key] = str(det)
+        if reason:
+            return record(name, False, (key, reason), dets=dets)
     return record(name, True, dets=dets)
 
 
 def inverse_map(f: BimoduleMap) -> BimoduleMap:
-    """The exact inverse of a certified isomorphism, via the adjugate."""
-    cert = certify_iso(f, "inverse")
-    if cert["status"] != "pass":
-        raise ValueError(f"not an isomorphism: {cert['witness']}")
+    """The exact inverse of an isomorphism, via the adjugate; raises
+    ValueError with the first weight that is no isomorphism."""
     field = f.dom.algebra.field
     mats = {}
-    for lam in f.mats:
-        m = f.matrix(lam)
-        det = bareiss_determinant(m)
-        adj = adjugate(m)
-        c = det.constant_value()
-        inv_c = field.div(field.one, c) if m.nrows else field.one
-        mats[lam] = adj.scale(Poly.const(field, inv_c))
+    for lam, m in f.mats.items():
+        det, reason = unit_det(m)
+        if reason:
+            raise ValueError(f"not an isomorphism: {(lam, reason)}")
+        inv_c = field.div(field.one, det.constant_value())
+        mats[lam] = adjugate(m).scale(Poly.const(field, inv_c))
     return BimoduleMap(f.cod, f.dom, mats)

@@ -19,8 +19,9 @@ from .product.core import (CORNERS, build_product, check_construction,
                            eps_xi_F_closed, F_xi_eta_closed,
                            tilde_sigma_closed)
 from .product.oracles import (check_eta22_identity, check_omega3_linearity,
-                              check_product_hecke, eps_xi_F_oracle,
-                              F_xi_eta_oracle, tilde_sigma_oracle)
+                              check_product_hecke, closed_vs_oracle,
+                              eps_xi_F_oracle, F_xi_eta_oracle,
+                              tilde_sigma_oracle)
 from .product.rho import tilde_rho, triangular_certificate
 
 
@@ -130,21 +131,17 @@ def suite_build_product(rep, i_max: int):
         return None, out
     out += [dict(r, check="product hecke: " + r["check"])
             for r in check_product_hecke(P)]
-    for corner in CORNERS:
-        ok = tilde_sigma_closed(P, corner) == tilde_sigma_oracle(P, corner)
-        out.append(record(f"crossing closed = oracle, corner {corner}", ok))
+    out += [closed_vs_oracle(f"crossing closed = oracle, corner {corner}",
+                             tilde_sigma_closed, tilde_sigma_oracle, P, corner)
+            for corner in CORNERS]
     for corner in CORNERS:
         for i in range(i_max + 1):
-            ok = (eps_xi_F_closed(P, i, corner)
-                  == eps_xi_F_oracle(P, i, corner))
-            out.append(record(
+            out.append(closed_vs_oracle(
                 f"evaluation pairing closed = oracle, corner {corner}, i={i}",
-                ok))
-            ok = (F_xi_eta_closed(P, i, corner)
-                  == F_xi_eta_oracle(P, i, corner))
-            out.append(record(
+                eps_xi_F_closed, eps_xi_F_oracle, P, i, corner))
+            out.append(closed_vs_oracle(
                 f"coevaluation pairing closed = oracle, corner {corner}, i={i}",
-                ok))
+                F_xi_eta_closed, F_xi_eta_oracle, P, i, corner))
     out += [dict(r, check="unit composite: " + r["check"])
             for r in check_eta22_identity(P)]
     out += [dict(r, check="middle-linearity: " + r["check"])
@@ -158,22 +155,22 @@ def suite_check_rho(P, window):
     out = []
     lo, hi = window
     for lam in range(lo, hi + 1):
-        f = tilde_rho(P, lam)
-        bad = f.is_welldefined()
+        corners = tilde_rho(P, lam)
+        bad = next((b for b in (f.is_welldefined() for f in corners.values())
+                    if b is not None), None)
         out.append(record(f"commutator map well defined, weight {lam}",
                           bad is None, bad))
         det = certify_iso(
-            f, f"commutator map determinant certificate, weight {lam}")
+            {(c, w): m for c, f in corners.items() for w, m in f.mats.items()},
+            f"commutator map determinant certificate, weight {lam}")
         tri = triangular_certificate(P, lam)
         out += [det, tri, record(f"certificates agree, weight {lam}",
                                  det["status"] == tri["status"])]
     # weight 0: every corner is its closed commutator block.  The corner
     # map is built from that block, so this record cannot fail; it is kept
     # so the suite's record count stays fixed.
-    f0 = tilde_rho(P, 0)
-    ok = all(tilde_sigma_closed(P, c).matrix(lam) == f0.corners[c].matrix(lam)
-             for c in CORNERS
-             for lam in f0.corners[c].mats)
+    ok = all(tilde_sigma_closed(P, c).matrix(w) == m
+             for c, f in tilde_rho(P, 0).items() for w, m in f.mats.items())
     out.append(record("weight 0: row and column assemblies coincide", ok))
     return out
 

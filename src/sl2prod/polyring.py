@@ -465,16 +465,22 @@ def h_complete(i: int, names: Iterable[str], field=QQ) -> Poly:
     return Poly(field, terms)
 
 
+# The most work parse_poly does on one text: each product, a power's
+# squarings included, costs its factors' terms times their coefficient bits.
+PARSE_LIMIT = 10 ** 5
+
+
 def parse_poly(text: str, field=QQ) -> Poly:
     """Parse the canonical rendering back into a Poly.
 
     Grammar: sums/differences of products of powers of variables, integer or
-    a/b rational constants, with parentheses.
+    a/b rational constants, with parentheses.  A product that would take
+    the work past ``PARSE_LIMIT`` raises ValueError before it is computed.
     """
     tokens = re.findall(r"\d+/\d+|\d+|[a-z]\d*|\^|\*|\+|-|\(|\)", text)
     if "".join(tokens).replace(" ", "") != text.replace(" ", ""):
         raise ValueError(f"cannot tokenize polynomial {text!r}")
-    pos = 0
+    pos = work = 0
 
     def peek():
         return tokens[pos] if pos < len(tokens) else None
@@ -488,33 +494,46 @@ def parse_poly(text: str, field=QQ) -> Poly:
         return tok
 
     def parse_sum() -> Poly:
-        sign = 1
-        while peek() in ("+", "-"):
-            if take() == "-":
-                sign = -sign
-        acc = parse_product() * sign
-        while peek() in ("+", "-"):
+        acc = Poly.zero(field)
+        while True:
             sign = 1
             while peek() in ("+", "-"):
                 if take() == "-":
                     sign = -sign
             acc = acc + parse_product() * sign
-        return acc
+            if peek() not in ("+", "-"):
+                return acc
+
+    def bits(p):
+        return max((abs(c.numerator).bit_length() + c.denominator.bit_length()
+                    for c in p.terms.values()), default=0)
+
+    def times(a, b):
+        nonlocal work
+        work += 1 + len(a.terms) * len(b.terms) * (bits(a) + bits(b))
+        if work > PARSE_LIMIT:
+            raise ValueError(f"polynomial {text!r} expands past PARSE_LIMIT")
+        return a * b
 
     def parse_product() -> Poly:
         acc = parse_power()
         while peek() == "*":
             take()
-            acc = acc * parse_power()
+            acc = times(acc, parse_power())
         return acc
 
     def parse_power() -> Poly:
-        base = parse_atom()
+        acc = base = parse_atom()
         if peek() == "^":
             take()
-            exp = int(take())
-            return base**exp
-        return base
+            acc, exp = Poly.one(field), int(take())
+            while exp:
+                if exp & 1:
+                    acc = times(acc, base)
+                exp >>= 1
+                if exp:
+                    base = times(base, base)
+        return acc
 
     def parse_atom() -> Poly:
         tok = take()

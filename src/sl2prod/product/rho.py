@@ -6,8 +6,8 @@ evaluation pairings (``lam >= 0``, extra rows) or the coevaluation pairings
 (``lam <= 0``, extra columns).  Two independent certification routes are
 provided, and each returns a :func:`~sl2prod.bimodcat.record`:
 
-* :func:`sl2prod.bimodcat.certify_iso` applied to the assembled map — a
-  determinant computation;
+* :func:`sl2prod.bimodcat.certify_iso` applied to the four corners'
+  matrices, keyed by (corner, weight) — a determinant computation;
 * :func:`triangular_certificate` — a proof-shaped witness that permutes rows
   and columns (after explicit unit row operations) into a block-triangular
   matrix whose diagonal blocks are certified isomorphisms, and that checks
@@ -19,9 +19,8 @@ provided, and each returns a :func:`~sl2prod.bimodcat.record`:
   :class:`CertificateError` and becomes the record's witness.
 """
 
-from ..bimodcat import BimoduleMap, certify_iso, record
-from ..matrixops import (Matrix, bareiss_determinant, block_diagonal,
-                         offsets, pick)
+from ..bimodcat import BimoduleMap, certify_iso, record, unit_det
+from ..matrixops import Matrix, block_diagonal, offsets, pick
 from ..polyring import Poly
 from ..tworep import _memoized, commutator_at, rho
 from .core import (C_WORDS, CORNERS, MU_SHIFT, T_WORDS, ProductRep,
@@ -33,37 +32,6 @@ class CertificateError(ValueError):
     """A step of a triangular certificate fails: a diagonal block is not an
     isomorphism, a claimed-zero block is nonzero, or a claimed factorization
     of a block fails."""
-
-
-class RhoMap:
-    """The four corner maps of the weight component of the commutator map.
-
-    Quacks like a map for :func:`certify_iso`: ``mats`` is keyed by
-    ``(corner, weight)`` and ``matrix`` accepts those keys.
-    """
-
-    def __init__(self, lam: int, corners: dict):
-        self.lam = lam
-        self.corners = corners
-
-    @property
-    def mats(self):
-        return {(c, w): m for c in CORNERS
-                for w, m in self.corners[c].mats.items()}
-
-    def matrix(self, key):
-        corner, w = key
-        return self.corners[corner].matrix(w)
-
-    def is_welldefined(self):
-        for f in self.corners.values():
-            bad = f.is_welldefined()
-            if bad is not None:
-                return bad
-        return None
-
-    def __repr__(self):
-        return f"RhoMap(lam={self.lam})"
 
 
 @_memoized
@@ -86,14 +54,14 @@ def _corner_rho(P: ProductRep, corner: str, lam: int) -> BimoduleMap:
                  [closed(P, i, corner).matrix(mu) for i in range(abs(lam))]))
 
 
-def tilde_rho(P: ProductRep, lam: int) -> RhoMap:
-    """The commutator map of the product at weight ``lam``, as four corners.
+def tilde_rho(P: ProductRep, lam: int) -> dict:
+    """The commutator map at weight ``lam`` as ``{corner: map}``, in CORNERS.
 
     Corners 11 and 21 live at internal weight ``lam + 1``; corners 12 and 22
     at ``lam - 1``.  At ``lam = 0`` the row and column assemblies coincide and
     every corner reduces to its closed commutator block.
     """
-    return RhoMap(lam, {c: _corner_rho(P, c, lam) for c in CORNERS})
+    return {c: _corner_rho(P, c, lam) for c in CORNERS}
 
 
 # --------------------------------------------------------------------------
@@ -234,7 +202,7 @@ def _corner_certificate(P, corner, lam, mu):
     out = {"diag": [], "base": {}}
     for kind, *args in steps:
         if kind == "base":
-            cert = certify_iso(rho(r, mu), f"rho_{mu} iso")
+            cert = certify_iso(rho(r, mu).mats, f"rho_{mu} iso")
             if cert["status"] != "pass":
                 raise CertificateError(
                     f"{where}: one-step commutator at internal weight {mu} "
@@ -251,11 +219,11 @@ def _corner_certificate(P, corner, lam, mu):
         elif kind == "group":
             a = len(out["diag"])
             blk = pick(m, *groups[a])
-            if blk.nrows != blk.ncols:
+            det, reason = unit_det(blk)
+            if det is None:
                 raise CertificateError(
                     f"{where}: diagonal block {a} is {blk.nrows}x{blk.ncols}")
-            det = bareiss_determinant(blk)
-            if det.is_zero() or not det.is_constant():
+            if reason:
                 raise CertificateError(
                     f"{where}: diagonal block {a} has determinant {det}")
             out["diag"].append(str(det))

@@ -19,9 +19,9 @@ from .polyring import Poly, QQ, parse_poly, var_index, var_name
 from .matrixops import (Matrix, adjugate, bareiss_determinant, block_matrix,
                         offsets, pick)
 from .bimodcat import (
-    WeightedAlgebra, Bimodule, Component, BimoduleMap, SumBimodule,
+    WeightedAlgebra, Bimodule, Component, BimoduleMap, SumBimodule, record,
     regular_bimodule, tensor_over_A, identity_map, zero_map, compose,
-    compose_all, tensor_id_left, tensor_id_right, certify_iso, record,
+    compose_all, tensor_id_left, tensor_id_right, certify_iso, check_equal,
 )
 
 
@@ -358,12 +358,12 @@ def check_hecke(rep: TwoRep):
     t2 = rep.tau_at("EEE", 2)
     return [
         record("tau^2 = 0", compose(tau, tau).is_zero()),
-        record("tau.(Ex) = (xE).tau + 1",
-               compose(tau, x_in) == compose(x_out, tau) + iden),
-        record("(Ex).tau = tau.(xE) + 1",
-               compose(x_in, tau) == compose(tau, x_out) + iden),
-        record("braid relation",
-               compose_all(t1, t2, t1) == compose_all(t2, t1, t2))]
+        check_equal("tau.(Ex) = (xE).tau + 1",
+                    compose(tau, x_in), compose(x_out, tau) + iden),
+        check_equal("(Ex).tau = tau.(xE) + 1",
+                    compose(x_in, tau), compose(tau, x_out) + iden),
+        check_equal("braid relation",
+                    compose_all(t1, t2, t1), compose_all(t2, t1, t2))]
 
 
 @_memoized
@@ -488,7 +488,7 @@ def check_hypotheses(rep: TwoRep, window):
                 None if nil else f"{letter}^{span} e_{lam} != 0"))
 
     # (d) rho is an isomorphism across the window
-    results += [certify_iso(rho(rep, lam), f"rho_{lam} iso")
+    results += [certify_iso(rho(rep, lam).mats, f"rho_{lam} iso")
                 for lam in range(lo, hi + 1)]
     return results
 

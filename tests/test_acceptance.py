@@ -85,7 +85,9 @@ def test_criterion_8_commutator_iso_certificates(P):
     def go():
         records = suite_check_rho(P, (-4, 4))
         for lam in range(-4, 5):
-            assert certify_iso(tilde_rho(P, lam), "")["status"] == "pass", lam
+            mats = {(c, w): m for c, f in tilde_rho(P, lam).items()
+                    for w, m in f.mats.items()}
+            assert certify_iso(mats, "")["status"] == "pass", lam
             assert triangular_certificate(P, lam)["status"] == "pass", lam
         return records
     records = timed(go, 60)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sl2prod.bimodcat import (Bimodule, BimoduleMap, Component, SumBimodule,
-                              WeightedAlgebra, certify_iso, compose,
+                              WeightedAlgebra, certify_iso, check_equal,
+                              compose,
                               direct_sum_maps, identity_map, inverse_map,
                               tensor_over_A, zero_map)
 from sl2prod.matrixops import (Matrix, ShapeMismatchError, adjugate,
@@ -141,27 +142,31 @@ class TestCertification:
     def test_rho_plus_one(self):
         rep = make_L1()
         f = rho(rep, 1)
-        cert = certify_iso(f, "rho_1 iso")
+        cert = certify_iso(f.mats, "rho_1 iso")
         assert cert == {"check": "rho_1 iso", "status": "pass",
                         "dets": {1: "1"}}
         assert f.matrix(1).nrows == 1  # evaluation component only
 
     def test_rho_minus_one(self):
         rep = make_L1()
-        cert = certify_iso(rho(rep, -1), "rho_-1 iso")
+        cert = certify_iso(rho(rep, -1).mats, "rho_-1 iso")
         assert cert["status"] == "pass"
 
     def test_empty_map_is_iso(self):
         rep = make_L1()
-        cert = certify_iso(rho(rep, 3), "rho_3 iso")
+        cert = certify_iso(rho(rep, 3).mats, "rho_3 iso")
         assert cert["status"] == "pass" and cert["dets"] == {}
 
     def test_zero_square_map_fails(self):
         rep = make_L1()
-        cert = certify_iso(zero_map(rep.word(""), rep.word("")), "zero iso")
+        zero = zero_map(rep.word(""), rep.word(""))
+        cert = certify_iso(zero.mats, "zero iso")
         assert cert["status"] == "fail"
         assert cert["witness"] == "(-1, 'determinant 0 is not a unit')"
         assert cert["dets"] == {-1: "0"}
+        # the inverse decides by the same test and names the same witness
+        with pytest.raises(ValueError, match="determinant 0 is not a unit"):
+            inverse_map(zero)
 
     def test_inverse_round_trip(self):
         rep = make_L1()
@@ -175,7 +180,16 @@ class TestCertification:
         y = Poly.var(QQ, "y")
         f = rho(rep, 1)
         scaled = f.scale(y)
-        assert certify_iso(scaled, "y rho_1 iso")["status"] == "fail"
+        assert certify_iso(scaled.mats, "y rho_1 iso")["status"] == "fail"
+
+    def test_failing_comparison_names_its_weights(self):
+        rep = make_L1()
+        f = identity_map(rep.word(""))
+        assert check_equal("id = id", f, f) == {"check": "id = id",
+                                               "status": "pass"}
+        out = check_equal("id = 0", f, zero_map(f.dom, f.cod))
+        assert out == {"check": "id = 0", "status": "fail",
+                       "witness": "weights [-1, 1]"}
 
 
 # ---------------------------------------------------------------------------

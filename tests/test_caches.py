@@ -155,7 +155,7 @@ def test_tilde_rho_outside_support_allocates_no_matrix(monkeypatch):
     restricted = counting(monkeypatch, tworep, "restrict_at")
     f = tilde_rho(P, 40)
     assert made == []
-    assert f.mats == {}
+    assert all(g.mats == {} for g in f.values())
     assert len(restricted) == sum(  # a first build, not a cache hit
         len({*T_WORDS[c], *CORNER_MODELS[c].words(), *C_WORDS[c]})
         for c in CORNERS)
@@ -168,7 +168,7 @@ def test_restricted_summands_share_one_algebra():
     sums = []
     for lam in range(-3, 4):
         f = tilde_rho(P, lam)
-        for g in (*f.corners.values(), tworep.rho(P.Vy, lam)):
+        for g in (*f.values(), tworep.rho(P.Vy, lam)):
             sums += [g.dom, g.cod]
     assert len(sums) == 2 * 7 * 5
     for s in sums:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from sl2prod import cli, nilhecke
+from sl2prod.bimodcat import record
 from sl2prod.cli import main
 from sl2prod.polyring import Poly, QQ
 
@@ -290,6 +291,29 @@ class TestExitCodes:
         assert code == 1
         assert gate["witness"] == (
             "input hypotheses fail: rho_4 iso; rho_6 iso; rho_8 iso")
+
+    def test_model_failures_past_the_gate_are_failing_records(
+            self, capsys, monkeypatch):
+        # with the gate bypassed, E^2 != 0 leaves elements of corners 21
+        # and 22 outside their models: each affected record fails with the
+        # reason, and the suite keeps its 60 records
+        monkeypatch.setattr(cli, "check_construction",
+                            lambda P: record("gate bypassed", True))
+        code, out = run_cli(["build-product", "--rep",
+                             str(GOLDEN / "e2_tau0.json")], capsys)
+        assert code == 1
+        assert "Traceback" not in capsys.readouterr().err
+        checks = json.loads(out)["checks"]
+        assert len(checks) == 1 + 11 + 4 + 40 + 3 + 1
+        outside = [c["anchor"] for c in checks if c.get("witness")
+                   == "membership division leaves a remainder"]
+        assert outside == [
+            "crossing closed = oracle, corner 21",
+            "crossing closed = oracle, corner 22",
+            "coevaluation pairing closed = oracle, corner 22, i=0",
+            *(f"{kind}aluation pairing closed = oracle, corner 22, i={i}"
+              for i in range(1, 5) for kind in ("ev", "coev")),
+            "unit composite: eta22 identity at -2"]
 
     @pytest.mark.parametrize("section, weight, line", [
         ("E", "5", "E entry at weight 5 needs the weight rings at 5 and 7"),

@@ -156,9 +156,9 @@ def test_suite_order_sees_a_consumer_that_corrupts_the_memo(
     # zeroed rho maps from the memo, fail, and skip check-rho
     real = tworep.certify_iso
 
-    def destructive(f, name):
-        cert = real(f, name)
-        for m in f.mats.values():
+    def destructive(mats, name):
+        cert = real(mats, name)
+        for m in mats.values():
             m.entries[:] = [[Poly.zero(m.field)] * m.ncols
                             for _ in range(m.nrows)]
         return cert

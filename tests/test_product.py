@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from sl2prod.bimodcat import compose
-from sl2prod.product import core
+from sl2prod.product import core, oracles
 from sl2prod.product.core import (F_xi_eta_closed, build_product,
                                   check_construction, eps_xi_F_closed, tau21,
                                   tilde_sigma_closed, tilde_x_pow)
@@ -92,6 +92,19 @@ class TestHecke:
         assert records[-1] == {
             "check": "hecke[22]: dot relations", "status": "fail",
             "witness": "nonzero corner: dot relations not implemented"}
+
+    def test_failing_tau_squared_keeps_every_record(self, monkeypatch):
+        # a crossing that squares to the identity fails tau^2 = 0 on corner
+        # 22; the dot-relations record is still decided and reported
+        monkeypatch.setattr(oracles, "tau22", lambda v: v)
+        data = json.loads((GOLDEN / "e2_tau0.json").read_text())
+        records = check_product_hecke(build_product(rep_from_json(data)))
+        assert len(records) == 11
+        assert records[-2:] == [
+            {"check": "hecke[22]: tau^2 = 0", "status": "fail",
+             "witness": "weight -2"},
+            {"check": "hecke[22]: dot relations", "status": "fail",
+             "witness": "nonzero corner: dot relations not implemented"}]
 
 
 class TestClosedForms:

@@ -121,7 +121,6 @@ ALLOWED = {
     "product.models.gamma22_EE_G1EE": L2,
     "product.models.gamma22_EE_G2G2": L2,
     "product.models.tau22": L2,
-    "product.rho.RhoMap.__repr__": DUNDER,
     "product.rho._m_y_alt": LN,
     "tworep.TwoRep.adjoin_y": TRACER,
     "tworep.TwoRep.rebase": TRACER,

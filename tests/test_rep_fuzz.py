@@ -157,6 +157,10 @@ def l1_with(*edits):
 @example(data=l1_with((("E", "-1", "basis"), "e")))
 @example(data=l1_with((("E", "-1", "left"), {})))
 @example(data=l1_with((("x", "-01"), [["u"]])))
+@example(data=l1_with((("x", "-1"), [["(u+1)^100000"]])))
+@example(data=l1_with((("x", "-1"), [["2^1000000000"]])))
+@example(data=l1_with((("x", "-1"), [["((u+1)^99)^99"]])))
+@example(data=l1_with((("x", "-1"), [["(u+x1+x2+x3+x4+x5)^60"]])))
 def test_input_loads_as_written_or_exits_two(rep_file, data):
     try:
         rep = rep_from_json(data, QQ)

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from sl2prod.bimodcat import BimoduleMap, certify_iso
+from sl2prod.cli import suite_check_rho
 from sl2prod.matrixops import Matrix
 from sl2prod.polyring import QQ, Poly, parse_poly
 from sl2prod.product import rho as rho_mod
@@ -15,27 +16,36 @@ CORNERS = ("11", "21", "12", "22")
 WINDOW = range(-4, 5)
 
 
+def rho_mats(P, lam):
+    """The matrices of the four corners at ``lam``, keyed by (corner,
+    weight), as the check-rho suite certifies them."""
+    return {(c, w): m for c, f in tilde_rho(P, lam).items()
+            for w, m in f.mats.items()}
+
+
 class TestWellDefined:
     @pytest.mark.parametrize("lam", WINDOW)
     def test_welldefined(self, P, lam):
-        assert tilde_rho(P, lam).is_welldefined() is None
+        rec = suite_check_rho(P, (lam, lam))[0]
+        assert rec["check"] == f"commutator map well defined, weight {lam}"
+        assert rec["status"] == "pass" and "witness" not in rec
 
     @pytest.mark.parametrize("lam", WINDOW)
     def test_corner_maps_welldefined(self, P, lam):
         f = tilde_rho(P, lam)
         for c in CORNERS:
-            assert f.corners[c].is_welldefined() is None, (lam, c)
+            assert f[c].is_welldefined() is None, (lam, c)
 
 
 class TestDeterminantCertificate:
     @pytest.mark.parametrize("lam", WINDOW)
     def test_iso(self, P, lam):
-        cert = certify_iso(tilde_rho(P, lam), f"weight {lam}")
+        cert = certify_iso(rho_mats(P, lam), f"weight {lam}")
         assert cert["status"] == "pass", cert
 
     def test_dets_are_units(self, P):
         for lam in WINDOW:
-            for det in certify_iso(tilde_rho(P, lam), "")["dets"].values():
+            for det in certify_iso(rho_mats(P, lam), "")["dets"].values():
                 p = parse_poly(det, QQ)
                 assert p.is_constant()
                 assert not p.is_zero()
@@ -43,7 +53,7 @@ class TestDeterminantCertificate:
     def test_nonempty_somewhere(self, P):
         # the certificates are not vacuous: some weights carry actual matrices
         nonempty = [lam for lam in WINDOW
-                    if certify_iso(tilde_rho(P, lam), "")["dets"]]
+                    if certify_iso(rho_mats(P, lam), "")["dets"]]
         assert nonempty
 
 
@@ -80,17 +90,18 @@ class TestAgreement:
         compared = 0
         for c in CORNERS:
             oracle = tilde_sigma_oracle(P, c)
-            for mu, m in f0.corners[c].mats.items():
+            for mu, m in f0[c].mats.items():
                 assert m == oracle.matrix(mu), (c, mu)
                 compared += m.nrows * m.ncols
         assert compared
 
     def test_mats_keys_are_corner_weight_pairs(self, P):
-        f = tilde_rho(P, 2)
-        for key in f.mats:
-            corner, w = key
-            assert corner in CORNERS
-            assert f.matrix(key) is f.mats[key]
+        # the corners come in report order; the determinant certificate
+        # names each matrix by its corner and its internal weight, in
+        # sorted order
+        assert list(tilde_rho(P, 0)) == list(CORNERS)
+        dets = certify_iso(rho_mats(P, 0), "")["dets"]
+        assert list(dets) == [("11", 1), ("12", -1), ("21", 1), ("22", -1)]
 
 
 class TestCertificateFaults:

@@ -49,7 +49,7 @@ class TestL1:
 
     def test_rho_iso_every_weight(self, V):
         for lam in range(-4, 5):
-            cert = certify_iso(rho(V, lam), f"rho_{lam} iso")
+            cert = certify_iso(rho(V, lam).mats, f"rho_{lam} iso")
             assert cert["status"] == "pass", cert
 
     def test_counit_unit_triangle(self, V):
@@ -66,7 +66,7 @@ class TestL1:
         rep = make_L1(field=make_field("7"))
         assert all_pass(check_hecke(rep)) == []
         for lam in range(-2, 3):
-            assert certify_iso(rho(rep, lam), "")["status"] == "pass"
+            assert certify_iso(rho(rep, lam).mats, "")["status"] == "pass"
 
 
 class TestSerialization:
