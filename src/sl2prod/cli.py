@@ -62,10 +62,12 @@ def suite_identities(field, i_max: int):
     monomials = [x1 ** a * x2 ** b for a in range(7) for b in range(7)
                  if a + b <= 6]
     hs = [h_complete(i - 1, ["x1", "x2"], field) for i in range(i_max + 1)]
-    witness = next((f"i={i}, f={f}" for i in range(i_max + 1)
-                    for f in monomials
-                    if x2 ** i * divided_difference(f, 1)
-                    != divided_difference(x1 ** i * f, 1) - hs[i] * f), None)
+    pows = [(x1 ** i, x2 ** i) for i in range(i_max + 1)]
+    d1s = [(f, divided_difference(f, 1)) for f in monomials]
+    witness = next((f"i={i}, f={f}" for i, (x1i, x2i) in enumerate(pows)
+                    for f, d1f in d1s
+                    if x2i * d1f
+                    != divided_difference(x1i * f, 1) - hs[i] * f), None)
     out.append(record("fact: x2^i tau vs tau x1^i minus h_(i-1)(x1,x2)",
                       witness is None, witness))
 

@@ -182,14 +182,6 @@ def bareiss_determinant(m: Matrix) -> Poly:
     return det if sign > 0 else -det
 
 
-def minor(m: Matrix, drop_row: int, drop_col: int) -> Matrix:
-    rows = [
-        [e for j, e in enumerate(r) if j != drop_col]
-        for i, r in enumerate(m.entries) if i != drop_row
-    ]
-    return Matrix(m.field, m.nrows - 1, m.ncols - 1, rows)
-
-
 def adjugate(m: Matrix) -> Matrix:
     """The adjugate, entrywise by cofactor determinants (small matrices)."""
     if m.nrows != m.ncols:
@@ -197,7 +189,9 @@ def adjugate(m: Matrix) -> Matrix:
     n = m.nrows
     out = Matrix(m.field, n, n)
     for i in range(n):
+        rows = m.entries[:i] + m.entries[i + 1:]
         for j in range(n):
-            cof = bareiss_determinant(minor(m, i, j))
+            cof = bareiss_determinant(Matrix(
+                m.field, n - 1, n - 1, [r[:j] + r[j + 1:] for r in rows]))
             out.entries[j][i] = cof if (i + j) % 2 == 0 else -cof
     return out

@@ -65,6 +65,7 @@ class ProductRep:
         ``vec``."""
         return CORNER_MODELS[corner].from_vec(self.Vy, w, vec)
 
+    @_memoized
     def sum_basis(self, corner, w):
         """Model elements forming the standard basis of an S-corner at w."""
         n = self.S[corner].rank(w)

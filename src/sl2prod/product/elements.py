@@ -7,9 +7,9 @@ each left-factor coefficient to the right factor's column by Horner's rule,
 ``Bimodule.left_apply``, with no matrix formed; a coefficient in k[y] takes
 no Horner step, since y acts by scalars) and ``join`` (tensor then contract
 adjacent E/F pairs at the junction), from which evaluation and composition
-of all morphism data are built.  ``solve_op`` divides by an operator y_i
-exactly, with the determinant and adjugate memoized per (word, factor,
-weight) by ``TwoRep.y_adjugate``.
+of all morphism data are built.  ``solve_op`` divides by an operator
+y_i = x_i - y exactly, by back-substitution in y: no determinant is
+formed.
 
 An element applies the positional generators of its own word, each the
 memoized ``TwoRep`` map: ``v.x(i)``, ``v.y(i)`` and ``v.tau(i)`` (as
@@ -20,8 +20,8 @@ to right: ``v.y(1).tau(1)`` is tau_1 . y_1.
 
 from __future__ import annotations
 
-from ..polyring import NotDivisibleError, Poly, dot, exact_divide
-from ..matrixops import Matrix, ShapeMismatchError
+from ..polyring import Poly, dot, split_var, var_index
+from ..matrixops import ShapeMismatchError
 
 
 class NotInModelError(ValueError):
@@ -156,38 +156,27 @@ def join(a: Elt, b: Elt, n: int) -> Elt:
     return out
 
 
-def exact_solve(m: Matrix, det: Poly, adj: Matrix, vec: list) -> list:
-    """Solve m @ x = vec exactly over the polynomial ring, given
-    det = det(m) and adj = adj(m).
-
-    x = adj @ vec / det, entrywise exact division, then m @ x = vec is
-    verified.  Raises NotInModelError when the system has no polynomial
-    solution.  The determinant of an operator y_i never vanishes: with y
-    reserved, det(x_i - y*I) is monic in y up to sign.
-    """
-    if m.nrows != m.ncols:
-        raise ShapeMismatchError(f"solve with non-square {m.nrows}x{m.ncols}")
-    if m.nrows == 0:
-        return []
-    field = m.field
-    out = []
-    for row in adj.entries:
-        try:
-            out.append(exact_divide(dot(zip(row, vec), field), det))
-        except NotDivisibleError as e:
-            raise NotInModelError(
-                "membership division leaves a remainder") from e
-    # verify (adjugate route is exact, but guard against det sign slips)
-    for row, v in zip(m.entries, vec):
-        if dot(zip(row, out), field) != v:
-            raise NotInModelError("membership division verification failed")
-    return out
-
-
 def solve_op(elt: Elt, i: int) -> Elt:
-    """Apply the exact inverse of the (injective) operator y_i of the
-    element's word module to the element."""
+    """The element v with ``v.y(i) == elt``: exact division by the operator
+    y_i = x_i - y of the element's word module, or NotInModelError.
+
+    The matrix X of x_i never involves y (the loader reserves y, and lifts
+    add none), so with r_k and v_k the coefficients of y^k in ``elt`` and
+    v, the coefficient of y^k in (X - y) v is X v_k - v_(k-1).  Setting
+    v_(k-1) = X v_k - r_k from the top y-degree of ``elt`` down satisfies
+    every coefficient equation but the last, so X v_0 = r_0 is the whole
+    membership test."""
     rep = elt.rep
-    m = rep.y_at(elt.word, i).matrix(elt.weight)
-    det, adj = rep.y_adjugate(elt.word, i, elt.weight)
-    return Elt(rep, elt.word, elt.weight, exact_solve(m, det, adj, elt.vec))
+    field = rep.A.field
+    X = rep.x_at(elt.word, i).matrix(elt.weight).entries
+    y = Poly.var(field, "y")
+    layers = [split_var(p.terms, var_index("y")) for p in elt.vec]
+    top = max((k for g in layers for k in g), default=0)
+    r = [[Poly(field, g.get(k, {})) for g in layers] for k in range(top + 1)]
+    v = out = [Poly.zero(field)] * len(elt.vec)
+    for rk in reversed(r[1:]):
+        v = [dot(zip(row, v), field) - c for row, c in zip(X, rk)]
+        out = [p * y + q for p, q in zip(out, v)]
+    if [dot(zip(row, v), field) for row in X] != r[0]:
+        raise NotInModelError("membership division leaves a remainder")
+    return Elt(rep, elt.word, elt.weight, out)

@@ -330,10 +330,12 @@ def check_product_hecke(P: ProductRep):
     T21 = tilde_tau(P, "21")
     Xout21 = tilde_x_pow(P, 1)
 
+    steps = {}
+
     def col_xin(w, j):
-        g = P.sum_basis("12", w)[j]
-        step = tilde_x_step_21(P, one_G1(r, w))
-        return act_G1_on_G2(g, step).to_vec()
+        if w not in steps:
+            steps[w] = tilde_x_step_21(P, one_G1(r, w))
+        return act_G1_on_G2(P.sum_basis("12", w)[j], steps[w]).to_vec()
     Xin21 = _columnwise(P, P.S["12"], P.S["12"], col_xin, "xin21")
     relations("21", T21, Xin21, Xout21, identity_map(P.S["12"]))
 

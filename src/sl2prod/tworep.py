@@ -16,8 +16,7 @@ from __future__ import annotations
 import functools
 
 from .polyring import Poly, QQ, parse_poly, var_index, var_name
-from .matrixops import (Matrix, adjugate, bareiss_determinant, block_matrix,
-                        offsets, pick)
+from .matrixops import Matrix, block_matrix, offsets, pick
 from .bimodcat import (
     WeightedAlgebra, Bimodule, Component, BimoduleMap, SumBimodule, record,
     regular_bimodule, tensor_over_A, identity_map, zero_map, compose,
@@ -64,13 +63,12 @@ def _memoized(fn):
     one :class:`TwoRep` and the one product over it:
 
     * on the :class:`TwoRep`, read by its checks and by the product:
-      ``F``, ``eta``, ``eps``, ``word``, ``x_at``, ``y_at``,
-      ``y_adjugate`` (the membership solver's determinant and adjugate of
-      y_i, per word, factor and weight), ``tau_at``, ``eps_at``, ``eta_at``,
-      ``tau_mate`` and ``xF_pow`` (methods), ``sigma`` and ``rho``
-      (functions), and the :func:`_sequence` lists of ``h_xy``;
-    * on the :class:`~sl2prod.product.core.ProductRep`:
-      ``tilde_sigma_closed`` (``product.core``), ``_corner_rho``
+      ``F``, ``eta``, ``eps``, ``word``, ``x_at``, ``y_at``, ``tau_at``,
+      ``eps_at``, ``eta_at``, ``tau_mate`` and ``xF_pow`` (methods),
+      ``sigma`` and ``rho`` (functions), and the :func:`_sequence` lists
+      of ``h_xy``;
+    * on the :class:`~sl2prod.product.core.ProductRep`: ``sum_basis``
+      (method) and ``tilde_sigma_closed`` (``product.core``), ``_corner_rho``
       (``product.rho``), ``pair_basis`` and ``_eta_pairs``
       (``product.oracles``) and ``omega3_map`` (``product.gammas``), and
       the :func:`_sequence` lists of the oracles' dot iterates.
@@ -178,14 +176,6 @@ class TwoRep:
         W = self.word(word)
         y = Poly.var(self.A.field, "y")
         return self.x_at(word, i) - identity_map(W).scale(y)
-
-    @_memoized
-    def y_adjugate(self, word: str, i: int, lam: int):
-        """The determinant of y_i on a word module at source weight lam and
-        its adjugate: the data of exact division by y_i.  The determinant
-        is monic in y up to sign, so it never vanishes."""
-        m = self.y_at(word, i).matrix(lam)
-        return bareiss_determinant(m), adjugate(m)
 
     @_memoized
     def tau_at(self, word: str, i: int) -> BimoduleMap:

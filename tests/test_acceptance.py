@@ -40,7 +40,7 @@ def test_criterion_2_input_rep():
 
 def test_criterion_3_product_hecke(P):
     from sl2prod.product.oracles import check_product_hecke
-    records = timed(lambda: check_product_hecke(P), 30)
+    records = timed(lambda: check_product_hecke(P), 5)
     assert failures(records) == []
 
 
@@ -51,7 +51,7 @@ def test_criterion_4_sigma_oracle_equivalence(P):
     def go():
         return [tilde_sigma_closed(P, c) == tilde_sigma_oracle(P, c)
                 for c in ("11", "21", "12", "22")]
-    assert all(timed(go, 60))
+    assert all(timed(go, 5))
 
 
 def test_criterion_5_pairing_oracle_equivalence(P):
@@ -65,7 +65,7 @@ def test_criterion_5_pairing_oracle_equivalence(P):
                 out.append(eps_xi_F_closed(P, i, c) == eps_xi_F_oracle(P, i, c))
                 out.append(F_xi_eta_closed(P, i, c) == F_xi_eta_oracle(P, i, c))
         return out
-    assert all(timed(go, 60))
+    assert all(timed(go, 5))
 
 
 def test_criterion_6_unit_element(P):
@@ -90,7 +90,7 @@ def test_criterion_8_commutator_iso_certificates(P):
             assert certify_iso(mats, "")["status"] == "pass", lam
             assert triangular_certificate(P, lam)["status"] == "pass", lam
         return records
-    records = timed(go, 60)
+    records = timed(go, 5)
     assert failures(records) == []
 
 

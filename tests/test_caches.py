@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from sl2prod import bimodcat, cli, matrixops, polyring, tworep
+from sl2prod import bimodcat, cli, matrixops, nilhecke, polyring, tworep
 from sl2prod.bimodcat import Bimodule, SumBimodule
 from sl2prod.cli import suite_build_product, suite_check_rho, suite_identities
 from sl2prod.matrixops import Matrix
@@ -20,7 +20,8 @@ from sl2prod.product.core import (C_WORDS, CORNERS, T_WORDS, build_product,
                                   eps_xi_F_closed, F_xi_eta_closed,
                                   tilde_sigma_closed)
 from sl2prod.product.gammas import omega3_map
-from sl2prod.product.oracles import (check_omega3_linearity, eps_xi_F_oracle,
+from sl2prod.product.oracles import (check_omega3_linearity,
+                                     check_product_hecke, eps_xi_F_oracle,
                                      F_xi_eta_oracle, tilde_sigma_oracle)
 from sl2prod.product.rho import tilde_rho
 from sl2prod.product.models import CORNER_MODELS
@@ -193,23 +194,52 @@ def test_ky_left_factor_makes_no_matrix_product(monkeypatch):
     assert out.vec == [u * y]
 
 
-def test_membership_solver_builds_one_adjugate_per_operator(monkeypatch):
-    # every division by y_i on a word at a weight shares one determinant
-    # and one adjugate, memoized as TwoRep.y_adjugate
+def test_membership_division_forms_no_adjugate(monkeypatch):
+    # division by y_i back-substitutes in y; only inverse_map, which no
+    # run calls, forms an adjugate
     adjugates = counting_everywhere(monkeypatch, matrixops, "adjugate")
-    P, records = suite_build_product(make_L1(), 4)
+    solves = counting_everywhere(monkeypatch, elements, "solve_op")
+    _, records = suite_build_product(make_L1(), 4)
     assert all(r["status"] == "pass" for r in records)
-    solvers = [key for key in P.Vy._cache if key[0] == "y_adjugate"]
-    assert 0 < len(adjugates) <= len(solvers)
+    assert solves and adjugates == []
+
+
+def test_product_run_builds_each_corner_basis_once(monkeypatch):
+    # the Hecke relations, the action and middle-linearity checks and the
+    # corner-22 coevaluation oracle read one memoized basis per corner and
+    # weight, and corner 21's x_in forms its dot step once per weight
+    builds = counting(monkeypatch, core.ProductRep, "vec_to_model")
+    steps = counting(monkeypatch, oracles, "tilde_x_step_21")
+    P = build_product(make_L1())
+    check_product_hecke(P)
+    assert len(steps) == len(P.S["12"].weights()) == 1
+    builds.clear()
+    _, records = suite_build_product(P.Vy, 4)
+    assert all(r["status"] == "pass" for r in records)
+    built = Counter(args[1:3] for args in builds)
+    assert built == {(c, w): P.S[c].rank(w) for c, w in built}
+    assert {c for c, _ in built} == {"11", "12", "21"}
 
 
 def test_identities_make_no_long_division(monkeypatch):
     # the divided differences apply their closed form term by term
     calls = [counting(monkeypatch, mod, "exact_divide")
-             for mod in (polyring, matrixops, elements)]
+             for mod in (polyring, matrixops)]
     records = suite_identities(QQ, 8)
     assert all(r["status"] == "pass" for r in records)
-    assert calls == [[], [], []]
+    assert calls == [[], []]
+
+
+def test_identities_fact_one_powers_and_differences_once(monkeypatch):
+    # Fact 1 forms x1^i and x2^i once per i and d1(f) once per monomial;
+    # the i x f loop made 383 powers and 308 divided differences.  The
+    # Artin bases are kept per process, so clear them to count their powers
+    monkeypatch.setattr(nilhecke, "_BASES", {})
+    powers = counting(monkeypatch, Poly, "__pow__")
+    differences = counting(monkeypatch, cli, "divided_difference")
+    records = suite_identities(QQ, 4)
+    assert all(r["status"] == "pass" for r in records)
+    assert (len(powers), len(differences)) == (113, 196)
 
 
 def gf7_product():

@@ -2,10 +2,12 @@
 of a unit determinant that the product code uses, and ``BimoduleMap`` is
 the only class that reads as a map of matrices.
 
-No module under ``src/sl2prod/product/`` imports or calls
-``bareiss_determinant``; no class under ``src/`` other than
-``BimoduleMap`` defines both ``mats`` and ``matrix``, so a certificate
-reads a dict of matrices, not an object that imitates a map.
+No module under ``src/`` other than ``bimodcat`` and ``matrixops`` imports
+or calls ``bareiss_determinant`` or ``adjugate``, and no module under
+``src/sl2prod/product/`` names ``exact_divide``: the product divides by
+its y-operators by back-substitution in y.  No class under ``src/`` other
+than ``BimoduleMap`` defines both ``mats`` and ``matrix``, so a
+certificate reads a dict of matrices, not an object that imitates a map.
 """
 
 import ast
@@ -16,18 +18,26 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted(ROOT.glob("src/**/*.py"))
 PRODUCT = [p for p in SRC if p.parent.name == "product"]
+# the modules that may compute a determinant or an adjugate
+NON_OWNERS = [p for p in SRC if p.relative_to(ROOT).as_posix() not in (
+    "src/sl2prod/bimodcat.py", "src/sl2prod/matrixops.py")]
+
+
+def name_uses(source, names):
+    """The line numbers where ``source`` imports or names one of
+    ``names``."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.ImportFrom)
+            and any(a.name in names for a in node.names))
+        or (isinstance(node, ast.Name) and node.id in names)
+        or (isinstance(node, ast.Attribute) and node.attr in names))
 
 
 def determinant_uses(source):
     """The line numbers where ``source`` imports or names
     ``bareiss_determinant``."""
-    return sorted(
-        node.lineno for node in ast.walk(ast.parse(source))
-        if (isinstance(node, ast.ImportFrom)
-            and any(a.name == "bareiss_determinant" for a in node.names))
-        or (isinstance(node, ast.Name) and node.id == "bareiss_determinant")
-        or (isinstance(node, ast.Attribute)
-            and node.attr == "bareiss_determinant"))
+    return name_uses(source, {"bareiss_determinant"})
 
 
 def map_lookalikes(source):
@@ -66,6 +76,15 @@ def test_finds_a_determinant_use():
     assert determinant_uses(source) == [1, 5, 8]
 
 
+def test_finds_an_adjugate_and_a_division():
+    source = ("from ..matrixops import adjugate\n"
+              "from ..polyring import dot\n\n"
+              "def f(m, p, q):\n"
+              "    return polyring.exact_divide(p, q), adjugate(m)\n")
+    assert name_uses(source, {"adjugate", "bareiss_determinant"}) == [1, 5]
+    assert name_uses(source, {"exact_divide"}) == [5]
+
+
 def test_finds_a_map_lookalike():
     source = ("class BimoduleMap:\n"
               "    def __init__(self):\n"
@@ -92,6 +111,20 @@ def test_finds_a_map_lookalike():
                          ids=[str(p.relative_to(ROOT)) for p in PRODUCT])
 def test_product_code_computes_no_determinant(path):
     assert determinant_uses(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", NON_OWNERS,
+                         ids=[str(p.relative_to(ROOT)) for p in NON_OWNERS])
+def test_only_the_certificates_compute_determinants(path):
+    assert name_uses(path.read_text(encoding="utf-8"),
+                     {"bareiss_determinant", "adjugate"}) == []
+
+
+@pytest.mark.parametrize("path", PRODUCT,
+                         ids=[str(p.relative_to(ROOT)) for p in PRODUCT])
+def test_product_code_makes_no_exact_division(path):
+    assert name_uses(path.read_text(encoding="utf-8"),
+                     {"exact_divide"}) == []
 
 
 @pytest.mark.parametrize("path", SRC,
