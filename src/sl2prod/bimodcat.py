@@ -12,7 +12,7 @@ package returns its verdict as a :func:`record`.
 
 from __future__ import annotations
 
-from .polyring import Poly, dot, split_var, var_name
+from .polyring import Poly, dot, split_var, var_index, var_name
 from .matrixops import (
     Matrix, ShapeMismatchError, block_diagonal, place_blocks,
     kron_identity_left, bareiss_determinant, adjugate,
@@ -60,14 +60,19 @@ class WeightedAlgebra:
 # bimodules
 
 
+_Y = frozenset({1})  # the central y, at position 1 of the variable order
+
+
 class Component:
     """One weight component: a free module of rank ``rank`` with left action
-    matrices."""
-    __slots__ = ("rank", "left")
+    matrices.  ``scalars`` holds the positions of the generators that act
+    as themselves (:meth:`Bimodule._scalars`), found on first use."""
+    __slots__ = ("rank", "left", "scalars")
 
     def __init__(self, rank: int, left: dict):
         self.rank = rank
         self.left = left  # generator name -> Matrix over the source base ring
+        self.scalars = None
 
 
 class Bimodule:
@@ -120,14 +125,34 @@ class Bimodule:
         Horner's rule, without forming the matrix of p."""
         return self._horner(lam, p.terms, [vec])[0]
 
+    def _scalars(self, lam: int) -> frozenset:
+        """The positions of the generators that act at lam as themselves:
+        the central y, and each generator whose left matrix is that same
+        variable times the identity.  Found once per component."""
+        comp = self.components.get(lam)
+        if comp is None:
+            return _Y
+        if comp.scalars is None:
+            field = self.algebra.field
+            zero = Poly.zero(field)
+            comp.scalars = _Y | {
+                var_index(v) for v, L in comp.left.items()
+                if all(a == (Poly.var(field, v) if i == j else zero)
+                       for i, row in enumerate(L.entries)
+                       for j, a in enumerate(row))}
+        return comp.scalars
+
     def _horner(self, lam: int, terms: dict, cols: list) -> list:
         """The left action of the polynomial with exponent map ``terms`` on
-        each of ``cols``.  The central variable y acts by scalars; in the
-        largest other generator g, p = sum_j g^j p_j is evaluated as
-        (.. (p_d g + p_(d-1)) g + ..) + p_0, one application of g's matrix
-        per degree, with each p_j applied by the same rule."""
-        k = max((i for e in terms for i, n in enumerate(e) if n and i != 1),
-                default=-1)  # the largest generator; y is at position 1
+        each of ``cols``.  A polynomial in the generators that act as
+        themselves (:meth:`_scalars`) multiplies each coordinate.  In the
+        largest other generator g (renamed across the weights, say, or
+        acting by a non-diagonal matrix), p = sum_j g^j p_j is evaluated
+        as (.. (p_d g + p_(d-1)) g + ..) + p_0, one application of g's
+        matrix per degree, with each p_j applied by the same rule."""
+        scalars = self._scalars(lam)
+        k = max((i for e in terms for i, n in enumerate(e)
+                 if n and i not in scalars), default=-1)
         if k < 0:
             q = Poly(self.algebra.field, terms)
             return [[q * c if c.terms else c for c in col] for col in cols]

@@ -368,9 +368,8 @@ def F_xi_eta_closed(P: ProductRep, i: int, corner: str) -> BimoduleMap:
     r = P.Vy
     field = r.A.field
     yi = Poly.var(field, "y") ** i
-    h_eta = _h_eta(r, i, "", "")
     if corner == "11":
-        entries = {(0, 0): r.scalar("", yi), (1, 0): h_eta}
+        entries = {(0, 0): r.scalar("", yi), (1, 0): _h_eta(r, i, "", "")}
         return direct_sum_maps(P.C["11"], P.S["11"], entries)
     if corner == "21":
         entries = {
@@ -393,7 +392,7 @@ def F_xi_eta_closed(P: ProductRep, i: int, corner: str) -> BimoduleMap:
         entries = {
             (0, 0): compose(r.scalar("FE", yi), r.eta),
             (0, 1): compose(r.scalar("FE", yi), r.y_at("FE", 1)),
-            (1, 0): -h_eta,
+            (1, 0): -_h_eta(r, i, "", ""),
             (1, 1): r.scalar("FE", yi),
             (3, 0): xi_eta(r, i),
             (4, 0): compose(op, eta2),

@@ -4,18 +4,24 @@ An :class:`Elt` is an element of one weight component of a word module:
 a coordinate column over the base ring at its weight.  The two primitives
 are ``elem_tensor`` (concatenate two elements into the tensor word, applying
 each left-factor coefficient to the right factor's column by Horner's rule,
-``Bimodule.left_apply``, with no matrix formed; a coefficient in k[y] takes
-no Horner step, since y acts by scalars) and ``join`` (tensor then contract
-adjacent E/F pairs at the junction), from which evaluation and composition
-of all morphism data are built.  ``solve_op`` divides by an operator
-y_i = x_i - y exactly, by back-substitution in y: no determinant is
-formed.
+``Bimodule.left_apply``, with no matrix formed; a coefficient in the
+generators that act as themselves, y among them, takes no Horner step) and
+``join`` (tensor then contract adjacent E/F pairs at the junction), from
+which evaluation and composition of all morphism data are built.
+``solve_op`` divides by an operator y_i = x_i - y exactly, by
+back-substitution in y: no determinant is formed.
 
 An element applies the positional generators of its own word, each the
 memoized ``TwoRep`` map: ``v.x(i)``, ``v.y(i)`` and ``v.tau(i)`` (as
 ``x_at``, ``y_at`` and ``tau_at``), ``v.eta(pos)`` (insert FE at pos) and
 ``v.tau_mate()`` (the crossing on the leading FF).  A chain applies left
-to right: ``v.y(1).tau(1)`` is tau_1 . y_1.
+to right: ``v.y(1).tau(1)`` is tau_1 . y_1.  ``apply_map`` returns the
+zero column at once on a zero element.
+
+Elements are immutable after construction: every operation returns a new
+element, and nothing writes to ``vec`` once the element is built.  So the
+memo can share an element, it compares and hashes by value, and a value
+computed from it (such as a model element's datum) can be kept with it.
 """
 
 from __future__ import annotations
@@ -60,6 +66,9 @@ class Elt:
     def __neg__(self) -> "Elt":
         return Elt(self.rep, self.word, self.weight, [-p for p in self.vec])
 
+    def __hash__(self):
+        return hash((self.word, self.weight, *self.vec))
+
     def scale(self, p) -> "Elt":
         """Right multiplication by a base-ring element (coordinatewise)."""
         return Elt(self.rep, self.word, self.weight, [q * p for q in self.vec])
@@ -99,9 +108,9 @@ def zero_elt(rep, word: str, weight: int) -> Elt:
 
 
 def basis_elt(rep, word: str, weight: int, index: int) -> Elt:
-    e = zero_elt(rep, word, weight)
-    e.vec[index] = Poly.one(rep.A.field)
-    return e
+    vec = zero_elt(rep, word, weight).vec
+    vec[index] = Poly.one(rep.A.field)
+    return Elt(rep, word, weight, vec)
 
 
 def apply_map(f, elt: Elt, out_word: str) -> Elt:
@@ -112,6 +121,9 @@ def apply_map(f, elt: Elt, out_word: str) -> Elt:
             f"map expects {m.ncols} coordinates, element has {len(elt.vec)}")
     field = elt.rep.A.field
     support = [(j, q) for j, q in enumerate(elt.vec) if q.terms]
+    if not support:
+        return Elt(elt.rep, out_word, elt.weight,
+                   [Poly.zero(field)] * m.nrows)
     out = [dot(((row[j], q) for j, q in support), field)
            for row in m.entries]
     return Elt(elt.rep, out_word, elt.weight, out)

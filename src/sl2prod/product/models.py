@@ -13,6 +13,13 @@ the class's ``Y``.  ``data`` returns the leading coordinates and the datum;
 ``from_data`` inverts it by subtracting the head and dividing exactly by
 y_Y, raising :class:`~sl2prod.product.elements.NotInModelError` when a
 division leaves a remainder.
+
+Model elements, like their coordinates, are immutable after construction:
+every operation builds a new element.  So the datum of an element never
+goes stale, and ``datum()`` computes it once and keeps it on the element.
+``from_data`` keeps the datum it was given: once every division is exact,
+head() + y_Y . last equals that datum, so a fixed partner of the pairing
+sweep is not rebuilt for every power.
 """
 
 from __future__ import annotations
@@ -56,6 +63,7 @@ class ModelElt:
             raise ShapeMismatchError(
                 f"{type(self).__name__} takes no coordinate "
                 f"{', '.join(named)} here")
+        self._datum = None
 
     @classmethod
     def words(cls):
@@ -66,11 +74,14 @@ class ModelElt:
         return [getattr(self, name) for name, _ in self.LAYOUT]
 
     def datum(self) -> Elt:
-        """The defining morphism datum head() + y_Y . last."""
-        t = getattr(self, self.LAYOUT[-1][0])
-        for i in self.Y:
-            t = t.y(i)
-        return self.head() + t
+        """The defining morphism datum head() + y_Y . last, computed on the
+        first call."""
+        if self._datum is None:
+            t = getattr(self, self.LAYOUT[-1][0])
+            for i in self.Y:
+                t = t.y(i)
+            self._datum = self.head() + t
+        return self._datum
 
     def data(self):
         return (*self.coords[:-1], self.datum())
@@ -87,6 +98,7 @@ class ModelElt:
         for i in reversed(cls.Y):
             resid = solve_op(resid, i)
         setattr(m, cls.LAYOUT[-1][0], resid)
+        m._datum = datum
         return m
 
     @classmethod
@@ -119,6 +131,9 @@ class ModelElt:
 
     def __eq__(self, other):
         return type(other) is type(self) and self.coords == other.coords
+
+    def __hash__(self):
+        return hash((type(self), *self.coords))
 
     def __repr__(self):
         return f"{type(self).__name__}({self.weight}: {self.coords})"

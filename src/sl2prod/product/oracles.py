@@ -207,22 +207,44 @@ def tilde_sigma_oracle(P: ProductRep, corner: str) -> BimoduleMap:
 # the pairing maps, built elementwise
 # ---------------------------------------------------------------------------
 
-def _iterate(P: ProductRep, key: tuple, start, step, i: int):
-    """The i-th iterate of ``step`` from ``start()``: one
-    :func:`~sl2prod.tworep._sequence` per column, ``key`` = (oracle,
-    corner, weight, column, ...)."""
-    return _sequence(P, ("_iterates", *key), i,
-                     lambda its: step(P, its[-1]) if its else start())
+@_memoized
+def _iterates(P: ProductRep, step, start) -> list:
+    """The dot orbit [start, step(start), ...], grown by :func:`_iterate`:
+    one list per step and start value, so every reader of an equal start
+    (the unit at w, a left factor shared by several ``pair_basis``
+    corners) reads one orbit.
+
+    ``step`` must be a module-level function: orbits are keyed by its
+    identity, and a lambda or closure made per call would start a new
+    orbit for every i."""
+    return [start]
+
+
+def _iterate(P: ProductRep, reader: tuple, start, step, i: int):
+    """The i-th iterate of ``step`` from the start element ``start()`` of
+    ``reader`` = (oracle, corner, weight, column, ...).
+
+    The start is built once per reader, and the reader's orbit is kept as
+    the one item of the :func:`~sl2prod.tworep._sequence` under
+    ``("_starts", *reader)``, so a later power hashes no element."""
+    orbit = _sequence(P, ("_starts", *reader), 0,
+                      lambda _: _iterates(P, step, start()))
+    while len(orbit) <= i:
+        orbit.append(step(P, orbit[-1]))
+    return orbit[i]
+
+
+def _x_step_E(P: ProductRep, e):
+    return e.x(1)
 
 
 def eps_xi_F_oracle(P: ProductRep, i: int, corner: str) -> BimoduleMap:
     """The i-th evaluation pairing on a corner, built column by column."""
     pairs = {w: pair_basis(P, corner, w) for w in P.T[corner].weights()}
-    x_step_E = lambda P, e: e.x(1)
 
     def col11(w, j):
         e, f = pairs[w][j]
-        ei = _iterate(P, ("eps", "11", w, j), lambda: e, x_step_E, i)
+        ei = _iterate(P, ("eps", "11", w, j), lambda: e, _x_step_E, i)
         return join(ei.y(1), f, 1).vec
 
     def col21(w, j):
@@ -233,7 +255,7 @@ def eps_xi_F_oracle(P: ProductRep, i: int, corner: str) -> BimoduleMap:
 
     def col12(w, j):
         e, chat = pairs[w][j]
-        ei = _iterate(P, ("eps", "12", w, j), lambda: e, x_step_E, i)
+        ei = _iterate(P, ("eps", "12", w, j), lambda: e, _x_step_E, i)
         res = join(ei.y(1), chat.phi1, 1)
         if chat.theta.vec:
             res = res + ei.scale(chat.theta.vec[0])

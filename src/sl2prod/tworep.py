@@ -71,7 +71,10 @@ def _memoized(fn):
       (method) and ``tilde_sigma_closed`` (``product.core``), ``_corner_rho``
       (``product.rho``), ``pair_basis`` and ``_eta_pairs``
       (``product.oracles``) and ``omega3_map`` (``product.gammas``), and
-      the :func:`_sequence` lists of the oracles' dot iterates.
+      the oracles' dot orbits, one list of iterates per step and start
+      element under ``("_iterates", step, start)``, each also kept as the
+      one item of the :func:`_sequence` under ``("_starts", oracle,
+      corner, weight, column, ...)`` of every reader of that start.
 
     Cached modules, maps and elements are shared between callers, which
     only read them."""

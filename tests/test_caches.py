@@ -4,8 +4,10 @@ structure map is built once.
 The call counts are exact and deterministic; no timing is involved.
 """
 
+import json
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +16,7 @@ from sl2prod.bimodcat import Bimodule, SumBimodule
 from sl2prod.cli import suite_build_product, suite_check_rho, suite_identities
 from sl2prod.matrixops import Matrix
 from sl2prod.polyring import QQ, Poly
-from sl2prod.product import core, elements, gammas, oracles
+from sl2prod.product import core, elements, gammas, models, oracles
 from sl2prod.product import rho as rho_mod
 from sl2prod.product.core import (C_WORDS, CORNERS, T_WORDS, build_product,
                                   eps_xi_F_closed, F_xi_eta_closed,
@@ -24,9 +26,11 @@ from sl2prod.product.oracles import (check_omega3_linearity,
                                      check_product_hecke, eps_xi_F_oracle,
                                      F_xi_eta_oracle, tilde_sigma_oracle)
 from sl2prod.product.rho import tilde_rho
-from sl2prod.product.models import CORNER_MODELS
+from sl2prod.product.models import CORNER_MODELS, G3Elt
 from sl2prod.product.elements import Elt, basis_elt, elem_tensor
 from sl2prod.tworep import make_L1, sigma
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def counting(monkeypatch, owner, attr):
@@ -178,11 +182,16 @@ def test_restricted_summands_share_one_algebra():
 
 
 def test_ky_left_factor_makes_no_matrix_product(monkeypatch):
-    # y acts by scalars, so a k[y] coefficient multiplies coordinatewise,
-    # and u*y is one Horner step: u's matrix on the y-scaled column
+    # y acts by scalars, so a k[y] coefficient multiplies coordinatewise;
+    # on L(1) u acts on E as u, so u*y takes no Horner step either.  On the
+    # renamed L(1) the generator x1 of the ring at 1 acts on E as u, so
+    # x1*y is one Horner step: u's matrix on the y-scaled column
     r = make_L1()
-    y, u = Poly.var(QQ, "y"), Poly.var(QQ, "u")
+    renamed = tworep.rep_from_json(
+        json.loads((GOLDEN / "l1_renamed.json").read_text()))
+    y, u, x1 = (Poly.var(QQ, v) for v in ("y", "u", "x1"))
     b = basis_elt(r, "E", -1, 0)
+    b_renamed = basis_elt(renamed, "E", -1, 0)  # builds the word module
     products = counting(monkeypatch, Matrix, "__matmul__")
     steps = counting(monkeypatch, bimodcat, "_left_step")
     matrices = counting(monkeypatch, Bimodule, "left_poly")
@@ -190,6 +199,9 @@ def test_ky_left_factor_makes_no_matrix_product(monkeypatch):
     assert (products, steps, matrices) == ([], [], [])
     assert out.vec == [y ** 2 - 3]
     out = elem_tensor(Elt(r, "F", 1, [u * y]), b)
+    assert (products, steps, matrices) == ([], [], [])
+    assert out.vec == [u * y]
+    out = elem_tensor(Elt(renamed, "F", 1, [x1 * y]), b_renamed)
     assert (products, len(steps), matrices) == ([], 1, [])
     assert out.vec == [u * y]
 
@@ -500,3 +512,82 @@ def test_pairing_sweep_builds_each_pair_basis_once():
     assert built == {("pair_basis", c, w): 1
                      for c in CORNERS for w in P.T[c].weights()}
     assert len(built) == 6
+
+
+MODEL_CLASSES = (*CORNER_MODELS.values(), G3Elt)
+
+
+def gf7_sweep(monkeypatch, tmp_path):
+    """Run ``build-product --field 7 --i-max 16`` in process; return the
+    product it built and the call lists of ``apply_map``, ``head()`` (self
+    first), ``ModelElt.datum`` and ``_left_step``, counted from the
+    start of the run."""
+    products = returning(monkeypatch, cli, "build_product")
+    applies = counting_everywhere(monkeypatch, elements, "apply_map")
+    heads = [counting(monkeypatch, cls, "head") for cls in MODEL_CLASSES]
+    datums = counting(monkeypatch, models.ModelElt, "datum")
+    steps = counting(monkeypatch, bimodcat, "_left_step")
+    argv = ["build-product", "--field", "7", "--i-max", "16"]
+    assert cli.main([*argv, "--out", str(tmp_path / "r.json")]) == 0
+    return (products[0], applies, [a for h in heads for a in h], datums,
+            steps)
+
+
+def test_pairing_sweep_steps_each_start_once(monkeypatch, tmp_path):
+    # readers of equal start elements share one dot orbit: the unit at -1
+    # is read by four oracle columns, the E basis element at -1 by corners
+    # 11 and 12.  Keyed by reader, 19 sequences held 323 iterates
+    P, *_ = gf7_sweep(monkeypatch, tmp_path)
+    orbits = {key[1:]: its for key, its in P._cache.items()
+              if key[0] == "_iterates"}
+    assert len(orbits) == 8
+    assert sum(len(its) for its in orbits.values()) == 8 * 17 == 136
+    assert all(its[0] == start for (_, start), its in orbits.items())
+    readers = [key for key in P._cache if key[0] == "_starts"]
+    assert len(readers) == 19
+
+
+def test_pairing_partners_datum_computed_once(monkeypatch, tmp_path):
+    # each fixed partner of a pairing column keeps its datum: across the
+    # 17 powers its head() runs once (134 times for the 12 model partners
+    # of pair_basis when datum() kept nothing)
+    P, _, heads, _, _ = gf7_sweep(monkeypatch, tmp_path)
+    partners = [m for key, pairs in P._cache.items()
+                if key[0] == "pair_basis" for pair in pairs for m in pair]
+    partners += [m for key, triples in P._cache.items()
+                 if key[0] == "_eta_pairs" for t in triples for m in t[:2]]
+    partners = [m for m in partners if isinstance(m, models.ModelElt)]
+    runs = [sum(1 for args in heads if args[0] is m) for m in partners]
+    assert runs == [1] * 20
+
+
+def fresh_datum(m):
+    """head() + y_Y . last, computed without the kept datum."""
+    t = m.coords[-1]
+    for i in m.Y:
+        t = t.y(i)
+    return m.head() + t
+
+
+def test_kept_datums_match_fresh_computation(monkeypatch, tmp_path):
+    # every datum read in the sweep, whether computed by datum() or kept by
+    # from_data, equals head() + y_Y . last computed afresh
+    _, _, _, datums, _ = gf7_sweep(monkeypatch, tmp_path)
+    read = list({id(args[0]): args[0] for args in datums}.values())
+    assert len(read) > 100
+    assert {type(m) for m in read} == {models.G1Elt, models.G2Elt,
+                                       models.L2Elt, models.UElt}
+    for m in read:
+        assert m.datum() == fresh_datum(m), m
+
+
+def test_pairing_sweep_operation_counts(monkeypatch, tmp_path):
+    # ratchet on the element work of the GF(7) sweep: 1,892 apply_map
+    # calls on a nonzero element, 845 head() runs and 1,379 Horner steps
+    # before each datum was kept, each start stepped once and the
+    # generators that act as themselves multiplied coordinatewise.  A call
+    # on a zero element returns at once, so only the others are counted
+    _, applies, heads, _, steps = gf7_sweep(monkeypatch, tmp_path)
+    assert sum(1 for _, elt, _ in applies if not elt.is_zero()) <= 1100
+    assert len(heads) <= 470
+    assert steps == []

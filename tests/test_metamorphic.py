@@ -1,5 +1,6 @@
 """Metamorphic relations: runs that differ only in the field, the weight
-window or the order of the suites must agree record by record.
+window, the order of the suites or the names of the ring generators must
+agree record by record.
 
 Each relation is computed as the list of records on which two runs
 disagree; the tests require it to be empty on the built-in L(1) and on the
@@ -110,6 +111,19 @@ def test_wider_window_keeps_common_records(tmp_path, rep):
     ("l1_x2u", ["check-rep", "build-product"])])
 def test_suite_order_keeps_records(tmp_path, rep, compared):
     assert suite_order_disagreements(tmp_path, REPS[rep]) == ([], compared)
+
+
+@pytest.mark.parametrize("field", ["QQ", "7"])
+def test_renamed_generator_keeps_statuses(tmp_path, field):
+    # L(1) with the ring at 1 renamed to k[x1], where x1 acts on E as u:
+    # the renamed generator takes Horner steps where u acts by scalars, and
+    # the two runs agree record by record.  Witnesses may name the ring's
+    # generators, so only statuses compare
+    l1 = run(tmp_path, "verify-all", "--field", field)
+    renamed = run(tmp_path, "verify-all", "--field", field,
+                  "--rep", str(GOLDEN / "l1_renamed.json"))
+    assert len(renamed) == 142
+    assert disagreements(l1, renamed, ["status"]) == []
 
 
 # ---------------------------------------------------------------------------
