@@ -60,7 +60,7 @@ class WeightedAlgebra:
 # bimodules
 
 
-_Y = frozenset({1})  # the central y, at position 1 of the variable order
+_Y = frozenset({var_index("y")})  # the position of the central y
 
 
 class Component:

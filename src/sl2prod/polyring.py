@@ -201,6 +201,9 @@ def _monomial_key(exps: tuple):
     return (sum(exps), len(exps), exps[::-1])
 
 
+_ZEROS: dict = {}  # the zero polynomial of each field, see Poly.zero
+
+
 class Poly:
     """An exact sparse multivariate polynomial over a coefficient field.
 
@@ -218,7 +221,12 @@ class Poly:
 
     @classmethod
     def zero(cls, field) -> "Poly":
-        return cls(field, {})
+        """The zero polynomial of a field: one shared value per field, made
+        on first use, since polynomials are never mutated."""
+        z = _ZEROS.get(field)
+        if z is None:
+            z = _ZEROS[field] = cls(field, {})
+        return z
 
     @classmethod
     def const(cls, field, value) -> "Poly":

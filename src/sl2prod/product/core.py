@@ -15,9 +15,8 @@ from ..bimodcat import (BimoduleMap, SumBimodule, compose, compose_all,
 from ..matrixops import ShapeMismatchError
 from ..polyring import Poly
 from ..tworep import _memoized, check_hypotheses, self_pow, sigma, xi_eta
-from .elements import Elt, basis_elt, elem_tensor, join
-from .models import (CORNER_MODELS, G1Elt, G2Elt, act_G1_on_G2,
-                     compose_G1, one_G1)
+from .elements import basis_elt, elem_tensor, join
+from .models import CORNER_MODELS, G1Elt, G2Elt, act_G1_on_G2, one_G1
 
 # Corner order of the commutator maps and of the reports.
 CORNERS = ("11", "21", "12", "22")
@@ -116,16 +115,18 @@ def c_basis(P: ProductRep, corner: str, c: int):
 def c_mult(P: ProductRep, ca: str, a, cb: str, b):
     """Multiply end-algebra elements: a at corner (i,j), b at corner (j,k).
 
-    The product is the composite with a applied first; returns the corner
-    label of the result together with the result element.
+    This is the one product of C.  Its readers are the construction gate
+    (associativity and :func:`_check_actions`), the evaluation oracle and
+    :func:`~sl2prod.product.oracles.tilde_sigma_oracle`.  The product is
+    the composite with a applied first; returns the corner label of the
+    result together with the result element.
     """
     r = P.Vy
     if ca[1] != cb[0]:
         raise ShapeMismatchError(f"corners {ca} and {cb} do not compose")
     key = (ca, cb)
     if key == ("11", "11"):
-        return "11", Elt(a.rep, "", a.weight,
-                         [a.vec[0] * b.vec[0]] if a.vec else [])
+        return "11", a.scale(b.vec[0])
     if key == ("11", "12"):
         return "12", elem_tensor(a, b)
     if key == ("12", "21"):
@@ -139,7 +140,8 @@ def c_mult(P: ProductRep, ca: str, a, cb: str, b):
     if key == ("22", "21"):
         return "21", join(a.datum(), b, 1)
     if key == ("22", "22"):
-        return "22", compose_G1(b, a)
+        return "22", G1Elt.from_data(r, a.theta.scale(b.theta.vec[0]),
+                                     join(a.datum(), b.datum(), 1))
     raise ShapeMismatchError(f"no product rule for corners {ca} x {cb}")
 
 
@@ -192,7 +194,7 @@ def _check_actions(P: ProductRep):
             for c1 in g1s:
                 for c2 in g1s:
                     lhs = act_G1_on_G2(act_G1_on_G2(g, c2), c1)
-                    rhs = act_G1_on_G2(g, compose_G1(c2, c1))
+                    rhs = act_G1_on_G2(g, c_mult(P, "22", c1, "22", c2)[1])
                     if lhs != rhs:
                         return f"action compatibility fails at weight {c}"
 

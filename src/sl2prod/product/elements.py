@@ -69,6 +69,10 @@ class Elt:
     def __hash__(self):
         return hash((self.word, self.weight, *self.vec))
 
+    def to_vec(self) -> list:
+        """The coordinate column, as a model element's ``to_vec`` gives it."""
+        return self.vec
+
     def scale(self, p) -> "Elt":
         """Right multiplication by a base-ring element (coordinatewise)."""
         return Elt(self.rep, self.word, self.weight, [q * p for q in self.vec])

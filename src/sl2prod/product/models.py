@@ -1,5 +1,9 @@
 """Model summand data for the product construction.
 
+The models hold the elements of the S-corners, their composites and the
+actions of the end algebra C on them; C's own product is
+:func:`~sl2prod.product.core.c_mult`.
+
 Each corner of the product 1-morphisms is presented by free word-module
 summands together with membership equations.  A model element holds the free
 coordinates on its corner's summand words (the "model form"); each class
@@ -235,19 +239,6 @@ def one_G1(rep, w):
 # ---------------------------------------------------------------------------
 # compositions and actions
 # ---------------------------------------------------------------------------
-
-def compose_G1(after: G1Elt, first: G1Elt) -> G1Elt:
-    """Composite of two end-type corner elements (first applied first)."""
-    theta = Elt(first.theta.rep, "", first.theta.weight,
-                [first.theta.vec[0] * after.theta.vec[0]]
-                if first.theta.vec else [])
-    phi = join(first.datum(), after.datum(), 1)
-    return G1Elt.from_data(after.rep, theta, phi)
-
-
-def compose_F_after_G1(f: Elt, g: G1Elt) -> Elt:
-    return join(g.datum(), f, 1)
-
 
 def compose_L2_after_G2(l: L2Elt, g: G2Elt) -> G1Elt:
     theta = join(g.b, l.f, 1) + join(g.a, l.fp, 1)

@@ -2,8 +2,10 @@
 
 Every map that the closed forms present as an explicit matrix is rebuilt
 here column by column from the defining pairings and one-step operations,
-so the two constructions can be compared entry for entry.  The oracles
-never consult the closed forms, not even for their domains and codomains.
+so the two constructions can be compared entry for entry.  The evaluation
+oracle multiplies in the end algebra C through
+:func:`~sl2prod.product.core.c_mult`, C's one product.  The oracles never
+consult the closed forms, not even for their domains and codomains.
 """
 
 from __future__ import annotations
@@ -11,16 +13,15 @@ from __future__ import annotations
 from ..bimodcat import BimoduleMap, check_equal, compose, identity_map, record
 from ..matrixops import Matrix, ShapeMismatchError
 from ..tworep import _memoized, _sequence
-from .core import (ProductRep, tau21, tilde_tau, tilde_x_pow, tilde_x_step_21,
-                   tilde_x_step_22)
-from .elements import NotInModelError, basis_elt, elem_tensor, join
+from .core import (ProductRep, c_mult, tau21, tilde_tau, tilde_x_pow,
+                   tilde_x_step_21, tilde_x_step_22)
+from .elements import NotInModelError, basis_elt, elem_tensor
 from .gammas import omega3_apply
 from .models import (G1Elt, G2Elt, L2Elt, UElt, act_G1_on_G2, act_G1_on_U,
-                     act_L2_on_L2_left, act_phi1_on_G2, compose_F_after_G1,
-                     compose_G1, compose_G1_after_L2, compose_L2_after_G2,
-                     compose_L2_after_U, compose_U, decompose_first,
-                     gamma21_EE_G1E, gamma22_EE_G1EE, gamma22_EE_G2G2,
-                     one_at, one_G1, tau22)
+                     act_L2_on_L2_left, act_phi1_on_G2, compose_G1_after_L2,
+                     compose_L2_after_G2, compose_L2_after_U, compose_U,
+                     decompose_first, gamma21_EE_G1E, gamma22_EE_G1EE,
+                     gamma22_EE_G2G2, one_at, one_G1, tau22)
 
 
 class OracleClaimError(AssertionError):
@@ -166,7 +167,7 @@ def tilde_sigma_oracle(P: ProductRep, corner: str) -> BimoduleMap:
         e, f = pairs[w][j]
         g2 = gamma21_EE_G1E(one_G1(r, w), e)
         g2t = tau21(P, g2)
-        fhat = compose_F_after_G1(f, one_G1(r, w - 2))
+        _, fhat = c_mult(P, "22", one_G1(r, w - 2), "21", f)
         l = L2Elt(r, w, f=fhat)
         return compose_L2_after_G2(l, g2t).to_vec()
 
@@ -179,7 +180,8 @@ def tilde_sigma_oracle(P: ProductRep, corner: str) -> BimoduleMap:
     def col21(w, j):
         c1, f = pairs[w][j]
         total = L2Elt(r, w)
-        lout = L2Elt(r, w, f=compose_F_after_G1(f, one_G1(r, w - 2)))
+        _, fhat = c_mult(P, "22", one_G1(r, w - 2), "21", f)
+        lout = L2Elt(r, w, f=fhat)
         for l_eta, g_eta, _ in _eta_pairs(P, w - 2):
             g_mid = act_G1_on_G2(g_eta, c1)
             g_t = tau21(P, g_mid)
@@ -238,40 +240,31 @@ def _x_step_E(P: ProductRep, e):
     return e.x(1)
 
 
+# The end-algebra corners of the two factors of an evaluation pairing's
+# basis pairs, by pairing corner; the left factor carries the dots.
+_EPS_FACTORS = {"11": ("12", "21"), "12": ("12", "22"), "21": ("22", "21"),
+                "22": ("22", "22")}
+
+
 def eps_xi_F_oracle(P: ProductRep, i: int, corner: str) -> BimoduleMap:
-    """The i-th evaluation pairing on a corner, built column by column."""
+    """The i-th evaluation pairing on a corner, built column by column: the
+    C-product of x^i times the left factor with the right factor.  Only the
+    mixed (degree +1, degree -1) pairs of corner 22 leave C."""
     pairs = {w: pair_basis(P, corner, w) for w in P.T[corner].weights()}
+    ca, cb = _EPS_FACTORS[corner]
+    step = _x_step_E if ca == "12" else tilde_x_step_21
 
-    def col11(w, j):
-        e, f = pairs[w][j]
-        ei = _iterate(P, ("eps", "11", w, j), lambda: e, _x_step_E, i)
-        return join(ei.y(1), f, 1).vec
-
-    def col21(w, j):
-        c1, f = pairs[w][j]
-        ci = _iterate(P, ("eps", "21", w, j), lambda: c1, tilde_x_step_21,
-                      i)
-        return compose_F_after_G1(f, ci).vec
-
-    def col12(w, j):
-        e, chat = pairs[w][j]
-        ei = _iterate(P, ("eps", "12", w, j), lambda: e, _x_step_E, i)
-        res = join(ei.y(1), chat.phi1, 1)
-        if chat.theta.vec:
-            res = res + ei.scale(chat.theta.vec[0])
-        return res.vec
-
-    def col22(w, j):
+    def col(w, j):
         a, b = pairs[w][j]
         if isinstance(a, G2Elt):
             g2i = _iterate(P, ("eps", "22", w, j), lambda: a,
                            tilde_x_step_22, i)
             return compose_L2_after_G2(b, g2i).to_vec()
-        gi = _iterate(P, ("eps", "22", w, j), lambda: a, tilde_x_step_21, i)
-        return compose_G1(b, gi).to_vec()
+        ai = _iterate(P, ("eps", corner, w, j), lambda: a, step, i)
+        _, res = c_mult(P, ca, ai, cb, b)
+        return res.to_vec()
 
-    colfn = {"11": col11, "12": col12, "21": col21, "22": col22}[corner]
-    return _columnwise(P, P.T[corner], P.C[corner], colfn,
+    return _columnwise(P, P.T[corner], P.C[corner], col,
                        f"eps_xi{i}_F_{corner}_oracle")
 
 

@@ -8,13 +8,13 @@ import pytest
 
 from sl2prod.matrixops import ShapeMismatchError
 from sl2prod.polyring import Poly
-from sl2prod.product.core import build_product
+from sl2prod.product.core import CORNERS, build_product, c_basis, c_mult
 from sl2prod.product.elements import (Elt, NotInModelError, basis_elt,
                                       elem_tensor, zero_elt)
 from sl2prod.product.models import (CORNER_MODELS, G1Elt, L2Elt, UElt,
-                                    act_G1_on_G2, compose_G1, decompose_first,
-                                    gamma22_EE_G1EE, one_G1, tau22)
-from sl2prod.tworep import rep_from_json
+                                    act_G1_on_G2, decompose_first,
+                                    gamma22_EE_G1EE, one_at, one_G1, tau22)
+from sl2prod.tworep import make_L1, rep_from_json
 
 CORNER_TAGS = sorted(CORNER_MODELS)
 
@@ -219,13 +219,36 @@ class TestDecomposition:
 
 
 class TestComposition:
-    def test_one_is_identity_for_G1(self, P):
-        rng = random.Random(41)
-        for w in P.weights():
-            one = one_G1(P.Vy, w)
-            m = rand_model(P, rng, "11", w)
-            assert compose_G1(one, m).to_vec() == m.to_vec()
-            assert compose_G1(m, one).to_vec() == m.to_vec()
+    @pytest.mark.parametrize("name, n_cases", [("L1", 14), ("e2_tau0", 24)],
+                             ids=["L1", "e2_tau0"])
+    def test_end_algebra_is_unital(self, name, n_cases):
+        # every rule of C with a diagonal factor fixes the other factor when
+        # the diagonal one is its unit; unit (22) times (21) is the zig-zag
+        # identity of eta.  A new product, since other tests here extend
+        # the module product's cached bases.
+        V = (make_L1() if name == "L1" else rep_from_json(json.loads(
+            (Path(__file__).parent / "golden" / f"{name}.json").read_text())))
+        P = build_product(V)
+        r = P.Vy
+        cases = 0
+        for c in P.c_weights():
+            basis = {k: c_basis(P, k, c) for k in CORNERS}
+            units = {}
+            if basis["11"]:
+                units["11"] = one_at(r, c + 1)
+            if basis["22"]:
+                units["22"] = one_G1(r, c - 1)
+            for ca in CORNERS:
+                for cb in CORNERS:
+                    if ca[1] != cb[0]:
+                        continue
+                    for x in basis[cb] if ca in units else ():
+                        assert c_mult(P, ca, units[ca], cb, x) == (cb, x)
+                        cases += 1
+                    for x in basis[ca] if cb in units else ():
+                        assert c_mult(P, ca, x, cb, units[cb]) == (ca, x)
+                        cases += 1
+        assert cases == n_cases
 
     def test_one_acts_trivially_on_G2(self, P):
         rng = random.Random(42)

@@ -14,8 +14,8 @@ from sl2prod.product.elements import apply_map, basis_elt
 from sl2prod.product.models import G2Elt, gamma21_EE_G1E, one_G1
 from sl2prod.product.oracles import (F_xi_eta_oracle, check_eta22_identity,
                                      check_omega3_linearity,
-                                     check_product_hecke, eps_xi_F_oracle,
-                                     tilde_sigma_oracle)
+                                     check_product_hecke, closed_vs_oracle,
+                                     eps_xi_F_oracle, tilde_sigma_oracle)
 from sl2prod.tworep import rep_from_json
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -121,6 +121,30 @@ class TestClosedForms:
     @pytest.mark.parametrize("i", range(5))
     def test_F_xi_eta_closed_equals_oracle(self, P, corner, i):
         assert F_xi_eta_closed(P, i, corner) == F_xi_eta_oracle(P, i, corner)
+
+    @pytest.mark.parametrize("corner, rule, witness", [
+        ("11", ("12", "21"), "weights [1]"),
+        ("12", ("12", "22"), "weights [-1]"),
+        ("21", ("22", "21"), "weights [1]"),
+        ("22", ("22", "22"), "weights [-1, 1]")],
+        ids=["11", "12", "21", "22"])
+    @pytest.mark.parametrize("i", range(3))
+    def test_wrong_c_rule_fails_eps_record(self, P, monkeypatch, corner,
+                                           rule, witness, i):
+        # the evaluation oracle multiplies in C, so a rule of c_mult that
+        # doubles its product fails the closed = oracle record it feeds
+        def check():
+            return closed_vs_oracle("eps", eps_xi_F_closed, eps_xi_F_oracle,
+                                    P, i, corner)
+        assert check()["status"] == "pass"
+        mult = oracles.c_mult
+
+        def doubled(P, ca, a, cb, b):
+            k, out = mult(P, ca, a, cb, b)
+            return k, out + out if (ca, cb) == rule else out
+        monkeypatch.setattr(oracles, "c_mult", doubled)
+        assert check() == {"check": "eps", "status": "fail",
+                           "witness": witness}
 
     def test_x_power_consistency(self, P):
         one = tilde_x_pow(P, 1)
