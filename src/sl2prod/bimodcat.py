@@ -12,7 +12,7 @@ package returns its verdict as a :func:`record`.
 
 from __future__ import annotations
 
-from .polyring import Poly, dot, split_var, var_index, var_name
+from .polyring import Poly, split_var, var_index, var_name
 from .matrixops import (
     Matrix, ShapeMismatchError, block_diagonal, place_blocks,
     kron_identity_left, bareiss_determinant, adjugate,
@@ -177,7 +177,7 @@ class Bimodule:
 
 def _left_step(L: Matrix, cols: list) -> list:
     """One Horner step: the matrix L applied to each column."""
-    return [[dot(zip(row, col), L.field) for row in L.entries] for col in cols]
+    return [L.apply(col) for col in cols]
 
 
 def regular_bimodule(algebra: WeightedAlgebra) -> Bimodule:

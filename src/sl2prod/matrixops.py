@@ -1,7 +1,8 @@
 """Dense matrices of exact polynomials, with fraction-free elimination.
 
 Shapes are explicit so that 0xN and Nx0 matrices survive composition; every
-operation returns a new matrix.
+operation returns a new matrix.  ``Matrix.apply`` is the one matrix-column
+product, and it reads only the column's nonzero coordinates.
 """
 
 from __future__ import annotations
@@ -49,14 +50,22 @@ class Matrix:
     def set(self, r: int, c: int, value: Poly) -> None:
         self.entries[r][c] = value
 
+    def apply(self, col: list) -> list:
+        """The column ``self @ col``, reading only the nonzero coordinates
+        of ``col``; a zero column gives ``nrows`` shared zero polynomials."""
+        support = [(j, q) for j, q in enumerate(col) if q.terms]
+        if not support:
+            return [Poly.zero(self.field)] * self.nrows
+        return [dot(((row[j], q) for j, q in support), self.field)
+                for row in self.entries]
+
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ShapeMismatchError(f"{self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
-        field = self.field
-        cols = [[r[j] for r in other.entries] for j in range(other.ncols)]
-        return Matrix(field, self.nrows, other.ncols,
-                      [[dot(zip(row, col), field) for col in cols]
-                       for row in self.entries])
+        cols = [self.apply([r[j] for r in other.entries])
+                for j in range(other.ncols)]
+        return Matrix(self.field, self.nrows, other.ncols,
+                      [[c[i] for c in cols] for i in range(self.nrows)])
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):

@@ -69,12 +69,9 @@ class ProductRep:
         """Model elements forming the standard basis of an S-corner at w."""
         n = self.S[corner].rank(w)
         field = self.Vy.A.field
-        out = []
-        for k in range(n):
-            vec = [Poly.one(field) if i == k else Poly.zero(field)
-                   for i in range(n)]
-            out.append(self.vec_to_model(corner, w, vec))
-        return out
+        return tuple(self.vec_to_model(corner, w, [
+            Poly.one(field) if i == k else Poly.zero(field)
+            for i in range(n)]) for k in range(n))
 
 
 def build_product(V) -> ProductRep:
@@ -331,6 +328,7 @@ def _h_eta(r, i: int, lw: str, rw: str) -> BimoduleMap:
                    r.eta_at(lw + rw, len(lw)))
 
 
+@_memoized
 def eps_xi_F_closed(P: ProductRep, i: int, corner: str) -> BimoduleMap:
     """Closed form of the i-th evaluation pairing on a corner."""
     r = P.Vy
@@ -365,6 +363,7 @@ def eps_xi_F_closed(P: ProductRep, i: int, corner: str) -> BimoduleMap:
     raise ShapeMismatchError(f"unknown corner {corner}")
 
 
+@_memoized
 def F_xi_eta_closed(P: ProductRep, i: int, corner: str) -> BimoduleMap:
     """Closed form of the i-th coevaluation pairing on a corner."""
     r = P.Vy

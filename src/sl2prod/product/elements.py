@@ -15,8 +15,8 @@ An element applies the positional generators of its own word, each the
 memoized ``TwoRep`` map: ``v.x(i)``, ``v.y(i)`` and ``v.tau(i)`` (as
 ``x_at``, ``y_at`` and ``tau_at``), ``v.eta(pos)`` (insert FE at pos) and
 ``v.tau_mate()`` (the crossing on the leading FF).  A chain applies left
-to right: ``v.y(1).tau(1)`` is tau_1 . y_1.  ``apply_map`` returns the
-zero column at once on a zero element.
+to right: ``v.y(1).tau(1)`` is tau_1 . y_1.  The zero column comes at once
+from ``Matrix.apply``, the one matrix-column product, on a zero element.
 
 Elements are immutable after construction: every operation returns a new
 element, and nothing writes to ``vec`` once the element is built.  So the
@@ -26,7 +26,7 @@ computed from it (such as a model element's datum) can be kept with it.
 
 from __future__ import annotations
 
-from ..polyring import Poly, dot, split_var, var_index
+from ..polyring import Poly, split_var, var_index
 from ..matrixops import ShapeMismatchError
 
 
@@ -123,14 +123,7 @@ def apply_map(f, elt: Elt, out_word: str) -> Elt:
     if m.ncols != len(elt.vec):
         raise ShapeMismatchError(
             f"map expects {m.ncols} coordinates, element has {len(elt.vec)}")
-    field = elt.rep.A.field
-    support = [(j, q) for j, q in enumerate(elt.vec) if q.terms]
-    if not support:
-        return Elt(elt.rep, out_word, elt.weight,
-                   [Poly.zero(field)] * m.nrows)
-    out = [dot(((row[j], q) for j, q in support), field)
-           for row in m.entries]
-    return Elt(elt.rep, out_word, elt.weight, out)
+    return Elt(elt.rep, out_word, elt.weight, m.apply(elt.vec))
 
 
 def elem_tensor(a: Elt, b: Elt) -> Elt:
@@ -184,15 +177,15 @@ def solve_op(elt: Elt, i: int) -> Elt:
     membership test."""
     rep = elt.rep
     field = rep.A.field
-    X = rep.x_at(elt.word, i).matrix(elt.weight).entries
+    X = rep.x_at(elt.word, i).matrix(elt.weight)
     y = Poly.var(field, "y")
     layers = [split_var(p.terms, var_index("y")) for p in elt.vec]
     top = max((k for g in layers for k in g), default=0)
     r = [[Poly(field, g.get(k, {})) for g in layers] for k in range(top + 1)]
     v = out = [Poly.zero(field)] * len(elt.vec)
     for rk in reversed(r[1:]):
-        v = [dot(zip(row, v), field) - c for row, c in zip(X, rk)]
+        v = [p - c for p, c in zip(X.apply(v), rk)]
         out = [p * y + q for p, q in zip(out, v)]
-    if [dot(zip(row, v), field) for row in X] != r[0]:
+    if X.apply(v) != r[0]:
         raise NotInModelError("membership division leaves a remainder")
     return Elt(rep, elt.word, elt.weight, out)

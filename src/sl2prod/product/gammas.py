@@ -10,7 +10,6 @@ and ``omega3_apply`` applies it.
 from __future__ import annotations
 
 from ..bimodcat import BimoduleMap, compose, direct_sum_maps
-from ..polyring import dot
 from ..tworep import _memoized, sigma
 from .elements import Elt, elem_tensor
 from .models import G2Elt, L2Elt
@@ -65,10 +64,8 @@ def omega3_apply(P: ProductRep, g: G2Elt, l: L2Elt):
     coordinate elements of the target sum."""
     r = P.Vy
     w = l.weight
-    field = r.A.field
-    vec = [v for p in pack_G2L2(P, g, l) for v in p.vec]
-    flat = [dot(zip(row, vec), field)
-            for row in omega3_map(P).matrix(w).entries]
+    flat = omega3_map(P).matrix(w).apply(
+        [v for p in pack_G2L2(P, g, l) for v in p.vec])
     res = []
     for word in G1G1:
         n = r.word(word).rank(w)

@@ -47,15 +47,15 @@ def pair_basis(P: ProductRep, corner: str, w: int):
     def g1(fe):
         return G1Elt(r, fe.weight, phi1=fe)
     if corner == "11":
-        return [(basis_elt(r, "E", w - 2, i), basis_elt(r, "F", w, j))
-                for i in range(_rank(P, "E", w - 2))
-                for j in range(_rank(P, "F", w))]
+        return tuple((basis_elt(r, "E", w - 2, i), basis_elt(r, "F", w, j))
+                     for i in range(_rank(P, "E", w - 2))
+                     for j in range(_rank(P, "F", w)))
     if corner == "12":
         out = [(basis_elt(r, "E", w, i), one_G1(r, w))
                for i in range(_rank(P, "E", w))]
         out += [(basis_elt(r, "E", w, i), g1(fe))
                 for i in range(_rank(P, "E", w)) for fe in _fes(P, w)]
-        return out
+        return tuple(out)
     if corner == "21":
         out = [(one_G1(r, w - 2), basis_elt(r, "F", w, j))
                for j in range(_rank(P, "F", w))]
@@ -65,7 +65,7 @@ def pair_basis(P: ProductRep, corner: str, w: int):
                 for c in range(_rank(P, "F", w))
                 for d in range(_rank(P, "E", w - 2))
                 for j in range(_rank(P, "F", w))]
-        return out
+        return tuple(out)
     if corner == "22":
         unit = one_G1(r, w)
         out = [(unit, unit)] if _rank(P, "", w) else []
@@ -77,7 +77,7 @@ def pair_basis(P: ProductRep, corner: str, w: int):
                  L2Elt(r, w, basis_elt(r, "F", w, j)))
                 for i in range(_rank(P, "E", w - 2))
                 for j in range(_rank(P, "F", w))]
-        return out
+        return tuple(out)
     raise ShapeMismatchError(f"unknown corner {corner}")
 
 
@@ -93,7 +93,7 @@ def _eta_pairs(P: ProductRep, w: int):
     for fL, v in decompose_first(one_at(r, w).eta(0)):
         out.append((L2Elt(r, w + 2, fL), G2Elt(r, w, v), "a"))
         out.append((L2Elt(r, w + 2, f=fL), G2Elt(r, w, b=v), "b"))
-    return out
+    return tuple(out)
 
 
 def _columnwise(P: ProductRep, dom, cod, colfn, name: str) -> BimoduleMap:

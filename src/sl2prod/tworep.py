@@ -68,16 +68,17 @@ def _memoized(fn):
       ``sigma`` and ``rho`` (functions), and the :func:`_sequence` lists
       of ``h_xy``;
     * on the :class:`~sl2prod.product.core.ProductRep`: ``sum_basis``
-      (method) and ``tilde_sigma_closed`` (``product.core``), ``_corner_rho``
-      (``product.rho``), ``pair_basis`` and ``_eta_pairs``
-      (``product.oracles``) and ``omega3_map`` (``product.gammas``), and
-      the oracles' dot orbits, one list of iterates per step and start
-      element under ``("_iterates", step, start)``, each also kept as the
-      one item of the :func:`_sequence` under ``("_starts", oracle,
-      corner, weight, column, ...)`` of every reader of that start.
+      (method), ``tilde_sigma_closed``, ``eps_xi_F_closed`` and
+      ``F_xi_eta_closed`` (``product.core``), ``_corner_rho`` (``rho``),
+      ``pair_basis`` and ``_eta_pairs`` (``oracles``) and ``omega3_map``
+      (``gammas``), and the oracles' dot orbits, one list of iterates per
+      step and start element under ``("_iterates", step, start)``, each
+      also kept as the one item of the :func:`_sequence` under
+      ``("_starts", oracle, corner, weight, column, ...)`` of every reader
+      of that start.
 
     Cached modules, maps and elements are shared between callers, which
-    only read them."""
+    only read them; a cached basis is a tuple."""
     @functools.wraps(fn)
     def cached(owner, *args):
         key = (fn.__name__, *args)
@@ -396,11 +397,11 @@ def commutator_at(rep: TwoRep, mu: int, lam: int, dom_words, cod_words,
 
     ``blocks()`` returns the block's matrix and the list of the pairings'
     matrices at ``mu``; it is called only when ``mu`` is in the support
-    (outside it the map has no matrix), and at ``lam = 0`` the block's
-    matrix is the map's matrix, uncopied.  Each distinct word module is
-    restricted to ``mu`` once, over one restricted algebra per shift; the
-    domain and the codomain are the sums of the restricted modules."""
-    extra = [w for w in pair_words for _ in range(abs(lam))]
+    (outside it the map has no matrix and no pairing summands), and at
+    ``lam = 0`` the block's matrix is the map's, uncopied.  Each distinct
+    word module is restricted to ``mu`` once, over one restricted algebra
+    per shift; the domain and codomain sum the restricted modules."""
+    extra = [w for w in pair_words for _ in range(abs(lam)) if mu in rep.A]
     dom_words = [*dom_words, *(extra if lam < 0 else [])]
     cod_words = [*cod_words, *(extra if lam > 0 else [])]
     modules = {w: rep.word(w) for w in {*dom_words, *cod_words}}

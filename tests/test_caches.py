@@ -134,9 +134,20 @@ def warm_words(P):
 
 
 def test_tilde_rho_allocations_linear_in_summands(monkeypatch):
-    # first builds, on warm word modules: a second call is a cache hit
-    P = build_product(make_L1())
+    # L(1) copied to weights 19/21 and 39/41, so every corner's internal
+    # weight at lam = 20 and 40 is in the support.  First builds, on warm
+    # word modules and memoized closed maps: the count covers the stacking
+    lows = (19, 39)
+    P = build_product(tworep.rep_from_json({
+        "weights": {str(w): ["u"] for a in lows for w in (a, a + 2)},
+        "E": {str(a): {"basis": ["e0"], "left": {"u": [["u"]]}}
+              for a in lows},
+        "x": {str(a): [["u"]] for a in lows}, "tau": {}}))
     warm_words(P)
+    for c in CORNERS:
+        tilde_sigma_closed(P, c)
+        for i in range(40):
+            eps_xi_F_closed(P, i, c)
     allocs, summands = {}, {}
     for lam in (20, 40):
         with monkeypatch.context() as m:
@@ -490,6 +501,31 @@ def test_run_loads_the_rep_once(monkeypatch, tmp_path):
         assert [len(c) for c in calls] == counts, command
         for c in calls:
             c.clear()
+
+
+def test_memoized_bases_are_read_only():
+    # every reader of a memoized basis gets the same object, so a reader
+    # that extends it raises instead of changing the basis of the others
+    P = build_product(make_L1())
+    for read in (lambda: P.sum_basis("22", -1),
+                 lambda: oracles.pair_basis(P, "22", -1),
+                 lambda: oracles._eta_pairs(P, -1)):
+        basis = read()
+        n = len(basis)
+        with pytest.raises(TypeError):
+            basis += [basis[0]]
+        assert read() is basis and len(basis) == n
+
+
+def test_verify_all_builds_each_closed_pairing_once(monkeypatch, tmp_path):
+    # build-product checks 40 distinct closed pairings against their
+    # oracles, and the rho-tilde certificates stack 8 of them again: the
+    # memo returns the same maps (48 built when check-rho rebuilt them)
+    outs = [returning(monkeypatch, mod, name) for mod in (cli, rho_mod)
+            for name in ("eps_xi_F_closed", "F_xi_eta_closed")]
+    assert cli.main(["verify-all", "--out", str(tmp_path / "r.json")]) == 0
+    maps = [f for out in outs for f in out]
+    assert len(maps) == 48 and len({id(f) for f in maps}) == 40
 
 
 def test_pairing_sweep_builds_each_pair_basis_once():

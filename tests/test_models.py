@@ -111,8 +111,8 @@ class TestDivisionsOnE2:
         ws = last_word_weights(E2, corner)
         assert ws
         for w in ws:
-            ms = E2.sum_basis(corner, w)
-            ms += [rand_model(E2, rng, corner, w) for _ in range(5)]
+            ms = [*E2.sum_basis(corner, w),
+                  *(rand_model(E2, rng, corner, w) for _ in range(5))]
             for m in ms:
                 assert round_trip(E2.Vy, m) == m, (corner, w)
 
