@@ -16,7 +16,7 @@ from ..matrixops import ShapeMismatchError
 from ..polyring import Poly
 from ..tworep import _memoized, check_hypotheses, self_pow, sigma, xi_eta
 from .elements import basis_elt, elem_tensor, join
-from .models import CORNER_MODELS, G1Elt, G2Elt, act_G1_on_G2, one_G1
+from .models import CORNER_MODELS, G, GElt, act_G1_on_G2, one_G1
 
 # Corner order of the commutator maps and of the reports.
 CORNERS = ("11", "21", "12", "22")
@@ -129,16 +129,16 @@ def c_mult(P: ProductRep, ca: str, a, cb: str, b):
     if key == ("12", "21"):
         return "11", join(a.y(1), b, 1)
     if key == ("12", "22"):
-        return "12", a.scale(b.theta.vec[0]) + join(a.y(1), b.phi1, 1)
+        return "12", a.scale(b.d0.vec[0]) + join(a.y(1), b.last, 1)
     if key == ("21", "11"):
         return "21", a.scale(b.vec[0])
     if key == ("21", "12"):
-        return "22", G1Elt(r, b.weight, phi1=elem_tensor(a, b))
+        return "22", G(1)(r, b.weight, last=elem_tensor(a, b))
     if key == ("22", "21"):
         return "21", join(a.datum(), b, 1)
     if key == ("22", "22"):
-        return "22", G1Elt.from_data(r, a.theta.scale(b.theta.vec[0]),
-                                     join(a.datum(), b.datum(), 1))
+        return "22", G(1).from_data(r, a.d0.scale(b.d0.vec[0]),
+                                    join(a.datum(), b.datum(), 1))
     raise ShapeMismatchError(f"no product rule for corners {ca} x {cb}")
 
 
@@ -218,28 +218,27 @@ def tilde_x_pow(P: ProductRep, i: int) -> BimoduleMap:
     return direct_sum_maps(P.S["12"], P.S["12"], entries)
 
 
-def tilde_x_step_21(P: ProductRep, g: G1Elt) -> G1Elt:
+def tilde_x_step_21(P: ProductRep, g: GElt) -> GElt:
     """One dot application on the end-type one-step corner, elementwise."""
     y = Poly.var(P.Vy.A.field, "y")
-    return G1Elt(P.Vy, g.weight, g.theta.scale(y),
-                 g.theta.eta(0) + g.phi1.x(1))
+    return G(1)(P.Vy, g.weight, g.d0.scale(y), g.d0.eta(0) + g.last.x(1))
 
 
-def tilde_x_step_22(P: ProductRep, g: G2Elt) -> G2Elt:
+def tilde_x_step_22(P: ProductRep, g: GElt) -> GElt:
     """One dot application on the degree +1 corner, elementwise."""
     y = Poly.var(P.Vy.A.field, "y")
-    return G2Elt(P.Vy, g.weight, g.a.x(1) - g.b, g.b.scale(y),
-                 g.a.eta(0) + g.c.x(2))
+    return G(2)(P.Vy, g.weight, g.q1.x(1) - g.d0, g.d0.scale(y),
+                g.q1.eta(0) + g.last.x(2))
 
 
-def tau21(P: ProductRep, g: G2Elt) -> G2Elt:
+def tau21(P: ProductRep, g: GElt) -> GElt:
     """The crossing on the degree +1 corner, elementwise."""
-    return G2Elt(P.Vy, g.weight, b=g.a, c=g.c.tau(1))
+    return G(2)(P.Vy, g.weight, d0=g.q1, last=g.last.tau(1))
 
 
 def tilde_tau(P: ProductRep, corner: str) -> BimoduleMap:
-    """The crossing on a free square corner as a matrix map; the
-    constrained corner 22 has the elementwise crossing
+    """The crossing on a free square corner as a matrix map.  Corner 22,
+    the model G(3), has the elementwise crossing
     :func:`~sl2prod.product.models.tau22`."""
     r = P.Vy
     if corner == "11":

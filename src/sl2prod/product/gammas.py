@@ -12,7 +12,7 @@ from __future__ import annotations
 from ..bimodcat import BimoduleMap, compose, direct_sum_maps
 from ..tworep import _memoized, sigma
 from .elements import Elt, elem_tensor
-from .models import G2Elt, L2Elt
+from .models import GElt, L2Elt
 from .core import ProductRep, word_sum
 
 # Summand words of the mixed component's codomain.
@@ -48,18 +48,18 @@ def omega3_map(P: ProductRep) -> BimoduleMap:
     return direct_sum_maps(dom, cod, entries)
 
 
-def pack_G2L2(P: ProductRep, g: G2Elt, l: L2Elt):
+def pack_G2L2(P: ProductRep, g: GElt, l: L2Elt):
     """Coordinates of a decomposable tensor in the mixed-component domain."""
     return [
-        elem_tensor(g.a, l.fp), elem_tensor(g.a, l.f),
-        elem_tensor(g.b, l.fp), elem_tensor(g.b, l.f),
-        elem_tensor(g.a, l.rho1), elem_tensor(g.b, l.rho1),
-        elem_tensor(g.c, l.fp), elem_tensor(g.c, l.f),
-        elem_tensor(g.c, l.rho1),
+        elem_tensor(g.q1, l.fp), elem_tensor(g.q1, l.f),
+        elem_tensor(g.d0, l.fp), elem_tensor(g.d0, l.f),
+        elem_tensor(g.q1, l.rho1), elem_tensor(g.d0, l.rho1),
+        elem_tensor(g.last, l.fp), elem_tensor(g.last, l.f),
+        elem_tensor(g.last, l.rho1),
     ]
 
 
-def omega3_apply(P: ProductRep, g: G2Elt, l: L2Elt):
+def omega3_apply(P: ProductRep, g: GElt, l: L2Elt):
     """Apply the mixed component to a decomposable tensor; returns the four
     coordinate elements of the target sum."""
     r = P.Vy

@@ -24,9 +24,26 @@ goes stale, and ``datum()`` computes it once and keeps it on the element.
 ``from_data`` keeps the datum it was given: once every division is exact,
 head() + y_Y . last equals that datum, so a fixed partner of the pairing
 sweep is not rebuilt for every power.
+
+The corners whose last word is FE^n are one family G(n), whose class
+:func:`G` makes from n.  Read off the code, G(n) has free coordinates
+q_(n-1), ..., q_1 and d0 on E^(n-1), then ``last`` on FE^n, and
+Y = (1, ..., n).  Its data are d_0 = d0 and d_k = d_(k-1) - q_k . y(n-k)
+(``d(k)``); head() is the sum over k < n of
+d_k . eta(0) . tau(n-1) ... tau(n-k) . y(n-k+1) ... y(n).  ``data()`` gives
+(d_0, ..., d_(n-1), datum), and ``free`` takes each q_k back as the exact
+quotient (d_(k-1) - d_k) / y(n-k): the one conversion from data to free
+coordinates.  G(1) and G(2) model the S-corners 11 and 12, and G(3) the
+square corner 22 of E^2, whose old model held its data.  The old names:
+
+    G(1)  theta, phi1           ->  d0, last
+    G(2)  a, b, c; e2()         ->  q1, d0, last; d(1)
+    G(3)  ee1, ee2, ee3, chi2   ->  d(0), d(1), d(2), last
 """
 
 from __future__ import annotations
+
+import functools
 
 from .elements import (Elt, basis_elt, elem_tensor, join, solve_op,
                        word_shift, zero_elt)
@@ -143,56 +160,56 @@ class ModelElt:
         return f"{type(self).__name__}({self.weight}: {self.coords})"
 
 
-class G1Elt(ModelElt):
-    """End-type corner element: free coordinates (theta, phi1); the datum
-    phi = eta.theta + y1.phi1 is the full endomorphism representative."""
-    LAYOUT = (("theta", ""), ("phi1", "FE"))
-    Y = (1,)
+class GElt(ModelElt):
+    """An element of G(n); :func:`G` makes its class, and the module
+    docstring gives the pattern."""
+    n = 0
+
+    def d(self, k: int) -> Elt:
+        """d_k = d_(k-1) - q_k . y(n-k), from d_0 = d0."""
+        d = self.d0
+        for j in range(1, k + 1):
+            d = d - getattr(self, f"q{j}").y(self.n - j)
+        return d
 
     def head(self) -> Elt:
-        return self.theta.eta(0)
-
-
-class G2Elt(ModelElt):
-    """Degree +1 corner element: free coordinates (a, b, c); the datum is
-    the full morphism representative xi."""
-    LAYOUT = (("a", "E"), ("b", "E"), ("c", "FEE"))
-    Y = (1, 2)
-
-    def e2(self) -> Elt:
-        return self.b - self.a.y(1)
-
-    def head(self) -> Elt:
-        return self.b.eta(0) + self.e2().eta(0).tau(1).y(2)
+        n = self.n
+        terms = []
+        for k in range(n):
+            t = self.d(k).eta(0)
+            for i in range(n - 1, n - k - 1, -1):
+                t = t.tau(i)
+            for i in range(n - k + 1, n + 1):
+                t = t.y(i)
+            terms.append(t)
+        return sum(terms[1:], terms[0])
 
     def data(self):
-        return self.b, self.e2(), self.datum()
+        return (*map(self.d, range(self.n)), self.datum())
+
+    @staticmethod
+    def free(ds) -> list:
+        """The free q_(n-1), ..., q_1, d0 of the data d_0, ..., d_(n-1):
+        q_k = (d_(k-1) - d_k) / y(n-k) exactly, or NotInModelError."""
+        n = len(ds)
+        return [*(solve_op(ds[k - 1] - ds[k], n - k)
+                  for k in range(n - 1, 0, -1)), ds[0]]
 
     @classmethod
-    def from_data(cls, rep, e1: Elt, e2: Elt, xi: Elt):
-        return super().from_data(rep, solve_op(e1 - e2, 1), e1, xi)
+    def from_data(cls, rep, *data: Elt):
+        *ds, datum = data
+        return super().from_data(rep, *cls.free(ds), datum)
 
 
-class G3Elt(ModelElt):
-    """Degree +1 square corner element (constrained tuple, not free); the
-    datum is chi."""
-    LAYOUT = (("ee1", "EE"), ("ee2", "EE"), ("ee3", "EE"), ("chi2", "FEEE"))
-    Y = (1, 2, 3)
-
-    def ee_prime(self) -> Elt:
-        """The divided difference (ee1 - ee2) / y2, exact by membership."""
-        return solve_op(self.ee1 - self.ee2, 2)
-
-    def head(self) -> Elt:
-        return (self.ee1.eta(0) + self.ee2.eta(0).tau(2).y(3)
-                + self.ee3.eta(0).tau(2).tau(1).y(2).y(3))
-
-    @classmethod
-    def from_data(cls, rep, ee1, ee2, ee3, chi):
-        # membership: y2 | ee1 - ee2 and y1 | ee3 - ee2
-        solve_op(ee1 - ee2, 2)
-        solve_op(ee3 - ee2, 1)
-        return super().from_data(rep, ee1, ee2, ee3, chi)
+@functools.cache
+def G(n: int) -> type:
+    """The class of G(n), made once per n, so that ``type(a) is type(b)``
+    decides equality of model elements."""
+    e = "E" * (n - 1)
+    layout = (*((f"q{k}", e) for k in range(n - 1, 0, -1)), ("d0", e),
+              ("last", "FE" + e))
+    return type(f"G{n}Elt", (GElt,),
+                {"n": n, "LAYOUT": layout, "Y": tuple(range(1, n + 1))})
 
 
 class L2Elt(ModelElt):
@@ -225,7 +242,7 @@ class UElt(ModelElt):
 
 
 # The model of each FE-ordered corner, and every model by its tag.
-CORNER_MODELS = {"11": G1Elt, "12": G2Elt, "21": L2Elt, "22": UElt}
+CORNER_MODELS = {"11": G(1), "12": G(2), "21": L2Elt, "22": UElt}
 
 
 def one_at(rep, weight: int) -> Elt:
@@ -233,31 +250,31 @@ def one_at(rep, weight: int) -> Elt:
 
 
 def one_G1(rep, w):
-    return G1Elt(rep, w, one_at(rep, w))
+    return G(1)(rep, w, one_at(rep, w))
 
 
 # ---------------------------------------------------------------------------
 # compositions and actions
 # ---------------------------------------------------------------------------
 
-def compose_L2_after_G2(l: L2Elt, g: G2Elt) -> G1Elt:
-    theta = join(g.b, l.f, 1) + join(g.a, l.fp, 1)
-    phi = join(g.datum(), l.datum(), 2)
-    return G1Elt.from_data(l.rep, theta, phi)
+def compose_L2_after_G2(l: L2Elt, g: GElt) -> GElt:
+    d0 = join(g.d0, l.f, 1) + join(g.q1, l.fp, 1)
+    datum = join(g.datum(), l.datum(), 2)
+    return G(1).from_data(l.rep, d0, datum)
 
 
-def compose_G1_after_L2(g: G1Elt, l: L2Elt) -> L2Elt:
-    theta = g.theta.vec[0]
+def compose_G1_after_L2(g: GElt, l: L2Elt) -> L2Elt:
+    s = g.d0.vec[0]
     rho = join(l.datum(), g.datum(), 1)
-    return L2Elt.from_data(l.rep, l.fp.scale(theta), l.f.scale(theta), rho)
+    return L2Elt.from_data(l.rep, l.fp.scale(s), l.f.scale(s), rho)
 
 
-def compose_U(g: G2Elt, l: L2Elt) -> UElt:
+def compose_U(g: GElt, l: L2Elt) -> UElt:
     """Pairing of a degree -1 and degree +1 corner element into the square."""
-    p11 = elem_tensor(l.f, g.b)
-    p21 = elem_tensor(l.f, g.a)
-    p12 = elem_tensor(l.fp, g.b)
-    p22 = elem_tensor(l.fp, g.a)
+    p11 = elem_tensor(l.f, g.d0)
+    p21 = elem_tensor(l.f, g.q1)
+    p12 = elem_tensor(l.fp, g.d0)
+    p22 = elem_tensor(l.fp, g.q1)
     Lam = join(l.datum(), g.datum(), 1)
     return UElt.from_data(g.rep, p11, p21, p12, p22, Lam)
 
@@ -269,25 +286,25 @@ def compose_L2_after_U(l: L2Elt, u: UElt) -> L2Elt:
     return L2Elt.from_data(l.rep, fp, f, rho)
 
 
-def act_G1_on_G2(g: G2Elt, c1: G1Elt) -> G2Elt:
+def act_G1_on_G2(g: GElt, c1: GElt) -> GElt:
     """Right action of an end-type element on a degree +1 corner element."""
-    theta = c1.theta.vec[0] if c1.theta.vec else None
-    b_new = join(g.b, c1.datum(), 1)
-    a_new = join(g.b, c1.phi1, 1)
-    c_new = join(g.e2().eta(0).tau(1) + g.c.y(1), c1.phi1, 1)
-    if theta is not None:
-        a_new = a_new + g.a.scale(theta)
-        c_new = c_new + g.c.scale(theta)
-    return G2Elt(g.rep, g.weight, a_new, b_new, c_new)
+    s = c1.d0.vec[0] if c1.d0.vec else None
+    d0 = join(g.d0, c1.datum(), 1)
+    q1 = join(g.d0, c1.last, 1)
+    last = join(g.d(1).eta(0).tau(1) + g.last.y(1), c1.last, 1)
+    if s is not None:
+        q1 = q1 + g.q1.scale(s)
+        last = last + g.last.scale(s)
+    return G(2)(g.rep, g.weight, q1, d0, last)
 
 
-def act_G1_on_U(u: UElt, c1: G1Elt) -> UElt:
-    theta = c1.theta.vec[0]
+def act_G1_on_U(u: UElt, c1: GElt) -> UElt:
+    s = c1.d0.vec[0]
     phi = c1.datum()
     p11 = join(u.p11, phi, 1)
     p12 = join(u.p12, phi, 1)
-    p21 = join(u.p11, c1.phi1, 1) + u.p21.scale(theta)
-    p22 = join(u.p12, c1.phi1, 1) + u.p22.scale(theta)
+    p21 = join(u.p11, c1.last, 1) + u.p21.scale(s)
+    p22 = join(u.p12, c1.last, 1) + u.p22.scale(s)
     Lam = join(u.datum(), phi, 1)
     return UElt.from_data(u.rep, p11, p21, p12, p22, Lam)
 
@@ -300,42 +317,46 @@ def act_L2_on_L2_left(phi1: Elt, l: L2Elt) -> L2Elt:
     return L2Elt(l.rep, l.weight, f=f_new, rho1=rho1)
 
 
-def act_phi1_on_G2(g: G2Elt, phi1: Elt) -> G2Elt:
+def act_phi1_on_G2(g: GElt, phi1: Elt) -> GElt:
     """Middle action of an off-diagonal end datum on a degree +1 element."""
-    return act_G1_on_G2(g, G1Elt(g.rep, phi1.weight, phi1=phi1))
+    return act_G1_on_G2(g, G(1)(g.rep, phi1.weight, last=phi1))
 
 
 # ---------------------------------------------------------------------------
 # square-product expansions (EE direction)
 # ---------------------------------------------------------------------------
 
-def gamma21_EE_G1E(c1: G1Elt, e: Elt) -> G2Elt:
+def gamma21_EE_G1E(c1: GElt, e: Elt) -> GElt:
     """Pair of an end-type and a one-step element, degree +1 corner."""
-    return G2Elt(c1.rep, e.weight, elem_tensor(c1.theta, e),
-                 elem_tensor(c1.theta, e.y(1)), elem_tensor(c1.phi1, e))
+    return G(2)(c1.rep, e.weight, elem_tensor(c1.d0, e),
+                elem_tensor(c1.d0, e.y(1)), elem_tensor(c1.last, e))
 
 
-def gamma22_EE_G1EE(c1: G1Elt, ee: Elt) -> G3Elt:
-    return G3Elt(c1.rep, ee.weight, elem_tensor(c1.theta, ee.y(1).y(2)),
-                 chi2=elem_tensor(c1.phi1, ee))
+def gamma22_EE_G1EE(c1: GElt, ee: Elt) -> GElt:
+    z = zero_elt(c1.rep, "EE", ee.weight)
+    return G(3)(c1.rep, ee.weight,
+                *G(3).free([elem_tensor(c1.d0, ee.y(1).y(2)), z, z]),
+                elem_tensor(c1.last, ee))
 
 
-def gamma22_EE_G2G2(p: G2Elt, q: G2Elt) -> G3Elt:
+def gamma22_EE_G2G2(p: GElt, q: GElt) -> GElt:
     """Pair of two degree +1 elements in the square corner."""
-    t_bb = elem_tensor(p.b, q.b)
-    inner = t_bb - elem_tensor(p.b, q.a).y(1)
-    ee1 = t_bb + inner.tau(1).y(2) + join(p.b, q.c, 1).y(2).y(1)
-    ee2 = t_bb - elem_tensor(p.a, q.b).y(2)
-    ee3 = elem_tensor(p.e2(), q.e2())
-    chi2 = (join(p.e2().eta(0).tau(1), q.c, 1)
-            + elem_tensor(p.c, q.e2()).tau(1) + elem_tensor(p.c, q.a))
-    return G3Elt(p.rep, q.weight, ee1, ee2, ee3, chi2)
+    pd1, qd1 = p.d(1), q.d(1)
+    t_bb = elem_tensor(p.d0, q.d0)
+    inner = t_bb - elem_tensor(p.d0, q.q1).y(1)
+    d0 = t_bb + inner.tau(1).y(2) + join(p.d0, q.last, 1).y(2).y(1)
+    d1 = t_bb - elem_tensor(p.q1, q.d0).y(2)
+    d2 = elem_tensor(pd1, qd1)
+    last = (join(pd1.eta(0).tau(1), q.last, 1)
+            + elem_tensor(p.last, qd1).tau(1) + elem_tensor(p.last, q.q1))
+    return G(3)(p.rep, q.weight, *G(3).free([d0, d1, d2]), last)
 
 
-def tau22(h: G3Elt) -> G3Elt:
-    """The crossing map on the square corner, elementwise."""
-    eep = h.ee_prime()
-    return G3Elt(h.rep, h.weight, eep, eep, h.ee3.tau(1), h.chi2.tau(2))
+def tau22(h: GElt) -> GElt:
+    """The crossing on the square corner: data (d_0, d_1, d_2) go to
+    (q_1, q_1, d_2 . tau(1)), or NotInModelError outside G(3)."""
+    return G(3)(h.rep, h.weight, *G(3).free([h.q1, h.q1, h.d(2).tau(1)]),
+                h.last.tau(2))
 
 
 def decompose_first(elt: Elt):

@@ -17,7 +17,7 @@ from .core import (ProductRep, c_mult, tau21, tilde_tau, tilde_x_pow,
                    tilde_x_step_21, tilde_x_step_22)
 from .elements import NotInModelError, basis_elt, elem_tensor
 from .gammas import omega3_apply
-from .models import (G1Elt, G2Elt, L2Elt, UElt, act_G1_on_G2, act_G1_on_U,
+from .models import (G, GElt, L2Elt, UElt, act_G1_on_G2, act_G1_on_U,
                      act_L2_on_L2_left, act_phi1_on_G2, compose_G1_after_L2,
                      compose_L2_after_G2, compose_L2_after_U, compose_U,
                      decompose_first, gamma21_EE_G1E, gamma22_EE_G1EE,
@@ -45,7 +45,7 @@ def pair_basis(P: ProductRep, corner: str, w: int):
     """Decomposable pairs realizing the flat basis of an EF corner sum."""
     r = P.Vy
     def g1(fe):
-        return G1Elt(r, fe.weight, phi1=fe)
+        return G(1)(r, fe.weight, last=fe)
     if corner == "11":
         return tuple((basis_elt(r, "E", w - 2, i), basis_elt(r, "F", w, j))
                      for i in range(_rank(P, "E", w - 2))
@@ -59,7 +59,7 @@ def pair_basis(P: ProductRep, corner: str, w: int):
     if corner == "21":
         out = [(one_G1(r, w - 2), basis_elt(r, "F", w, j))
                for j in range(_rank(P, "F", w))]
-        out += [(G1Elt(r, w - 2, phi1=elem_tensor(
+        out += [(G(1)(r, w - 2, last=elem_tensor(
                      basis_elt(r, "F", w, c), basis_elt(r, "E", w - 2, d))),
                  basis_elt(r, "F", w, j))
                 for c in range(_rank(P, "F", w))
@@ -73,7 +73,7 @@ def pair_basis(P: ProductRep, corner: str, w: int):
         out += [(g1(fe), unit) for fe in _fes(P, w)]
         out += [(g1(fe1), g1(fe2)) for fe1 in _fes(P, w)
                 for fe2 in _fes(P, w)]
-        out += [(G2Elt(r, w - 2, b=basis_elt(r, "E", w - 2, i)),
+        out += [(G(2)(r, w - 2, d0=basis_elt(r, "E", w - 2, i)),
                  L2Elt(r, w, basis_elt(r, "F", w, j)))
                 for i in range(_rank(P, "E", w - 2))
                 for j in range(_rank(P, "F", w))]
@@ -85,14 +85,14 @@ def pair_basis(P: ProductRep, corner: str, w: int):
 def _eta_pairs(P: ProductRep, w: int):
     """Both coordinate flavors of the coevaluation split at weight w.
 
-    Returns (l_eta at w + 2, g_eta at w, flavor) triples, flavor "a" or
-    "b", built once per weight.
+    Returns (l_eta at w + 2, g_eta at w, flavor) triples, flavor the
+    coordinate "q1" or "d0" of g_eta, built once per weight.
     """
     r = P.Vy
     out = []
     for fL, v in decompose_first(one_at(r, w).eta(0)):
-        out.append((L2Elt(r, w + 2, fL), G2Elt(r, w, v), "a"))
-        out.append((L2Elt(r, w + 2, f=fL), G2Elt(r, w, b=v), "b"))
+        out.append((L2Elt(r, w + 2, fL), G(2)(r, w, v), "q1"))
+        out.append((L2Elt(r, w + 2, f=fL), G(2)(r, w, d0=v), "d0"))
     return tuple(out)
 
 
@@ -119,24 +119,24 @@ def _columnwise(P: ProductRep, dom, cod, colfn, name: str) -> BimoduleMap:
 # the commutator map, built elementwise
 # ---------------------------------------------------------------------------
 
-def _sigma22_EF_column(P: ProductRep, g2in: G2Elt, lprime: L2Elt) -> UElt:
+def _sigma22_EF_column(P: ProductRep, g2in: GElt, lprime: L2Elt) -> UElt:
     """Elementwise image of a mixed column of the constrained corner."""
     r = P.Vy
     w = lprime.weight
-    e = g2in.b
+    e = g2in.d0
     total = UElt(r, w)
     for l_eta, g_eta, flavor in _eta_pairs(P, w):
         ht = tau22(gamma22_EE_G2G2(g_eta, g2in))
-        v = g_eta.a if flavor == "a" else g_eta.b
+        v = getattr(g_eta, flavor)
         tens = elem_tensor(v, e)
         claim = []
         for u, rr in decompose_first(tens.tau(1)):
-            q = (G2Elt(r, w - 2, rr, rr.y(1)) if flavor == "a"
-                 else G2Elt(r, w - 2, b=rr))
-            claim.append((G2Elt(r, w, b=u), q, 1))
-        if flavor == "a":
+            q = (G(2)(r, w - 2, rr, rr.y(1)) if flavor == "q1"
+                 else G(2)(r, w - 2, d0=rr))
+            claim.append((G(2)(r, w, d0=u), q, 1))
+        if flavor == "q1":
             for u, rr in decompose_first(tens.y(1).tau(1)):
-                claim.append((G2Elt(r, w, b=u), G2Elt(r, w - 2, b=rr), -1))
+                claim.append((G(2)(r, w, d0=u), G(2)(r, w - 2, d0=rr), -1))
         acc = None
         for p, q, s in claim:
             t = gamma22_EE_G2G2(p, q)
@@ -191,7 +191,7 @@ def tilde_sigma_oracle(P: ProductRep, corner: str) -> BimoduleMap:
 
     def col22(w, j):
         a, b = pairs[w][j]
-        if isinstance(a, G2Elt):
+        if isinstance(a, G(2)):
             return _sigma22_EF_column(P, a, b).to_vec()
         total = UElt(r, w)
         for l_eta, g_eta, _ in _eta_pairs(P, w):
@@ -256,7 +256,7 @@ def eps_xi_F_oracle(P: ProductRep, i: int, corner: str) -> BimoduleMap:
 
     def col(w, j):
         a, b = pairs[w][j]
-        if isinstance(a, G2Elt):
+        if isinstance(a, G(2)):
             g2i = _iterate(P, ("eps", "22", w, j), lambda: a,
                            tilde_x_step_22, i)
             return compose_L2_after_G2(b, g2i).to_vec()
@@ -287,7 +287,7 @@ def F_xi_eta_oracle(P: ProductRep, i: int, corner: str) -> BimoduleMap:
     def col12(w, j):
         def start():
             e = basis_elt(r, "E", w, j)
-            return G2Elt(r, w, e, e.y(1))
+            return G(2)(r, w, e, e.y(1))
         gi = _iterate(P, ("F", "12", w, j), start, tilde_x_step_22, i)
         return gi.to_vec()
 
@@ -325,7 +325,8 @@ def check_product_hecke(P: ProductRep):
 
     The dot relations of the constrained corner 22 need a spanning calculus
     that is not implemented: their record passes only when the corner's
-    spanning set is zero, and fails otherwise."""
+    spanning set is zero, and fails otherwise.  A spanning element whose
+    crossed image leaves G(3) fails the record tau^2 = 0."""
     r = P.Vy
     out = []
 
@@ -368,8 +369,11 @@ def check_product_hecke(P: ProductRep):
         for v in span:
             if not v.is_zero():
                 spanning_all_zero = False
-            if tau_sq_bad is None and not tau22(tau22(v)).is_zero():
-                tau_sq_bad = f"weight {w}"
+            try:
+                if tau_sq_bad is None and not tau22(tau22(v)).is_zero():
+                    tau_sq_bad = f"weight {w}"
+            except NotInModelError as e:
+                tau_sq_bad = f"weight {w}: crossed image not in G(3): {e}"
     out.append(record("hecke[22]: tau^2 = 0", tau_sq_bad is None, tau_sq_bad))
     out.append(record("hecke[22]: dot relations", spanning_all_zero,
                       "corner trivial" if spanning_all_zero else

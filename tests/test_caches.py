@@ -26,7 +26,7 @@ from sl2prod.product.oracles import (check_omega3_linearity,
                                      check_product_hecke, eps_xi_F_oracle,
                                      F_xi_eta_oracle, tilde_sigma_oracle)
 from sl2prod.product.rho import tilde_rho
-from sl2prod.product.models import CORNER_MODELS, G3Elt
+from sl2prod.product.models import CORNER_MODELS, G
 from sl2prod.product.elements import Elt, basis_elt, elem_tensor
 from sl2prod.tworep import make_L1, sigma
 
@@ -550,7 +550,7 @@ def test_pairing_sweep_builds_each_pair_basis_once():
     assert len(built) == 6
 
 
-MODEL_CLASSES = (*CORNER_MODELS.values(), G3Elt)
+MODEL_CLASSES = (*CORNER_MODELS.values(), G(3))
 
 
 def gf7_sweep(monkeypatch, tmp_path):
@@ -611,8 +611,8 @@ def test_kept_datums_match_fresh_computation(monkeypatch, tmp_path):
     _, _, _, datums, _ = gf7_sweep(monkeypatch, tmp_path)
     read = list({id(args[0]): args[0] for args in datums}.values())
     assert len(read) > 100
-    assert {type(m) for m in read} == {models.G1Elt, models.G2Elt,
-                                       models.L2Elt, models.UElt}
+    assert {type(m) for m in read} == {G(1), G(2), models.L2Elt,
+                                       models.UElt}
     for m in read:
         assert m.datum() == fresh_datum(m), m
 

@@ -22,7 +22,7 @@ from sl2prod.product import gammas, oracles
 from sl2prod.product.core import build_product
 from sl2prod.product.oracles import check_omega3_linearity
 from sl2prod.product.elements import Elt
-from sl2prod.product.models import G2Elt, L2Elt
+from sl2prod.product.models import G, L2Elt
 from sl2prod.tworep import make_L1, rep_from_json
 
 FIELDS = {"QQ": QQ, "GF7": make_field("7")}
@@ -50,7 +50,7 @@ def reference_check(P, n=N, seed=0):
     bad = 0
     for t in range(n):
         w = weights[rng.randrange(len(weights))]
-        g = G2Elt(r, w - 2, *(rand(word, w - 2) for word in G2Elt.words()))
+        g = G(2)(r, w - 2, *(rand(word, w - 2) for word in G(2).words()))
         l = L2Elt(r, w, *(rand(word, w) for word in L2Elt.words()))
         phi = rand("FE", w - 2)
         lhs = gammas.omega3_apply(P, oracles.act_phi1_on_G2(g, phi), l)
@@ -121,19 +121,21 @@ def double_f(monkeypatch):
     monkeypatch.setattr(oracles, "act_L2_on_L2_left", mutant)
 
 
-def shift_a_by_yb(monkeypatch):
+def shift_q1_by_y_d0(monkeypatch):
     real = oracles.act_phi1_on_G2
 
     def mutant(g, phi1):
         out = real(g, phi1)
         y = Poly.var(out.rep.A.field, "y")
-        return G2Elt(out.rep, out.weight, out.a + out.b.scale(y), out.b,
-                     out.c)
+        return G(2)(out.rep, out.weight, out.q1 + out.d0.scale(y), out.d0,
+                    out.last)
     monkeypatch.setattr(oracles, "act_phi1_on_G2", mutant)
 
 
+# "a += y b" is q1 += y d0, labelled by G(2)'s coordinates before they were
+# named q1, d0 and last
 MUTANTS = {**{f"zero {key}": zero_entry(key) for key in OMEGA3_ENTRIES},
-           "f doubled": double_f, "a += y b": shift_a_by_yb}
+           "f doubled": double_f, "a += y b": shift_q1_by_y_d0}
 
 
 @pytest.mark.parametrize("field", FIELDS)

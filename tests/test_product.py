@@ -11,7 +11,7 @@ from sl2prod.product.core import (F_xi_eta_closed, build_product,
                                   check_construction, eps_xi_F_closed, tau21,
                                   tilde_sigma_closed, tilde_x_pow)
 from sl2prod.product.elements import apply_map, basis_elt
-from sl2prod.product.models import G2Elt, gamma21_EE_G1E, one_G1
+from sl2prod.product.models import G, gamma21_EE_G1E, one_G1
 from sl2prod.product.oracles import (F_xi_eta_oracle, check_eta22_identity,
                                      check_omega3_linearity,
                                      check_product_hecke, closed_vs_oracle,
@@ -161,11 +161,11 @@ class TestExamples:
         w = -1
         e = basis_elt(r, "E", w, 0)
         y1e = apply_map(r.y_at("E", 1), e, "E")
-        g = G2Elt(r, w, e, y1e)
+        g = G(2)(r, w, e, y1e)
         t = tau21(P, g)
-        assert t.a.is_zero()
-        assert (t.b - e).is_zero()
-        assert t.c.is_zero()
+        assert t.q1.is_zero()
+        assert (t.d0 - e).is_zero()
+        assert t.last.is_zero()
 
     def test_gamma21_unit_example(self, P):
         # 1 (x) e maps to (e, y_1 e, 0)
@@ -173,9 +173,9 @@ class TestExamples:
         e = basis_elt(r, "E", -1, 0)
         g = gamma21_EE_G1E(one_G1(r, 1), e)
         y1e = apply_map(r.y_at("E", 1), e, "E")
-        assert (g.a - e).is_zero()
-        assert (g.b - y1e).is_zero()
-        assert g.c.is_zero()
+        assert (g.q1 - e).is_zero()
+        assert (g.d0 - y1e).is_zero()
+        assert g.last.is_zero()
 
 
 class TestUnits:

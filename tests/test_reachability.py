@@ -114,11 +114,7 @@ ALLOWED = {
     "product.elements.Elt.__repr__": DUNDER,
     "product.models.ModelElt.__repr__": DUNDER,
     "product.models.ModelElt.data": TESTS,
-    "product.models.G2Elt.data": TESTS,
-    "product.models.G2Elt.from_data": TESTS,
-    "product.models.G3Elt.ee_prime": L2,
-    "product.models.G3Elt.head": L2,
-    "product.models.G3Elt.from_data": L2,
+    "product.models.GElt.data": TESTS,
     "product.models.gamma22_EE_G1EE": L2,
     "product.models.gamma22_EE_G2G2": L2,
     "product.models.tau22": L2,
