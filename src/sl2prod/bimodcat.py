@@ -378,11 +378,11 @@ def record(name, ok, witness=None, **evidence) -> dict:
 
 def check_equal(name, lhs: BimoduleMap, rhs: BimoduleMap) -> dict:
     """The record ``name`` of ``lhs == rhs``; a failure's witness lists the
-    weights where lhs - rhs is nonzero."""
+    weights where the matrices differ, in entries or in shape."""
     if lhs == rhs:
         return record(name, True)
     bad = [lam for lam in lhs.dom.weights()
-           if not (lhs.matrix(lam) - rhs.matrix(lam)).is_zero()]
+           if lhs.matrix(lam) != rhs.matrix(lam)]
     return record(name, False, f"weights {bad}")
 
 

@@ -4,8 +4,11 @@ The product of the standard two-object 2-representation with an input
 representation V is presented by a 2x2 corner decomposition.  Every corner
 of the one-step functors and of their squares is a finite sum of word
 modules over V, on which the central variable y acts by scalars, except the
-constrained square corner, which is handled elementwise.  The product works
-on V itself and shares its memo.
+constrained square corner, which is handled elementwise.  Each EF-ordered
+corner sum is the tensor of two end-algebra corners C, ``T_FACTORS``, in
+the order given there; :func:`c_bases` is the one basis of C, read by the
+construction gate and by the oracles' basis pairs.  The product works on V
+itself and shares its memo.
 """
 
 from __future__ import annotations
@@ -20,13 +23,17 @@ from .models import CORNER_MODELS, G, GElt, act_G1_on_G2, one_G1
 
 # Corner order of the commutator maps and of the reports.
 CORNERS = ("11", "21", "12", "22")
-# Summand words of the EF-ordered corner sums (the domains of the
-# commutator maps); the FE-ordered sums are the model layouts.
-T_WORDS = {"11": ("EF",), "21": ("F", "FEF"), "12": ("E", "EFE"),
-           "22": ("", "FE", "FE", "FEFE", "EF")}
 # Summand words of the end-algebra corners C_c: the codomains of the
 # evaluation pairings and the domains of the coevaluation pairings.
 C_WORDS = {"11": ("",), "21": ("F",), "12": ("E",), "22": ("", "FE")}
+# The end-algebra corners of the left and right factors of each EF-ordered
+# corner sum (the domains of the commutator maps; the FE-ordered sums are
+# the model layouts).  The sum is their tensor: its summands are the words
+# l + r, left summand outer, and corner 22 adds the mixed summand EF.
+T_FACTORS = {"11": ("12", "21"), "21": ("22", "21"), "12": ("12", "22"),
+             "22": ("22", "22")}
+T_WORDS = {c: tuple(l + r for l in C_WORDS[a] for r in C_WORDS[b])
+           + ("EF",) * (c == "22") for c, (a, b) in T_FACTORS.items()}
 # A corner of the weight-lam commutator map lives at internal weight
 # lam + MU_SHIFT[corner].
 MU_SHIFT = {"11": +1, "21": +1, "12": -1, "22": -1}
@@ -97,16 +104,23 @@ def check_construction(P: ProductRep) -> dict:
 # the end algebra C
 # ---------------------------------------------------------------------------
 
+def c_bases(P: ProductRep, corner: str, w: int):
+    """The standard basis of an end-algebra corner at source weight w, one
+    tuple per summand word of ``C_WORDS[corner]``.  C_22 is the model G(1)
+    of the S-corner 11, so its basis is that corner's, split at its one
+    summand ""; the other corners are one word module each."""
+    r = P.Vy
+    if corner == "22":
+        n, flat = r.word("").rank(w), P.sum_basis("11", w)
+        return flat[:n], flat[n:]
+    word, = C_WORDS[corner]
+    n = r.word(word).rank(w)
+    return (tuple(basis_elt(r, word, w, k) for k in range(n)),)
+
+
 def c_basis(P: ProductRep, corner: str, c: int):
     """Basis elements of an end-algebra corner at internal weight c."""
-    r = P.Vy
-    w = c + MU_SHIFT[corner]
-    if w not in r.A:
-        return []
-    if corner == "22":
-        return P.sum_basis("11", w)
-    word, = C_WORDS[corner]
-    return [basis_elt(r, word, w, k) for k in range(r.word(word).rank(w))]
+    return [e for es in c_bases(P, corner, c + MU_SHIFT[corner]) for e in es]
 
 
 def c_mult(P: ProductRep, ca: str, a, cb: str, b):

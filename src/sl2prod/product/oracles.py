@@ -13,9 +13,9 @@ from __future__ import annotations
 from ..bimodcat import BimoduleMap, check_equal, compose, identity_map, record
 from ..matrixops import Matrix, ShapeMismatchError
 from ..tworep import _memoized, _sequence
-from .core import (ProductRep, c_mult, tau21, tilde_tau, tilde_x_pow,
-                   tilde_x_step_21, tilde_x_step_22)
-from .elements import NotInModelError, basis_elt, elem_tensor
+from .core import (C_WORDS, T_FACTORS, ProductRep, c_bases, c_mult, tau21,
+                   tilde_tau, tilde_x_pow, tilde_x_step_21, tilde_x_step_22)
+from .elements import NotInModelError, basis_elt, elem_tensor, word_shift
 from .gammas import omega3_apply
 from .models import (G, GElt, L2Elt, UElt, act_G1_on_G2, act_G1_on_U,
                      act_L2_on_L2_left, act_phi1_on_G2, compose_G1_after_L2,
@@ -29,56 +29,31 @@ class OracleClaimError(AssertionError):
 
 
 # ---------------------------------------------------------------------------
-# basis pair enumerations for the EF-ordered corner sums
+# basis pairs of the EF-ordered corner sums
 # ---------------------------------------------------------------------------
-
-def _rank(P, word, w):
-    return P.Vy.word(word).rank(w)
-
-
-def _fes(P, w):
-    return [basis_elt(P.Vy, "FE", w, k) for k in range(_rank(P, "FE", w))]
-
 
 @_memoized
 def pair_basis(P: ProductRep, corner: str, w: int):
-    """Decomposable pairs realizing the flat basis of an EF corner sum."""
+    """Decomposable pairs realizing the standard basis of the EF corner sum
+    T[corner] at w, the tensor of the C corners ``T_FACTORS[corner]``.
+
+    The right factor runs over C's basis :func:`c_bases` at w, and the left
+    over C's basis at w plus the right word's shift.  The pairs go summand
+    pair by summand pair, left summand outer as in ``T_WORDS``, then
+    row-major with the left factor outer (the order of ``tensor_over_A``).
+    Corner 22 then appends its mixed summand EF: pairs of a degree +1
+    element G(2) with d0 = e and a degree -1 element L2 with fp = f, for e
+    and f in the bases of C_12 and C_21."""
     r = P.Vy
-    def g1(fe):
-        return G(1)(r, fe.weight, last=fe)
-    if corner == "11":
-        return tuple((basis_elt(r, "E", w - 2, i), basis_elt(r, "F", w, j))
-                     for i in range(_rank(P, "E", w - 2))
-                     for j in range(_rank(P, "F", w)))
-    if corner == "12":
-        out = [(basis_elt(r, "E", w, i), one_G1(r, w))
-               for i in range(_rank(P, "E", w))]
-        out += [(basis_elt(r, "E", w, i), g1(fe))
-                for i in range(_rank(P, "E", w)) for fe in _fes(P, w)]
-        return tuple(out)
-    if corner == "21":
-        out = [(one_G1(r, w - 2), basis_elt(r, "F", w, j))
-               for j in range(_rank(P, "F", w))]
-        out += [(G(1)(r, w - 2, last=elem_tensor(
-                     basis_elt(r, "F", w, c), basis_elt(r, "E", w - 2, d))),
-                 basis_elt(r, "F", w, j))
-                for c in range(_rank(P, "F", w))
-                for d in range(_rank(P, "E", w - 2))
-                for j in range(_rank(P, "F", w))]
-        return tuple(out)
+    ca, cb = T_FACTORS[corner]
+    lefts = c_bases(P, ca, w + word_shift(C_WORDS[cb][0]))
+    rights = c_bases(P, cb, w)
+    out = [(a, b) for ls in lefts for rs in rights for a in ls for b in rs]
     if corner == "22":
-        unit = one_G1(r, w)
-        out = [(unit, unit)] if _rank(P, "", w) else []
-        out += [(unit, g1(fe)) for fe in _fes(P, w)]
-        out += [(g1(fe), unit) for fe in _fes(P, w)]
-        out += [(g1(fe1), g1(fe2)) for fe1 in _fes(P, w)
-                for fe2 in _fes(P, w)]
-        out += [(G(2)(r, w - 2, d0=basis_elt(r, "E", w - 2, i)),
-                 L2Elt(r, w, basis_elt(r, "F", w, j)))
-                for i in range(_rank(P, "E", w - 2))
-                for j in range(_rank(P, "F", w))]
-        return tuple(out)
-    raise ShapeMismatchError(f"unknown corner {corner}")
+        (es,), (fs,) = c_bases(P, "12", w - 2), c_bases(P, "21", w)
+        out += [(G(2)(r, w - 2, d0=e), L2Elt(r, w, fp=f)) for e in es
+                for f in fs]
+    return tuple(out)
 
 
 @_memoized
@@ -240,18 +215,12 @@ def _x_step_E(P: ProductRep, e):
     return e.x(1)
 
 
-# The end-algebra corners of the two factors of an evaluation pairing's
-# basis pairs, by pairing corner; the left factor carries the dots.
-_EPS_FACTORS = {"11": ("12", "21"), "12": ("12", "22"), "21": ("22", "21"),
-                "22": ("22", "22")}
-
-
 def eps_xi_F_oracle(P: ProductRep, i: int, corner: str) -> BimoduleMap:
     """The i-th evaluation pairing on a corner, built column by column: the
     C-product of x^i times the left factor with the right factor.  Only the
     mixed (degree +1, degree -1) pairs of corner 22 leave C."""
     pairs = {w: pair_basis(P, corner, w) for w in P.T[corner].weights()}
-    ca, cb = _EPS_FACTORS[corner]
+    ca, cb = T_FACTORS[corner]
     step = _x_step_E if ca == "12" else tilde_x_step_21
 
     def col(w, j):
@@ -418,7 +387,7 @@ def check_omega3_linearity(P: ProductRep):
     for w in P.weights():
         ls = P.sum_basis("21", w)
         phis = [basis_elt(r, "FE", w - 2, j)
-                for j in range(_rank(P, "FE", w - 2))]
+                for j in range(r.word("FE").rank(w - 2))]
         for i, g in enumerate(P.sum_basis("12", w - 2)):
             for j, phi in enumerate(phis):
                 g_phi = act_phi1_on_G2(g, phi)

@@ -191,6 +191,16 @@ class TestCertification:
         assert out == {"check": "id = 0", "status": "fail",
                        "witness": "weights [-1, 1]"}
 
+    def test_comparison_of_different_shapes_fails(self):
+        # maps whose matrices differ in shape compare unequal, and the
+        # record fails with their weights instead of raising on lhs - rhs
+        E = make_L1().E
+        f, g = identity_map(E), zero_map(E, SumBimodule([E, E]))
+        assert f != g
+        assert check_equal("id = 0", f, g) == {"check": "id = 0",
+                                               "status": "fail",
+                                               "witness": "weights [-1]"}
+
 
 # ---------------------------------------------------------------------------
 # Reference constructions: every block written out, zero blocks included, and

@@ -1,8 +1,13 @@
 """Golden reports: refactors must leave the verifier's output byte-identical.
 
-The files under ``tests/golden/`` were written by ``verifycli`` before the
-change to one polynomial layout; regenerate them only for a change that is
-meant to alter a report, and say so in CHANGES.md.
+The reports under ``tests/golden/`` were written by ``verifycli`` before
+the refactors that had to keep them: the first four before the change to
+one polynomial layout, and ``check_rho_wide.json`` and
+``build_product_gf7.json`` before the EF corner sums became tensors of the
+end-algebra corner bases.  With ``verify_all_seed0.json`` they pin the
+reports of the three benchmark workloads (``verify-default``, ``rho-wide``
+and ``pairings-gf7``, whose ``--seed`` is ignored).  Regenerate them only
+for a change that is meant to alter a report, and say so in CHANGES.md.
 """
 
 from pathlib import Path
@@ -25,6 +30,11 @@ CASES = [
     # with the witnesses of both certification routes
     ("check_rho_e2_tau0.json",
      ["check-rho", "--rep", "e2_tau0.json", "--weights=-6..6"], 1),
+    # the rho-wide and pairings-gf7 benchmark workloads
+    ("check_rho_wide.json",
+     ["check-rho", "--weights=-40..40", "--field", "QQ"], 0),
+    ("build_product_gf7.json",
+     ["build-product", "--field", "7", "--i-max", "16"], 0),
 ]
 
 

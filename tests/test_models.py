@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 from sl2prod.matrixops import ShapeMismatchError
-from sl2prod.polyring import Poly
-from sl2prod.product.core import CORNERS, build_product, c_basis, c_mult
+from sl2prod.polyring import QQ, Poly, make_field
+from sl2prod.product.core import (C_WORDS, CORNERS, T_FACTORS, T_WORDS,
+                                  build_product, c_basis, c_mult)
 from sl2prod.product.elements import (Elt, NotInModelError, basis_elt,
                                       elem_tensor, zero_elt)
 from sl2prod.product import models
@@ -16,7 +17,7 @@ from sl2prod.product.models import (CORNER_MODELS, G, L2Elt, UElt,
                                     act_G1_on_G2, decompose_first,
                                     gamma22_EE_G1EE, gamma22_EE_G2G2, one_at,
                                     one_G1, tau22)
-from sl2prod.product.oracles import check_product_hecke
+from sl2prod.product.oracles import check_product_hecke, pair_basis
 from sl2prod.tworep import make_L1, rep_from_json
 
 CORNER_TAGS = sorted(CORNER_MODELS)
@@ -25,11 +26,11 @@ GOLDEN = Path(__file__).parent / "golden"
 INPUTS = ["L1", "e2_tau0", "l1_x2u", "l1_renamed"]
 
 
-def load_product(name):
+def load_product(name, field=QQ):
     """A new product over L(1) or the golden input ``name``, without the
     construction gate."""
-    V = (make_L1() if name == "L1" else rep_from_json(
-        json.loads((GOLDEN / f"{name}.json").read_text())))
+    V = (make_L1(field) if name == "L1" else rep_from_json(
+        json.loads((GOLDEN / f"{name}.json").read_text()), field))
     return build_product(V)
 
 
@@ -242,6 +243,55 @@ class TestDecomposition:
             lhs = elem_tensor(a1 + a2, b)
             rhs = elem_tensor(a1, b) + elem_tensor(a2, b)
             assert (lhs - rhs).is_zero()
+
+
+def coordinates(m):
+    """The coordinates of a pair factor: a word element is its own."""
+    return m.coords if isinstance(m, models.ModelElt) else [m]
+
+
+class TestPairLayout:
+    """Pair j of ``pair_basis(P, c, w)`` is the j-th standard column of the
+    EF corner sum T[c] at w.  A pair flattens to the tensors of each left
+    coordinate with each right coordinate, left coordinate outer, and a
+    mixed pair of corner 22 to d0 (x) fp in the summand EF; the other pairs
+    are zero there."""
+
+    @pytest.mark.parametrize("field", ["QQ", "7"])
+    @pytest.mark.parametrize("name, n_columns", [
+        ("L1", 11), ("e2_tau0", 21), ("l1_x2u", 11), ("l1_renamed", 11)])
+    def test_pairs_are_the_standard_columns(self, name, n_columns, field):
+        P = load_product(name, make_field(field))
+        r = P.Vy
+        one, zero = Poly.one(r.A.field), Poly.zero(r.A.field)
+        columns = 0
+        for c in CORNERS:
+            ca, cb = T_FACTORS[c]
+            for w in P.T[c].weights():
+                pairs = pair_basis(P, c, w)
+                n = P.T[c].rank(w)
+                assert len(pairs) == n
+                for j, (a, b) in enumerate(pairs):
+                    if isinstance(a, G(2)):
+                        assert a == G(2)(r, w - 2, d0=a.d0)
+                        assert b == L2Elt(r, w, fp=b.fp)
+                        parts = [zero_elt(r, word, w)
+                                 for word in T_WORDS[c][:-1]]
+                        parts.append(elem_tensor(a.d0, b.fp))
+                    else:
+                        left, right = coordinates(a), coordinates(b)
+                        assert [e.word for e in left] == list(C_WORDS[ca])
+                        assert [e.word for e in right] == list(C_WORDS[cb])
+                        parts = [elem_tensor(x, y)
+                                 for x in left for y in right]
+                        if c == "22":
+                            parts.append(zero_elt(r, "EF", w))
+                    # the summands are the tensors of the factors' words
+                    assert tuple(p.word for p in parts) == T_WORDS[c]
+                    assert [q for p in parts for q in p.vec] == [
+                        one if i == j else zero for i in range(n)]
+                    columns += 1
+        assert columns == n_columns
 
 
 class TestComposition:

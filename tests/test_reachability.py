@@ -97,6 +97,7 @@ ALLOWED = {
     "bimodcat.inverse_map": CERT,
     "matrixops.adjugate": CERT,
     "matrixops.Matrix.__hash__": DUNDER,
+    "matrixops.Matrix.__sub__": TRACER,
     "matrixops.Matrix.__str__": DUNDER,
     "nilhecke.NilHeckeElt.scalar": TESTS,
     "nilhecke.NilHeckeElt.__str__": DUNDER,
