@@ -7,6 +7,7 @@ and draws no samples, so the report bytes are identical across runs.
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -316,15 +317,18 @@ def main(argv=None):
         print(f"error: {e}", file=sys.stderr)
         return 2
     text = render(report, args.report)
-    if args.out:
-        try:
+    try:
+        if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        except OSError as e:
-            print(f"error: cannot write {args.out}: {e}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as e:
+        sys.stderr.write(f"error: cannot write {args.out or 'stdout'}: {e}\n")
+        if not args.out:  # the interpreter's last flush must not fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     ok = all(c["status"] == "pass" for c in report["checks"])
     return 0 if ok else 1
 

@@ -10,9 +10,9 @@ consult the closed forms, not even for their domains and codomains.
 
 from __future__ import annotations
 
-from ..bimodcat import BimoduleMap, check_equal, compose, identity_map, record
+from ..bimodcat import BimoduleMap, check_equal, record
 from ..matrixops import Matrix, ShapeMismatchError
-from ..tworep import _memoized, _sequence
+from ..tworep import _memoized, _sequence, hecke_relations
 from .core import (C_WORDS, T_FACTORS, ProductRep, c_bases, c_mult, tau21,
                    tilde_tau, tilde_x_pow, tilde_x_step_21, tilde_x_step_22)
 from .elements import NotInModelError, basis_elt, elem_tensor, word_shift
@@ -297,32 +297,20 @@ def check_product_hecke(P: ProductRep):
     spanning set is zero, and fails otherwise.  A spanning element whose
     crossed image leaves G(3) fails the record tau^2 = 0."""
     r = P.Vy
-    out = []
-
-    def relations(tag, t, xin, xout, ident):
-        tt = compose(t, t)
-        out.append(record(f"hecke[{tag}]: tau^2 = 0", tt.is_zero()))
-        out.append(check_equal(f"hecke[{tag}]: tau xin = xout tau + 1",
-                               compose(t, xin), compose(xout, t) + ident))
-        out.append(check_equal(f"hecke[{tag}]: xin tau = tau xout + 1",
-                               compose(xin, t), compose(t, xout) + ident))
-
-    relations("11", tilde_tau(P, "11"), r.x_at("EE", 1),
-              r.x_at("EE", 2), identity_map(r.word("EE")))
-    relations("12", tilde_tau(P, "12"), r.x_at("EEE", 2),
-              r.x_at("EEE", 3), identity_map(r.word("EEE")))
-
-    T21 = tilde_tau(P, "21")
-    Xout21 = tilde_x_pow(P, 1)
-
-    steps = {}
 
     def col_xin(w, j):
-        if w not in steps:
-            steps[w] = tilde_x_step_21(P, one_G1(r, w))
-        return act_G1_on_G2(P.sum_basis("12", w)[j], steps[w]).to_vec()
-    Xin21 = _columnwise(P, P.S["12"], P.S["12"], col_xin, "xin21")
-    relations("21", T21, Xin21, Xout21, identity_map(P.S["12"]))
+        step = _iterate(P, ("xin21", w), lambda: one_G1(r, w),
+                        tilde_x_step_21, 1)
+        return act_G1_on_G2(P.sum_basis("12", w)[j], step).to_vec()
+
+    xin21 = _columnwise(P, P.S["12"], P.S["12"], col_xin, "xin21")
+    out = []
+    for c, xin, xout in (("11", r.x_at("EE", 1), r.x_at("EE", 2)),
+                         ("12", r.x_at("EEE", 2), r.x_at("EEE", 3)),
+                         ("21", xin21, tilde_x_pow(P, 1))):
+        out += hecke_relations(tilde_tau(P, c), xin, xout, (
+            f"hecke[{c}]: tau^2 = 0", f"hecke[{c}]: tau xin = xout tau + 1",
+            f"hecke[{c}]: xin tau = tau xout + 1"))
 
     spanning_all_zero, tau_sq_bad = True, None
     for w in P.weights():

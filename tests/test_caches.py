@@ -571,8 +571,9 @@ def gf7_sweep(monkeypatch, tmp_path):
 
 def test_pairing_sweep_steps_each_start_once(monkeypatch, tmp_path):
     # readers of equal start elements share one dot orbit: the unit at -1
-    # is read by four oracle columns, the E basis element at -1 by corners
-    # 11 and 12.  Keyed by reader, 19 sequences held 323 iterates
+    # is read by four oracle columns and by the Hecke check's corner-21
+    # x_in, the E basis element at -1 by corners 11 and 12.  Keyed by
+    # reader, 19 sequences held 323 iterates before the orbits were shared
     P, *_ = gf7_sweep(monkeypatch, tmp_path)
     orbits = {key[1:]: its for key, its in P._cache.items()
               if key[0] == "_iterates"}
@@ -580,7 +581,7 @@ def test_pairing_sweep_steps_each_start_once(monkeypatch, tmp_path):
     assert sum(len(its) for its in orbits.values()) == 8 * 17 == 136
     assert all(its[0] == start for (_, start), its in orbits.items())
     readers = [key for key in P._cache if key[0] == "_starts"]
-    assert len(readers) == 19
+    assert len(readers) == 20
 
 
 def test_pairing_partners_datum_computed_once(monkeypatch, tmp_path):

@@ -259,6 +259,36 @@ class TestExitCodes:
         assert err.startswith(f"error: cannot write {out}: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.skipif(not Path("/dev/full").exists(),
+                        reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("argv", [["verify-all"],
+                                      ["identities", "--report", "text"]])
+    def test_unwritable_stdout_is_config_error(self, argv, unbuffered):
+        # a full device fails the write (or, buffered, the flush): one error
+        # line and exit 2, and the interpreter's last flush stays quiet
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(src)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "sl2prod.cli", *argv],
+                                  stdout=full, stderr=subprocess.PIPE,
+                                  env=env, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: cannot write stdout: ")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr
+
+    @pytest.mark.parametrize("lam", range(-4, 5))
+    def test_one_weight_window_passes_on_L1(self, capsys, lam):
+        # the nilpotence bound comes from the support, not the window
+        code, out = run_cli(["check-rep", f"--weights={lam}..{lam}"], capsys)
+        assert code == 0
+        assert all(c["status"] == "pass" for c in json.loads(out)["checks"])
+
     def test_failing_rep_exits_one(self, capsys, tmp_path):
         data = {
             "weights": {"-2": ["u"], "0": ["u"], "2": ["u"]},

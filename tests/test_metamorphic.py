@@ -61,15 +61,15 @@ def field_disagreements(tmp_path, rep, primes):
 
 def window_disagreements(tmp_path, rep):
     """Records of check-rep and check-rho that differ between the windows
-    -4..4 and -8..8, at every anchor both windows report, with the number
-    of such anchors."""
-    out, common = [], 0
+    -4..4 and -8..8, at every anchor both windows report, with the
+    anchors of -4..4 that -8..8 does not report."""
+    out, missing = [], []
     for command in ("check-rep", "check-rho"):
         narrow = run(tmp_path, command, "--rep", rep, "--weights=-4..4")
         wide = run(tmp_path, command, "--rep", rep, "--weights=-8..8")
-        common += len(by_anchor(narrow).keys() & by_anchor(wide).keys())
+        missing += sorted(by_anchor(narrow).keys() - by_anchor(wide).keys())
         out += disagreements(narrow, wide, ["status", "witness"], common=True)
-    return out, common
+    return out, missing
 
 
 def suite_order_disagreements(tmp_path, rep):
@@ -98,10 +98,8 @@ def test_field_reduction_keeps_statuses(tmp_path, rep):
 
 @pytest.mark.parametrize("rep", sorted(REPS))
 def test_wider_window_keeps_common_records(tmp_path, rep):
-    out, common = window_disagreements(tmp_path, REPS[rep])
-    # nine rho isos and four records per commutator weight on -4..4
-    assert common >= 9 + 4 * 9
-    assert out == []
+    # every record of -4..4 is also a record of -8..8, and agrees there
+    assert window_disagreements(tmp_path, REPS[rep]) == ([], [])
 
 
 @pytest.mark.parametrize("rep, compared", [
@@ -161,6 +159,23 @@ def test_window_relation_sees_a_verdict_that_depends_on_position(
     out, _ = window_disagreements(tmp_path, "L1")
     assert [a for _, a in out] == [f"hypotheses: rho_{lam} iso"
                                    for lam in range(1, 5)]
+
+
+def test_window_relation_sees_anchors_named_after_the_window(
+        tmp_path, monkeypatch):
+    # check-rep anchors that name the window, as the nilpotence bound once
+    # did ("k <= 9" on -4..4, "k <= 17" on -8..8): none of the 34 records
+    # of -4..4 is reported by -8..8
+    real = cli.suite_check_rep
+
+    def named(rep, window):
+        return [dict(r, check=f"{r['check']} on {window}")
+                for r in real(rep, window)]
+
+    monkeypatch.setattr(cli, "suite_check_rep", named)
+    out, missing = window_disagreements(tmp_path, "L1")
+    assert out == []
+    assert [s for s, _ in missing] == ["check-rep"] * 34
 
 
 def test_suite_order_sees_a_consumer_that_corrupts_the_memo(

@@ -16,7 +16,7 @@ from sl2prod.product.oracles import (F_xi_eta_oracle, check_eta22_identity,
                                      check_omega3_linearity,
                                      check_product_hecke, closed_vs_oracle,
                                      eps_xi_F_oracle, tilde_sigma_oracle)
-from sl2prod.tworep import rep_from_json
+from sl2prod.tworep import make_L1, rep_from_json
 
 GOLDEN = Path(__file__).parent / "golden"
 CORNERS = ("11", "21", "12", "22")
@@ -92,6 +92,17 @@ class TestHecke:
         assert records[-1] == {
             "check": "hecke[22]: dot relations", "status": "fail",
             "witness": "nonzero corner: dot relations not implemented"}
+
+    def test_corner_21_slides_read_its_x_in(self, monkeypatch):
+        # a dot step that does nothing makes corner 21's x_in the identity:
+        # both of its dot slides fail, and tau^2 = 0, which reads no dot,
+        # still passes
+        monkeypatch.setattr(oracles, "tilde_x_step_21", lambda P, g: g)
+        records = check_product_hecke(build_product(make_L1()))
+        assert [(r["check"], r["status"]) for r in records[6:9]] == [
+            ("hecke[21]: tau^2 = 0", "pass"),
+            ("hecke[21]: tau xin = xout tau + 1", "fail"),
+            ("hecke[21]: xin tau = tau xout + 1", "fail")]
 
     def test_failing_tau_squared_keeps_every_record(self, monkeypatch):
         # a crossing that squares to the identity fails tau^2 = 0 on corner
