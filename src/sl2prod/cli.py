@@ -6,6 +6,7 @@ and draws no samples, so the report bytes are identical across runs.
 """
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -321,12 +322,14 @@ def main(argv=None):
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
+        elif sys.stdout is None:  # started with fd 1 closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         else:
             sys.stdout.write(text)
             sys.stdout.flush()
     except OSError as e:
         sys.stderr.write(f"error: cannot write {args.out or 'stdout'}: {e}\n")
-        if not args.out:  # the interpreter's last flush must not fail again
+        if not args.out and sys.stdout:  # the last flush must not fail again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
     ok = all(c["status"] == "pass" for c in report["checks"])

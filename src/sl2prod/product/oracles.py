@@ -3,7 +3,7 @@
 Every map that the closed forms present as an explicit matrix is rebuilt
 here column by column from the defining pairings and one-step operations,
 so the two constructions can be compared entry for entry.  The evaluation
-oracle multiplies in the end algebra C through
+and crossing oracles multiply in the end algebra C through
 :func:`~sl2prod.product.core.c_mult`, C's one product.  The oracles never
 consult the closed forms, not even for their domains and codomains.
 """
@@ -17,11 +17,12 @@ from .core import (C_WORDS, T_FACTORS, ProductRep, c_bases, c_mult, tau21,
                    tilde_tau, tilde_x_pow, tilde_x_step_21, tilde_x_step_22)
 from .elements import NotInModelError, basis_elt, elem_tensor, word_shift
 from .gammas import omega3_apply
-from .models import (G, GElt, L2Elt, UElt, act_G1_on_G2, act_G1_on_U,
-                     act_L2_on_L2_left, act_phi1_on_G2, compose_G1_after_L2,
-                     compose_L2_after_G2, compose_L2_after_U, compose_U,
-                     decompose_first, gamma21_EE_G1E, gamma22_EE_G1EE,
-                     gamma22_EE_G2G2, one_at, one_G1, tau22)
+from .models import (CORNER_MODELS, G, GElt, L2Elt, UElt, act_G1_on_G2,
+                     act_G1_on_U, act_L2_on_L2_left, act_phi1_on_G2,
+                     compose_G1_after_L2, compose_L2_after_G2,
+                     compose_L2_after_U, compose_U, decompose_first,
+                     gamma21_EE_G1E, gamma22_EE_G1EE, gamma22_EE_G2G2, one_at,
+                     one_G1, tau22)
 
 
 class OracleClaimError(AssertionError):
@@ -73,14 +74,18 @@ def _eta_pairs(P: ProductRep, w: int):
 
 def _columnwise(P: ProductRep, dom, cod, colfn, name: str) -> BimoduleMap:
     """Assemble a map from a per-basis-column elementwise construction;
-    ``name`` labels a column of the wrong length."""
+    ``name`` labels a column of the wrong length, and an element outside
+    its model or a false claim is raised again with its weight and column."""
     field = P.Vy.A.field
     mats = {}
     for w in dom.weights():
         n, m = cod.rank(w), dom.rank(w)
         mat = Matrix.zero(field, n, m)
         for j in range(m):
-            col = colfn(w, j)
+            try:
+                col = colfn(w, j)
+            except (NotInModelError, OracleClaimError) as e:
+                raise type(e)(f"weight {w}, column {j}: {e}") from e
             if len(col) != n:
                 raise ShapeMismatchError(
                     f"{name}: column {j} at {w} has length {len(col)}")
@@ -133,51 +138,38 @@ def _sigma22_EF_column(P: ProductRep, g2in: GElt, lprime: L2Elt) -> UElt:
 
 
 def tilde_sigma_oracle(P: ProductRep, corner: str) -> BimoduleMap:
-    """The commutator corner map, built column by column from pairings."""
+    """The commutator corner map, built column by column from pairings.
+
+    The map is right C-linear, sigma(a (x) b) = sigma(a) . b, so a column
+    crosses its left factor a and lets the right factor b act on the
+    result.  Crossing a in C_12 gives one G(2) term; crossing a in C_22
+    gives one U term per coevaluation split.  Corner 22's mixed pairs,
+    whose left factor is not in C, have their own column."""
     r = P.Vy
-    dom, cod = P.T[corner], P.S[corner]
-    pairs = {w: pair_basis(P, corner, w) for w in dom.weights()}
+    pairs = {w: pair_basis(P, corner, w) for w in P.T[corner].weights()}
+    ca, cb = T_FACTORS[corner]
 
-    def col11(w, j):
-        e, f = pairs[w][j]
-        g2 = gamma21_EE_G1E(one_G1(r, w), e)
-        g2t = tau21(P, g2)
-        _, fhat = c_mult(P, "22", one_G1(r, w - 2), "21", f)
-        l = L2Elt(r, w, f=fhat)
-        return compose_L2_after_G2(l, g2t).to_vec()
-
-    def col12(w, j):
-        e, chat = pairs[w][j]
-        g2 = gamma21_EE_G1E(one_G1(r, w + 2), e)
-        g2t = tau21(P, g2)
-        return act_G1_on_G2(g2t, chat).to_vec()
-
-    def col21(w, j):
-        c1, f = pairs[w][j]
-        total = L2Elt(r, w)
-        _, fhat = c_mult(P, "22", one_G1(r, w - 2), "21", f)
-        lout = L2Elt(r, w, f=fhat)
-        for l_eta, g_eta, _ in _eta_pairs(P, w - 2):
-            g_mid = act_G1_on_G2(g_eta, c1)
-            g_t = tau21(P, g_mid)
-            u = compose_U(g_t, l_eta)
-            total = total + compose_L2_after_U(lout, u)
-        return total.to_vec()
-
-    def col22(w, j):
+    def col(w, j):
         a, b = pairs[w][j]
         if isinstance(a, G(2)):
             return _sigma22_EF_column(P, a, b).to_vec()
-        total = UElt(r, w)
-        for l_eta, g_eta, _ in _eta_pairs(P, w):
-            g_mid = act_G1_on_G2(g_eta, a)
-            g_t = tau21(P, g_mid)
-            u = compose_U(g_t, l_eta)
-            total = total + act_G1_on_U(u, b)
-        return total.to_vec()
+        if ca == "12":
+            terms = [tau21(P, gamma21_EE_G1E(one_G1(r, a.weight + 2), a))]
+        else:
+            terms = [compose_U(tau21(P, act_G1_on_G2(g_eta, a)), l_eta)
+                     for l_eta, g_eta, _ in _eta_pairs(P, a.weight)]
+        if cb == "22":
+            act = act_G1_on_G2 if ca == "12" else act_G1_on_U
+            images = [act(t, b) for t in terms]
+        else:
+            _, f = c_mult(P, "22", one_G1(r, w - 2), "21", b)
+            l = L2Elt(r, w, f=f)
+            after = compose_L2_after_G2 if ca == "12" else compose_L2_after_U
+            images = [after(l, t) for t in terms]
+        return sum(images, CORNER_MODELS[corner](r, w)).to_vec()
 
-    colfn = {"11": col11, "12": col12, "21": col21, "22": col22}[corner]
-    return _columnwise(P, dom, cod, colfn, f"sigma{corner}_oracle")
+    return _columnwise(P, P.T[corner], P.S[corner], col,
+                       f"sigma{corner}_oracle")
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +284,13 @@ def closed_vs_oracle(name, closed, oracle, P: ProductRep, *args) -> dict:
 def check_product_hecke(P: ProductRep):
     """Dot and crossing relations on every corner of the product square.
 
-    The dot relations of the constrained corner 22 need a spanning calculus
-    that is not implemented: their record passes only when the corner's
-    spanning set is zero, and fails otherwise.  A spanning element whose
-    crossed image leaves G(3) fails the record tau^2 = 0."""
+    The product works on V itself, so corners 11 and 12 are V's own
+    memoized maps: hecke[11] rechecks check-rep's relations on EE, and
+    hecke[12] checks them on strands 2 and 3 of EEE.  The dot relations of
+    the constrained corner 22 need a spanning calculus that is not
+    implemented: their record passes only when the corner's spanning set
+    is zero, and fails otherwise.  A spanning element whose crossed image
+    leaves G(3) fails the record tau^2 = 0."""
     r = P.Vy
 
     def col_xin(w, j):

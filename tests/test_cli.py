@@ -282,6 +282,20 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert "Exception ignored" not in proc.stderr
 
+    @pytest.mark.skipif(os.name != "posix", reason="needs preexec_fn")
+    @pytest.mark.parametrize("report", ["json", "text"])
+    def test_closed_stdout_is_config_error(self, report):
+        # with fd 1 closed, sys.stdout is None: one error line and exit 2
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sl2prod.cli", "identities", "--report",
+             report], preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE,
+            env=env, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr == ("error: cannot write stdout: "
+                               "[Errno 9] Bad file descriptor\n")
+
     @pytest.mark.parametrize("lam", range(-4, 5))
     def test_one_weight_window_passes_on_L1(self, capsys, lam):
         # the nilpotence bound comes from the support, not the window
@@ -326,7 +340,8 @@ class TestExitCodes:
             self, capsys, monkeypatch):
         # with the gate bypassed, E^2 != 0 leaves elements of corners 21
         # and 22 outside their models: each affected record fails with the
-        # reason, and the suite keeps its 60 records
+        # reason, an oracle's with the weight and column that raised it,
+        # and the suite keeps its 60 records
         monkeypatch.setattr(cli, "check_construction",
                             lambda P: record("gate bypassed", True))
         code, out = run_cli(["build-product", "--rep",
@@ -335,15 +350,23 @@ class TestExitCodes:
         assert "Traceback" not in capsys.readouterr().err
         checks = json.loads(out)["checks"]
         assert len(checks) == 1 + 11 + 4 + 40 + 3 + 1
-        outside = [c["anchor"] for c in checks if c.get("witness")
-                   == "membership division leaves a remainder"]
+        why = "membership division leaves a remainder"
+        outside = [(c["anchor"], c["witness"]) for c in checks
+                   if why in c.get("witness", "")]
         assert outside == [
-            "crossing closed = oracle, corner 21",
-            "crossing closed = oracle, corner 22",
-            "coevaluation pairing closed = oracle, corner 22, i=0",
-            *(f"{kind}aluation pairing closed = oracle, corner 22, i={i}"
-              for i in range(1, 5) for kind in ("ev", "coev")),
-            "unit composite: eta22 identity at -2"]
+            ("product hecke: hecke[22]: tau^2 = 0",
+             f"weight -2: crossed image not in G(3): {why}"),
+            ("crossing closed = oracle, corner 21",
+             f"weight 0, column 1: {why}"),
+            ("crossing closed = oracle, corner 22",
+             f"weight -2, column 2: {why}"),
+            ("coevaluation pairing closed = oracle, corner 22, i=0",
+             f"weight -2, column 0: {why}"),
+            *((f"{kind}aluation pairing closed = oracle, corner 22, i={i}",
+               f"weight {w}, column {j}: {why}")
+              for i in range(1, 5)
+              for kind, w, j in (("ev", 0, 4), ("coev", -2, 0))),
+            ("unit composite: eta22 identity at -2", why)]
 
     @pytest.mark.parametrize("section, weight, line", [
         ("E", "5", "E entry at weight 5 needs the weight rings at 5 and 7"),

@@ -4,7 +4,9 @@ The reports under ``tests/golden/`` were written by ``verifycli`` before
 the refactors that had to keep them: the first four before the change to
 one polynomial layout, and ``check_rho_wide.json`` and
 ``build_product_gf7.json`` before the EF corner sums became tensors of the
-end-algebra corner bases.  With ``verify_all_seed0.json`` they pin the
+end-algebra corner bases, and ``verify_all_l1_renamed.json`` and
+``verify_all_e2_tau0.json`` before the crossing oracle became one column
+rule.  With ``verify_all_seed0.json`` they pin the
 reports of the three benchmark workloads (``verify-default``, ``rho-wide``
 and ``pairings-gf7``, whose ``--seed`` is ignored).  Regenerate them only
 for a change that is meant to alter a report, and say so in CHANGES.md.
@@ -35,6 +37,13 @@ CASES = [
      ["check-rho", "--weights=-40..40", "--field", "QQ"], 0),
     ("build_product_gf7.json",
      ["build-product", "--field", "7", "--i-max", "16"], 0),
+    # L(1) with renamed generators: the only committed input whose oracles
+    # take Horner steps
+    ("verify_all_l1_renamed.json", ["verify-all", "--rep", "l1_renamed.json"],
+     0),
+    # E^2 != 0 with tau = 0: the construction gate fails, so the product
+    # suites record that and stop
+    ("verify_all_e2_tau0.json", ["verify-all", "--rep", "e2_tau0.json"], 1),
 ]
 
 

@@ -10,7 +10,7 @@ from sl2prod.product import core, oracles
 from sl2prod.product.core import (F_xi_eta_closed, build_product,
                                   check_construction, eps_xi_F_closed, tau21,
                                   tilde_sigma_closed, tilde_x_pow)
-from sl2prod.product.elements import apply_map, basis_elt
+from sl2prod.product.elements import NotInModelError, apply_map, basis_elt
 from sl2prod.product.models import G, gamma21_EE_G1E, one_G1
 from sl2prod.product.oracles import (F_xi_eta_oracle, check_eta22_identity,
                                      check_omega3_linearity,
@@ -156,6 +156,54 @@ class TestClosedForms:
         monkeypatch.setattr(oracles, "c_mult", doubled)
         assert check() == {"check": "eps", "status": "fail",
                            "witness": witness}
+
+    @pytest.mark.parametrize("name, failing", [
+        ("gamma21_EE_G1E", {"11", "12"}),
+        ("compose_U", {"21", "22"}),
+        ("compose_L2_after_G2", {"11"}),
+        ("act_G1_on_G2", {"12", "21", "22"}),
+        ("compose_L2_after_U", {"21"}),
+        ("act_G1_on_U", {"22"})])
+    def test_doubled_factor_fails_crossing_records(self, P, monkeypatch,
+                                                   name, failing):
+        # the crossing oracle crosses the left factor and lets the right
+        # factor act, so doubling one step fails exactly the corners that
+        # read it
+        def statuses():
+            return {c: closed_vs_oracle("sigma", tilde_sigma_closed,
+                                        tilde_sigma_oracle, P, c)["status"]
+                    for c in CORNERS}
+        assert set(statuses().values()) == {"pass"}
+        f = getattr(oracles, name)
+
+        def doubled(*args):
+            out = f(*args)
+            return out + out
+        monkeypatch.setattr(oracles, name, doubled)
+        assert {c for c, s in statuses().items() if s == "fail"} == failing
+
+    def test_false_sigma22_claim_raises(self, monkeypatch):
+        # with tau22 the identity, the crossed image of corner 22's mixed
+        # pair 4 at weight 0 is nonzero, yet its decomposable presentation
+        # is empty
+        monkeypatch.setattr(oracles, "tau22", lambda v: v)
+        data = json.loads((GOLDEN / "e2_tau0.json").read_text())
+        P = build_product(rep_from_json(data))
+        g2, l2 = oracles.pair_basis(P, "22", 0)[4]
+        with pytest.raises(oracles.OracleClaimError) as info:
+            oracles._sigma22_EF_column(P, g2, l2)
+        assert str(info.value) == (
+            "empty decomposition of a nonzero crossed image")
+
+    @pytest.mark.parametrize("error", [NotInModelError,
+                                       oracles.OracleClaimError])
+    def test_column_failure_names_its_column(self, P, error):
+        # on L(1) corner 11's first column lies at weight 1
+        def col(w, j):
+            raise error("why")
+        with pytest.raises(error) as info:
+            oracles._columnwise(P, P.T["11"], P.S["11"], col, "failing")
+        assert str(info.value) == "weight 1, column 0: why"
 
     def test_x_power_consistency(self, P):
         one = tilde_x_pow(P, 1)

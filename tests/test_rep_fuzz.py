@@ -1,6 +1,8 @@
 """The input boundary: every JSON value either loads as a representation
 or is rejected with :class:`~sl2prod.tworep.InputError`, and the CLI turns
-the two cases into exit 0 or 1 and into exit 2 with one error line.
+the two cases into exit 0 or 1 and into exit 2 with one error line.  An
+input that loads also runs ``verify-all``, which must end in a verdict
+(exit 0 or 1) with nothing on stderr.
 
 Inputs are the committed representations with one mutation each (a value
 replaced, a key deleted or added, a value wrapped in a list or turned into
@@ -170,13 +172,15 @@ def test_input_loads_as_written_or_exits_two(rep_file, data):
         assert isinstance(rep, TwoRep)
         assert_read_as_written(data, rep)
     rep_file.write_text(json.dumps(data))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["check-rep", "--rep", str(rep_file)])
-    if rep is None:
-        assert code == 2
-        assert err.getvalue().startswith("error: ")
-        assert err.getvalue().count("\n") == 1
-    else:
-        assert code in (0, 1)
-        assert err.getvalue() == ""
+    commands = ["check-rep"] if rep is None else ["check-rep", "verify-all"]
+    for command in commands:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--rep", str(rep_file)])
+        if rep is None:
+            assert code == 2
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1
+        else:
+            assert code in (0, 1)
+            assert err.getvalue() == ""
