@@ -314,23 +314,26 @@ def main(argv=None):
         _attach_window(sys.argv[1:] if argv is None else argv))
     try:
         report = run(args)
+        text = render(report, args.report)
+        try:
+            if args.out:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            elif sys.stdout is None:  # started with fd 1 closed
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+            else:
+                sys.stdout.write(text)
+                sys.stdout.flush()
+        except OSError as e:
+            if not args.out and sys.stdout:  # the last flush must not fail
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise ConfigError(f"cannot write {args.out or 'stdout'}: {e}")
     except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    text = render(report, args.report)
-    try:
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        elif sys.stdout is None:  # started with fd 1 closed
-            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-        else:
-            sys.stdout.write(text)
-            sys.stdout.flush()
-    except OSError as e:
-        sys.stderr.write(f"error: cannot write {args.out or 'stdout'}: {e}\n")
-        if not args.out and sys.stdout:  # the last flush must not fail again
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        try:  # a closed or full stderr loses this line, not the exit 2
+            sys.stderr.write(f"error: {e}\n")
+            sys.stderr.flush()
+        except (OSError, AttributeError):  # AttributeError: no sys.stderr
+            os.dup2(os.open(os.devnull, os.O_WRONLY), 2)
         return 2
     ok = all(c["status"] == "pass" for c in report["checks"])
     return 0 if ok else 1

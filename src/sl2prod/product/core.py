@@ -18,7 +18,7 @@ from ..bimodcat import (BimoduleMap, SumBimodule, compose, compose_all,
 from ..matrixops import ShapeMismatchError
 from ..polyring import Poly
 from ..tworep import _memoized, check_hypotheses, self_pow, sigma, xi_eta
-from .elements import basis_elt, elem_tensor, join
+from .elements import NotInModelError, basis_elt, elem_tensor, join
 from .models import CORNER_MODELS, G, GElt, act_G1_on_G2, one_G1
 
 # Corner order of the commutator maps and of the reports.
@@ -89,13 +89,17 @@ def build_product(V) -> ProductRep:
 def check_construction(P: ProductRep) -> dict:
     """The construction gate: the input hypotheses on every weight of the
     input's support, then the end algebra's associativity and its actions.
-    The witness names the first of these that fails."""
+    The witness names the first of these that fails, or the product that
+    leaves G(1), as given duality data that are no adjunction can make it."""
     supp = P.weights()
     window = (supp[0], supp[-1]) if supp else (0, -1)
     bad = [r["check"] for r in check_hypotheses(P.Vy, window)
            if r["status"] != "pass"]
-    witness = ("input hypotheses fail: " + "; ".join(bad) if bad
-               else _check_c_algebra(P) or _check_actions(P))
+    try:
+        witness = ("input hypotheses fail: " + "; ".join(bad) if bad
+                   else _check_c_algebra(P) or _check_actions(P))
+    except NotInModelError as e:
+        witness = f"end algebra product leaves G(1): {e}"
     return record("construction checks (end algebra, actions)",
                   witness is None, witness)
 

@@ -1,14 +1,14 @@
-"""Two-representations: the data (A, E, x, tau) with a weight decomposition.
+"""Two-representations: the data (A, E, F, x, tau, eta, eps) by weight.
 
-The raising bimodule E has weight shift +2; its left dual F (shift -2) is
-always derived, never user-supplied, together with the adjunction unit eta and
-counit eps.  A word calculus over the alphabet {E, F} provides the tensor
-word modules and the positional maps (x or tau at a factor, eps/eta at a
-position) out of which every composite map of the construction is assembled.
-The word modules, the positional maps and the commutator maps sigma and rho
-are memoized on the representation.  The product's central variable y is
-reserved: no weight ring lists it, and it acts on every word module by
-scalars, so the product works on the input representation and its memo.
+E has weight shift +2 and F shift -2, with the unit eta: A -> FE and the
+counit eps: EF -> A.  :func:`rep_from_json` reads F, eta and eps, or takes
+E's left dual when the input gives none.  A word calculus over {E, F}
+provides the word modules and the positional maps (x or tau at a factor,
+eps or eta at a position) out of which every composite map is assembled.
+They, and the commutator maps sigma and rho, are memoized on the
+representation.  The product's central variable y is reserved: no weight
+ring lists it, and it acts on every word module by scalars, so the product
+works on the input representation and its memo.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ class InputError(ValueError):
 
 
 class LeftDualError(InputError):
-    """The left dual requires scalar left-action matrices (v acting as a
-    variable times the identity) on every component of E."""
+    """An input without F whose E has no left dual (:func:`left_dual`)."""
 
 
 # ---------------------------------------------------------------------------
@@ -63,10 +62,9 @@ def _memoized(fn):
     one :class:`TwoRep` and the one product over it:
 
     * on the :class:`TwoRep`, read by its checks and by the product:
-      ``F``, ``eta``, ``eps``, ``word``, ``x_at``, ``y_at``, ``tau_at``,
-      ``eps_at``, ``eta_at``, ``tau_mate`` and ``xF_pow`` (methods),
-      ``sigma`` and ``rho`` (functions), and the :func:`_sequence` lists
-      of ``h_xy``;
+      ``word``, ``x_at``, ``y_at``, ``tau_at``, ``eps_at``, ``eta_at``,
+      ``tau_mate`` and ``xF_pow`` (methods), ``sigma`` and ``rho``
+      (functions), and the :func:`_sequence` lists of ``h_xy``;
     * on the :class:`~sl2prod.product.core.ProductRep`: ``sum_basis``
       (method), ``tilde_sigma_closed``, ``eps_xi_F_closed`` and
       ``F_xi_eta_closed`` (``product.core``), ``_corner_rho`` (``rho``),
@@ -100,39 +98,15 @@ def _sequence(owner, key, i, step):
 
 
 class TwoRep:
-    """The data (A, E, x, tau); F, eta, eps are derived on demand.  The
-    same object, and its memo, serves its own checks and its product."""
+    """The data (A, E, F, x, tau, eta, eps), as given.  The constructor
+    takes the algebra and the modules; :func:`rep_from_json` then sets the
+    maps ``x``, ``tau``, ``eta`` and ``eps`` on the memoized word modules
+    E, EE, A -> FE and EF -> A.  The same object, and its memo, serves its
+    own checks and its product."""
 
-    def __init__(self, A: WeightedAlgebra, E: Bimodule, x: BimoduleMap,
-                 tau: BimoduleMap):
-        self.A = A
-        self.E = E
-        self.x = x
-        self.tau = tau
+    def __init__(self, A: WeightedAlgebra, E: Bimodule, F: Bimodule):
+        self.A, self.E, self.F = A, E, F
         self._cache: dict = {}
-
-    # -- derived duality
-
-    @property
-    @_memoized
-    def F(self) -> Bimodule:
-        return left_dual(self.E)
-
-    @property
-    @_memoized
-    def eta(self) -> BimoduleMap:
-        """The unit A -> FE: the column vec(I_r) at lam, r = E.rank(lam)."""
-        return BimoduleMap(self.word(""), self.word("FE"), {
-            lam: dual_basis(self.A.field, self.E.rank(lam), column=True)
-            for lam in self.E.weights()})
-
-    @property
-    @_memoized
-    def eps(self) -> BimoduleMap:
-        """The counit EF -> A: the row vec(I_r) at lam + 2, r = E.rank(lam)."""
-        return BimoduleMap(self.word("EF"), self.word(""), {
-            lam + self.E.shift: dual_basis(self.A.field, self.E.rank(lam))
-            for lam in self.E.weights()})
 
     # -- word calculus
 
@@ -281,12 +255,10 @@ def scalar_variable(m: Matrix, n: int, A: WeightedAlgebra, lam: int):
 
 def left_dual(E: Bimodule) -> Bimodule:
     """The left dual F of E: at lam it has the rank r of E at lam - 2, and
-    each generator acts by the one that acts on E as it, times I_r.  Its
-    unit and counit are the dual-basis maps ``TwoRep.eta`` and ``eps``.
-
-    Requires every component's left action matrices to be scalar (a variable
-    times the identity) inducing a variable bijection between the base rings.
-    """
+    each generator acts by the one that acts on E as it, times I_r; its unit
+    and counit are vec(I_r) (:func:`dual_basis`).  Read only for an input
+    without F; raises :class:`LeftDualError` unless every left action of E
+    is a variable times I_r, one for one between the base rings."""
     A = E.algebra
     comps = {}
     for src in E.weights():
@@ -316,10 +288,9 @@ def dual_basis(field, r: int, column: bool = False) -> Matrix:
     """vec(I_r), as a row or a column: the pairing of a rank-r basis with
     its dual basis, in the row-major, left-factor-outer basis of
     :func:`~sl2prod.bimodcat.tensor_over_A`."""
-    one, zero = Poly.one(field), Poly.zero(field)
-    v = [one if k % (r + 1) == 0 else zero for k in range(r * r)]
-    return (Matrix(field, r * r, 1, [[e] for e in v]) if column
-            else Matrix(field, 1, r * r, [v]))
+    v = [e for row in Matrix.identity(field, r).entries for e in row]
+    shape = (r * r, 1, [[e] for e in v]) if column else (1, r * r, [v])
+    return Matrix(field, *shape)
 
 
 # ---------------------------------------------------------------------------
@@ -494,39 +465,40 @@ def check_hypotheses(rep: TwoRep, window):
 
 
 def rep_to_json(rep: TwoRep) -> dict:
-    def mat_to_json(m: Matrix):
+    def mat(m: Matrix):
         return [[str(e) for e in row] for row in m.entries]
 
-    E = rep.E
-    return {
-        "weights": {str(w): list(v) for w, v in rep.A.support.items()},
-        "E": {
-            str(lam): {
-                "basis": [f"e{k}" for k in range(E.rank(lam))],
-                "left": {v: mat_to_json(E.left_matrix(lam, v))
-                         for v in rep.A.support[lam + 2]},
-            }
-            for lam in E.weights()
-        },
-        "x": {str(lam): mat_to_json(rep.x.matrix(lam)) for lam in E.weights()},
-        "tau": {str(lam): mat_to_json(rep.tau.matrix(lam))
-                for lam in rep.tau.dom.weights()},
-    }
+    def module(M: Bimodule, letter: str):
+        return {str(lam): {
+            "basis": [f"{letter}{k}" for k in range(M.rank(lam))],
+            "left": {v: mat(M.left_matrix(lam, v))
+                     for v in rep.A.support[lam + M.shift]}}
+            for lam in M.weights()}
+
+    def maps(f: BimoduleMap):
+        return {str(lam): mat(m) for lam, m in f.mats.items()
+                if m.nrows and m.ncols}
+
+    return {"weights": {str(w): list(v) for w, v in rep.A.support.items()},
+            "E": module(rep.E, "e"), "F": module(rep.F, "f"),
+            "x": maps(rep.x), "tau": maps(rep.tau),
+            "eta": maps(rep.eta), "eps": maps(rep.eps)}
 
 
 def rep_from_json(data, field=QQ) -> TwoRep:
-    """Read the schema of :func:`rep_to_json`; derive the left dual.
+    """Read the schema of :func:`rep_to_json`, the one place that decides
+    where F, eta and eps come from.
 
-    ``data`` has ``"weights"`` and may have ``"E"``, ``"x"`` and ``"tau"``,
-    each keyed by integer weights, each weight once.  The ring at lam is a
-    list of distinct variable names other than the reserved y.  E at lam
-    needs the rings at lam and lam + 2: a ``"basis"`` list read only for
-    its length r and a ``"left"`` matrix for each generator of the ring at
-    lam + 2.  x is at weights of E, tau at weights of EE.  A matrix is a
-    list of n lists of n strings, n the rank of its module at lam (E's for
-    left actions and x, EE's for tau), each a polynomial in the generators
-    of the ring at lam.  Other data, and an E without a left dual
-    (:func:`left_dual`), raise InputError."""
+    ``data`` has ``"weights"``, may have ``"E"``, ``"x"`` and ``"tau"``,
+    and has ``"F"``, ``"eta"`` and ``"eps"`` all or none, each keyed by
+    integer weights, each weight once.  The ring at lam is a list of
+    distinct variable names other than the reserved y.  E (F) at lam needs
+    the rings at lam and lam + 2 (lam - 2): a ``"basis"`` list read only for
+    its length r and an r x r ``"left"`` matrix per generator of the other
+    ring.  A map M -> N at lam (x on E, tau on EE, eta: A -> FE, eps: EF ->
+    A) is a list of N(lam) rows of M(lam) strings, the ranks at lam, each a
+    polynomial in the generators of the ring at lam.  Without F, E must
+    have a left dual (:func:`left_dual`); other data raise InputError."""
 
     def need(ok, message):
         if not ok:
@@ -561,29 +533,56 @@ def rep_from_json(data, field=QQ) -> TwoRep:
                              f"ring at {lam}")
         return p
 
-    def matrix(rows, n, lam, name):
+    def matrix(rows, n, m, lam, name):
         need(isinstance(rows, list) and all(isinstance(r, list) for r in rows),
              f"{name} at weight {lam} is not a list of rows")
         widths = [len(row) for row in rows]
         need(len(set(widths)) < 2, f"{name} at weight {lam} is ragged, with "
              f"rows of lengths {', '.join(map(str, widths))}")
-        need(widths == [n] * n, f"{name} at weight {lam} is {len(rows)}x"
-             f"{max(widths, default=0)}, expected {n}x{n}")
-        return Matrix(field, n, n, [[entry(s, lam, name) for s in row]
+        need(widths == [m] * n, f"{name} at weight {lam} is {len(rows)}x"
+             f"{max(widths, default=0)}, expected {n}x{m}")
+        return Matrix(field, n, m, [[entry(s, lam, name) for s in row]
                                     for row in rows])
 
-    def endo(section, M, name):
+    def module(section, shift):
+        comps = weighted(data.get(section, {}), section)
+        for lam, c in comps.items():
+            need(isinstance(c, dict) and set(c) == {"basis", "left"}
+                 and isinstance(c["basis"], list)
+                 and isinstance(c["left"], dict),
+                 f'{section} at weight {lam} is not an object with a "basis" '
+                 'list and a "left" object')
+            need(lam in support and lam + shift in support,
+                 f"{section} entry at weight {lam} needs the weight rings at "
+                 f"{lam} and {lam + shift}")
+            gens, left, r = support[lam + shift], c["left"], len(c["basis"])
+            for v in left:
+                need(v in gens, f"left action at weight {lam} names {v!r}, "
+                     f"not a generator of the weight ring at {lam + shift}")
+            for v in gens:
+                need(v in left,
+                     f"{section} at weight {lam} has no left action of {v}")
+            comps[lam] = Component(r, {v: matrix(left[v], r, r, lam,
+                                                 f"{section}'s left action "
+                                                 f"of {v}") for v in gens})
+        return Bimodule(A, shift, comps)
+
+    def bimodule_map(section, dom, cod):
+        M, N = rep.word(dom), rep.word(cod)
         mats = weighted(data.get(section, {}), section)
         for lam, rows in mats.items():
             need(lam in M.weights(), f"{section} entry at weight {lam}, where "
-                 f"{name} has no component")
-            mats[lam] = matrix(rows, M.rank(lam), lam, section)
-        return BimoduleMap(M, M, mats)
+                 f"{dom or 'A'} has no component")
+            mats[lam] = matrix(rows, N.rank(lam), M.rank(lam), lam, section)
+        return BimoduleMap(M, N, mats)
 
     need(isinstance(data, dict) and "weights" in data
-         and set(data) <= {"weights", "E", "x", "tau"},
-         'the data is not an object with "weights" and at most "E", "x" '
-         'and "tau" besides')
+         and set(data) <= {"weights", "E", "x", "tau", "F", "eta", "eps"},
+         'the data is not an object with "weights" and at most "E", "x", '
+         '"tau", "F", "eta" and "eps" besides')
+    dual = {"F", "eta", "eps"} & set(data)
+    need(len(dual) in (0, 3), 'the sections "F", "eta" and "eps" are given '
+         'all together or not at all')
     support = weighted(data["weights"], "weights")
     for lam, gens in support.items():
         try:
@@ -596,25 +595,17 @@ def rep_from_json(data, field=QQ) -> TwoRep:
              "variable names")
         need("y" not in gens, f"the weight ring at {lam} lists the reserved y")
     A = WeightedAlgebra(field, support)
-    comps = weighted(data.get("E", {}), "E")
-    for lam, c in comps.items():
-        need(isinstance(c, dict) and set(c) == {"basis", "left"}
-             and isinstance(c["basis"], list) and isinstance(c["left"], dict),
-             f'E at weight {lam} is not an object with a "basis" list and a '
-             '"left" object')
-        need(lam in support and lam + 2 in support, f"E entry at weight {lam} "
-             f"needs the weight rings at {lam} and {lam + 2}")
-        gens, left, r = support[lam + 2], c["left"], len(c["basis"])
-        for v in left:
-            need(v in gens, f"left action at weight {lam} names {v!r}, not a "
-                 f"generator of the weight ring at {lam + 2}")
-        for v in gens:
-            need(v in left, f"E at weight {lam} has no left action of {v}")
-        comps[lam] = Component(r, {v: matrix(left[v], r, lam,
-                                              f"E's left action of {v}")
-                                   for v in gens})
-    E = Bimodule(A, 2, comps)
-    rep = TwoRep(A, E, endo("x", E, "E"),
-                 endo("tau", tensor_over_A(E, E), "EE"))
-    rep.F  # memoized; an E without a left dual is bad input
+    E = module("E", 2)
+    rep = TwoRep(A, E, module("F", -2) if dual else left_dual(E))
+    rep.x = bimodule_map("x", "E", "E")
+    rep.tau = bimodule_map("tau", "EE", "EE")
+    if dual:
+        rep.eta = bimodule_map("eta", "", "FE")
+        rep.eps = bimodule_map("eps", "EF", "")
+    else:
+        rep.eta = BimoduleMap(rep.word(""), rep.word("FE"), {
+            lam: dual_basis(field, E.rank(lam), column=True)
+            for lam in E.weights()})
+        rep.eps = BimoduleMap(rep.word("EF"), rep.word(""), {
+            lam + 2: dual_basis(field, E.rank(lam)) for lam in E.weights()})
     return rep

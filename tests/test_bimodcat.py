@@ -17,8 +17,8 @@ from sl2prod.matrixops import (Matrix, ShapeMismatchError, adjugate,
 from sl2prod.polyring import Poly, PrimeField, QQ, h_complete, var_name
 from sl2prod.product.elements import (Elt, apply_map, elem_tensor, join,
                                       word_shift, zero_elt)
-from sl2prod.tworep import (LeftDualError, TwoRep, make_L1, rho, self_pow,
-                            sigma)
+from sl2prod.tworep import (LeftDualError, make_L1, rep_from_json, rho,
+                            self_pow, sigma)
 
 
 def rand_matrix(rng, n, m):
@@ -400,14 +400,12 @@ def check_every_placement(rep, max_len, with_y=False):
 def rank_two_rep(x_rows, field=QQ, gens=("u",)):
     """A rank-two E at weight -1 on which each generator acts as itself
     times the identity, with the given dot matrix; E^2 vanishes, so tau is
-    zero."""
-    A = WeightedAlgebra(field, {-1: gens, 1: gens})
-    E = Bimodule(A, 2, {-1: Component(2, {
-        v: Matrix.identity(field, 2).scale(Poly.var(field, v))
-        for v in gens})})
-    x = BimoduleMap(E, E, {-1: Matrix(field, 2, 2, x_rows)})
-    EE = tensor_over_A(E, E)
-    return TwoRep(A, E, x, BimoduleMap(EE, EE, {}))
+    zero, and F, eta and eps are the left dual's."""
+    return rep_from_json({
+        "weights": {"-1": list(gens), "1": list(gens)},
+        "E": {"-1": {"basis": ["e", "f"],
+                     "left": {v: [[v, "0"], ["0", v]] for v in gens}}},
+        "x": {"-1": [[str(p) for p in row] for row in x_rows]}}, field)
 
 
 class TestZeroBlockFreeAssembly:
@@ -520,31 +518,44 @@ element_reps = st.one_of(
     st.sampled_from(FIELDS).flatmap(two_generator_reps))
 
 
+# A rank-two E at weight -1 on which u acts by the non-scalar matrix
+# U = [[u, 1], [0, u]] and a second generator x1 by U^2 - 2U, which
+# commutes with it, with x = u.  It has no left dual, so the data give F
+# (each generator acting as itself), eta and eps; they are no adjunction
+# for this E, which the E-only words do not read
+SKEW = {
+    "weights": {"-1": ["u", "x1"], "1": ["u", "x1"]},
+    "E": {"-1": {"basis": ["e", "f"],
+                 "left": {"u": [["u", "1"], ["0", "u"]],
+                          "x1": [["u^2 - 2*u", "2*u - 2"],
+                                 ["0", "u^2 - 2*u"]]}}},
+    "F": {"1": {"basis": ["e", "f"],
+                "left": {"u": [["u", "0"], ["0", "u"]],
+                         "x1": [["x1", "0"], ["0", "x1"]]}}},
+    "x": {"-1": [["u", "0"], ["0", "u"]]},
+    "eta": {"-1": [["1"], ["0"], ["0"], ["1"]]},
+    "eps": {"1": [["1", "0", "0", "1"]]}}
+
+
 def skew_rep(field=QQ):
-    """A rank-two E at weight -1 on which u acts by the non-scalar matrix
-    U = [[u, 1], [0, u]] and a second generator x1 by U^2 - 2U, which
-    commutes with it, with x = u.  It has no left dual F, but its E-only
-    words form."""
-    A = two_generator_algebra(field)
-    u, one, z = Poly.var(field, "u"), Poly.one(field), Poly.zero(field)
-    U = Matrix(field, 2, 2, [[u, one], [z, u]])
-    E = Bimodule(A, 2, {-1: Component(2, {
-        "u": U, "x1": poly_of_matrix(U, [z, Poly.const(field, -2), one])})})
-    x = BimoduleMap(E, E, {-1: Matrix.identity(field, 2).scale(u)})
-    EE = tensor_over_A(E, E)
-    return TwoRep(A, E, x, BimoduleMap(EE, EE, {}))
+    return rep_from_json(SKEW, field)
 
 
 @pytest.mark.parametrize("has_y", [False, True])
 def test_E_words_need_no_left_dual(has_y):
     rep = skew_rep()
+    U = Matrix.from_rows(QQ, [[Poly.var(QQ, "u"), Poly.one(QQ)],
+                              [Poly.zero(QQ), Poly.var(QQ, "u")]])
+    assert rep.E.left_matrix(-1, "x1") == poly_of_matrix(
+        U, [Poly.zero(QQ), Poly.const(QQ, -2), Poly.one(QQ)])
     assert rep.word("E").rank(-1) == 2
     assert rep.word("EE").total_rank() == 0
     u, y = Poly.var(QQ, "u"), Poly.var(QQ, "y")
     p = u * y + 3 if has_y else u
     assert rep.word("E").left_poly(-1, p) == rep.E.left_poly(-1, p)
+    without = {k: v for k, v in SKEW.items() if k not in ("F", "eta", "eps")}
     with pytest.raises(LeftDualError):
-        rep.F
+        rep_from_json(without, QQ)
 
 
 def rep_polys(rep, ys, max_exp=2):

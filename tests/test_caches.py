@@ -479,14 +479,14 @@ def test_verify_all_builds_each_structure_map_once(monkeypatch, tmp_path):
 @pytest.mark.parametrize("argv", [
     ["verify-all"], ["build-product", "--field", "7", "--i-max", "16"]])
 def test_run_tensors_each_word_module_once(monkeypatch, tmp_path, argv):
-    # one tensor product per nonempty word module of the one memo, plus
-    # E^2 for tau
+    # one tensor product per nonempty word module of the one memo: tau is
+    # read on the memoized EE
     products = returning(monkeypatch, cli, "build_product")
     tensors = counting_everywhere(monkeypatch, bimodcat, "tensor_over_A")
     assert cli.main([*argv, "--out", str(tmp_path / "r.json")]) == 0
     words = [key for key in products[0].Vy._cache
              if key[0] == "word" and key[1]]
-    assert len(tensors) == len(words) + 1 == 34
+    assert len(tensors) == len(words) == 33
 
 
 def test_run_loads_the_rep_once(monkeypatch, tmp_path):

@@ -296,6 +296,26 @@ class TestExitCodes:
         assert proc.stderr == ("error: cannot write stdout: "
                                "[Errno 9] Bad file descriptor\n")
 
+    @pytest.mark.skipif(os.name != "posix" or not Path("/dev/full").exists(),
+                        reason="needs preexec_fn and /dev/full")
+    @pytest.mark.parametrize("argv, stderr", [
+        (["identities", "--weights=bad"], "closed"),
+        (["verify-all", "--rep", "absent.json"], "closed"),
+        (["identities", "--weights=bad"], "/dev/full")])
+    def test_lost_error_line_is_config_error(self, tmp_path, argv, stderr):
+        # a closed or full stderr loses the error line, not the exit 2
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        closed = stderr == "closed"
+        with open(os.devnull if closed else stderr, "w") as sink:
+            proc = subprocess.run(
+                [sys.executable, "-m", "sl2prod.cli", *argv],
+                preexec_fn=(lambda: os.close(2)) if closed else None,
+                stdout=subprocess.PIPE, stderr=sink, cwd=tmp_path, env=env,
+                text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+
     @pytest.mark.parametrize("lam", range(-4, 5))
     def test_one_weight_window_passes_on_L1(self, capsys, lam):
         # the nilpotence bound comes from the support, not the window

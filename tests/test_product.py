@@ -49,6 +49,15 @@ class TestBuild:
         assert record["status"] == "fail"
         return record["witness"]
 
+    def test_given_F_off_its_dual_fails_the_gate(self):
+        # L(1) with u acting on the given F as u + 1: F, eta and eps are no
+        # adjunction, and the end algebra's (22)(22) product leaves G(1)
+        from test_rep_fuzz import l1_with
+        V = rep_from_json(l1_with((("F", "1", "left", "u"), [["u + 1"]])))
+        assert self.gate_witness(V) == (
+            "end algebra product leaves G(1): membership division leaves a "
+            "remainder")
+
     def test_broken_end_algebra_fails_associativity(self, V, monkeypatch):
         # doubling the (11)(12) product breaks ((11)(11))(12) = (11)((11)(12))
         mult = core.c_mult

@@ -123,7 +123,9 @@ ALLOWED = {
     "tworep.TwoRep.adjoin_y": TRACER,
     "tworep.TwoRep.rebase": TRACER,
     "tworep.rep_to_json": TESTS,
-    "tworep.rep_to_json.<locals>.mat_to_json": TESTS,
+    "tworep.rep_to_json.<locals>.mat": TESTS,
+    "tworep.rep_to_json.<locals>.module": TESTS,
+    "tworep.rep_to_json.<locals>.maps": TESTS,
 }
 
 

@@ -31,8 +31,8 @@ from test_tworep import RANK2
 GOLDEN = Path(__file__).parent / "golden"
 L1 = rep_to_json(make_L1())
 BASES = [L1, RANK2] + [json.loads((GOLDEN / name).read_text())
-                       for name in ("e2_tau0.json", "l1_x2u.json")]
-SECTIONS = ("weights", "E", "x", "tau")
+                       for name in ("e2_tau0.json", "l1_x2u.json", "l2.json")]
+SECTIONS = ("weights", "E", "F", "x", "tau", "eta", "eps")
 
 leaves = (st.none() | st.booleans() | st.integers()
           | st.floats(allow_nan=False, allow_infinity=False)
@@ -127,16 +127,17 @@ def assert_read_as_written(data, rep):
     for name in SECTIONS:
         lams = [int(k) for k in data.get(name, {})]
         assert len(set(lams)) == len(lams)
-    for k, c in data.get("E", {}).items():
-        lam = int(k)
-        assert isinstance(c["basis"], list)
-        assert len(c["basis"]) == rep.E.rank(lam)
-        assert set(c["left"]) == set(rep.A.support[lam + 2])
-        for v, rows in c["left"].items():
-            same(rows, rep.E.left_matrix(lam, v))
-    for name, f in (("x", rep.x), ("tau", rep.tau)):
+    for name, M in (("E", rep.E), ("F", rep.F)):
+        for k, c in data.get(name, {}).items():
+            lam = int(k)
+            assert isinstance(c["basis"], list)
+            assert len(c["basis"]) == M.rank(lam)
+            assert set(c["left"]) == set(rep.A.support[lam + M.shift])
+            for v, rows in c["left"].items():
+                same(rows, M.left_matrix(lam, v))
+    for name in ("x", "tau", "eta", "eps"):
         for k, rows in data.get(name, {}).items():
-            same(rows, f.matrix(int(k)))
+            same(rows, getattr(rep, name).matrix(int(k)))
 
 
 @pytest.fixture(scope="module")
@@ -184,3 +185,24 @@ def test_input_loads_as_written_or_exits_two(rep_file, data):
         else:
             assert code in (0, 1)
             assert err.getvalue() == ""
+
+
+def l2_with_unit(lam, rows):
+    data = json.loads((GOLDEN / "l2.json").read_text())
+    data["eta"][lam] = rows
+    return data
+
+
+@pytest.mark.parametrize("data, line", [
+    # eta at -2 maps A, of rank 1, to FE, of rank 2: a column, not a row
+    (l2_with_unit("-2", [["1", "0"]]),
+     "eta at weight -2 is 1x2, expected 2x1"),
+    (l2_with_unit("5", [["1"]]),
+     "eta entry at weight 5, where A has no component"),
+    ({k: v for k, v in L1.items() if k != "eta"},
+     'the sections "F", "eta" and "eps" are given all together or not at '
+     'all')], ids=["non-square-unit", "unit-outside-A", "F-without-unit"])
+def test_duality_sections_rejected(data, line):
+    with pytest.raises(InputError) as e:
+        rep_from_json(data, QQ)
+    assert str(e.value) == line

@@ -8,6 +8,7 @@ import pytest
 from sl2prod.bimodcat import (BimoduleMap, Component, Bimodule, certify_iso,
                               compose, identity_map, regular_bimodule,
                               tensor_over_A, WeightedAlgebra)
+from sl2prod.cli import suite_check_rep
 from sl2prod.matrixops import Matrix
 from sl2prod.polyring import Poly, QQ, make_field
 from sl2prod.tworep import (TwoRep, check_hecke, check_hypotheses, make_L1,
@@ -145,13 +146,14 @@ def ref_left_dual(E):
 
 
 def load(name):
+    """A named input over QQ, or over GF(p) when the name ends in /GFp."""
+    name, _, p = name.partition("/GF")
+    field = make_field(p or "QQ")
     if name == "L1":
-        return make_L1()
-    if name == "L1/GF7":
-        return make_L1(make_field("7"))
+        return make_L1(field)
     data = RANK2 if name == "rank2" else json.loads(
         (GOLDEN / f"{name}.json").read_text())
-    return rep_from_json(data, QQ)
+    return rep_from_json(data, field)
 
 
 @pytest.mark.parametrize("name", ["L1", "e2_tau0", "l1_x2u", "rank2"])
@@ -169,10 +171,33 @@ def test_duality_matches_reference(name):
     assert r.eps.dom is r.word("EF") and r.eps.cod is r.word("")
 
 
-@pytest.mark.parametrize("name", ["L1/GF7", "rank2"])
+@pytest.mark.parametrize("name", ["L1/GF7", "rank2", "l2", "l2/GF7"])
 def test_zigzag_identities(name):
     r = load(name)
     assert zigzags(r) == (True, True)
+
+
+def test_zigzag_fails_on_mutated_l2_unit():
+    # eta at 0 is the dual basis of {1, x1} under the divided difference;
+    # with -x2 turned into x2 it no longer is, and the F zig-zag breaks
+    data = json.loads((GOLDEN / "l2.json").read_text())
+    assert data["eta"]["0"] == [["-x2"], ["1"]]
+    data["eta"]["0"][0][0] = "x2"
+    assert zigzags(rep_from_json(data, QQ)) == (True, False)
+
+
+def test_l2_check_rep_fails_only_hypothesis_b():
+    # L(2) loads with its given F, eta and eps; the coded (b) asks each x_i
+    # to act as a variable times I, which x1 and x2 on E at -2 do not, and
+    # every other record passes
+    records = suite_check_rep(load("l2"), (-4, 4))
+    assert len(records) == 34
+    assert [(r["check"], r["witness"]) for r in records
+            if r["status"] != "pass"] == [
+        ("hypotheses: E^1 free over P_1",
+         "x_1 at weight -2 not a scalar variable"),
+        ("hypotheses: E^2 free over P_2",
+         "x_2 at weight -2 not a scalar variable")]
 
 
 def test_zigzag_fails_on_off_diagonal_counit():
@@ -184,19 +209,25 @@ def test_zigzag_fails_on_off_diagonal_counit():
     mats = dict(r.eps.mats)
     assert mats[1] == Matrix.from_rows(QQ, [[one, zero, zero, one]])
     mats[1] = Matrix.from_rows(QQ, [[zero, one, one, zero]])
-    r._cache[("eps",)] = BimoduleMap(r.eps.dom, r.eps.cod, mats)
+    r.eps = BimoduleMap(r.eps.dom, r.eps.cod, mats)
     assert zigzags(r) != (True, True)
 
 
 def hand_L1(field):
     """L(1) built by hand, as ``make_L1`` built it before it read JSON:
-    k[u] at -1 and 1, E of rank one at -1 with u acting as u, x = u, and
-    tau the zero map on the zero E^2."""
+    k[u] at -1 and 1, E of rank one at -1 and F of rank one at 1 with u
+    acting as u, x = u, tau the zero map on the zero E^2, and eta and eps
+    the identity at -1 and 1."""
     A = WeightedAlgebra(field, {-1: ("u",), 1: ("u",)})
     u = Matrix.from_rows(field, [[Poly.var(field, "u")]])
-    E = Bimodule(A, 2, {-1: Component(1, {"u": u})})
-    EE = tensor_over_A(E, E)
-    return TwoRep(A, E, BimoduleMap(E, E, {-1: u}), BimoduleMap(EE, EE, {}))
+    one = Matrix.identity(field, 1)
+    r = TwoRep(A, Bimodule(A, 2, {-1: Component(1, {"u": u})}),
+               Bimodule(A, -2, {1: Component(1, {"u": u})}))
+    r.x = BimoduleMap(r.E, r.E, {-1: u})
+    r.tau = BimoduleMap(r.word("EE"), r.word("EE"), {})
+    r.eta = BimoduleMap(r.word(""), r.word("FE"), {-1: one})
+    r.eps = BimoduleMap(r.word("EF"), r.word(""), {1: one})
+    return r
 
 
 @pytest.mark.parametrize("field", ["QQ", "7"])
