@@ -34,11 +34,7 @@ d_k . eta(0) . tau(n-1) ... tau(n-k) . y(n-k+1) ... y(n).  ``data()`` gives
 (d_0, ..., d_(n-1), datum), and ``free`` takes each q_k back as the exact
 quotient (d_(k-1) - d_k) / y(n-k): the one conversion from data to free
 coordinates.  G(1) and G(2) model the S-corners 11 and 12, and G(3) the
-square corner 22 of E^2, whose old model held its data.  The old names:
-
-    G(1)  theta, phi1           ->  d0, last
-    G(2)  a, b, c; e2()         ->  q1, d0, last; d(1)
-    G(3)  ee1, ee2, ee3, chi2   ->  d(0), d(1), d(2), last
+square corner 22 of E^2.
 """
 
 from __future__ import annotations

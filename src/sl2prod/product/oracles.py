@@ -72,10 +72,10 @@ def _eta_pairs(P: ProductRep, w: int):
     return tuple(out)
 
 
-def _columnwise(P: ProductRep, dom, cod, colfn, name: str) -> BimoduleMap:
-    """Assemble a map from a per-basis-column elementwise construction;
-    ``name`` labels a column of the wrong length, and an element outside
-    its model or a false claim is raised again with its weight and column."""
+def _columnwise(P: ProductRep, dom, cod, colfn) -> BimoduleMap:
+    """Assemble a map from a per-basis-column elementwise construction
+    ``colfn(w, j)``.  A column of the wrong length, an element outside its
+    model and a false claim are raised with the column's weight and index."""
     field = P.Vy.A.field
     mats = {}
     for w in dom.weights():
@@ -87,8 +87,8 @@ def _columnwise(P: ProductRep, dom, cod, colfn, name: str) -> BimoduleMap:
             except (NotInModelError, OracleClaimError) as e:
                 raise type(e)(f"weight {w}, column {j}: {e}") from e
             if len(col) != n:
-                raise ShapeMismatchError(
-                    f"{name}: column {j} at {w} has length {len(col)}")
+                raise ShapeMismatchError(f"weight {w}, column {j}: length "
+                                         f"{len(col)}, not {n}")
             for i, v in enumerate(col):
                 mat.set(i, j, v)
         mats[w] = mat
@@ -111,7 +111,7 @@ def _sigma22_EF_column(P: ProductRep, g2in: GElt, lprime: L2Elt) -> UElt:
         tens = elem_tensor(v, e)
         claim = []
         for u, rr in decompose_first(tens.tau(1)):
-            q = (G(2)(r, w - 2, rr, rr.y(1)) if flavor == "q1"
+            q = (gamma21_EE_G1E(one_G1(r, w), rr) if flavor == "q1"
                  else G(2)(r, w - 2, d0=rr))
             claim.append((G(2)(r, w, d0=u), q, 1))
         if flavor == "q1":
@@ -168,8 +168,7 @@ def tilde_sigma_oracle(P: ProductRep, corner: str) -> BimoduleMap:
             images = [after(l, t) for t in terms]
         return sum(images, CORNER_MODELS[corner](r, w)).to_vec()
 
-    return _columnwise(P, P.T[corner], P.S[corner], col,
-                       f"sigma{corner}_oracle")
+    return _columnwise(P, P.T[corner], P.S[corner], col)
 
 
 # ---------------------------------------------------------------------------
@@ -225,46 +224,41 @@ def eps_xi_F_oracle(P: ProductRep, i: int, corner: str) -> BimoduleMap:
         _, res = c_mult(P, ca, ai, cb, b)
         return res.to_vec()
 
-    return _columnwise(P, P.T[corner], P.C[corner], col,
-                       f"eps_xi{i}_F_{corner}_oracle")
+    return _columnwise(P, P.T[corner], P.C[corner], col)
 
 
 def F_xi_eta_oracle(P: ProductRep, i: int, corner: str) -> BimoduleMap:
-    """The i-th coevaluation pairing on a corner, built column by column."""
+    """The i-th coevaluation pairing on a corner, built column by column.
+
+    The column of a basis element c of C (:func:`c_bases`) takes x^i of a
+    start element, built once per column.  Corners 11 and 21 step the G(1)
+    unit, and corner 21 then composes it after the degree -1 element with
+    f = c.  Corner 12 steps gamma_21(1, c).  Corner 22 steps g . c for each
+    coevaluation split (l, g) and pairs each result with l."""
     r = P.Vy
+    bases = {w: [c for cs in c_bases(P, corner, w) for c in cs]
+             for w in P.C[corner].weights()}
 
-    def col11(w, j):
-        ci = _iterate(P, ("F", "11", w, j), lambda: one_G1(r, w),
-                      tilde_x_step_21, i)
-        return ci.to_vec()
-
-    def col21(w, j):
-        f = basis_elt(r, "F", w, j)
-        ci = _iterate(P, ("F", "21", w, j), lambda: one_G1(r, w),
-                      tilde_x_step_21, i)
-        l = L2Elt(r, w, f=f)
-        return compose_G1_after_L2(ci, l).to_vec()
-
-    def col12(w, j):
-        def start():
-            e = basis_elt(r, "E", w, j)
-            return G(2)(r, w, e, e.y(1))
-        gi = _iterate(P, ("F", "12", w, j), start, tilde_x_step_22, i)
-        return gi.to_vec()
-
-    def col22(w, j):
+    def col(w, j):
+        c = bases[w][j]
+        if corner in ("11", "21"):
+            ci = _iterate(P, ("F", corner, w, j), lambda: one_G1(r, w),
+                          tilde_x_step_21, i)
+            if corner == "21":
+                ci = compose_G1_after_L2(ci, L2Elt(r, w, f=c))
+            return ci.to_vec()
+        if corner == "12":
+            return _iterate(P, ("F", "12", w, j),
+                            lambda: gamma21_EE_G1E(one_G1(r, w + 2), c),
+                            tilde_x_step_22, i).to_vec()
         total = UElt(r, w)
         for k, (l_eta, g_eta, _) in enumerate(_eta_pairs(P, w)):
             gi = _iterate(P, ("F", "22", w, j, k),
-                          lambda: act_G1_on_G2(g_eta,
-                                               P.sum_basis("11", w)[j]),
-                          tilde_x_step_22, i)
+                          lambda: act_G1_on_G2(g_eta, c), tilde_x_step_22, i)
             total = total + compose_U(gi, l_eta)
         return total.to_vec()
 
-    colfn = {"11": col11, "12": col12, "21": col21, "22": col22}[corner]
-    return _columnwise(P, P.C[corner], P.S[corner], colfn,
-                       f"F_xi{i}_eta_{corner}_oracle")
+    return _columnwise(P, P.C[corner], P.S[corner], col)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +292,7 @@ def check_product_hecke(P: ProductRep):
                         tilde_x_step_21, 1)
         return act_G1_on_G2(P.sum_basis("12", w)[j], step).to_vec()
 
-    xin21 = _columnwise(P, P.S["12"], P.S["12"], col_xin, "xin21")
+    xin21 = _columnwise(P, P.S["12"], P.S["12"], col_xin)
     out = []
     for c, xin, xout in (("11", r.x_at("EE", 1), r.x_at("EE", 2)),
                          ("12", r.x_at("EEE", 2), r.x_at("EEE", 3)),
@@ -312,9 +306,8 @@ def check_product_hecke(P: ProductRep):
         span = []
         for i in range(r.word("EE").rank(w)):
             ee = basis_elt(r, "EE", w, i)
-            for c1 in (P.sum_basis("11", w + 4)
-                       if w + 4 in P.S["11"].weights() else []):
-                span.append(gamma22_EE_G1EE(c1, ee))
+            for cs in c_bases(P, "22", w + 4):
+                span += [gamma22_EE_G1EE(c1, ee) for c1 in cs]
         for q in P.sum_basis("12", w):
             for p in P.sum_basis("12", w + 2):
                 span.append(gamma22_EE_G2G2(p, q))

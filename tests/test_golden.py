@@ -6,7 +6,10 @@ one polynomial layout, and ``check_rho_wide.json`` and
 ``build_product_gf7.json`` before the EF corner sums became tensors of the
 end-algebra corner bases, and ``verify_all_l1_renamed.json`` and
 ``verify_all_e2_tau0.json`` before the crossing oracle became one column
-rule.  With ``verify_all_seed0.json`` they pin the
+rule.  ``check_rho_l2.json`` was written before the coevaluation oracle
+became one column rule.  It is the one report of a product on L(2), whose
+corner 22 is non-empty at lambda < 0 and whose E has rank 2 at weight -2,
+so a refactor of ``product/`` is checked beyond L(1).  With ``verify_all_seed0.json`` they pin the
 reports of the three benchmark workloads (``verify-default``, ``rho-wide``
 and ``pairings-gf7``, whose ``--seed`` is ignored).  Regenerate them only
 for a change that is meant to alter a report, and say so in CHANGES.md.
@@ -44,6 +47,11 @@ CASES = [
     # E^2 != 0 with tau = 0: the construction gate fails, so the product
     # suites record that and stop
     ("verify_all_e2_tau0.json", ["verify-all", "--rep", "e2_tau0.json"], 1),
+    # L(2): check-rho skips the construction gate that l2.json fails, so
+    # this is the committed report of the product on an input with data at
+    # lambda < 0 and a rank-2 weight space
+    ("check_rho_l2.json",
+     ["check-rho", "--rep", "l2.json", "--weights=-6..6"], 0),
 ]
 
 

@@ -211,7 +211,7 @@ class TestClosedForms:
         def col(w, j):
             raise error("why")
         with pytest.raises(error) as info:
-            oracles._columnwise(P, P.T["11"], P.S["11"], col, "failing")
+            oracles._columnwise(P, P.T["11"], P.S["11"], col)
         assert str(info.value) == "weight 1, column 0: why"
 
     def test_x_power_consistency(self, P):

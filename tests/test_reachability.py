@@ -46,6 +46,7 @@ runs = [
     ["verify-all", "--rep", str(golden / "l1_renamed.json")],
     ["check-rho", "--weights=-8..8"],
     ["check-rho", "--rep", str(golden / "e2_tau0.json")],
+    ["check-rho", "--rep", str(golden / "l2.json")],
     ["verify-all", "--rep", str(golden / "missing.json")],
     ["verify-all", "--rep", str(golden / "l1_y.json")],
     ["verify-all", "--rep", str(golden / "truncated.json")],
@@ -83,7 +84,6 @@ print(json.dumps({"codes": codes, "never": never}))
 """
 
 L2 = "waits for an input with E^2 != 0 and tau != 0 (ROADMAP item 2)"
-LN = "waits for the L(n) inputs, the first with data at lambda < 0 (item 6)"
 CERT = "waits for exported inverse certificates (ROADMAP item 7)"
 TRACER = "hooked by perfbench/tracer.py"
 TESTS = "test-only"
@@ -119,7 +119,6 @@ ALLOWED = {
     "product.models.gamma22_EE_G1EE": L2,
     "product.models.gamma22_EE_G2G2": L2,
     "product.models.tau22": L2,
-    "product.rho._m_y_alt": LN,
     "tworep.TwoRep.adjoin_y": TRACER,
     "tworep.TwoRep.rebase": TRACER,
     "tworep.rep_to_json": TESTS,
@@ -137,8 +136,9 @@ def test_never_called_functions_match_allowlist():
     assert proc.returncode == 0, proc.stderr.decode()
     result = json.loads(proc.stdout)
     # pass, pass, construction fails, bad dot, pass (Horner steps: x1 acts
-    # on E as u), pass, tau = 0, missing file, reserved y, truncated entry
-    assert result["codes"] == [0, 0, 1, 1, 0, 0, 1, 2, 2, 2]
+    # on E as u), pass, tau = 0, pass (L(2), data at lambda < 0), missing
+    # file, reserved y, truncated entry
+    assert result["codes"] == [0, 0, 1, 1, 0, 0, 1, 0, 2, 2, 2]
     never = set(result["never"])
     assert sorted(never - set(ALLOWED)) == [], "never called, not listed"
     assert sorted(set(ALLOWED) - never) == [], "called now: drop from ALLOWED"
