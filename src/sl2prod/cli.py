@@ -190,12 +190,22 @@ def _make_field(spec):
         raise ConfigError(f"bad field {spec!r}: expected QQ or a prime") from e
 
 
+def _unique_keys(pairs):
+    """A JSON object; ``json`` alone keeps a repeated key's last entry."""
+    obj, keys = dict(pairs), [k for k, _ in pairs]
+    if len(obj) < len(keys):
+        key = next(k for i, k in enumerate(keys) if keys.index(k) < i)
+        raise ConfigError(
+            f"malformed representation data: repeated key {key!r}")
+    return obj
+
+
 def _load_rep(args, field):
     if args.rep in (None, "L1"):
         return make_L1(field)
     try:
         with open(args.rep, encoding="utf-8", errors="replace") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as e:
         raise ConfigError(f"cannot read {args.rep}: {e}") from e
     except json.JSONDecodeError as e:

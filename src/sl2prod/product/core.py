@@ -6,20 +6,22 @@ of the one-step functors and of their squares is a finite sum of word
 modules over V, on which the central variable y acts by scalars, except the
 constrained square corner, which is handled elementwise.  Each EF-ordered
 corner sum is the tensor of two end-algebra corners C, ``T_FACTORS``, in
-the order given there; :func:`c_bases` is the one basis of C, read by the
-construction gate and by the oracles' basis pairs.  The product works on V
-itself and shares its memo.
+the order given there; :func:`c_bases` is the one basis of C.  This is the
+matrix side; every elementwise operation, C's product included, is in
+``models``.  The product works on V itself and shares its memo.
 """
 
 from __future__ import annotations
+
+import functools
 
 from ..bimodcat import (BimoduleMap, SumBimodule, compose, compose_all,
                         direct_sum_maps, identity_map, record)
 from ..matrixops import ShapeMismatchError
 from ..polyring import Poly
 from ..tworep import _memoized, check_hypotheses, self_pow, sigma, xi_eta
-from .elements import NotInModelError, basis_elt, elem_tensor, join
-from .models import CORNER_MODELS, G, GElt, act_G1_on_G2, one_G1
+from .elements import NotInModelError, basis_elt
+from .models import CORNER_MODELS, act_G1_on_G2, c_mult, one_G1
 
 # Corner order of the commutator maps and of the reports.
 CORNERS = ("11", "21", "12", "22")
@@ -122,42 +124,9 @@ def c_bases(P: ProductRep, corner: str, w: int):
     return (tuple(basis_elt(r, word, w, k) for k in range(n)),)
 
 
-def c_basis(P: ProductRep, corner: str, c: int):
-    """Basis elements of an end-algebra corner at internal weight c."""
-    return [e for es in c_bases(P, corner, c + MU_SHIFT[corner]) for e in es]
-
-
-def c_mult(P: ProductRep, ca: str, a, cb: str, b):
-    """Multiply end-algebra elements: a at corner (i,j), b at corner (j,k).
-
-    This is the one product of C.  Its readers are the construction gate
-    (associativity and :func:`_check_actions`), the evaluation oracle and
-    :func:`~sl2prod.product.oracles.tilde_sigma_oracle`.  The product is
-    the composite with a applied first; returns the corner label of the
-    result together with the result element.
-    """
-    r = P.Vy
-    if ca[1] != cb[0]:
-        raise ShapeMismatchError(f"corners {ca} and {cb} do not compose")
-    key = (ca, cb)
-    if key == ("11", "11"):
-        return "11", a.scale(b.vec[0])
-    if key == ("11", "12"):
-        return "12", elem_tensor(a, b)
-    if key == ("12", "21"):
-        return "11", join(a.y(1), b, 1)
-    if key == ("12", "22"):
-        return "12", a.scale(b.d0.vec[0]) + join(a.y(1), b.last, 1)
-    if key == ("21", "11"):
-        return "21", a.scale(b.vec[0])
-    if key == ("21", "12"):
-        return "22", G(1)(r, b.weight, last=elem_tensor(a, b))
-    if key == ("22", "21"):
-        return "21", join(a.datum(), b, 1)
-    if key == ("22", "22"):
-        return "22", G(1).from_data(r, a.d0.scale(b.d0.vec[0]),
-                                    join(a.datum(), b.datum(), 1))
-    raise ShapeMismatchError(f"no product rule for corners {ca} x {cb}")
+def c_basis(P: ProductRep, corner: str, w: int):
+    """C's basis at source weight w: the summands of :func:`c_bases`."""
+    return [e for es in c_bases(P, corner, w) for e in es]
 
 
 def _check_c_algebra(P: ProductRep):
@@ -167,14 +136,12 @@ def _check_c_algebra(P: ProductRep):
     The products ab and bd of basis elements are formed once per pair, on
     first use, and shared by every triple they occur in."""
     for c in P.c_weights():
-        basis = {corner: c_basis(P, corner, c) for corner in CORNERS}
-        pairs = {}
+        basis = {corner: c_basis(P, corner, c + MU_SHIFT[corner])
+                 for corner in CORNERS}
 
+        @functools.cache
         def mult(ca, i, cb, j):
-            if (ca, i, cb, j) not in pairs:
-                pairs[ca, i, cb, j] = c_mult(P, ca, basis[ca][i],
-                                             cb, basis[cb][j])
-            return pairs[ca, i, cb, j]
+            return c_mult(ca, basis[ca][i], cb, basis[cb][j])
         for ca in CORNERS:
             for cb in CORNERS:
                 if ca[1] != cb[0]:
@@ -182,13 +149,12 @@ def _check_c_algebra(P: ProductRep):
                 for cc in CORNERS:
                     if cb[1] != cc[0]:
                         continue
+                    cab, cbd = ca[0] + cb[1], cb[0] + cc[1]
                     for i, a in enumerate(basis[ca]):
                         for j in range(len(basis[cb])):
                             for k, d in enumerate(basis[cc]):
-                                k1, ab = mult(ca, i, cb, j)
-                                _, left = c_mult(P, k1, ab, cc, d)
-                                k2, bd = mult(cb, j, cc, k)
-                                _, right = c_mult(P, ca, a, k2, bd)
+                                left = c_mult(cab, mult(ca, i, cb, j), cc, d)
+                                right = c_mult(ca, a, cbd, mult(cb, j, cc, k))
                                 if left != right:
                                     return ("end algebra associativity fails "
                                             f"at weight {c}: ({ca})({cb})({cc})")
@@ -198,8 +164,8 @@ def _check_actions(P: ProductRep):
     """Compatibility of the corner actions with the end multiplication; the
     witness of the first failure, or None."""
     for c in P.c_weights():
-        g1s = c_basis(P, "22", c)
-        w = c - 1
+        w = c + MU_SHIFT["22"]
+        g1s = c_basis(P, "22", w)
         if w not in P.Vy.A:
             continue
         one = one_G1(P.Vy, w)
@@ -209,7 +175,7 @@ def _check_actions(P: ProductRep):
             for c1 in g1s:
                 for c2 in g1s:
                     lhs = act_G1_on_G2(act_G1_on_G2(g, c2), c1)
-                    rhs = act_G1_on_G2(g, c_mult(P, "22", c1, "22", c2)[1])
+                    rhs = act_G1_on_G2(g, c_mult("22", c1, "22", c2))
                     if lhs != rhs:
                         return f"action compatibility fails at weight {c}"
 
@@ -234,24 +200,6 @@ def tilde_x_pow(P: ProductRep, i: int) -> BimoduleMap:
         (2, 2): r.h_xy("FEE", i, [2], extra_y=False),
     }
     return direct_sum_maps(P.S["12"], P.S["12"], entries)
-
-
-def tilde_x_step_21(P: ProductRep, g: GElt) -> GElt:
-    """One dot application on the end-type one-step corner, elementwise."""
-    y = Poly.var(P.Vy.A.field, "y")
-    return G(1)(P.Vy, g.weight, g.d0.scale(y), g.d0.eta(0) + g.last.x(1))
-
-
-def tilde_x_step_22(P: ProductRep, g: GElt) -> GElt:
-    """One dot application on the degree +1 corner, elementwise."""
-    y = Poly.var(P.Vy.A.field, "y")
-    return G(2)(P.Vy, g.weight, g.q1.x(1) - g.d0, g.d0.scale(y),
-                g.q1.eta(0) + g.last.x(2))
-
-
-def tau21(P: ProductRep, g: GElt) -> GElt:
-    """The crossing on the degree +1 corner, elementwise."""
-    return G(2)(P.Vy, g.weight, d0=g.q1, last=g.last.tau(1))
 
 
 def tilde_tau(P: ProductRep, corner: str) -> BimoduleMap:

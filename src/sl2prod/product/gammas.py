@@ -48,7 +48,7 @@ def omega3_map(P: ProductRep) -> BimoduleMap:
     return direct_sum_maps(dom, cod, entries)
 
 
-def pack_G2L2(P: ProductRep, g: GElt, l: L2Elt):
+def pack_G2L2(g: GElt, l: L2Elt):
     """Coordinates of a decomposable tensor in the mixed-component domain."""
     return [
         elem_tensor(g.q1, l.fp), elem_tensor(g.q1, l.f),
@@ -65,7 +65,7 @@ def omega3_apply(P: ProductRep, g: GElt, l: L2Elt):
     r = P.Vy
     w = l.weight
     flat = omega3_map(P).matrix(w).apply(
-        [v for p in pack_G2L2(P, g, l) for v in p.vec])
+        [v for p in pack_G2L2(g, l) for v in p.vec])
     res = []
     for word in G1G1:
         n = r.word(word).rank(w)

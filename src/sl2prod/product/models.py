@@ -1,8 +1,8 @@
 """Model summand data for the product construction.
 
-The models hold the elements of the S-corners, their composites and the
-actions of the end algebra C on them; C's own product is
-:func:`~sl2prod.product.core.c_mult`.
+The models hold the elements of the S-corners and every elementwise
+operation on them, each a function of its operands: C's product
+:func:`c_mult`, the composites, the actions, the dots and the crossings.
 
 Each corner of the product 1-morphisms is presented by free word-module
 summands together with membership equations.  A model element holds the free
@@ -44,6 +44,7 @@ import functools
 from .elements import (Elt, basis_elt, elem_tensor, join, solve_op,
                        word_shift, zero_elt)
 from ..matrixops import ShapeMismatchError
+from ..polyring import Poly
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +254,31 @@ def one_G1(rep, w):
 # compositions and actions
 # ---------------------------------------------------------------------------
 
+def c_mult(ca: str, a, cb: str, b):
+    """The one product of C, of a at corner (i,j) and b at (j,k): the
+    composite with a applied first, in corner (i,k).  The gate and the
+    evaluation and crossing oracles read it."""
+    if ca[1] != cb[0]:
+        raise ShapeMismatchError(f"corners {ca} and {cb} do not compose")
+    key = (ca, cb)
+    if cb == "11":
+        return a.scale(b.vec[0])
+    if key == ("11", "12"):
+        return elem_tensor(a, b)
+    if key == ("12", "21"):
+        return join(a.y(1), b, 1)
+    if key == ("12", "22"):
+        return a.scale(b.d0.vec[0]) + join(a.y(1), b.last, 1)
+    if key == ("21", "12"):
+        return G(1)(b.rep, b.weight, last=elem_tensor(a, b))
+    if key == ("22", "21"):
+        return join(a.datum(), b, 1)
+    if key == ("22", "22"):
+        return G(1).from_data(a.rep, a.d0.scale(b.d0.vec[0]),
+                              join(a.datum(), b.datum(), 1))
+    raise ShapeMismatchError(f"no product rule for corners {ca} x {cb}")
+
+
 def compose_L2_after_G2(l: L2Elt, g: GElt) -> GElt:
     d0 = join(g.d0, l.f, 1) + join(g.q1, l.fp, 1)
     datum = join(g.datum(), l.datum(), 2)
@@ -319,8 +345,26 @@ def act_phi1_on_G2(g: GElt, phi1: Elt) -> GElt:
 
 
 # ---------------------------------------------------------------------------
-# square-product expansions (EE direction)
+# dots, crossings and square-product expansions (EE direction)
 # ---------------------------------------------------------------------------
+
+def tilde_x_step_21(g: GElt) -> GElt:
+    """One dot application on the end-type one-step corner."""
+    y = Poly.var(g.rep.A.field, "y")
+    return G(1)(g.rep, g.weight, g.d0.scale(y), g.d0.eta(0) + g.last.x(1))
+
+
+def tilde_x_step_22(g: GElt) -> GElt:
+    """One dot application on the degree +1 corner."""
+    y = Poly.var(g.rep.A.field, "y")
+    return G(2)(g.rep, g.weight, g.q1.x(1) - g.d0, g.d0.scale(y),
+                g.q1.eta(0) + g.last.x(2))
+
+
+def tau21(g: GElt) -> GElt:
+    """The crossing on the degree +1 corner."""
+    return G(2)(g.rep, g.weight, d0=g.q1, last=g.last.tau(1))
+
 
 def gamma21_EE_G1E(c1: GElt, e: Elt) -> GElt:
     """Pair of an end-type and a one-step element, degree +1 corner."""

@@ -2,10 +2,10 @@
 
 Every map that the closed forms present as an explicit matrix is rebuilt
 here column by column from the defining pairings and one-step operations,
-so the two constructions can be compared entry for entry.  The evaluation
-and crossing oracles multiply in the end algebra C through
-:func:`~sl2prod.product.core.c_mult`, C's one product.  The oracles never
-consult the closed forms, not even for their domains and codomains.
+so the two constructions can be compared entry for entry.  Every
+elementwise step, C's one product :func:`~sl2prod.product.models.c_mult`
+included, comes from ``models``.  The oracles never consult the closed
+forms, not even for their domains and codomains.
 """
 
 from __future__ import annotations
@@ -13,16 +13,16 @@ from __future__ import annotations
 from ..bimodcat import BimoduleMap, check_equal, record
 from ..matrixops import Matrix, ShapeMismatchError
 from ..tworep import _memoized, _sequence, hecke_relations
-from .core import (C_WORDS, T_FACTORS, ProductRep, c_bases, c_mult, tau21,
-                   tilde_tau, tilde_x_pow, tilde_x_step_21, tilde_x_step_22)
+from .core import (C_WORDS, T_FACTORS, ProductRep, c_bases, c_basis,
+                   tilde_tau, tilde_x_pow)
 from .elements import NotInModelError, basis_elt, elem_tensor, word_shift
 from .gammas import omega3_apply
 from .models import (CORNER_MODELS, G, GElt, L2Elt, UElt, act_G1_on_G2,
-                     act_G1_on_U, act_L2_on_L2_left, act_phi1_on_G2,
+                     act_G1_on_U, act_L2_on_L2_left, act_phi1_on_G2, c_mult,
                      compose_G1_after_L2, compose_L2_after_G2,
                      compose_L2_after_U, compose_U, decompose_first,
                      gamma21_EE_G1E, gamma22_EE_G1EE, gamma22_EE_G2G2, one_at,
-                     one_G1, tau22)
+                     one_G1, tau21, tau22, tilde_x_step_21, tilde_x_step_22)
 
 
 class OracleClaimError(AssertionError):
@@ -154,16 +154,15 @@ def tilde_sigma_oracle(P: ProductRep, corner: str) -> BimoduleMap:
         if isinstance(a, G(2)):
             return _sigma22_EF_column(P, a, b).to_vec()
         if ca == "12":
-            terms = [tau21(P, gamma21_EE_G1E(one_G1(r, a.weight + 2), a))]
+            terms = [tau21(gamma21_EE_G1E(one_G1(r, a.weight + 2), a))]
         else:
-            terms = [compose_U(tau21(P, act_G1_on_G2(g_eta, a)), l_eta)
+            terms = [compose_U(tau21(act_G1_on_G2(g_eta, a)), l_eta)
                      for l_eta, g_eta, _ in _eta_pairs(P, a.weight)]
         if cb == "22":
             act = act_G1_on_G2 if ca == "12" else act_G1_on_U
             images = [act(t, b) for t in terms]
         else:
-            _, f = c_mult(P, "22", one_G1(r, w - 2), "21", b)
-            l = L2Elt(r, w, f=f)
+            l = L2Elt(r, w, f=c_mult("22", one_G1(r, w - 2), "21", b))
             after = compose_L2_after_G2 if ca == "12" else compose_L2_after_U
             images = [after(l, t) for t in terms]
         return sum(images, CORNER_MODELS[corner](r, w)).to_vec()
@@ -198,11 +197,11 @@ def _iterate(P: ProductRep, reader: tuple, start, step, i: int):
     orbit = _sequence(P, ("_starts", *reader), 0,
                       lambda _: _iterates(P, step, start()))
     while len(orbit) <= i:
-        orbit.append(step(P, orbit[-1]))
+        orbit.append(step(orbit[-1]))
     return orbit[i]
 
 
-def _x_step_E(P: ProductRep, e):
+def _x_step_E(e):
     return e.x(1)
 
 
@@ -221,8 +220,7 @@ def eps_xi_F_oracle(P: ProductRep, i: int, corner: str) -> BimoduleMap:
                            tilde_x_step_22, i)
             return compose_L2_after_G2(b, g2i).to_vec()
         ai = _iterate(P, ("eps", corner, w, j), lambda: a, step, i)
-        _, res = c_mult(P, ca, ai, cb, b)
-        return res.to_vec()
+        return c_mult(ca, ai, cb, b).to_vec()
 
     return _columnwise(P, P.T[corner], P.C[corner], col)
 
@@ -230,14 +228,13 @@ def eps_xi_F_oracle(P: ProductRep, i: int, corner: str) -> BimoduleMap:
 def F_xi_eta_oracle(P: ProductRep, i: int, corner: str) -> BimoduleMap:
     """The i-th coevaluation pairing on a corner, built column by column.
 
-    The column of a basis element c of C (:func:`c_bases`) takes x^i of a
+    The column of a basis element c of C (:func:`c_basis`) takes x^i of a
     start element, built once per column.  Corners 11 and 21 step the G(1)
     unit, and corner 21 then composes it after the degree -1 element with
     f = c.  Corner 12 steps gamma_21(1, c).  Corner 22 steps g . c for each
     coevaluation split (l, g) and pairs each result with l."""
     r = P.Vy
-    bases = {w: [c for cs in c_bases(P, corner, w) for c in cs]
-             for w in P.C[corner].weights()}
+    bases = {w: c_basis(P, corner, w) for w in P.C[corner].weights()}
 
     def col(w, j):
         c = bases[w][j]
@@ -306,8 +303,8 @@ def check_product_hecke(P: ProductRep):
         span = []
         for i in range(r.word("EE").rank(w)):
             ee = basis_elt(r, "EE", w, i)
-            for cs in c_bases(P, "22", w + 4):
-                span += [gamma22_EE_G1EE(c1, ee) for c1 in cs]
+            span += [gamma22_EE_G1EE(c1, ee)
+                     for c1 in c_basis(P, "22", w + 4)]
         for q in P.sum_basis("12", w):
             for p in P.sum_basis("12", w + 2):
                 span.append(gamma22_EE_G2G2(p, q))

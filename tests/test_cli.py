@@ -88,6 +88,25 @@ class TestExitCodes:
             "error: malformed representation data: E at weight -1 is not an "
             'object with a "basis" list and a "left" object\n')
 
+    @pytest.mark.parametrize("x, tau, left, key", [
+        # x at weight -1 given twice: the later entry used to load, and
+        # check-rep passed 34/34
+        ('{"-1": [["u+1"]], "-1": [["u"]]}', '"tau": {}', '"u": [["u"]]',
+         "-1"),
+        ('{"-1": [["u"]]}', '"tau": {}, "tau": {}', '"u": [["u"]]', "tau"),
+        ('{"-1": [["u"]]}', '"tau": {}', '"u": [["u"]], "u": [["u"]]',
+         "u")], ids=["x-weight", "tau-section", "left-generator"])
+    def test_repeated_key_is_input_error(self, capsys, tmp_path, x, tau,
+                                         left, key):
+        # raw text: json.dumps cannot write a repeated key
+        p = tmp_path / "repeated.json"
+        p.write_text('{"weights": {"-1": ["u"], "1": ["u"]}, '
+                     f'"E": {{"-1": {{"basis": ["e"], "left": {{{left}}}}}}}, '
+                     f'"x": {x}, {tau}}}')
+        assert main(["check-rep", "--rep", str(p)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: malformed representation data: repeated key {key!r}\n")
+
     @staticmethod
     def rep_with(tmp_path, x="u", left="u"):
         """The L(1) rep JSON with the given dot and left action of u."""

@@ -3,8 +3,9 @@ non-empty at lambda < 0, and its E has rank 2 at weight -2.
 
 L(2) fails the construction gate on hypothesis (b) (ROADMAP item 2), so
 these tests pass the gate by hand and pin what the product suites then
-report, the identities the coevaluation oracle could use, and the branches
-of the triangular certificate that L(1) and L(2) reach.
+report, what the gate's end-algebra checks find, the identities the
+coevaluation oracle could use, and the branches of the triangular
+certificate that L(1) and L(2) reach.
 """
 
 import json
@@ -15,10 +16,12 @@ import pytest
 from sl2prod import cli
 from sl2prod.bimodcat import record
 from sl2prod.polyring import make_field
+from sl2prod.product import core
 from sl2prod.product import rho as rho_mod
-from sl2prod.product.core import (MU_SHIFT, build_product, c_bases,
-                                  tilde_x_step_21, tilde_x_step_22)
-from sl2prod.product.models import act_G1_on_G2, gamma21_EE_G1E, one_G1
+from sl2prod.product.core import (MU_SHIFT, _check_actions, _check_c_algebra,
+                                  build_product, c_bases, c_basis)
+from sl2prod.product.models import (act_G1_on_G2, c_mult, gamma21_EE_G1E,
+                                    one_G1, tilde_x_step_21, tilde_x_step_22)
 from sl2prod.product.elements import basis_elt
 from sl2prod.product.oracles import _eta_pairs
 from sl2prod.tworep import make_L1, rep_from_json
@@ -34,9 +37,9 @@ def load(name, spec="QQ"):
     return rep_from_json(json.loads((GOLDEN / name).read_text()), field)
 
 
-def power(step, P, g, i):
+def power(step, g, i):
     for _ in range(i):
-        g = step(P, g)
+        g = step(g)
     return g
 
 
@@ -58,6 +61,65 @@ def test_build_product_records_on_l2(monkeypatch, spec):
          "image does not match")]
 
 
+def swapped(ca, a, cb, b):
+    """The product of C_22 with its factors swapped."""
+    return c_mult(cb, b, ca, a)
+
+
+def action_failures(P, mult):
+    """The gate's action check triple by triple, with C's product ``mult``:
+    the (c, g, c1, c2) indices, c the weight of C, on which g . c2 . c1
+    differs from g . (c1 c2), and the number of triples."""
+    fails, triples = [], 0
+    for c in P.c_weights():
+        w = c + MU_SHIFT["22"]
+        if w not in P.Vy.A:
+            continue
+        g1s = c_basis(P, "22", w)
+        for k, g in enumerate(P.sum_basis("12", w)):
+            for i, c1 in enumerate(g1s):
+                for j, c2 in enumerate(g1s):
+                    triples += 1
+                    if (act_G1_on_G2(act_G1_on_G2(g, c2), c1)
+                            != act_G1_on_G2(g, mult("22", c1, "22", c2))):
+                        fails.append((c, k, i, j))
+    return fails, triples
+
+
+def non_commuting_pairs(P):
+    """The (c, i, j) of the basis pairs of C_22 that do not commute, and the
+    number of pairs."""
+    pairs = [(c, i, j, a, b) for c in P.c_weights()
+             for i, a in enumerate(c_basis(P, "22", c + MU_SHIFT["22"]))
+             for j, b in enumerate(c_basis(P, "22", c + MU_SHIFT["22"]))]
+    return ([(c, i, j) for c, i, j, a, b in pairs
+             if c_mult("22", a, "22", b) != c_mult("22", b, "22", a)],
+            len(pairs))
+
+
+@pytest.mark.parametrize("spec", FIELDS)
+def test_gate_end_algebra_checks_on_l2(monkeypatch, spec):
+    # below the (b) records that stop the gate: C is associative, and the
+    # action check fails on the two orderings of the one non-commuting
+    # pair of C_22, which pass once C's product swaps its factors
+    P = build_product(load("l2.json", spec))
+    assert _check_c_algebra(P) is None
+    assert _check_actions(P) == "action compatibility fails at weight 1"
+    assert action_failures(P, c_mult) == ([(1, 1, 1, 2), (1, 1, 2, 1)], 90)
+    assert action_failures(P, swapped) == ([], 90)
+    monkeypatch.setattr(core, "c_mult", swapped)
+    assert _check_actions(P) is None
+
+
+@pytest.mark.parametrize("spec", FIELDS)
+@pytest.mark.parametrize("name, found", [
+    ("L1", ([], 5)), ("l2.json", ([(1, 1, 2), (1, 2, 1)], 19))])
+def test_end_algebra_corner_22_commutators(name, found, spec):
+    # C_22 commutes at every weight of L(1), so no L(1) run can tell the
+    # order of its product; on L(2) one pair at c = 1 does not commute
+    assert non_commuting_pairs(build_product(load(name, spec))) == found
+
+
 @pytest.mark.parametrize("spec", FIELDS)
 @pytest.mark.parametrize("name, cases", [("L1", (7, 28)),
                                          ("l2.json", (21, 126))])
@@ -74,16 +136,16 @@ def test_dots_commute_with_the_coevaluation_starts(name, cases, spec):
             for k in range(r.word("E").rank(w)):
                 e, one = basis_elt(r, "E", w, k), one_G1(r, w + 2)
                 unit_cases += 1
-                assert (power(tilde_x_step_22, P, gamma21_EE_G1E(one, e), i)
-                        == gamma21_EE_G1E(power(tilde_x_step_21, P, one, i),
+                assert (power(tilde_x_step_22, gamma21_EE_G1E(one, e), i)
+                        == gamma21_EE_G1E(power(tilde_x_step_21, one, i),
                                           e)), (w, k, i)
             for _, g, _ in _eta_pairs(P, w):
-                gi = power(tilde_x_step_22, P, g, i)
+                gi = power(tilde_x_step_22, g, i)
                 for cs in c_bases(P, "22", w):
                     for c in cs:
                         act_cases += 1
-                        assert (power(tilde_x_step_22, P, act_G1_on_G2(g, c),
-                                      i) == act_G1_on_G2(gi, c)), (w, i)
+                        assert (power(tilde_x_step_22, act_G1_on_G2(g, c), i)
+                                == act_G1_on_G2(gi, c)), (w, i)
     assert (unit_cases, act_cases) == cases
 
 

@@ -8,13 +8,13 @@ import pytest
 
 from sl2prod.matrixops import ShapeMismatchError
 from sl2prod.polyring import QQ, Poly, make_field
-from sl2prod.product.core import (C_WORDS, CORNERS, T_FACTORS, T_WORDS,
-                                  build_product, c_basis, c_mult)
+from sl2prod.product.core import (C_WORDS, CORNERS, MU_SHIFT, T_FACTORS,
+                                  T_WORDS, build_product, c_basis)
 from sl2prod.product.elements import (Elt, NotInModelError, basis_elt,
                                       elem_tensor, zero_elt)
 from sl2prod.product import models
 from sl2prod.product.models import (CORNER_MODELS, G, L2Elt, UElt,
-                                    act_G1_on_G2, decompose_first,
+                                    act_G1_on_G2, c_mult, decompose_first,
                                     gamma22_EE_G1EE, gamma22_EE_G2G2, one_at,
                                     one_G1, tau22)
 from sl2prod.product.oracles import check_product_hecke, pair_basis
@@ -306,7 +306,7 @@ class TestComposition:
         r = P.Vy
         cases = 0
         for c in P.c_weights():
-            basis = {k: c_basis(P, k, c) for k in CORNERS}
+            basis = {k: c_basis(P, k, c + MU_SHIFT[k]) for k in CORNERS}
             units = {}
             if basis["11"]:
                 units["11"] = one_at(r, c + 1)
@@ -317,12 +317,42 @@ class TestComposition:
                     if ca[1] != cb[0]:
                         continue
                     for x in basis[cb] if ca in units else ():
-                        assert c_mult(P, ca, units[ca], cb, x) == (cb, x)
+                        assert c_mult(ca, units[ca], cb, x) == x
                         cases += 1
                     for x in basis[ca] if cb in units else ():
-                        assert c_mult(P, ca, x, cb, units[cb]) == (ca, x)
+                        assert c_mult(ca, x, cb, units[cb]) == x
                         cases += 1
         assert cases == n_cases
+
+    @pytest.mark.parametrize("field", ["QQ", "7"])
+    @pytest.mark.parametrize("name, n_products", [
+        ("L1", 15), ("e2_tau0", 28), ("l2", 54)], ids=["L1", "e2_tau0", "l2"])
+    def test_end_algebra_product_lies_in_its_corner(self, name, n_products,
+                                                    field):
+        # a product of corners (i,j) and (j,k) lies in corner (i,k): in the
+        # model G(1) for corner 22, on the one word of C_WORDS otherwise,
+        # at the source weight of C's weight c
+        P = load_product(name, make_field(field))
+        products = 0
+        for c in P.c_weights():
+            basis = {k: c_basis(P, k, c + MU_SHIFT[k]) for k in CORNERS}
+            for ca in CORNERS:
+                for cb in CORNERS:
+                    if ca[1] != cb[0]:
+                        continue
+                    k = ca[0] + cb[1]
+                    w = c + MU_SHIFT[k]
+                    for a in basis[ca]:
+                        for b in basis[cb]:
+                            ab = c_mult(ca, a, cb, b)
+                            products += 1
+                            assert ab.weight == w
+                            if k == "22":
+                                assert type(ab) is G(1)
+                            else:
+                                assert type(ab) is Elt
+                                assert ab.word == C_WORDS[k][0]
+        assert products == n_products
 
     def test_one_acts_trivially_on_G2(self, P):
         rng = random.Random(42)

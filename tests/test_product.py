@@ -8,10 +8,10 @@ import pytest
 from sl2prod.bimodcat import compose
 from sl2prod.product import core, oracles
 from sl2prod.product.core import (F_xi_eta_closed, build_product,
-                                  check_construction, eps_xi_F_closed, tau21,
+                                  check_construction, eps_xi_F_closed,
                                   tilde_sigma_closed, tilde_x_pow)
 from sl2prod.product.elements import NotInModelError, apply_map, basis_elt
-from sl2prod.product.models import G, gamma21_EE_G1E, one_G1
+from sl2prod.product.models import G, gamma21_EE_G1E, one_G1, tau21
 from sl2prod.product.oracles import (F_xi_eta_oracle, check_eta22_identity,
                                      check_omega3_linearity,
                                      check_product_hecke, closed_vs_oracle,
@@ -62,9 +62,9 @@ class TestBuild:
         # doubling the (11)(12) product breaks ((11)(11))(12) = (11)((11)(12))
         mult = core.c_mult
 
-        def doubled(P, ca, a, cb, b):
-            k, out = mult(P, ca, a, cb, b)
-            return k, out + out if (ca, cb) == ("11", "12") else out
+        def doubled(ca, a, cb, b):
+            out = mult(ca, a, cb, b)
+            return out + out if (ca, cb) == ("11", "12") else out
         monkeypatch.setattr(core, "c_mult", doubled)
         assert self.gate_witness(V) == (
             "end algebra associativity fails at weight 0: (11)(11)(12)")
@@ -106,7 +106,7 @@ class TestHecke:
         # a dot step that does nothing makes corner 21's x_in the identity:
         # both of its dot slides fail, and tau^2 = 0, which reads no dot,
         # still passes
-        monkeypatch.setattr(oracles, "tilde_x_step_21", lambda P, g: g)
+        monkeypatch.setattr(oracles, "tilde_x_step_21", lambda g: g)
         records = check_product_hecke(build_product(make_L1()))
         assert [(r["check"], r["status"]) for r in records[6:9]] == [
             ("hecke[21]: tau^2 = 0", "pass"),
@@ -159,9 +159,9 @@ class TestClosedForms:
         assert check()["status"] == "pass"
         mult = oracles.c_mult
 
-        def doubled(P, ca, a, cb, b):
-            k, out = mult(P, ca, a, cb, b)
-            return k, out + out if (ca, cb) == rule else out
+        def doubled(ca, a, cb, b):
+            out = mult(ca, a, cb, b)
+            return out + out if (ca, cb) == rule else out
         monkeypatch.setattr(oracles, "c_mult", doubled)
         assert check() == {"check": "eps", "status": "fail",
                            "witness": witness}
@@ -230,7 +230,7 @@ class TestExamples:
         e = basis_elt(r, "E", w, 0)
         y1e = apply_map(r.y_at("E", 1), e, "E")
         g = G(2)(r, w, e, y1e)
-        t = tau21(P, g)
+        t = tau21(g)
         assert t.q1.is_zero()
         assert (t.d0 - e).is_zero()
         assert t.last.is_zero()
