@@ -200,12 +200,24 @@ def _unique_keys(pairs):
     return obj
 
 
+def _json_int(text):
+    """A JSON integer.  ``int`` refuses a literal longer than the
+    interpreter's digit limit with a bare ValueError, so it is refused
+    here first."""
+    limit, digits = sys.get_int_max_str_digits(), len(text.lstrip("-"))
+    if limit and digits > limit:
+        raise ConfigError("malformed representation data: integer of "
+                          f"{digits} digits, over the limit of {limit}")
+    return int(text)
+
+
 def _load_rep(args, field):
     if args.rep in (None, "L1"):
         return make_L1(field)
     try:
         with open(args.rep, encoding="utf-8", errors="replace") as fh:
-            data = json.load(fh, object_pairs_hook=_unique_keys)
+            data = json.load(fh, object_pairs_hook=_unique_keys,
+                             parse_int=_json_int)
     except OSError as e:
         raise ConfigError(f"cannot read {args.rep}: {e}") from e
     except json.JSONDecodeError as e:

@@ -17,10 +17,10 @@ all operations are pure.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from operator import add, sub
-from typing import Iterable, Mapping
 
 
 class NotDivisibleError(ArithmeticError):
@@ -193,6 +193,19 @@ def split_var(terms: Mapping[tuple, object], k: int) -> dict:
         rest = _trim(e[:k] + (0,) + e[k + 1:]) if k < len(e) and e[k] else e
         groups.setdefault(e[k] if k < len(e) else 0, {})[rest] = c
     return groups
+
+
+def join_var(groups: Mapping[int, Mapping[tuple, object]], k: int) -> dict:
+    """The terms whose groups by the exponent of the k-th variable are
+    ``groups``, none of whose terms involve it: the inverse of
+    :func:`split_var`."""
+    terms = {}
+    for n, group in groups.items():
+        for e, c in group.items():
+            if n:
+                e = (e + (0,) * k)[:k] + (n,) + e[k + 1:]
+            terms[e] = c
+    return terms
 
 
 def _monomial_key(exps: tuple):

@@ -14,6 +14,7 @@ matrix side; every elementwise operation, C's product included, is in
 from __future__ import annotations
 
 import functools
+import itertools
 
 from ..bimodcat import (BimoduleMap, SumBimodule, compose, compose_all,
                         direct_sum_maps, identity_map, record)
@@ -90,7 +91,7 @@ def build_product(V) -> ProductRep:
 
 def check_construction(P: ProductRep) -> dict:
     """The construction gate: the input hypotheses on every weight of the
-    input's support, then the end algebra's associativity and its actions.
+    input's support, then the end algebra's right-module law.
     The witness names the first of these that fails, or the product that
     leaves G(1), as given duality data that are no adjunction can make it."""
     supp = P.weights()
@@ -99,7 +100,7 @@ def check_construction(P: ProductRep) -> dict:
            if r["status"] != "pass"]
     try:
         witness = ("input hypotheses fail: " + "; ".join(bad) if bad
-                   else _check_c_algebra(P) or _check_actions(P))
+                   else _check_end_algebra(P))
     except NotInModelError as e:
         witness = f"end algebra product leaves G(1): {e}"
     return record("construction checks (end algebra, actions)",
@@ -129,55 +130,44 @@ def c_basis(P: ProductRep, corner: str, w: int):
     return [e for es in c_bases(P, corner, w) for e in es]
 
 
-def _check_c_algebra(P: ProductRep):
-    """Associativity of the corner multiplication on all basis triples; the
-    witness of the first failure, or None.
+def _right_law(act, mult, m, a, b) -> bool:
+    """C's right-module law (m.a).b = m.(ab) on one triple: acting by a,
+    then by b, is acting by ``mult(a, b)``, the product that applies a
+    first (the order convention of :mod:`~sl2prod.product.models`)."""
+    return act(act(m, a), b) == act(m, mult(a, b))
 
-    The products ab and bd of basis elements are formed once per pair, on
-    first use, and shared by every triple they occur in."""
+
+def _check_end_algebra(P: ProductRep):
+    """:func:`_right_law` on basis elements at each c-weight: with m in C,
+    where it is associativity, then with m in the degree +1 corner under
+    ``act_G1_on_G2``, after the unit law m.1 = m.  The witness of the first
+    failure, or None.  Elements of C are held with their corners, and each
+    product of C is formed once per weight, on first use."""
     for c in P.c_weights():
-        basis = {corner: c_basis(P, corner, c + MU_SHIFT[corner])
-                 for corner in CORNERS}
+        basis = {k: [(k, e) for e in c_basis(P, k, c + MU_SHIFT[k])]
+                 for k in CORNERS}
 
         @functools.cache
-        def mult(ca, i, cb, j):
-            return c_mult(ca, basis[ca][i], cb, basis[cb][j])
-        for ca in CORNERS:
-            for cb in CORNERS:
-                if ca[1] != cb[0]:
-                    continue
-                for cc in CORNERS:
-                    if cb[1] != cc[0]:
-                        continue
-                    cab, cbd = ca[0] + cb[1], cb[0] + cc[1]
-                    for i, a in enumerate(basis[ca]):
-                        for j in range(len(basis[cb])):
-                            for k, d in enumerate(basis[cc]):
-                                left = c_mult(cab, mult(ca, i, cb, j), cc, d)
-                                right = c_mult(ca, a, cbd, mult(cb, j, cc, k))
-                                if left != right:
-                                    return ("end algebra associativity fails "
-                                            f"at weight {c}: ({ca})({cb})({cc})")
-
-
-def _check_actions(P: ProductRep):
-    """Compatibility of the corner actions with the end multiplication; the
-    witness of the first failure, or None."""
-    for c in P.c_weights():
+        def mult(x, a):
+            (cx, ex), (ca, ea) = x, a
+            return cx[0] + ca[1], c_mult(cx, ex, ca, ea)
+        for ca, cb, cc in itertools.product(CORNERS, repeat=3):
+            if (ca[1], cb[1]) == (cb[0], cc[0]) and not all(
+                    _right_law(mult, mult, m, a, b) for m in basis[ca]
+                    for a in basis[cb] for b in basis[cc]):
+                return ("end algebra associativity fails "
+                        f"at weight {c}: ({ca})({cb})({cc})")
         w = c + MU_SHIFT["22"]
-        g1s = c_basis(P, "22", w)
         if w not in P.Vy.A:
             continue
         one = one_G1(P.Vy, w)
         for g in P.sum_basis("12", w):
             if act_G1_on_G2(g, one) != g:
                 return f"unit action fails on degree +1 corner at weight {c}"
-            for c1 in g1s:
-                for c2 in g1s:
-                    lhs = act_G1_on_G2(act_G1_on_G2(g, c2), c1)
-                    rhs = act_G1_on_G2(g, c_mult("22", c1, "22", c2))
-                    if lhs != rhs:
-                        return f"action compatibility fails at weight {c}"
+            if not all(_right_law(lambda h, x: act_G1_on_G2(h, x[1]), mult,
+                                  g, a, b)
+                       for a in basis["22"] for b in basis["22"]):
+                return f"action compatibility fails at weight {c}"
 
 
 # ---------------------------------------------------------------------------

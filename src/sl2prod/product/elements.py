@@ -26,7 +26,7 @@ computed from it (such as a model element's datum) can be kept with it.
 
 from __future__ import annotations
 
-from ..polyring import Poly, split_var, var_index
+from ..polyring import Poly, join_var, split_var, var_index
 from ..matrixops import ShapeMismatchError
 
 
@@ -174,18 +174,22 @@ def solve_op(elt: Elt, i: int) -> Elt:
     v, the coefficient of y^k in (X - y) v is X v_k - v_(k-1).  Setting
     v_(k-1) = X v_k - r_k from the top y-degree of ``elt`` down satisfies
     every coefficient equation but the last, so X v_0 = r_0 is the whole
-    membership test."""
+    membership test.  Each v_(k-1) holds no y, so its terms go to y^(k-1)
+    as they are, with no term product."""
     rep = elt.rep
     field = rep.A.field
     X = rep.x_at(elt.word, i).matrix(elt.weight)
-    y = Poly.var(field, "y")
-    layers = [split_var(p.terms, var_index("y")) for p in elt.vec]
+    yk = var_index("y")
+    layers = [split_var(p.terms, yk) for p in elt.vec]
     top = max((k for g in layers for k in g), default=0)
     r = [[Poly(field, g.get(k, {})) for g in layers] for k in range(top + 1)]
-    v = out = [Poly.zero(field)] * len(elt.vec)
-    for rk in reversed(r[1:]):
-        v = [p - c for p, c in zip(X.apply(v), rk)]
-        out = [p * y + q for p, q in zip(out, v)]
+    v = [Poly.zero(field)] * len(elt.vec)
+    out = [{} for _ in elt.vec]
+    for k in range(top, 0, -1):
+        v = [p - c for p, c in zip(X.apply(v), r[k])]
+        for groups, p in zip(out, v):
+            groups[k - 1] = p.terms
     if X.apply(v) != r[0]:
         raise NotInModelError("membership division leaves a remainder")
-    return Elt(rep, elt.word, elt.weight, out)
+    return Elt(rep, elt.word, elt.weight,
+               [Poly(field, join_var(g, yk)) for g in out])

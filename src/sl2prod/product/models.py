@@ -4,6 +4,17 @@ The models hold the elements of the S-corners and every elementwise
 operation on them, each a function of its operands: C's product
 :func:`c_mult`, the composites, the actions, the dots and the crossings.
 
+Order convention.  C's product ab, ``c_mult(ca, a, cb, b)``, is the
+composite with a applied first.  Every composite and action here names the
+argument it applies first, and that argument's data are the left factor of
+each ``join`` and ``elem_tensor`` it forms: ``join(u, v, n)`` contracts u,
+applied first, against v.  A right action m.a applies m first, then a, so
+it is an action of C's product when (m.a).b = m.(ab); a left action a.m
+applies a first, so it is one when a.(b.m) = (ab).m.  Every action here is
+an action of C's product, not of its opposite; the construction gate checks
+the right-module law for ``act_G1_on_G2``.  The names of the composites
+read the other way: ``compose_X_after_Y(x, y)`` applies y first.
+
 Each corner of the product 1-morphisms is presented by free word-module
 summands together with membership equations.  A model element holds the free
 coordinates on its corner's summand words (the "model form"); each class
@@ -255,9 +266,10 @@ def one_G1(rep, w):
 # ---------------------------------------------------------------------------
 
 def c_mult(ca: str, a, cb: str, b):
-    """The one product of C, of a at corner (i,j) and b at (j,k): the
-    composite with a applied first, in corner (i,k).  The gate and the
-    evaluation and crossing oracles read it."""
+    """The one product ab of C, of a at corner (i,j) and b at (j,k): the
+    composite with a applied first, in corner (i,k), by the module's order
+    convention.  The gate and the evaluation and crossing oracles read
+    it."""
     if ca[1] != cb[0]:
         raise ShapeMismatchError(f"corners {ca} and {cb} do not compose")
     key = (ca, cb)
@@ -280,19 +292,24 @@ def c_mult(ca: str, a, cb: str, b):
 
 
 def compose_L2_after_G2(l: L2Elt, g: GElt) -> GElt:
+    """The composite of a degree +1 and a degree -1 corner element in C_22,
+    g applied first (the module's order convention)."""
     d0 = join(g.d0, l.f, 1) + join(g.q1, l.fp, 1)
     datum = join(g.datum(), l.datum(), 2)
     return G(1).from_data(l.rep, d0, datum)
 
 
 def compose_G1_after_L2(g: GElt, l: L2Elt) -> L2Elt:
+    """l applied first, then g: the right action l.g of C_22 on the degree
+    -1 corner, of C's product (the module's order convention)."""
     s = g.d0.vec[0]
     rho = join(l.datum(), g.datum(), 1)
     return L2Elt.from_data(l.rep, l.fp.scale(s), l.f.scale(s), rho)
 
 
 def compose_U(g: GElt, l: L2Elt) -> UElt:
-    """Pairing of a degree -1 and degree +1 corner element into the square."""
+    """Pairing of a degree -1 and degree +1 corner element into the square,
+    l applied first (the module's order convention)."""
     p11 = elem_tensor(l.f, g.d0)
     p21 = elem_tensor(l.f, g.q1)
     p12 = elem_tensor(l.fp, g.d0)
@@ -302,6 +319,8 @@ def compose_U(g: GElt, l: L2Elt) -> UElt:
 
 
 def compose_L2_after_U(l: L2Elt, u: UElt) -> L2Elt:
+    """The composite of a square and a degree -1 corner element, u applied
+    first (the module's order convention)."""
     f = join(u.p11, l.f, 1) + join(u.p21, l.fp, 1)
     fp = join(u.p12, l.f, 1) + join(u.p22, l.fp, 1)
     rho = join(u.datum(), l.datum(), 2)
@@ -309,7 +328,8 @@ def compose_L2_after_U(l: L2Elt, u: UElt) -> L2Elt:
 
 
 def act_G1_on_G2(g: GElt, c1: GElt) -> GElt:
-    """Right action of an end-type element on a degree +1 corner element."""
+    """The right action g.c1 of C_22 on the degree +1 corner, of C's
+    product: g applied first (the module's order convention)."""
     s = c1.d0.vec[0] if c1.d0.vec else None
     d0 = join(g.d0, c1.datum(), 1)
     q1 = join(g.d0, c1.last, 1)
@@ -321,6 +341,8 @@ def act_G1_on_G2(g: GElt, c1: GElt) -> GElt:
 
 
 def act_G1_on_U(u: UElt, c1: GElt) -> UElt:
+    """The right action u.c1 of C_22 on the square corner, of C's product:
+    u applied first (the module's order convention)."""
     s = c1.d0.vec[0]
     phi = c1.datum()
     p11 = join(u.p11, phi, 1)
@@ -332,7 +354,9 @@ def act_G1_on_U(u: UElt, c1: GElt) -> UElt:
 
 
 def act_L2_on_L2_left(phi1: Elt, l: L2Elt) -> L2Elt:
-    """Middle action of an off-diagonal end datum on a degree -1 element."""
+    """Middle action of an off-diagonal end datum on a degree -1 element:
+    the left action phi1.l, of C's product, phi1 applied first (the
+    module's order convention)."""
     y1phi1 = phi1.y(1)
     f_new = join(y1phi1, l.f, 1) + join(phi1, l.fp, 1)
     rho1 = join(phi1.eta(1).tau(1), l.fp, 1) + join(y1phi1, l.rho1, 1)
@@ -340,7 +364,9 @@ def act_L2_on_L2_left(phi1: Elt, l: L2Elt) -> L2Elt:
 
 
 def act_phi1_on_G2(g: GElt, phi1: Elt) -> GElt:
-    """Middle action of an off-diagonal end datum on a degree +1 element."""
+    """Middle action of an off-diagonal end datum on a degree +1 element:
+    the right action g.phi1 of ``act_G1_on_G2``, g applied first (the
+    module's order convention)."""
     return act_G1_on_G2(g, G(1)(g.rep, phi1.weight, last=phi1))
 
 

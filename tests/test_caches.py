@@ -387,6 +387,19 @@ def test_far_support_gate_is_linear_in_lam():
     assert counts[1] <= 2.2 * counts[0]
 
 
+def test_construction_gate_forms_each_product_once_per_weight(monkeypatch):
+    # ratchet on the gate's end-algebra work on L(1) over QQ: every product
+    # of C is formed once per weight and shared by each instance of the
+    # right-module law it occurs in.  Forming each product per triple and
+    # per g took 95 c_mult and 26 act_G1_on_G2 calls
+    P = build_product(make_L1())
+    mults = counting(monkeypatch, core, "c_mult")
+    acts = counting(monkeypatch, core, "act_G1_on_G2")
+    assert core.check_construction(P)["status"] == "pass"
+    assert len(mults) <= 35
+    assert len(acts) <= 26
+
+
 def test_oracle_start_elements_built_once_per_column(monkeypatch):
     # a sweep over i builds each column's start element once, not once per i
     n = 16

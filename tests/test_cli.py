@@ -271,6 +271,16 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_overlong_integer_is_input_error(self, capsys):
+        # raw text, L(1) with tau a literal of 5,000 nines: json's own int
+        # conversion raises a bare ValueError past the interpreter's digit
+        # limit (4,300 by default)
+        rep = GOLDEN / "overlong_int.json"
+        assert main(["check-rep", "--rep", str(rep)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed representation data: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_unwritable_out_is_config_error(self, capsys, tmp_path):
         out = tmp_path / "missing" / "report.json"
         assert main(["identities", "--out", str(out)]) == 2

@@ -1,11 +1,15 @@
 """Lean imports: no module under ``src/`` or ``tests/`` imports a name it
-never uses, and no function under ``src/`` imports anything in its body.
+never uses, no function under ``src/`` imports anything in its body, and
+importing the CLI loads no ``typing``.
 
 A name counts as used when it is read anywhere in the module (as a bare
 name or as the root of an attribute chain) or is listed in ``__all__``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -68,3 +72,14 @@ def test_finds_an_import_in_a_function():
                          ids=[str(p.relative_to(ROOT)) for p in SRC])
 def test_no_imports_in_function_bodies(path):
     assert function_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_cli_import_leaves_typing_out():
+    # every annotation is a string under ``from __future__ import
+    # annotations``, so typing would only add to each run's start-up; -S
+    # keeps site-packages' own imports out of the count
+    code = "import sys, sl2prod.cli; print('typing' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"

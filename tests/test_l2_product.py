@@ -18,9 +18,11 @@ from sl2prod.bimodcat import record
 from sl2prod.polyring import make_field
 from sl2prod.product import core
 from sl2prod.product import rho as rho_mod
-from sl2prod.product.core import (MU_SHIFT, _check_actions, _check_c_algebra,
+from sl2prod.product.core import (MU_SHIFT, _check_end_algebra, _right_law,
                                   build_product, c_bases, c_basis)
-from sl2prod.product.models import (act_G1_on_G2, c_mult, gamma21_EE_G1E,
+from sl2prod.product.models import (G, act_G1_on_G2, act_G1_on_U,
+                                    act_L2_on_L2_left, c_mult,
+                                    compose_G1_after_L2, gamma21_EE_G1E,
                                     one_G1, tilde_x_step_21, tilde_x_step_22)
 from sl2prod.product.elements import basis_elt
 from sl2prod.product.oracles import _eta_pairs
@@ -61,27 +63,30 @@ def test_build_product_records_on_l2(monkeypatch, spec):
          "image does not match")]
 
 
-def swapped(ca, a, cb, b):
-    """The product of C_22 with its factors swapped."""
-    return c_mult(cb, b, ca, a)
+def old_nesting(act, mult, m, a, b):
+    """The gate as it was: associativity as now, but the action of C_22 on
+    the degree +1 corner checked as (m.b).a = m.(ab), the right-module law
+    of the opposite product."""
+    first, then = (a, b) if act is mult else (b, a)
+    return act(act(m, first), then) == act(m, mult(a, b))
 
 
-def action_failures(P, mult):
-    """The gate's action check triple by triple, with C's product ``mult``:
-    the (c, g, c1, c2) indices, c the weight of C, on which g . c2 . c1
-    differs from g . (c1 c2), and the number of triples."""
+def action_failures(P, law):
+    """The action of C_22 on the degree +1 corner triple by triple: the
+    (c, g, a, b) basis indices, c the weight of C, that fail ``law``, and
+    the number of triples."""
     fails, triples = [], 0
     for c in P.c_weights():
         w = c + MU_SHIFT["22"]
         if w not in P.Vy.A:
             continue
-        g1s = c_basis(P, "22", w)
+        c22 = [("22", e) for e in c_basis(P, "22", w)]
         for k, g in enumerate(P.sum_basis("12", w)):
-            for i, c1 in enumerate(g1s):
-                for j, c2 in enumerate(g1s):
+            for i, a in enumerate(c22):
+                for j, b in enumerate(c22):
                     triples += 1
-                    if (act_G1_on_G2(act_G1_on_G2(g, c2), c1)
-                            != act_G1_on_G2(g, mult("22", c1, "22", c2))):
+                    if not law(lambda h, x: act_G1_on_G2(h, x[1]),
+                               lambda x, y: ("22", c_mult(*x, *y)), g, a, b):
                         fails.append((c, k, i, j))
     return fails, triples
 
@@ -99,16 +104,62 @@ def non_commuting_pairs(P):
 
 @pytest.mark.parametrize("spec", FIELDS)
 def test_gate_end_algebra_checks_on_l2(monkeypatch, spec):
-    # below the (b) records that stop the gate: C is associative, and the
-    # action check fails on the two orderings of the one non-commuting
-    # pair of C_22, which pass once C's product swaps its factors
+    # below the (b) records that stop the gate, C's right-module law holds
+    # on L(2), on all 90 action triples; the old nesting fails on the two
+    # orderings of the one non-commuting pair of C_22
     P = build_product(load("l2.json", spec))
-    assert _check_c_algebra(P) is None
-    assert _check_actions(P) == "action compatibility fails at weight 1"
-    assert action_failures(P, c_mult) == ([(1, 1, 1, 2), (1, 1, 2, 1)], 90)
-    assert action_failures(P, swapped) == ([], 90)
-    monkeypatch.setattr(core, "c_mult", swapped)
-    assert _check_actions(P) is None
+    assert _check_end_algebra(P) is None
+    assert action_failures(P, _right_law) == ([], 90)
+    assert action_failures(P, old_nesting) == (
+        [(1, 1, 1, 2), (1, 1, 2, 1)], 90)
+    monkeypatch.setattr(core, "_right_law", old_nesting)
+    assert _check_end_algebra(P) == "action compatibility fails at weight 1"
+
+
+def order_failures(triples):
+    """Of (lhs, opposite, rhs) triples, the number whose law fails in C's
+    order (lhs != rhs), and in the opposite order (opposite != rhs)."""
+    triples = list(triples)
+    return (sum(lhs != rhs for lhs, _, rhs in triples),
+            sum(opp != rhs for _, opp, rhs in triples), len(triples))
+
+
+@pytest.mark.parametrize("spec", FIELDS)
+def test_other_actions_follow_c_order_on_l2(spec):
+    # the order convention of models: the right actions of C_22 on the
+    # square and degree -1 corners, and the left action of its FE
+    # coordinate on the degree -1 corner, are actions of C's product.  On
+    # L(2) each module law holds, and its opposite fails
+    P = build_product(load("l2.json", spec))
+    r = P.Vy
+
+    def mult(a, b):
+        return c_mult("22", a, "22", b)
+
+    def right(act, ms, cs):
+        return ((act(act(m, a), b), act(act(m, b), a), act(m, mult(a, b)))
+                for m in ms for a in cs for b in cs)
+
+    def on_l2(l, g):
+        return compose_G1_after_L2(g, l)
+
+    def phi_mult(a, b):
+        ab = mult(G(1)(r, a.weight, last=a), G(1)(r, b.weight, last=b))
+        assert ab.d0.is_zero()
+        return ab.last
+    ws = P.C["22"].weights()
+    assert order_failures(t for w in ws for t in right(
+        act_G1_on_U, P.sum_basis("22", w), c_basis(P, "22", w))) == (
+            0, 8, 180)
+    assert order_failures(t for w in ws for t in right(
+        on_l2, P.sum_basis("21", w), c_basis(P, "22", w))) == (0, 4, 40)
+    left = act_L2_on_L2_left
+    phis = {w: [basis_elt(r, "FE", w - 2, j)
+                for j in range(r.word("FE").rank(w - 2))] for w in P.weights()}
+    assert order_failures(
+        (left(a, left(b, l)), left(b, left(a, l)), left(phi_mult(a, b), l))
+        for w in P.weights() for l in P.sum_basis("21", w)
+        for a in phis[w] for b in phis[w]) == (0, 6, 32)
 
 
 @pytest.mark.parametrize("spec", FIELDS)

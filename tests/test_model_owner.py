@@ -8,7 +8,9 @@ word is FE^n is G(n), so a new such corner needs no new class.
 Every elementwise corner operation (C's product ``c_mult``, the crossings,
 the dot steps, the composites, the actions and the gamma pairings) is
 defined in ``product/models.py`` only, and takes only its operands: no
-parameter ``P`` and no ``ProductRep``.
+parameter ``P`` and no ``ProductRep``.  ``c_mult`` and each composite and
+action say which argument they apply first, citing the one order
+convention in the models docstring.
 """
 
 import ast
@@ -106,3 +108,16 @@ def test_corner_operations_take_only_their_operands():
     ops = corner_operations(MODELS, sources()[MODELS])
     assert [name for name, (params, notes) in ops.items()
             if "P" in params or any("ProductRep" in n for n in notes)] == []
+
+
+def test_order_bearing_operations_cite_the_order_convention():
+    tree = ast.parse(sources()[MODELS])
+    assert "Order convention." in ast.get_docstring(tree)
+    docs = {node.name: " ".join((ast.get_docstring(node) or "").split())
+            for node in tree.body if isinstance(node, ast.FunctionDef)
+            and (node.name == "c_mult"
+                 or node.name.startswith(("compose_", "act_")))}
+    assert len(docs) == 9
+    assert [name for name, doc in docs.items()
+            if "applied first" not in doc
+            or "order convention" not in doc] == []

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from sl2prod.polyring import (NotDivisibleError, Poly, QQ, PrimeField,
                               divided_difference, exact_divide, h_complete,
-                              make_field, parse_poly)
+                              join_var, make_field, parse_poly, split_var)
 
 X1 = Poly.var(QQ, "x1")
 X2 = Poly.var(QQ, "x2")
@@ -188,6 +188,13 @@ class TestLayoutDependentMethods:
         assert p.subs({"x1": X2 + 1}) == (X2 + 1) ** 2 * Y + U
         assert p.subs({"y": Poly.const(QQ, 2), "u": X3}) == 2 * X1 ** 2 + X3
         assert p.subs({}) == p
+
+    @settings(max_examples=40, deadline=None)
+    @given(poly_strategy(names=("u", "y", "x1", "x2")))
+    def test_join_var_inverts_split_var(self, f):
+        for k in range(5):
+            terms = join_var(split_var(f.terms, k), k)
+            assert terms == f.terms and Poly(QQ, terms) == f
 
     def test_swap_x(self):
         assert X2.swap_x(1) == X1

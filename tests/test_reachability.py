@@ -50,6 +50,7 @@ runs = [
     ["verify-all", "--rep", str(golden / "missing.json")],
     ["verify-all", "--rep", str(golden / "l1_y.json")],
     ["verify-all", "--rep", str(golden / "truncated.json")],
+    ["check-rep", "--rep", str(golden / "overlong_int.json")],
 ]
 codes = []
 with contextlib.redirect_stdout(io.StringIO()), \
@@ -137,8 +138,8 @@ def test_never_called_functions_match_allowlist():
     result = json.loads(proc.stdout)
     # pass, pass, construction fails, bad dot, pass (Horner steps: x1 acts
     # on E as u), pass, tau = 0, pass (L(2), data at lambda < 0), missing
-    # file, reserved y, truncated entry
-    assert result["codes"] == [0, 0, 1, 1, 0, 0, 1, 0, 2, 2, 2]
+    # file, reserved y, truncated entry, integer past the digit limit
+    assert result["codes"] == [0, 0, 1, 1, 0, 0, 1, 0, 2, 2, 2, 2]
     never = set(result["never"])
     assert sorted(never - set(ALLOWED)) == [], "never called, not listed"
     assert sorted(set(ALLOWED) - never) == [], "called now: drop from ALLOWED"
